@@ -1,29 +1,29 @@
-"""Read latency under a live write stream: snapshot vs rwlock maintenance.
+"""Read latency under a live write stream vs the same reads write-free.
 
-Measures what the PR-8 redesign is for: the read-side p95 while a writer
-continuously mutates the served engine.  For every config the same
-workload runs twice —
+Measures what snapshot (copy-on-write) maintenance is for: the read-side
+p95 while a writer continuously mutates the served engine.  For every
+config the same reads run twice, each on a fresh engine —
 
-* ``rwlock`` — the legacy readers-writer lock: every ``add``/``delete``
-  excludes the whole reader pool, and the periodic compaction
-  (``service.build()`` every ``compact_every`` writes) stalls readers
-  for a full index rebuild;
-* ``snapshot`` — versioned copy-on-write maintenance: writes buffer into
-  the overlay (readers pin published versions and never block) and the
-  same compaction schedule runs as background merges
-  (``merge_threshold = compact_every``).
+* ``write_free`` — the reader pool alone, no writer;
+* ``under_writes`` — the same readers while one writer streams
+  insert+delete pairs through ``add``/``delete`` until they finish:
+  writes buffer into the overlay (readers pin published versions and
+  never block) and background merges fold the buffer every
+  ``compact_every`` writes (``merge_threshold = compact_every``).
 
 Reader threads issue a fixed number of point/area queries each and
-record wall-clock latency per call; the writer streams insert+delete
-pairs until the readers finish.  The JSON baseline (``BENCH_PR8.json``
-at the repo root) records p50/p95/QPS per mode plus the write and merge
-counts.
+record wall-clock latency per call.  The JSON baseline
+(``BENCH_PR8.json`` at the repo root) records p50/p95/QPS per pass plus
+the write and merge counts, and the under-writes/write-free p95 ratio.
 
 Wall-clock numbers are machine-dependent, so CI never compares them
 against a committed baseline.  ``--check-maintenance`` gates *within*
-one run — on the same machine, same moment — that the snapshot read p95
-under writes beats the rwlock baseline (times ``--tolerance``, default
-1.0: strictly better).
+one run — on the same machine, same moment — that the read p95 under
+the write stream stays within ``--tolerance`` (default 10) times the
+write-free read p95.  Readers that never block on writers pay only the
+overlay and the interpreter lock the writer shares (quick-mode ratios
+of 3.3-4.6 on a 2-CPU machine); readers queued behind a writer-preferring
+lock that each write holds measured 17-44 there.
 """
 
 from __future__ import annotations
@@ -42,11 +42,16 @@ sys.path.insert(0, os.path.join(REPO_ROOT, "src"))
 from repro.bench.workloads import ConcurrentLoadGenerator  # noqa: E402
 from repro.core.engine import SpatialKeywordEngine  # noqa: E402
 from repro.datasets import DatasetConfig, SpatialTextDatasetGenerator  # noqa: E402
-from repro.serve import RWLOCK, SNAPSHOT, QueryService  # noqa: E402
+from repro.serve import QueryService  # noqa: E402
 from repro.shard import ShardedEngine  # noqa: E402
 
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_PR8.json")
 SEED = 4321
+DEFAULT_TOLERANCE = 10.0
+
+#: The two passes of every config: readers alone, then beside a writer.
+WRITE_FREE = "write_free"
+UNDER_WRITES = "under_writes"
 
 FULL_CONFIGS = [("ir2", 1), ("iio", 1), ("ir2", 2)]
 QUICK_CONFIGS = [("ir2", 1)]
@@ -94,17 +99,15 @@ def _percentile(samples, q: float) -> float:
     return ordered[index]
 
 
-def _run_mode(objects, index, shards, mode, scale):
-    """One timed pass: reader pool vs sustained writer, one mode."""
+def _run_pass(objects, index, shards, with_writer, scale):
+    """One timed pass: the reader pool, beside a sustained writer or not."""
     engine = _build_engine(objects, index, shards)
     analyzer = engine.analyzer
-    compact_every = scale["compact_every"]
     service = QueryService(
         engine,
         workers=scale["readers"] + 1,
         cache=False,
-        maintenance=mode,
-        merge_threshold=compact_every if mode == SNAPSHOT else 64,
+        merge_threshold=scale["compact_every"],
     )
     workload = ConcurrentLoadGenerator(objects, analyzer, seed=SEED)
     queries = workload.mixed_batch(
@@ -116,7 +119,7 @@ def _run_mode(objects, index, shards, mode, scale):
     latencies_ms: list[float] = []
     lock = threading.Lock()
     stop = threading.Event()
-    writes = {"count": 0, "compactions": 0}
+    writes = {"count": 0}
     errors: list[Exception] = []
 
     def reader(batch):
@@ -144,11 +147,6 @@ def _run_mode(objects, index, shards, mode, scale):
                 next_oid += 1
                 donor += 1
                 writes["count"] += 2
-                if mode == RWLOCK and writes["count"] % (
-                    2 * compact_every
-                ) == 0:
-                    service.build(bulk=True)
-                    writes["compactions"] += 1
         except Exception as exc:  # pragma: no cover - surfaced below
             errors.append(exc)
 
@@ -156,18 +154,19 @@ def _run_mode(objects, index, shards, mode, scale):
         threading.Thread(target=reader, args=(batch,))
         for batch in per_reader
     ]
-    write_thread = threading.Thread(target=writer)
+    write_thread = threading.Thread(target=writer) if with_writer else None
     started = time.perf_counter()
     for thread in threads:
         thread.start()
-    write_thread.start()
+    if write_thread is not None:
+        write_thread.start()
     for thread in threads:
         thread.join()
     elapsed = time.perf_counter() - started
     stop.set()
-    write_thread.join()
-    maintainer = service.maintainer
-    merges = maintainer.merges if maintainer is not None else None
+    if write_thread is not None:
+        write_thread.join()
+    merges = service.maintainer.merges
     service.close()
     if shards > 1:
         engine.close()
@@ -180,9 +179,7 @@ def _run_mode(objects, index, shards, mode, scale):
         "qps": round(len(latencies_ms) / elapsed, 1),
         "queries": len(latencies_ms),
         "writes": writes["count"],
-        "compactions": (
-            writes["compactions"] if mode == RWLOCK else merges
-        ),
+        "merges": merges,
     }
 
 
@@ -193,19 +190,18 @@ def run(quick: bool):
     cells = []
     for index, shards in configs:
         cell = {"index": index, "shards": shards}
-        for mode in (RWLOCK, SNAPSHOT):
-            print(f"[bench] {index} x{shards} mode={mode} ...",
-                  flush=True)
-            cell[mode] = _run_mode(objects, index, shards, mode, scale)
-        speedup = (
-            cell[RWLOCK]["p95_ms"] / cell[SNAPSHOT]["p95_ms"]
-            if cell[SNAPSHOT]["p95_ms"] else float("inf")
-        )
-        cell["p95_speedup"] = round(speedup, 2)
+        for name in (WRITE_FREE, UNDER_WRITES):
+            print(f"[bench] {index} x{shards} pass={name} ...", flush=True)
+            cell[name] = _run_pass(
+                objects, index, shards, name == UNDER_WRITES, scale
+            )
+        free = cell[WRITE_FREE]["p95_ms"]
+        ratio = cell[UNDER_WRITES]["p95_ms"] / free if free else float("inf")
+        cell["p95_ratio"] = round(ratio, 2)
         print(
-            f"[bench] {index} x{shards}: rwlock p95 "
-            f"{cell[RWLOCK]['p95_ms']} ms vs snapshot p95 "
-            f"{cell[SNAPSHOT]['p95_ms']} ms ({speedup:.2f}x)",
+            f"[bench] {index} x{shards}: read p95 "
+            f"{cell[UNDER_WRITES]['p95_ms']} ms under writes vs "
+            f"{free} ms write-free ({ratio:.2f}x)",
             flush=True,
         )
         cells.append(cell)
@@ -219,16 +215,20 @@ def run(quick: bool):
 
 
 def check_maintenance(payload, tolerance: float) -> list[str]:
-    """Within-run gate: snapshot read p95 must beat the rwlock baseline."""
+    """Within-run gate: reads under writes stay near write-free reads."""
     failures = []
     for cell in payload["configs"]:
-        snap = cell[SNAPSHOT]["p95_ms"]
-        base = cell[RWLOCK]["p95_ms"]
-        if snap >= base * tolerance:
+        loaded = cell[UNDER_WRITES]["p95_ms"]
+        free = cell[WRITE_FREE]["p95_ms"]
+        if cell[UNDER_WRITES]["writes"] == 0:
             failures.append(
-                f"{cell['index']} x{cell['shards']}: snapshot p95 "
-                f"{snap} ms not better than rwlock p95 {base} ms "
-                f"(tolerance {tolerance})"
+                f"{cell['index']} x{cell['shards']}: the writer never ran"
+            )
+        elif loaded > free * tolerance:
+            failures.append(
+                f"{cell['index']} x{cell['shards']}: read p95 {loaded} ms "
+                f"under writes exceeds {tolerance}x the write-free read "
+                f"p95 {free} ms"
             )
     return failures
 
@@ -240,12 +240,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None,
                         help=f"output JSON path (default {DEFAULT_OUT})")
     parser.add_argument("--check-maintenance", action="store_true",
-                        help="exit 2 unless snapshot read p95 under the "
-                             "write stream beats the rwlock baseline "
-                             "within this run")
-    parser.add_argument("--tolerance", type=float, default=1.0,
-                        help="snapshot p95 must be < rwlock p95 times "
-                             "this factor (default 1.0: strictly better)")
+                        help="exit 2 unless the read p95 under the write "
+                             "stream stays within --tolerance times the "
+                             "write-free read p95 of this run")
+    parser.add_argument("--tolerance", type=float,
+                        default=DEFAULT_TOLERANCE,
+                        help="allowed under-writes/write-free read p95 "
+                             f"ratio (default {DEFAULT_TOLERANCE:g})")
     args = parser.parse_args(argv)
 
     payload = {
@@ -265,8 +266,8 @@ def main(argv=None) -> int:
             for failure in failures:
                 print(f"[bench] FAIL: {failure}", file=sys.stderr)
             return 2
-        print("[bench] maintenance gate passed: snapshot p95 beats "
-              "rwlock in every config")
+        print("[bench] maintenance gate passed: read p95 under writes "
+              f"within {args.tolerance:g}x write-free in every config")
     return 0
 
 

@@ -201,16 +201,10 @@ def build_parser() -> argparse.ArgumentParser:
                             "(implies --batched when set)")
     serve.add_argument("--max-batch", type=int, default=16,
                        help="maximum queries per batch group")
-    serve.add_argument("--maintenance", choices=["snapshot", "rwlock"],
-                       default="snapshot",
-                       help="write maintenance mode: 'snapshot' (versioned "
-                            "copy-on-write reads, writers never block "
-                            "readers) or 'rwlock' (legacy readers-writer "
-                            "lock)")
     serve.add_argument("--merge-threshold", type=int, default=64,
                        metavar="N",
                        help="buffered writes that trigger a background "
-                            "merge in snapshot mode")
+                            "merge of the write buffer")
     serve.add_argument("--writes", type=int, default=0, metavar="N",
                        help="stream N insert+delete pairs concurrently with "
                             "the query workload (exercises online "
@@ -274,8 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="replay through the batch front-end in "
                              "--max-batch groups")
     replay.add_argument("--max-batch", type=int, default=16)
-    replay.add_argument("--maintenance", choices=("snapshot", "rwlock"),
-                        default="snapshot")
     replay.add_argument("--no-cache", action="store_true",
                         help="disable the result cache during replay")
     replay.add_argument("--io-threshold", type=float, default=1.5,
@@ -472,7 +464,7 @@ def _cmd_serve(args) -> int:
     with QueryService(
         engine, workers=args.workers, cache=not args.no_cache,
         slow_query_ms=args.slow_query_ms, tracer=tracer, batching=batching,
-        maintenance=args.maintenance, merge_threshold=args.merge_threshold,
+        merge_threshold=args.merge_threshold,
         query_log=args.query_log, query_log_sample=args.query_log_sample,
     ) as service:
         if args.writes > 0:
@@ -491,14 +483,11 @@ def _cmd_serve(args) -> int:
         else:
             executions = service.run_batch(batch)
         stats = service.stats()
-        maintenance_line = None
-        if service.maintainer is not None:
-            maintainer = service.maintainer
-            maintenance_line = (
-                f"maintenance: snapshot v{service.engine_version}, "
-                f"{maintainer.merges} merges, "
-                f"{service.buffer_depth} buffered writes"
-            )
+        maintenance_line = (
+            f"maintenance: snapshot v{service.engine_version}, "
+            f"{service.maintainer.merges} merges, "
+            f"{service.buffer_depth} buffered writes"
+        )
         if args.serve_trace:
             service.export_traces(args.serve_trace, executions=executions)
         if args.serve_metrics:
@@ -509,8 +498,7 @@ def _cmd_serve(args) -> int:
     print(f"served {stats.queries} queries with {args.workers} workers "
           f"over {_engine_label(engine)}")
     print(stats.summary())
-    if maintenance_line is not None:
-        print(maintenance_line)
+    print(maintenance_line)
     if batching is not None:
         print(f"batched: {stats.batches} groups, {stats.coalesced} coalesced, "
               f"{stats.io.shared_reads} shared reads, {stats.shed} shed")
@@ -604,7 +592,6 @@ def _cmd_replay(args) -> int:
         batched=args.batched,
         max_batch=args.max_batch,
         cache=not args.no_cache,
-        maintenance=args.maintenance,
         io_threshold=args.io_threshold or None,
         limit=args.limit or None,
     )

@@ -22,7 +22,7 @@ the shared device counters are lock-protected.  Mutations
 :meth:`~SpatialKeywordEngine.delete`) mutate those structures in place and
 must not race a concurrent query *on the same engine instance* — use
 :meth:`SpatialKeywordEngine.serve` (a :class:`repro.serve.QueryService`),
-whose snapshot maintenance mode buffers mutations into an overlay and
+whose snapshot maintenance buffers mutations into an overlay and
 folds them into a copy-on-write replacement engine
 (:meth:`~SpatialKeywordEngine.clone_empty`), so served queries run safely
 against immutable published versions while writes stream in.

@@ -135,9 +135,8 @@ class QueryExecution:
             :meth:`repro.plan.PlanDecision.as_dict`).
         engine_version: the published snapshot version that answered
             this query when it ran through a
-            :class:`repro.serve.QueryService` in snapshot-maintenance
-            mode; ``None`` for direct engine queries and the lock-based
-            maintenance mode.
+            :class:`repro.serve.QueryService`; ``None`` for direct
+            engine queries.
     """
 
     query: SpatialKeywordQuery

@@ -3,8 +3,8 @@
 A query log captured by :class:`repro.obs.querylog.QueryLogWriter`
 records, for every answered query, its exact shape and a digest of its
 answer.  Because every execution path in this repository — single
-engine, any shard count or partitioner, batched or serial, snapshot or
-rwlock maintenance, dirty or clean overlay — resolves ties under the
+engine, any shard count or partitioner, batched or serial, dirty or
+clean overlay, current or retained version — resolves ties under the
 same canonical orders (``(distance, oid)`` distance-first,
 ``(-score, distance, oid)`` ranked), replaying the same queries over
 the same corpus must reproduce every recorded digest *exactly*, on any
@@ -99,7 +99,6 @@ def replay_query_log(
     batched: bool = False,
     max_batch: int = 16,
     cache: bool = True,
-    maintenance: str = "snapshot",
     io_threshold: float | None = DEFAULT_IO_THRESHOLD,
     limit: int | None = None,
 ) -> dict:
@@ -154,7 +153,6 @@ def replay_query_log(
     recorded_with_latency = 0
     with QueryService(
         engine, workers=workers, cache=cache, batching=batching,
-        maintenance=maintenance,
     ) as service:
         executions = []
         if batched:

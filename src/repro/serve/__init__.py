@@ -3,12 +3,11 @@
 The research core executes one query at a time; this package adds the
 production wrapper the ROADMAP's north star asks for:
 
-* :class:`QueryService` — thread-pooled dispatch; in the default
-  snapshot-maintenance mode queries pin immutable published engine
-  versions (:class:`EngineVersion`) and never block on writers, whose
-  mutations buffer into a :class:`SnapshotMaintainer` write buffer and
-  merge in the background (the legacy ``"rwlock"`` mode keeps the
-  original readers-writer lock);
+* :class:`QueryService` — thread-pooled dispatch through one worker
+  body for every read; queries pin immutable published engine versions
+  (:class:`EngineVersion`) and never block on writers, whose mutations
+  buffer into a :class:`SnapshotMaintainer` write buffer and merge in
+  the background;
 * :class:`BatchScheduler` / :class:`BatchConfig` — the batch front-end:
   arrival-window grouping, duplicate coalescing, one shared-read
   session per group, and admission control
@@ -39,13 +38,7 @@ from repro.serve.maintenance import (
 )
 from repro.serve.resultcache import QueryResultCache
 from repro.serve.scheduler import BatchConfig, BatchGroup, BatchScheduler
-from repro.serve.service import (
-    RWLOCK,
-    SNAPSHOT,
-    QueryService,
-    ReadWriteLock,
-    ServiceStats,
-)
+from repro.serve.service import QueryService, ServiceStats
 from repro.serve.tracing import TraceLog, TraceSpan
 
 __all__ = [
@@ -55,9 +48,6 @@ __all__ = [
     "EngineVersion",
     "QueryResultCache",
     "QueryService",
-    "RWLOCK",
-    "ReadWriteLock",
-    "SNAPSHOT",
     "ServiceStats",
     "SnapshotMaintainer",
     "TraceLog",

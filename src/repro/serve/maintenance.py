@@ -1,11 +1,8 @@
 """Snapshot (copy-on-write) index maintenance for the serving layer.
 
-The original serving layer serialized every mutation against the whole
-reader pool with a writer-preferring :class:`~repro.serve.service.
-ReadWriteLock`: one insert stalls *all* arriving queries until the
-writer drains — fatal at production write rates.  This module replaces
-that with versioned snapshot reads, the memtable/LSM idea applied to the
-paper's structures:
+Queries and mutations share one served engine without ever blocking
+each other: reads are versioned snapshot reads, the memtable/LSM idea
+applied to the paper's structures:
 
 * the engine state visible to queries is an immutable published
   :class:`EngineVersion` — a built base engine plus a flat overlay of

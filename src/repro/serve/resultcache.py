@@ -15,9 +15,9 @@ Correctness has two layers:
   :meth:`QueryResultCache.invalidate` on every write that actually
   changed something.  A generation counter is exposed so tests can
   assert the flush happened.
-* **Per-version stamping** — under snapshot maintenance every entry is
-  stamped with the :class:`~repro.serve.maintenance.EngineVersion`
-  number that produced it, and :meth:`get` drops entries whose stamp
+* **Per-version stamping** — every entry is stamped with the
+  :class:`~repro.serve.maintenance.EngineVersion` number that produced
+  it, and :meth:`get` drops entries whose stamp
   differs from the reader's pinned version.  This closes the race
   invalidation alone cannot: an execution pinned to version *V* may
   finish (and :meth:`put` its answer) *after* a writer published *V+1*
@@ -50,9 +50,9 @@ class QueryResultCache:
             raise ValueError("result cache capacity must be at least 1")
         self.capacity = capacity
         self._lock = threading.Lock()
-        # key -> (execution, engine-version stamp or None)
+        # key -> (execution, engine-version stamp)
         self._entries: OrderedDict[
-            CacheKey, tuple[QueryExecution, int | None]
+            CacheKey, tuple[QueryExecution, int]
         ] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -64,7 +64,7 @@ class QueryResultCache:
         return (query.point, query.area, query.keywords, query.k, query.ranking)
 
     def get(
-        self, query: SpatialKeywordQuery, version: int | None = None
+        self, query: SpatialKeywordQuery, version: int
     ) -> QueryExecution | None:
         """Return the cached execution for ``query``, if any.
 
@@ -72,8 +72,7 @@ class QueryResultCache:
             query: the lookup key.
             version: the reader's pinned engine version; an entry
                 stamped with a *different* version is stale (the engine
-                moved underneath it) and is dropped on sight.  ``None``
-                (the lock-based maintenance mode) skips the check.
+                moved underneath it) and is dropped on sight.
 
         Bumps the hit or miss counter and refreshes LRU recency.
         """
@@ -84,7 +83,7 @@ class QueryResultCache:
                 self.misses += 1
                 return None
             cached, stamp = entry
-            if version is not None and stamp != version:
+            if stamp != version:
                 del self._entries[key]
                 self.misses += 1
                 return None
@@ -96,7 +95,7 @@ class QueryResultCache:
         self,
         query: SpatialKeywordQuery,
         execution: QueryExecution,
-        version: int | None = None,
+        version: int,
     ) -> None:
         """Memoize a completed execution (evicting the LRU entry if full).
 

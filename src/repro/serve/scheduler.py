@@ -29,11 +29,14 @@ import itertools
 import threading
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from repro.core.query import SpatialKeywordQuery
 from repro.errors import ServiceError
 from repro.serve.resultcache import QueryResultCache
+
+if TYPE_CHECKING:
+    from repro.serve.maintenance import EngineVersion
 
 
 @dataclass(frozen=True)
@@ -91,21 +94,29 @@ class BatchMember:
 
 
 class BatchGroup:
-    """A flushed set of members executed together under one session.
+    """A set of members executed together on one pinned engine version.
 
-    Under snapshot maintenance the executing service pins the whole
-    group to one published engine version (recorded here as
-    ``engine_version``): every member of the group answers from the same
-    immutable snapshot even while writers publish newer versions
-    mid-batch.
+    ``batch_id`` numbers the groups the scheduler flushes; it is None
+    for a read the service runs alone (a direct submission with
+    batching off, or an ``at_version`` read).  ``version`` is the
+    :class:`~repro.serve.maintenance.EngineVersion` the group must read
+    — set only for ``at_version`` reads; otherwise the executing service
+    pins the current published version at pickup, so every member
+    answers from the same immutable snapshot even while writers publish
+    newer versions mid-batch.
     """
 
-    __slots__ = ("batch_id", "members", "engine_version")
+    __slots__ = ("batch_id", "members", "version")
 
-    def __init__(self, batch_id: int, members: list[BatchMember]) -> None:
+    def __init__(
+        self,
+        batch_id: int | None,
+        members: list[BatchMember],
+        version: "EngineVersion | None" = None,
+    ) -> None:
         self.batch_id = batch_id
         self.members = members
-        self.engine_version: int | None = None
+        self.version = version
 
     def __len__(self) -> int:
         """Total submissions in the group, followers included."""

@@ -12,14 +12,15 @@ while staying byte-for-byte faithful to them:
   execution collects its own delta in a thread-local collector
   (:func:`repro.storage.iostats.collecting_io`) instead of diffing the
   shared device counters;
-* mutations never stall the reader pool: in the default ``"snapshot"``
-  maintenance mode every query pins an immutable published
-  :class:`~repro.serve.maintenance.EngineVersion` with one lock-free
-  attribute read, while ``add``/``delete``/``build`` append to a
-  write buffer that a background merge folds into a copy-on-write
-  replacement engine (see :mod:`repro.serve.maintenance`); the legacy
-  ``"rwlock"`` mode keeps the original readers-writer lock, where a
-  writer drains and blocks all readers;
+* mutations never stall the reader pool: every query pins an immutable
+  published :class:`~repro.serve.maintenance.EngineVersion` with one
+  lock-free attribute read, while ``add``/``delete``/``build`` append to
+  a write buffer that a background merge folds into a copy-on-write
+  replacement engine (see :mod:`repro.serve.maintenance`);
+* every read — a direct ``submit``/``search``, a ``search(at_version=)``,
+  or a scheduler batch — runs through one worker body: a direct read is
+  a :class:`~repro.serve.scheduler.BatchGroup` of one, with no batch id
+  and no shared-read session, so it costs exactly its standalone reads;
 * an LRU result cache (:class:`~repro.serve.resultcache.QueryResultCache`)
   answers repeated queries from memory, is invalidated on every
   *effective* mutation, and stamps every entry with the engine version
@@ -48,11 +49,9 @@ import itertools
 import json
 import threading
 import time
-import warnings
 from concurrent.futures import Future, InvalidStateError, ThreadPoolExecutor
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import QueryExecution, SpatialKeywordQuery
@@ -84,12 +83,6 @@ from repro.storage.faults import retry_transient
 from repro.storage.iostats import IOStats
 from repro.storage.sharedread import SharedReadSession, activate_session
 
-#: Maintenance modes (see :class:`QueryService`).
-SNAPSHOT = "snapshot"
-RWLOCK = "rwlock"
-_MAINTENANCE_MODES = frozenset({SNAPSHOT, RWLOCK})
-
-
 def _resolve_result(future: Future, result) -> None:
     """Complete a submission future, tolerating cancellation races."""
     try:
@@ -108,63 +101,37 @@ def _resolve_exception(future: Future, exc: BaseException) -> None:
         pass
 
 
-class ReadWriteLock:
-    """A simple writer-preferring readers-writer lock.
+class _Answered(NamedTuple):
+    """One executed (or failed) submission, awaiting logging and resolution.
 
-    Any number of readers may hold the lock together; a writer waits for
-    them to drain and then holds it exclusively.  Arriving readers queue
-    behind a waiting writer so mutations cannot starve under a steady
-    query stream.
+    ``future`` is None when the caller cancelled but a coalesced rider
+    still needed the execution; ``execution`` is None on failure, when
+    ``error`` carries the exception the caller's future receives.
     """
 
-    def __init__(self) -> None:
-        self._cond = threading.Condition()
-        self._readers = 0
-        self._writer_active = False
-        self._writers_waiting = 0
+    span: TraceSpan
+    execution: QueryExecution | None
+    query: SpatialKeywordQuery
+    future: Future | None
+    error: Exception | None
 
-    def acquire_read(self) -> None:
-        with self._cond:
-            while self._writer_active or self._writers_waiting:
-                self._cond.wait()
-            self._readers += 1
 
-    def release_read(self) -> None:
-        with self._cond:
-            self._readers -= 1
-            if self._readers == 0:
-                self._cond.notify_all()
+def _fail_group(group: BatchGroup, exc: BaseException) -> None:
+    """Fail every still-unresolved future of a group with ``exc``."""
+    for member in group.members:
+        for each in (member, *member.followers):
+            _resolve_exception(each.future, exc)
 
-    def acquire_write(self) -> None:
-        with self._cond:
-            self._writers_waiting += 1
-            try:
-                while self._writer_active or self._readers:
-                    self._cond.wait()
-            finally:
-                self._writers_waiting -= 1
-            self._writer_active = True
 
-    def release_write(self) -> None:
-        with self._cond:
-            self._writer_active = False
-            self._cond.notify_all()
-
-    @contextmanager
-    def read_locked(self) -> Iterator[None]:
-        self.acquire_read()
-        try:
-            yield
-        finally:
-            self.release_read()
-
-    @contextmanager
-    def write_locked(self) -> Iterator[None]:
-        self.acquire_write()
-        try:
-            yield
-        finally:
-            self.release_write()
+def _settle(answered: Iterable[_Answered]) -> None:
+    """Resolve each answered submission's future exactly once."""
+    for each in answered:
+        if each.future is None:
+            continue
+        if each.error is not None:
+            _resolve_exception(each.future, each.error)
+        else:
+            _resolve_result(each.future, each.execution)
 
 
 @dataclass
@@ -270,7 +237,9 @@ class QueryService:
         workers: worker threads answering queries.
         cache: enable the LRU result cache.
         cache_capacity: maximum cached executions.
-        trace_capacity: maximum retained trace spans (None = unbounded).
+        trace_capacity: maximum retained trace spans; the oldest are
+            dropped past it and counted in ``service.trace_log.dropped``
+            (None = unbounded).
         retries: bounded retries (exponential backoff) per execution for
             :class:`~repro.errors.TransientDeviceError` raised by the
             engine's devices.  A :class:`~repro.shard.ShardedEngine` also
@@ -300,19 +269,13 @@ class QueryService:
             the whole group), and — when ``max_pending`` is set — excess
             submissions shed with
             :class:`~repro.errors.ServiceOverloadError`.
-        maintenance: how mutations coexist with the reader pool.
-            ``"snapshot"`` (the default) publishes immutable engine
-            versions that queries pin with one lock-free read; writes
-            buffer into an overlay and a background merge folds them
-            into a copy-on-write replacement engine
-            (:mod:`repro.serve.maintenance`) — readers never block on
-            writers.  ``"rwlock"`` keeps the original readers-writer
-            lock: mutations drain and exclude every reader (retained as
-            the measured baseline and for callers that want strict
-            read-your-writes without versioning).
         merge_threshold: buffered writes that trigger a background merge
-            in snapshot mode (``None`` disables automatic merging;
-            :meth:`build` and ranked queries still fold the buffer).
+            (``None`` disables automatic merging; :meth:`build` and
+            ranked queries still fold the buffer).  Mutations never
+            block readers: queries pin immutable published engine
+            versions, writes buffer into an overlay, and merges build a
+            copy-on-write replacement engine
+            (:mod:`repro.serve.maintenance`).
         query_log: workload capture — a
             :class:`repro.obs.querylog.QueryLogWriter` or a path string.
             Every answered query (both submission paths, batched or
@@ -328,9 +291,8 @@ class QueryService:
 
     Submission surface: :meth:`submit` (one query → ``Future``),
     :meth:`submit_many` (a batch → list of ``Future``\\ s, the batch
-    entry point), and :meth:`search` (synchronous).  ``submit_query`` /
-    ``query(point, keywords, k)`` / ``execute`` remain as deprecation
-    shims.
+    entry point), and :meth:`search` (synchronous, optionally at a
+    retained version).
 
     The service is a context manager; :meth:`close` drains the pool::
 
@@ -344,7 +306,7 @@ class QueryService:
         workers: int = 4,
         cache: bool = True,
         cache_capacity: int = 256,
-        trace_capacity: int | None = None,
+        trace_capacity: int | None = 4096,
         retries: int = 2,
         retry_backoff_s: float = 0.005,
         metrics: MetricsRegistry | None = None,
@@ -352,22 +314,15 @@ class QueryService:
         slow_log_capacity: int = 32,
         tracer: QueryTracer | None = None,
         batching: BatchConfig | bool | None = None,
-        maintenance: str = SNAPSHOT,
         merge_threshold: int | None = 64,
         query_log: QueryLogWriter | str | None = None,
         query_log_sample: int = 1,
     ) -> None:
         if workers < 1:
             raise ServiceError("a query service needs at least one worker")
-        if maintenance not in _MAINTENANCE_MODES:
-            raise ServiceError(
-                f"maintenance must be one of {sorted(_MAINTENANCE_MODES)}, "
-                f"got {maintenance!r}"
-            )
         self.tracer = tracer
         if tracer is not None and tracer.slow_query_ms is None:
             tracer.slow_query_ms = slow_query_ms
-        self._engine = engine
         self.workers = workers
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
@@ -380,18 +335,15 @@ class QueryService:
                 metrics=self.metrics,
             )
         self.query_log: QueryLogWriter | None = query_log
-        self.maintenance = maintenance
-        self._maintainer: SnapshotMaintainer | None = None
-        if maintenance == SNAPSHOT:
-            self._maintainer = SnapshotMaintainer(
-                engine,
-                merge_threshold=merge_threshold,
-                metrics=self.metrics,
-                tracer=tracer,
-            )
-            # Copy-on-write merges swap fresh engines in; each one gets
-            # wired into the service's observability like the first.
-            self._maintainer.on_base_swap = self._adopt_engine
+        self._maintainer = SnapshotMaintainer(
+            engine,
+            merge_threshold=merge_threshold,
+            metrics=self.metrics,
+            tracer=tracer,
+        )
+        # Copy-on-write merges swap fresh engines in; each one gets
+        # wired into the service's observability like the first.
+        self._maintainer.on_base_swap = self._adopt_engine
         self._adopt_engine(engine)
         self.slow_log = SlowQueryLog(
             threshold_ms=slow_query_ms, capacity=slow_log_capacity
@@ -399,7 +351,6 @@ class QueryService:
         self._pool = ThreadPoolExecutor(
             max_workers=workers, thread_name_prefix="repro-query"
         )
-        self._rw = ReadWriteLock()
         self.cache = QueryResultCache(cache_capacity) if cache else None
         self.trace_log = TraceLog(trace_capacity)
         self._qid = itertools.count()
@@ -435,27 +386,21 @@ class QueryService:
     @property
     def engine(self):
         """The current base engine (snapshot merges swap in fresh ones)."""
-        if self._maintainer is not None:
-            return self._maintainer.base
-        return self._engine
+        return self._maintainer.base
 
     @property
-    def engine_version(self) -> int | None:
-        """The currently published snapshot version (None in rwlock mode)."""
-        if self._maintainer is None:
-            return None
+    def engine_version(self) -> int:
+        """The currently published snapshot version."""
         return self._maintainer.current.version
 
     @property
     def buffer_depth(self) -> int:
-        """Buffered writes not yet merged (always 0 in rwlock mode)."""
-        if self._maintainer is None:
-            return 0
+        """Buffered writes not yet merged."""
         return self._maintainer.current.buffer_depth
 
     @property
-    def maintainer(self) -> SnapshotMaintainer | None:
-        """The snapshot maintainer (None in rwlock mode)."""
+    def maintainer(self) -> SnapshotMaintainer:
+        """The snapshot maintainer."""
         return self._maintainer
 
     def _adopt_engine(self, engine) -> None:
@@ -467,55 +412,17 @@ class QueryService:
         # (planner.chosen.* / planner.won.*) recorded here too.
         attach_planner_metrics(engine, self.metrics)
 
-    @contextmanager
-    def _pinned_version(self) -> Iterator[EngineVersion | None]:
-        """Pin the engine state one execution (or batch group) reads.
-
-        Snapshot mode yields the current published version — a single
-        lock-free attribute read, so a concurrent writer or merge can
-        never block this reader.  Lock mode runs the block under the
-        readers-writer lock via :meth:`ReadWriteLock.read_locked` (the
-        context manager, never a manual acquire/release pair, so a
-        failed acquire cannot underflow the reader count) and yields
-        None.
-        """
-        if self._maintainer is not None:
-            yield self._maintainer.current
-        else:
-            with self._rw.read_locked():
-                yield None
-
     # -- Query dispatch ---------------------------------------------------------
 
-    def submit(
-        self,
-        query: SpatialKeywordQuery | Sequence[float],
-        keywords: Sequence[str] | None = None,
-        k: int = 10,
-    ) -> Future:
+    def submit(self, query: SpatialKeywordQuery) -> Future:
         """Asynchronously run one query; returns a ``Future``.
 
-        The one async entry point: pass a
-        :class:`~repro.core.query.SpatialKeywordQuery`.  With batching
-        enabled the submission joins the open arrival-window group (and
-        may coalesce onto an identical in-flight query); otherwise it
-        dispatches straight to the worker pool.
-
-        The pre-redesign shape ``submit(point, keywords, k)`` still
-        works but emits a :class:`DeprecationWarning`.
+        With batching enabled the submission joins the open
+        arrival-window group (and may coalesce onto an identical
+        in-flight query); otherwise it runs alone, straight on the
+        worker pool.
         """
-        if keywords is not None or not isinstance(query, SpatialKeywordQuery):
-            warnings.warn(
-                "QueryService.submit(point, keywords, k) is deprecated; "
-                "pass a SpatialKeywordQuery — "
-                "submit(SpatialKeywordQuery.of(point, keywords, k))",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            query = SpatialKeywordQuery.of(
-                query, keywords if keywords is not None else (), k
-            )
-        return self._submit_one(query)
+        return self._submit_one(self._require_query(query))
 
     def submit_many(
         self, queries: Iterable[SpatialKeywordQuery]
@@ -532,7 +439,7 @@ class QueryService:
         if self._closed:
             raise ServiceError("cannot submit to a closed QueryService")
         if self._scheduler is None:
-            return [self._submit_direct(query) for query in queries]
+            return [self._submit_one(query) for query in queries]
         self._admit(len(queries))
         members = [self._make_member(query) for query in queries]
         try:
@@ -556,71 +463,24 @@ class QueryService:
         :attr:`~repro.core.query.QueryExecution.engine_version` echoes
         the version that answered.  Raises
         :class:`~repro.errors.VersionRetiredError` when the version has
-        aged out of the window (or never existed), and
-        :class:`~repro.errors.ServiceError` in rwlock mode, which
-        publishes no versions.  Versioned reads bypass the batch
-        scheduler (they must not coalesce with current-version traffic)
-        but are captured, traced, and counted like any other query.
+        aged out of the window (or never existed).  Versioned reads
+        bypass the batch scheduler (they must not coalesce with
+        current-version traffic) but are admitted, captured, traced,
+        and counted like any other query.
         """
         query = self._require_query(query)
-        if at_version is None:
-            return self._submit_one(query).result()
-        if self._maintainer is None:
-            raise ServiceError(
-                "answer-at-version requires snapshot maintenance; "
-                "the rwlock mode publishes no versions"
-            )
-        pinned = self._maintainer.version_at(at_version)
-        if self._closed:
-            raise ServiceError("cannot submit to a closed QueryService")
-        try:
-            future = self._pool.submit(
-                self._execute, query, next(self._qid), time.perf_counter(),
-                pinned,
-            )
-        except RuntimeError as exc:
-            raise ServiceError("cannot submit to a closed QueryService") from exc
-        return future.result()
+        pinned = (
+            self._maintainer.version_at(at_version)
+            if at_version is not None
+            else None
+        )
+        return self._submit_one(query, pinned).result()
 
     def run_batch(
         self, queries: Iterable[SpatialKeywordQuery]
     ) -> list[QueryExecution]:
         """Dispatch a whole batch and wait; results keep the batch order."""
         return [future.result() for future in self.submit_many(queries)]
-
-    # -- Deprecated entry points (pre-redesign surface) -------------------------
-
-    def submit_query(self, query: SpatialKeywordQuery) -> Future:
-        """Deprecated alias for :meth:`submit`."""
-        warnings.warn(
-            "QueryService.submit_query() is deprecated; use submit(query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._submit_one(self._require_query(query))
-
-    def query(
-        self, point: Sequence[float], keywords: Sequence[str], k: int = 10
-    ) -> QueryExecution:
-        """Deprecated; use :meth:`search` with a constructed query."""
-        warnings.warn(
-            "QueryService.query(point, keywords, k) is deprecated; use "
-            "search(SpatialKeywordQuery.of(point, keywords, k))",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._submit_one(
-            SpatialKeywordQuery.of(point, keywords, k)
-        ).result()
-
-    def execute(self, query: SpatialKeywordQuery) -> QueryExecution:
-        """Deprecated alias for :meth:`search`."""
-        warnings.warn(
-            "QueryService.execute() is deprecated; use search(query)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._submit_one(self._require_query(query)).result()
 
     # -- Submission internals ---------------------------------------------------
 
@@ -632,29 +492,31 @@ class QueryService:
             )
         return query
 
-    def _submit_one(self, query: SpatialKeywordQuery) -> Future:
+    def _submit_one(
+        self, query: SpatialKeywordQuery, pinned: EngineVersion | None = None
+    ) -> Future:
+        """Admit one query: into the scheduler, or alone onto the pool.
+
+        A read runs alone — a :class:`BatchGroup` of one with no batch
+        id — when batching is off or when it carries its own ``pinned``
+        version (an ``at_version`` read).
+        """
         if self._closed:
             raise ServiceError("cannot submit to a closed QueryService")
-        if self._scheduler is None:
-            return self._submit_direct(query)
         self._admit(1)
         member = self._make_member(query)
         try:
-            self._scheduler.submit(member)
-        except ServiceError:
+            if self._scheduler is not None and pinned is None:
+                self._scheduler.submit(member)
+            else:
+                self._pool.submit(
+                    self._execute_group, BatchGroup(None, [member], pinned)
+                )
+        except (ServiceError, RuntimeError) as exc:
+            # close() ran between the _closed check and the hand-off.
             self._release(1)
-            raise
-        return member.future
-
-    def _submit_direct(self, query: SpatialKeywordQuery) -> Future:
-        """The unbatched path: one query straight onto the worker pool."""
-        try:
-            return self._pool.submit(
-                self._execute, query, next(self._qid), time.perf_counter()
-            )
-        except RuntimeError as exc:
-            # close() ran between the _closed check and the submit.
             raise ServiceError("cannot submit to a closed QueryService") from exc
+        return member.future
 
     def _make_member(self, query: SpatialKeywordQuery) -> BatchMember:
         future: Future = Future()
@@ -662,18 +524,21 @@ class QueryService:
         return BatchMember(query, future, next(self._qid), time.perf_counter())
 
     def _admit(self, count: int) -> None:
-        """Admission control: claim ``count`` queue slots or shed."""
-        config = self.batching
+        """Admission control: claim ``count`` queue slots or shed.
+
+        Shedding needs a ``max_pending`` bound, which only a
+        :class:`BatchConfig` sets; the depth gauge counts either way.
+        """
+        max_pending = (
+            self.batching.max_pending if self.batching is not None else None
+        )
         with self._depth_lock:
-            if (
-                config.max_pending is not None
-                and self._pending + count > config.max_pending
-            ):
+            if max_pending is not None and self._pending + count > max_pending:
                 pending = self._pending
                 with self._stats_lock:
                     self._shed += count
                 self.metrics.counter("service.shed").inc(count)
-                raise ServiceOverloadError(pending, config.max_pending)
+                raise ServiceOverloadError(pending, max_pending)
             self._pending += count
             depth = self._pending
         self.metrics.gauge("service.queue_depth").set(depth)
@@ -699,73 +564,215 @@ class QueryService:
             self._pool.submit(self._execute_group, group)
         except RuntimeError:
             exc = ServiceError("cannot execute batch: QueryService is closed")
-            for member in group.members:
-                for each in (member, *member.followers):
-                    _resolve_exception(each.future, exc)
+            _fail_group(group, exc)
 
     # -- The worker body --------------------------------------------------------
 
-    def _execute(
-        self,
-        query: SpatialKeywordQuery,
-        query_id: int,
-        submitted_at: float,
-        pinned: EngineVersion | None = None,
-    ) -> QueryExecution:
-        span = TraceSpan(
-            query_id=query_id,
-            keywords=query.keywords,
-            k=query.k,
-            submitted_at=submitted_at,
-            started_at=time.perf_counter(),
-            worker=threading.current_thread().name,
-        )
-        # The hierarchical trace's root span covers started_at →
-        # finished_at (the worker's active window).  Queue wait stays an
-        # annotation: a span stretching back to submitted_at would
-        # overlap the previous query's tree on this worker's lane.
+    def _execute_group(self, group: BatchGroup) -> None:
+        """Run one group; a fault outside the engine calls fails its callers.
+
+        An engine error reaches only its own member's futures (see
+        :meth:`_run_member`); anything else that escapes — tracing or
+        logging, say — fails every future of the group still unresolved,
+        so no caller waits forever.
+        """
+        try:
+            self._run_group(group)
+        except BaseException as exc:
+            _fail_group(group, exc)
+            raise
+
+    def _run_group(self, group: BatchGroup) -> None:
+        """The worker body every read runs through.
+
+        ``group`` is a scheduler group (``batch_id`` set) or a read of
+        one that runs alone (``batch_id`` None: a direct submission or
+        an ``at_version`` read).  Every future is claimed at pickup, so
+        a member cancelled before then does no work.  One pinned engine
+        version — the group's own, else the current published one —
+        covers the group; members execute sequentially (answers are
+        byte-identical to serial execution on that version), each with
+        its own flat span and per-query I/O delta.
+
+        Only a scheduler group opens a shared-read session: a query
+        re-reads blocks, and a lone read must cost exactly its
+        standalone device reads (the paper's cold-cache accounting).
+        Likewise its hierarchical trace gets a "batch" root with one
+        "query" child per executed member, while a lone read's root is
+        its "query" span.  Spans reach the trace, slow-query, and query
+        logs once the trace is committed, so they carry its
+        ``trace_id``.  Batch members resolve as each one finishes; a
+        lone read resolves after it is logged.
+        """
+        started = time.perf_counter()
+        claimed = []
+        for member in group.members:
+            alive = member.future.set_running_or_notify_cancel()
+            followers = [
+                follower
+                for follower in member.followers
+                if follower.future.set_running_or_notify_cancel()
+            ]
+            if alive or followers:
+                claimed.append((member, alive, followers))
+        if not claimed:
+            return
+        batched = group.batch_id is not None
         trace = (
-            self.tracer.begin("query", start=span.started_at)
+            self.tracer.begin("batch" if batched else "query", start=started)
             if self.tracer is not None
             else None
         )
-        # An at_version read carries its own already-resolved pinned
-        # version (a retained snapshot); everything else pins the
-        # current state via _pinned_version().
-        pin_context = (
-            nullcontext(pinned)
-            if pinned is not None
-            else self._pinned_version()
+        root = trace.root if trace is not None else None
+        if batched and root is not None:
+            root.category = "batch"
+        session = SharedReadSession() if batched else None
+        version = (
+            group.version if group.version is not None
+            else self._maintainer.current
         )
+        pinned_at = time.perf_counter()
+        answered: list[_Answered] = []
+        with qtrace.activate(root), activate_session(session):
+            member_started = started
+            for member, alive, followers in claimed:
+                done = self._run_member(
+                    member, alive, followers, group.batch_id, version,
+                    trace, member_started,
+                )
+                if batched:
+                    _settle(done)
+                answered.extend(done)
+                member_started = time.perf_counter()
+        finished = time.perf_counter()
+        if trace is not None:
+            if batched:
+                if root is not None:
+                    trace.new_span(
+                        "lock-wait", category="service", parent=root,
+                        start=started, end=pinned_at, tid=root.tid,
+                    )
+                    root.annotate(
+                        batch_id=group.batch_id,
+                        batch_size=len(group),
+                        coalesced=len(group) - len(group.members),
+                        shared_reads=session.hits,
+                        engine_version=version.version,
+                    )
+                    root.finish(finished)
+                latency_ms = (finished - started) * 1000.0
+            else:
+                latency_ms = answered[0].span.total_ms
+            if self.tracer.commit(trace, latency_ms):
+                for each in answered:
+                    each.span.trace_id = trace.trace_id
+        for each in answered:
+            span = each.span
+            if self.trace_log.append(span):
+                self.metrics.counter("service.trace_log.dropped").inc()
+            self.slow_log.offer(span)
+            if self.query_log is not None:
+                self.query_log.offer(span, each.execution, query=each.query)
+        if not batched:
+            _settle(answered)
+            return
+        with self._stats_lock:
+            self._batches += 1
+        self.metrics.counter("service.batches").inc()
+        self.metrics.histogram(
+            "service.batch.size", buckets=COUNT_BUCKETS
+        ).observe(len(group))
+
+    def _run_member(
+        self,
+        member: BatchMember,
+        alive: bool,
+        followers: list[BatchMember],
+        batch_id: int | None,
+        version: EngineVersion,
+        trace,
+        started: float,
+    ) -> list[_Answered]:
+        """Execute one member (plus its coalesced followers) of a group.
+
+        ``alive`` says whether the member's own caller still waits;
+        ``followers`` are the coalesced riders still waiting.  Returns
+        one :class:`_Answered` per span (leader first), already folded
+        into the aggregates but not yet logged or resolved.  A member
+        failure fails its own futures and never aborts the rest of the
+        group.
+        """
+        query = member.query
+        span = TraceSpan(
+            query_id=member.query_id,
+            keywords=query.keywords,
+            k=query.k,
+            submitted_at=member.submitted_at,
+            started_at=started,
+            worker=threading.current_thread().name,
+            batch_id=batch_id,
+            engine_version=version.version,
+        )
+        # A batch member gets its own "query" span under the batch root;
+        # a lone read's trace root is its "query" span.
+        qspan = None
+        if trace is not None:
+            qspan = (
+                trace.new_span("query", category="query", parent=trace.root,
+                               start=started)
+                if batch_id is not None
+                else trace.root
+            )
+        future = member.future if alive else None
         try:
-            with qtrace.activate(trace.root if trace is not None else None):
-                with pin_context as version:
-                    span.lock_acquired_at = time.perf_counter()
-                    if version is not None:
-                        span.engine_version = version.version
-                    execution = self._answer(query, span, version)
+            with qtrace.activate(qspan):
+                span.lock_acquired_at = time.perf_counter()
+                execution = self._answer(query, span, version)
         except Exception as exc:
             span.finished_at = time.perf_counter()
             span.error = f"{type(exc).__name__}: {exc}"
-            self._finish_trace(span, trace)
-            self.trace_log.append(span)
+            if qspan is not None:
+                qspan.finish(span.finished_at)
+            if trace is not None:
+                span.emit_phases(trace, parent=qspan)
+            failures = (1 if alive else 0) + len(followers)
             with self._stats_lock:
-                self._errors += 1
+                self._errors += failures
                 self._retries_taken += span.retries
-            self.metrics.counter("service.errors").inc()
-            self.slow_log.offer(span)
-            if self.query_log is not None:
-                self.query_log.offer(span, None, query=query)
-            raise
+            self.metrics.counter("service.errors").inc(failures)
+            failed = [_Answered(span, None, query, future, exc)]
+            for follower in followers:
+                fspan = self._follower_span(
+                    follower, span, batch_id, error=span.error,
+                )
+                failed.append(
+                    _Answered(fspan, None, follower.query, follower.future, exc)
+                )
+            return failed
+        finished = time.perf_counter()
         self._annotate_span(span, execution)
-        span.finished_at = time.perf_counter()
-        self._finish_trace(span, trace)
-        self.trace_log.append(span)
+        span.finished_at = finished
+        if qspan is not None:
+            qspan.finish(finished)
+        if trace is not None:
+            span.emit_phases(trace, parent=qspan)
         self._note_completed(span, execution)
-        self.slow_log.offer(span)
-        if self.query_log is not None:
-            self.query_log.offer(span, execution)
-        return execution
+        answered = [_Answered(span, execution, query, future, None)]
+        for follower in followers:
+            follower_execution = self._follower_execution(
+                follower.query, execution
+            )
+            fspan = self._follower_span(follower, span, batch_id)
+            fspan.algorithm = execution.algorithm
+            fspan.strategy = span.strategy
+            fspan.num_results = len(follower_execution.results)
+            follower_execution.trace = fspan
+            self._note_completed(fspan, follower_execution)
+            answered.append(_Answered(
+                fspan, follower_execution, follower.query, follower.future,
+                None,
+            ))
+        return answered
 
     @staticmethod
     def _annotate_span(span: TraceSpan, execution: QueryExecution) -> None:
@@ -804,22 +811,6 @@ class QueryService:
             self._search_ms += span.search_ms
         self._record_metrics(span, execution)
 
-    def _finish_trace(self, span: TraceSpan, trace) -> None:
-        """Close a query's span tree and decide whether it is retained.
-
-        Runs *before* the flat span reaches the trace log and the
-        slow-query log, so when the tracer keeps the trace both carry
-        its ``trace_id``.
-        """
-        if trace is None:
-            return
-        root = trace.root
-        if root is not None:
-            root.finish(span.finished_at)
-        span.emit_phases(trace)
-        if self.tracer.commit(trace, span.total_ms):
-            span.trace_id = trace.trace_id
-
     def _record_metrics(
         self, span: TraceSpan, execution: QueryExecution
     ) -> None:
@@ -844,16 +835,15 @@ class QueryService:
         self,
         query: SpatialKeywordQuery,
         span: TraceSpan,
-        version: EngineVersion | None = None,
+        version: EngineVersion,
     ) -> QueryExecution:
-        """Resolve one query against a pinned engine state: cache, search.
+        """Resolve one query against a pinned version: cache, then search.
 
-        ``version`` is the snapshot the caller pinned (None in rwlock
-        mode, where the read lock is already held).  Cache lookups and
-        stores carry the version stamp, so an answer computed against
-        one version can never serve a reader pinned to another.
+        Cache lookups and stores carry the version stamp, so an answer
+        computed against one version can never serve a reader pinned to
+        another.
         """
-        stamp = version.version if version is not None else None
+        stamp = version.version
         if self.cache is not None:
             cached = self.cache.get(query, version=stamp)
             if cached is not None:
@@ -881,9 +871,8 @@ class QueryService:
         def count_retry(attempt: int, exc: Exception) -> None:
             span.retries += 1
 
-        target = version if version is not None else self.engine
         execution = retry_transient(
-            lambda: target.search(query),
+            lambda: version.search(query),
             self.retries, self.retry_backoff_s,
             on_retry=count_retry,
         )
@@ -898,181 +887,6 @@ class QueryService:
             self.cache.put(query, execution.with_result_copies(), version=stamp)
         return execution
 
-    # -- Batched group execution ------------------------------------------------
-
-    def _execute_group(self, group: BatchGroup) -> None:
-        """Worker body for one flushed batch group.
-
-        One pinned engine state (a published snapshot version, or one
-        read-lock acquisition in rwlock mode) and one shared-read
-        session cover the whole group; members execute sequentially
-        (answers are byte-identical to serial execution on the pinned
-        state), each with its own flat span and per-query I/O delta.
-        The hierarchical trace gets a "batch" root with one "query"
-        child per executed member.
-        """
-        group_started = time.perf_counter()
-        trace = (
-            self.tracer.begin("batch", start=group_started)
-            if self.tracer is not None
-            else None
-        )
-        batch_root = trace.root if trace is not None else None
-        if batch_root is not None:
-            batch_root.category = "batch"
-        session = SharedReadSession()
-        produced: list[
-            tuple[TraceSpan, QueryExecution | None, SpatialKeywordQuery]
-        ] = []
-        with self._pinned_version() as version:
-            lock_acquired = time.perf_counter()
-            if version is not None:
-                group.engine_version = version.version
-            with qtrace.activate(batch_root), activate_session(session):
-                first = True
-                for member in group.members:
-                    started = group_started if first else time.perf_counter()
-                    locked = lock_acquired if first else started
-                    first = False
-                    produced.extend(
-                        self._run_member(
-                            member, group.batch_id, trace, batch_root,
-                            started, locked, version,
-                        )
-                    )
-        group_end = time.perf_counter()
-        total = len(group)
-        if trace is not None:
-            if batch_root is not None:
-                trace.new_span(
-                    "lock-wait", category="service", parent=batch_root,
-                    start=group_started, end=lock_acquired,
-                    tid=batch_root.tid,
-                )
-                batch_root.annotate(
-                    batch_id=group.batch_id,
-                    batch_size=total,
-                    coalesced=total - len(group.members),
-                    shared_reads=session.hits,
-                )
-                if group.engine_version is not None:
-                    batch_root.annotate(engine_version=group.engine_version)
-                batch_root.finish(group_end)
-            if self.tracer.commit(trace, (group_end - group_started) * 1000.0):
-                for span, _, _ in produced:
-                    span.trace_id = trace.trace_id
-        # Query-log capture runs after the batch's trace_id assignment
-        # so records link to the retained trace like unbatched ones.
-        for span, execution, query in produced:
-            self.trace_log.append(span)
-            self.slow_log.offer(span)
-            if self.query_log is not None:
-                self.query_log.offer(span, execution, query=query)
-        with self._stats_lock:
-            self._batches += 1
-        self.metrics.counter("service.batches").inc()
-        self.metrics.histogram(
-            "service.batch.size", buckets=COUNT_BUCKETS
-        ).observe(total)
-
-    def _run_member(
-        self,
-        member: BatchMember,
-        batch_id: int,
-        trace,
-        batch_root,
-        started: float,
-        lock_acquired: float,
-        version: EngineVersion | None = None,
-    ) -> list[tuple[TraceSpan, QueryExecution | None, SpatialKeywordQuery]]:
-        """Execute one member (plus its coalesced followers) of a group.
-
-        Runs against the group's pinned engine state (snapshot version
-        or held read lock) and shared-read session.  Returns
-        ``(span, execution, query)`` triples (leader first; a failed
-        member's execution is None), already folded into the aggregates;
-        the caller appends them to the trace, slow-query, and query
-        logs once the batch's ``trace_id`` is known.  A member failure
-        resolves its own futures and never aborts the rest of the group.
-        """
-        query = member.query
-        span = TraceSpan(
-            query_id=member.query_id,
-            keywords=query.keywords,
-            k=query.k,
-            submitted_at=member.submitted_at,
-            started_at=started,
-            worker=threading.current_thread().name,
-            batch_id=batch_id,
-        )
-        span.lock_acquired_at = lock_acquired
-        if version is not None:
-            span.engine_version = version.version
-        alive = member.future.set_running_or_notify_cancel()
-        followers = [
-            follower
-            for follower in member.followers
-            if follower.future.set_running_or_notify_cancel()
-        ]
-        if not alive and not followers:
-            return []  # everyone cancelled before pickup; skip the work
-        qspan = (
-            trace.new_span("query", category="query", parent=batch_root,
-                           start=started)
-            if trace is not None
-            else None
-        )
-        try:
-            with qtrace.activate(qspan):
-                execution = self._answer(query, span, version)
-        except Exception as exc:
-            span.finished_at = time.perf_counter()
-            span.error = f"{type(exc).__name__}: {exc}"
-            if qspan is not None:
-                qspan.finish(span.finished_at)
-            if trace is not None:
-                span.emit_phases(trace, parent=qspan)
-            failures = (1 if alive else 0) + len(followers)
-            with self._stats_lock:
-                self._errors += failures
-                self._retries_taken += span.retries
-            self.metrics.counter("service.errors").inc(failures)
-            if alive:
-                _resolve_exception(member.future, exc)
-            failed = [(span, None, query)]
-            for follower in followers:
-                fspan = self._follower_span(
-                    follower, span, batch_id,
-                    error=span.error,
-                )
-                failed.append((fspan, None, follower.query))
-                _resolve_exception(follower.future, exc)
-            return failed
-        finished = time.perf_counter()
-        self._annotate_span(span, execution)
-        span.finished_at = finished
-        if qspan is not None:
-            qspan.finish(finished)
-        if trace is not None:
-            span.emit_phases(trace, parent=qspan)
-        self._note_completed(span, execution)
-        if alive:
-            _resolve_result(member.future, execution)
-        produced = [(span, execution, query)]
-        for follower in followers:
-            follower_execution = self._follower_execution(
-                follower.query, execution
-            )
-            fspan = self._follower_span(follower, span, batch_id)
-            fspan.algorithm = execution.algorithm
-            fspan.strategy = span.strategy
-            fspan.num_results = len(follower_execution.results)
-            follower_execution.trace = fspan
-            self._note_completed(fspan, follower_execution)
-            _resolve_result(follower.future, follower_execution)
-            produced.append((fspan, follower_execution, follower.query))
-        return produced
-
     @staticmethod
     def _follower_span(
         follower: BatchMember, leader_span: TraceSpan, batch_id: int,
@@ -1080,7 +894,7 @@ class QueryService:
     ) -> TraceSpan:
         """A flat span for a coalesced rider (zero-width execution).
 
-        The follower never held the lock or touched a device; its span
+        The follower never pinned a version or touched a device; its span
         records queue wait (submission → leader completion) and the
         ``"coalesced"`` disposition.
         """
@@ -1130,7 +944,7 @@ class QueryService:
             ),
         )
 
-    # -- Mutations (buffered in snapshot mode; exclusive in rwlock mode) --------
+    # -- Mutations (buffered; readers never block) ---------------------------
 
     def add_object(self, oid: int, point: Sequence[float], text: str) -> None:
         """Insert one object; invalidates the result cache."""
@@ -1139,17 +953,11 @@ class QueryService:
     def add(self, obj: SpatialObject) -> None:
         """Insert one :class:`SpatialObject`; invalidates the result cache.
 
-        Snapshot mode buffers the insert and publishes a new version
-        without ever blocking a reader; rwlock mode takes the write lock
-        and mutates the engine in place.
+        The insert is buffered and a new version published without ever
+        blocking a reader.
         """
-        if self._maintainer is not None:
-            self._maintainer.add(obj)
-            self._invalidate()
-            return
-        with self._rw.write_locked():
-            self.engine.add(obj)
-            self._invalidate()
+        self._maintainer.add(obj)
+        self._invalidate()
 
     def delete(self, oid: int) -> bool:
         """Delete one object; invalidates the result cache *if effective*.
@@ -1158,11 +966,7 @@ class QueryService:
         the service untouched: no cold-started result cache, no planner
         statistics bump, no plan-cache flush.
         """
-        if self._maintainer is not None:
-            removed = self._maintainer.delete(oid) is not None
-        else:
-            with self._rw.write_locked():
-                removed = self.engine.delete(oid)
+        removed = self._maintainer.delete(oid) is not None
         if removed:
             self._invalidate()
         return removed
@@ -1170,45 +974,32 @@ class QueryService:
     def build(self, bulk: bool = True) -> None:
         """(Re)build the engine's index; invalidates the result cache.
 
-        Snapshot mode folds the write buffer and rebuilds copy-on-write
-        (in-flight readers keep their pinned version); rwlock mode
-        rebuilds in place under the write lock.
+        Folds the write buffer and rebuilds copy-on-write (in-flight
+        readers keep their pinned version).
         """
-        if self._maintainer is not None:
-            self._maintainer.rebuild(bulk=bulk)
-            self._invalidate()
-            return
-        with self._rw.write_locked():
-            self.engine.build(bulk=bulk)
-            self._invalidate()
+        self._maintainer.rebuild(bulk=bulk)
+        self._invalidate()
 
     def flush(self) -> int:
-        """Fold every buffered write into the base engine (snapshot mode).
+        """Fold every buffered write into the base engine.
 
-        Returns the resulting published version (the current version
-        in rwlock mode, where there is nothing to fold: 0).
+        Returns the resulting published version.
         """
-        if self._maintainer is None:
-            return 0
         return self._maintainer.flush().version
 
     def save(self, directory: str) -> str:
         """Persist a consistent engine snapshot; returns the manifest path.
 
-        Safe against concurrent writers and merges: snapshot mode first
-        folds the write buffer (waiting out any in-flight merge) and
-        saves the resulting clean version's base — a save issued
-        mid-merge captures a consistent published version, never a torn
-        half-mutation.  Rwlock mode saves under the read lock, excluding
-        writers for the duration.
+        Safe against concurrent writers and merges: first folds the
+        write buffer (waiting out any in-flight merge) and saves the
+        resulting clean version's base — a save issued mid-merge
+        captures a consistent published version, never a torn
+        half-mutation.
         """
         from repro.persist import save_engine
 
-        if self._maintainer is not None:
-            version = self._maintainer.flush(reason="save")
-            return save_engine(version.base, directory)
-        with self._rw.read_locked():
-            return save_engine(self.engine, directory)
+        version = self._maintainer.flush(reason="save")
+        return save_engine(version.base, directory)
 
     def _invalidate(self) -> None:
         if self.cache is not None:
@@ -1255,9 +1046,8 @@ class QueryService:
         slow-query log as one JSON document.  ``fmt="prometheus"``
         renders the metrics snapshot in the Prometheus text exposition
         format (:func:`repro.obs.export.render_prometheus`) for
-        scraping.  Returns the rendered payload either way; ``path``
-        being None skips the write (pre-redesign callers that passed a
-        path positionally keep working unchanged).
+        scraping.  Returns the rendered payload either way, and also
+        writes it to ``path`` when one is given.
         """
         stats = self.stats()
         if fmt == "prometheus":

@@ -50,8 +50,9 @@ class TraceSpan:
         cache: one of ``"hit"`` / ``"miss"`` / ``"bypass"``.
         submitted_at: perf-counter time the query entered the service.
         started_at: perf-counter time a worker picked it up.
-        lock_acquired_at: perf-counter time the worker obtained the read
-            lock (0.0 if it never got that far).
+        lock_acquired_at: perf-counter time the worker, holding its
+            pinned engine version, started the cache lookup and engine
+            call (0.0 if it never got that far).
         search_done_at: perf-counter time the engine search (or the
             cache lookup, for hits) returned (0.0 if it never got there).
         finished_at: perf-counter time the execution completed.
@@ -77,11 +78,9 @@ class TraceSpan:
             ``"coalesced"`` marks members answered by another in-flight
             duplicate of the same batch.
         engine_version: the published engine snapshot this query was
-            pinned to (snapshot maintenance mode); None under the
-            lock-based mode.  In snapshot mode :attr:`lock_acquired_at`
-            records the instant the version was pinned, so
-            :attr:`lock_wait_ms` measures (near-zero) pin time instead
-            of read-lock wait.
+            pinned to.  :attr:`lock_wait_ms` measures the (near-zero)
+            time from worker pickup to the engine call: version pinning
+            and, for a batch member, its group's setup.
     """
 
     query_id: int
@@ -136,7 +135,8 @@ class TraceSpan:
 
     @property
     def lock_wait_ms(self) -> float:
-        """Milliseconds spent waiting for the read lock (0.0 if unknown)."""
+        """Milliseconds from worker pickup to the engine call (0.0 if
+        unknown): pinning the engine version, never a lock wait."""
         if not self.lock_acquired_at:
             return 0.0
         return max(0.0, self.lock_acquired_at - self.started_at) * 1000.0
@@ -259,14 +259,16 @@ class TraceLog:
         self._spans: list[TraceSpan] = []
         self._dropped = 0
 
-    def append(self, span: TraceSpan) -> None:
-        """Record one finished span."""
+    def append(self, span: TraceSpan) -> int:
+        """Record one finished span; returns how many old spans it evicted."""
         with self._lock:
             self._spans.append(span)
+            overflow = 0
             if self.capacity is not None and len(self._spans) > self.capacity:
                 overflow = len(self._spans) - self.capacity
                 del self._spans[:overflow]
                 self._dropped += overflow
+            return overflow
 
     def spans(self) -> list[TraceSpan]:
         """A snapshot of the retained spans, in completion order."""

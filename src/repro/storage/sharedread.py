@@ -21,10 +21,16 @@ so a batch shares reads across shard workers too.
 
 Correctness notes:
 
-* A session is only active while the serving layer holds the *read*
-  side of its readers-writer lock, so the cached bytes cannot go stale
-  mid-batch; :meth:`SharedReadSession.invalidate` exists as a defensive
-  hook for devices that see a write anyway.
+* A session covers one batch group, and a group reads one pinned,
+  published engine version whose base is never mutated after
+  publication (merges build a copy-on-write replacement engine on its
+  own devices; see :mod:`repro.serve.maintenance`), so the cached bytes
+  cannot go stale mid-batch; :meth:`SharedReadSession.invalidate`
+  exists as a defensive hook for devices that see a write anyway.
+* Only scheduler batches open a session.  A query runs alone without
+  one: it re-reads some blocks itself, and a session would turn those
+  repeats into ``shared_reads``, breaking the cold-cache accounting of
+  a standalone query.
 * Serving a hit does **not** advance the device's head position, so the
   random/sequential classification of the remaining real accesses is
   identical to a serial run — byte-identical answers *and* comparable

@@ -14,9 +14,9 @@ Every engine flavor (all six index kinds, plus the sharded engine) must:
 :class:`TestServiceSubmissionSurface` pins the redesigned
 :class:`~repro.serve.QueryService` submission API — ``submit(query)`` →
 ``Future``, ``submit_many(queries)`` → futures, ``search(query)``
-synchronous — and the deprecation shims the old trio
+synchronous — and that the pre-redesign calls
 (``submit(point, keywords, k)`` / ``submit_query`` / ``query`` /
-``execute``) left behind.
+``execute``) are gone.
 """
 
 from __future__ import annotations
@@ -242,28 +242,28 @@ class TestServiceSubmissionSurface:
         with pytest.raises(ServiceError, match="SpatialKeywordQuery"):
             service.search(((0.0, 0.0), ["cafe"], 3))
 
-    # -- Deprecation shims (the pre-redesign surface) ---------------------
+    # -- The pre-redesign surface is gone ---------------------------------
 
-    def test_submit_point_shape_warns_and_works(self, service):
-        with pytest.warns(DeprecationWarning, match="QueryService.submit"):
-            future = service.submit((0.5, 0.5), ["cafe"], 3)
-        assert future.result().oids == service.search(self.QUERY).oids
+    def test_submit_point_shape_is_rejected(self, service):
+        with pytest.raises(TypeError):
+            service.submit((0.5, 0.5), ["cafe"], 3)
+        with pytest.raises(ServiceError, match="SpatialKeywordQuery"):
+            service.submit(((0.5, 0.5), ["cafe"], 3))
 
     def test_submit_query_shim(self, service):
-        with pytest.warns(DeprecationWarning,
-                          match="QueryService.submit_query"):
-            future = service.submit_query(self.QUERY)
-        assert future.result().oids == service.search(self.QUERY).oids
+        """The ``submit_query`` shim was removed; use ``submit(query)``."""
+        assert not hasattr(service, "submit_query")
+        assert not hasattr(QueryService, "submit_query")
 
     def test_query_shim(self, service):
-        with pytest.warns(DeprecationWarning, match="QueryService.query"):
-            execution = service.query((0.5, 0.5), ["cafe"], 3)
-        assert execution.oids == service.search(self.QUERY).oids
+        """The ``query`` shim was removed; use ``search(query)``."""
+        assert not hasattr(service, "query")
+        assert not hasattr(QueryService, "query")
 
     def test_execute_shim(self, service):
-        with pytest.warns(DeprecationWarning, match="QueryService.execute"):
-            execution = service.execute(self.QUERY)
-        assert execution.oids == service.search(self.QUERY).oids
+        """The ``execute`` shim was removed; use ``search(query)``."""
+        assert not hasattr(service, "execute")
+        assert not hasattr(QueryService, "execute")
 
     def test_new_surface_emits_no_warnings(self, service):
         import warnings

@@ -30,7 +30,12 @@ from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import SpatialKeywordQuery
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.obs.trace import QueryTracer
-from repro.serve import BatchConfig, BatchScheduler, QueryService
+from repro.serve import (
+    BatchConfig,
+    BatchScheduler,
+    EngineVersion,
+    QueryService,
+)
 from repro.serve.scheduler import BatchMember
 from repro.shard import ShardedEngine
 from repro.storage.sharedread import (
@@ -296,6 +301,29 @@ class TestAdmissionControl:
             assert len(futures) == 4
             for future in futures:
                 future.result()
+
+    def test_depth_counts_unbatched_backlog(self, engine, world, monkeypatch):
+        """Direct submissions share the admission bookkeeping."""
+        _, queries = world
+        release = threading.Event()
+        search = EngineVersion.search
+
+        def held(version, query):
+            release.wait(10.0)
+            return search(version, query)
+
+        monkeypatch.setattr(EngineVersion, "search", held)
+        with QueryService(engine, workers=1, cache=False) as service:
+            futures = [service.submit(q) for q in queries[:3]]
+            assert service.queue_depth == 3
+            release.set()
+            for future in futures:
+                future.result()
+            assert service.queue_depth == 0
+            stats = service.stats()
+            assert stats.metrics["gauges"]["service.queue_depth"] == 0
+            assert stats.batches == 0
+            assert "service.batches" not in stats.metrics["counters"]
 
     def test_unbounded_by_default(self, engine, world):
         _, queries = world

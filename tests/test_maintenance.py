@@ -9,15 +9,12 @@ Covers the PR-8 maintenance redesign end to end:
 * :class:`~repro.serve.SnapshotMaintainer` — publication, background
   merges at the threshold, merge-failure recovery (no write ever lost),
   readers never blocking while a merge is in flight;
-* :class:`~repro.serve.QueryService` in ``"snapshot"`` mode —
-  read-your-writes, per-version cache stamping, batch version pinning,
-  mid-merge persistence, and the rwlock mode kept as baseline;
+* :class:`~repro.serve.QueryService` — read-your-writes, per-version
+  cache stamping, batch version pinning, and mid-merge persistence;
 * the no-op-mutation regressions (deletes of absent oids must not touch
   the result cache, the planner statistics version, or the plan cache);
 * :class:`~repro.plan.stats.DensityGrid` exact accounting (underflow is
-  an error, ``total == sum(counts)`` always);
-* :class:`~repro.serve.ReadWriteLock` — a failed read acquire can never
-  underflow the reader count.
+  an error, ``total == sum(counts)`` always).
 """
 
 from __future__ import annotations
@@ -29,18 +26,15 @@ import pytest
 from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import SpatialKeywordQuery
 from repro.core.search import brute_force_top_k
-from repro.errors import QueryError, ServiceError
+from repro.errors import QueryError
 from repro.model import SpatialObject
 from repro.persist import load_engine
 from repro.plan.stats import DensityGrid
 from repro.serve import (
-    RWLOCK,
-    SNAPSHOT,
     BatchConfig,
     EngineVersion,
     QueryResultCache,
     QueryService,
-    ReadWriteLock,
     SnapshotMaintainer,
     WriteBuffer,
 )
@@ -441,6 +435,12 @@ class TestServiceSnapshotMode:
             service.search(self.QUERY)  # new version: must re-run
             assert service.stats().cache_hits == 1
 
+    def test_unknown_maintenance_mode_is_rejected(self):
+        # Snapshot maintenance is the only mode; the option itself is gone.
+        for mode in ("bogus", "rwlock", "snapshot"):
+            with pytest.raises(TypeError, match="maintenance"):
+                QueryService(built_engine(), maintenance=mode)
+
     def test_batch_group_pins_one_version(self):
         with QueryService(
             built_engine(), workers=4,
@@ -519,25 +519,6 @@ class TestServiceSnapshotMode:
             assert version == service.engine_version
             assert service.buffer_depth == 0
 
-    def test_rwlock_mode_is_still_available(self):
-        with QueryService(built_engine(), workers=2,
-                          maintenance=RWLOCK) as service:
-            assert service.engine_version is None
-            assert service.maintainer is None
-            service.add_object(450, (0.0, 0.0), "cafe solo")
-            execution = service.search(
-                SpatialKeywordQuery.of((0.0, 0.0), ("solo",), 1)
-            )
-            assert execution.oids == [450]
-            assert execution.engine_version is None
-
-    def test_unknown_maintenance_mode_is_rejected(self):
-        with pytest.raises(ServiceError, match="maintenance"):
-            QueryService(built_engine(), maintenance="eventually")
-
-    def test_constants_exported(self):
-        assert SNAPSHOT == "snapshot" and RWLOCK == "rwlock"
-
 
 class TestVersionedResultCache:
     def put_get_query(self):
@@ -555,15 +536,15 @@ class TestVersionedResultCache:
         # The stale entry was dropped, not kept around.
         assert cache.get(query, version=7) is None
 
-    def test_unversioned_entries_keep_legacy_semantics(self):
+    def test_invalidate_drops_entries_and_bumps_generation(self):
         cache = QueryResultCache(capacity=8)
         engine = built_engine()
         query = self.put_get_query()
-        cache.put(query, engine.search(query))
-        assert cache.get(query) is not None
+        cache.put(query, engine.search(query), version=3)
+        assert cache.get(query, version=3) is not None
         generation = cache.generation
         cache.invalidate()
-        assert cache.get(query) is None
+        assert cache.get(query, version=3) is None
         assert cache.generation == generation + 1
 
 
@@ -642,29 +623,3 @@ class TestDensityGridAccounting:
         grid.add((100.0, 100.0))  # clamps into the far edge cell
         grid.remove((100.0, 100.0))
         assert grid.total == sum(grid.counts) == 0
-
-
-class TestReadWriteLockSafety:
-    def test_read_locked_releases_on_body_exception(self):
-        lock = ReadWriteLock()
-        with pytest.raises(RuntimeError):
-            with lock.read_locked():
-                raise RuntimeError("reader died")
-        assert lock._readers == 0
-        lock.acquire_write()  # would deadlock on a leaked reader
-        lock.release_write()
-
-    def test_failed_acquire_cannot_underflow(self):
-        class FailingLock(ReadWriteLock):
-            def acquire_read(self):
-                raise MemoryError("acquire failed")
-
-        lock = FailingLock()
-        with pytest.raises(MemoryError):
-            with lock.read_locked():
-                pass  # pragma: no cover - acquire raised first
-        # The context manager never ran release_read for the failed
-        # acquire: the count is intact and writers are not wedged.
-        assert lock._readers == 0
-        ReadWriteLock.acquire_write(lock)
-        lock.release_write()

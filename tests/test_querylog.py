@@ -42,7 +42,7 @@ from repro.obs.workload import (
     render_workload_report,
     validate_workload_report,
 )
-from repro.serve import BatchConfig, QueryService, TraceSpan
+from repro.serve import BatchConfig, EngineVersion, QueryService, TraceSpan
 from repro.shard import ShardedEngine
 
 
@@ -218,14 +218,13 @@ class TestCaptureThroughService:
         path = str(tmp_path / "q.jsonl")
         query = workload.queries(1, num_keywords=2, k=5)[0]
 
-        def explode(q):
+        def explode(version, q):
             raise DeviceFaultError("disk on fire")
 
         with QueryService(
             engine, workers=1, retries=0, query_log=path,
-            maintenance="rwlock",
         ) as service:
-            monkeypatch.setattr(engine, "search", explode)
+            monkeypatch.setattr(EngineVersion, "search", explode)
             with pytest.raises(DeviceFaultError):
                 service.search(query)
         records = read_query_log(path)
@@ -480,12 +479,6 @@ class TestAnswerAtVersion:
             execution = service.search(query, at_version=retained[0])
             assert execution.engine_version == retained[0]
 
-    def test_rwlock_mode_has_no_versions(self, engine, workload):
-        query = workload.queries(1, num_keywords=1, k=3)[0]
-        with QueryService(engine, workers=1, maintenance="rwlock") as service:
-            with pytest.raises(ServiceError):
-                service.search(query, at_version=0)
-
 
 class TestPrunedByKeywordsPropagation:
     @pytest.fixture
@@ -552,7 +545,7 @@ class TestObservabilityReconciliation:
         with QueryService(
             sharded, workers=2, tracer=tracer,
             batching=BatchConfig(window_ms=1.0, max_batch=6),
-            maintenance="snapshot", query_log=path,
+            query_log=path,
         ) as service:
             executions = []
             for start in range(0, len(queries), 12):

@@ -8,8 +8,9 @@ import pytest
 
 from repro.bench.workloads import ConcurrentLoadGenerator, WorkloadGenerator
 from repro.core.engine import SpatialKeywordEngine
-from repro.errors import ServiceError
-from repro.serve import QueryService, ReadWriteLock, TraceSpan
+from repro.errors import DeviceFaultError, ServiceError
+from repro.obs.querylog import read_query_log, result_digest
+from repro.serve import BatchConfig, EngineVersion, QueryService, TraceSpan
 from repro.serve.resultcache import QueryResultCache
 from repro.core.query import SpatialKeywordQuery
 
@@ -127,6 +128,12 @@ class TestTracing:
             service.run_batch(workload.queries(10, 1, 3))
         assert len(service.trace_log) == 4
         assert service.trace_log.dropped == 6
+        counters = service.stats().metrics["counters"]
+        assert counters["service.trace_log.dropped"] == 6
+
+    def test_trace_log_is_bounded_by_default(self, engine):
+        with QueryService(engine, workers=1) as service:
+            assert service.trace_log.capacity is not None
 
 
 class TestCacheSemantics:
@@ -297,34 +304,119 @@ class TestLifecycle:
         assert len(failed) == 1
 
 
-class TestReadWriteLock:
-    def test_readers_share_writers_exclude(self):
-        lock = ReadWriteLock()
-        state = {"readers": 0, "max_readers": 0, "writer_saw_readers": False}
-        gate = threading.Barrier(4)
+ENTRY_PATHS = ("direct", "batched", "at_version")
 
-        def reader():
-            gate.wait()
-            with lock.read_locked():
-                state["readers"] += 1
-                state["max_readers"] = max(state["max_readers"], state["readers"])
-                threading.Event().wait(0.02)
-                state["readers"] -= 1
 
-        def writer():
-            gate.wait()
-            with lock.write_locked():
-                if state["readers"]:
-                    state["writer_saw_readers"] = True
+def _entry(service, path, query):
+    """A zero-argument call answering ``query`` through one entry path."""
+    if path == "direct":
+        return service.submit(query).result
+    if path == "batched":
+        return service.submit_many([query])[0].result
+    version = service.engine_version
+    return lambda: service.search(query, at_version=version)
 
-        threads = [threading.Thread(target=reader) for _ in range(3)]
-        threads.append(threading.Thread(target=writer))
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert state["max_readers"] >= 2  # readers genuinely overlapped
-        assert state["writer_saw_readers"] is False
+
+class TestOneWorkerBody:
+    """Direct, batched, and at-version reads run through one worker body."""
+
+    @pytest.mark.parametrize("path", ("search", "submit", "at_version"))
+    def test_unbatched_reads_cost_exactly_their_standalone_reads(
+        self, engine, workload, path
+    ):
+        """No shared-read session leaks into a read that runs alone.
+
+        A query re-reads some blocks itself; a session would count those
+        repeats as ``shared_reads`` and lower the device reads, which
+        the device totals alone cannot see.
+        """
+        queries = workload.queries(32, num_keywords=2, k=10)
+        standalone = [engine.search(query) for query in queries]
+        with QueryService(engine, workers=1, cache=False) as service:
+            version = service.engine_version
+            run = {
+                "search": service.search,
+                "submit": lambda query: service.submit(query).result(),
+                "at_version": lambda query: service.search(
+                    query, at_version=version
+                ),
+            }[path]
+            executions = [run(query) for query in queries]
+            assert service.stats().batches == 0
+        for alone, execution in zip(standalone, executions):
+            assert execution.oids == alone.oids
+            assert execution.io.shared_reads == 0
+            assert execution.io.total_reads == alone.io.total_reads
+            assert execution.io.objects_loaded == alone.io.objects_loaded
+
+    @pytest.mark.parametrize("path", ENTRY_PATHS)
+    def test_span_and_record_agree_on_every_path(
+        self, small_objects, tmp_path, path
+    ):
+        engine = SpatialKeywordEngine(index="auto", signature_bytes=8)
+        engine.add_all(small_objects)
+        engine.build()
+        query = WorkloadGenerator(
+            small_objects, engine.analyzer, seed=5
+        ).queries(1, num_keywords=1, k=5)[0]
+        reference = engine.search(query)
+        log = str(tmp_path / "q.jsonl")
+        with QueryService(
+            engine, workers=1, cache=False, query_log=log,
+            batching=BatchConfig() if path == "batched" else None,
+        ) as service:
+            execution = _entry(service, path, query)()
+        (record,) = read_query_log(log)
+        span = execution.trace
+        assert (span.batch_id is None) == (path != "batched")
+        assert record["batch_id"] == span.batch_id
+        assert span.algorithm == record["algorithm"] == reference.algorithm
+        assert span.strategy == record["plan"]["strategy"]
+        assert span.strategy == reference.plan["strategy"]
+        io = record["io"]
+        assert span.random_reads == io["random_reads"]
+        assert span.sequential_reads == io["sequential_reads"]
+        assert span.shared_reads == io["shared_reads"]
+        # Real plus shared reads are the standalone cost on every path.
+        assert (
+            span.random_reads + span.sequential_reads + span.shared_reads
+            == reference.io.total_reads
+        )
+        assert span.objects_loaded == io["objects_loaded"]
+        assert span.objects_loaded == reference.io.objects_loaded
+        assert span.num_results == record["results"]["count"]
+        assert span.num_results == len(reference.results)
+        assert span.engine_version == record["engine_version"]
+        assert span.engine_version == execution.engine_version
+        assert record["results"]["digest"] == result_digest(reference.results)
+        assert result_digest(execution.results) == record["results"]["digest"]
+
+    @pytest.mark.parametrize("path", ENTRY_PATHS)
+    def test_engine_error_fails_alike_on_every_path(
+        self, engine, workload, tmp_path, monkeypatch, path
+    ):
+        def explode(version, query):
+            raise DeviceFaultError("disk on fire")
+
+        query = workload.queries(1, num_keywords=2, k=5)[0]
+        log = str(tmp_path / "q.jsonl")
+        with QueryService(
+            engine, workers=1, retries=0, query_log=log,
+            batching=BatchConfig() if path == "batched" else None,
+        ) as service:
+            monkeypatch.setattr(EngineVersion, "search", explode)
+            answer = _entry(service, path, query)
+            with pytest.raises(DeviceFaultError, match="disk on fire"):
+                answer()
+            stats = service.stats()
+        assert stats.errors == 1 and stats.queries == 0
+        assert stats.metrics["counters"]["service.errors"] == 1
+        (record,) = read_query_log(log)
+        assert "disk on fire" in record["error"]
+        assert "results" not in record
+        assert (record["batch_id"] is None) == (path != "batched")
+        (span,) = service.trace_spans()
+        assert span.error == record["error"]
 
 
 class TestResultCacheUnit:
@@ -336,7 +428,7 @@ class TestResultCacheUnit:
         from repro.core.query import QueryExecution
 
         for q in queries:
-            cache.put(q, QueryExecution(query=q, results=[]))
+            cache.put(q, QueryExecution(query=q, results=[]), version=0)
         assert len(cache) == 2
         assert queries[0] not in cache
         assert queries[2] in cache
@@ -348,11 +440,11 @@ class TestResultCacheUnit:
     def test_hit_rate(self):
         cache = QueryResultCache(capacity=4)
         q = SpatialKeywordQuery.of((0, 0), ["w"], k=1)
-        assert cache.get(q) is None
+        assert cache.get(q, version=0) is None
         from repro.core.query import QueryExecution
 
-        cache.put(q, QueryExecution(query=q, results=[]))
-        assert cache.get(q) is not None
+        cache.put(q, QueryExecution(query=q, results=[]), version=0)
+        assert cache.get(q, version=0) is not None
         assert cache.hit_rate == 0.5
 
 
