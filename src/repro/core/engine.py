@@ -166,12 +166,16 @@ class SpatialKeywordEngine:
 
         The snapshot maintainer's merges rebuild into a clone and swap
         it in atomically, leaving the original untouched for in-flight
-        readers.  The clone shares the analyzer (stateless) but owns its
-        own corpus, devices, and index structures.
+        readers.  The clone shares the analyzer (stateless) and the object
+        store's row intern map (content-addressed, so rows the clone
+        rewrites byte-identically decode to the objects already held) but
+        owns its own corpus, devices, and index structures.
         """
         config = dict(self._init_config)
         config["analyzer"] = self.corpus.analyzer
-        return SpatialKeywordEngine(**config)
+        clone = SpatialKeywordEngine(**config)
+        clone.corpus.store.intern = self.corpus.store.intern
+        return clone
 
     # -- Queries ------------------------------------------------------------------
 

@@ -20,9 +20,6 @@ from repro.spatial.split import SplitStrategy
 from repro.storage.pagestore import PageStore
 from repro.text.signature import Signature, SignatureFactory
 
-#: Predicate deciding whether a queue entry survives the signature check.
-EntryMatcher = Callable[[Entry, Node], bool]
-
 
 class IR2Tree(RTree):
     """R-Tree with fixed-length per-entry signatures.
@@ -76,20 +73,16 @@ class IR2Tree(RTree):
         """``Signature(Q.t)``: superimposition of the query keywords."""
         return self.factory.for_words(terms)
 
-    def signature_matcher(self, terms: Sequence[str]) -> EntryMatcher:
-        """The "s matches w" test of Figure 8 for distance-first search.
+    def query_mask(self, terms: Sequence[str]) -> Callable[[int], Signature]:
+        """The query side of Figure 8's "s matches w" test, per level.
 
-        Returns a predicate suitable for
-        :func:`repro.spatial.nearest.incremental_nearest`'s
-        ``entry_filter``: an entry survives when its signature covers the
-        conjunctive query signature.
+        Returns the ``query_mask`` callable
+        :func:`repro.spatial.nearest.incremental_nearest` takes: every
+        level shares one signature width, so it maps each level to the
+        same superimposed query signature.
         """
         query = self.query_signature(terms)
-
-        def matches(entry: Entry, node: Node) -> bool:
-            return Signature.from_bytes(entry.signature).matches(query)
-
-        return matches
+        return lambda level: query
 
     def matched_terms(
         self, entry: Entry, node: Node, terms: Sequence[str]

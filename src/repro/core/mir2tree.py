@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro.core.ir2tree import EntryMatcher
 from repro.core.schemes import MIR2Scheme, TermResolver, plan_level_lengths
 from repro.spatial.geometry import Rect
 from repro.spatial.rtree import Entry, Node, RTree
@@ -129,22 +128,23 @@ class MIR2Tree(RTree):
 
     # -- Query-side signature helpers -------------------------------------------------
 
-    def signature_matcher(self, terms: Sequence[str]) -> EntryMatcher:
-        """Per-level "s matches w" test for distance-first search.
+    def query_mask(self, terms: Sequence[str]) -> Callable[[int], Signature]:
+        """Per-level query signatures for distance-first search.
 
-        The query signature is materialized lazily at each level's length
-        the first time an entry of that level is tested.
+        Each level has its own signature width, so the query signature
+        is hashed at a level's length the first time a node of that level
+        is read, then reused.
         """
         per_level: dict[int, Signature] = {}
 
-        def matches(entry: Entry, node: Node) -> bool:
-            query = per_level.get(node.level)
+        def mask(level: int) -> Signature:
+            query = per_level.get(level)
             if query is None:
-                query = self.mir_scheme.factory_for_level(node.level).for_words(terms)
-                per_level[node.level] = query
-            return Signature.from_bytes(entry.signature).matches(query)
+                query = self.mir_scheme.factory_for_level(level).for_words(terms)
+                per_level[level] = query
+            return query
 
-        return matches
+        return mask
 
     def matched_terms(
         self, entry: Entry, node: Node, terms: Sequence[str]

@@ -101,7 +101,7 @@ class SpatialKeywordQuery:
         return len(self.point)
 
 
-@dataclass
+@dataclass(slots=True)
 class QueryExecution:
     """Results plus the cost metrics of answering one query.
 

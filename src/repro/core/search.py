@@ -4,9 +4,9 @@
 NN traversal with the query-signature test applied to every entry, plus
 the false-positive verification of Line 21 ("if T.t contains all keywords
 in Q.t").  It works unchanged on IR2- and MIR2-Trees — the only
-difference is the tree's :meth:`signature_matcher`, exactly as the paper
-notes ("these last two algorithms can also operate on MIR2-Trees with no
-modification").
+difference is the tree's :meth:`query_mask` (one query signature for
+every level, or one per level), exactly as the paper notes ("these last
+two algorithms can also operate on MIR2-Trees with no modification").
 
 An incremental generator variant is exposed for callers who want to pull
 results lazily (e.g. pagination), plus counters for the cost metrics the
@@ -66,9 +66,8 @@ def ir2_top_k_iter(
     discarded (and counted) without being yielded.
     """
     terms = analyzer.query_terms(query.keywords)
-    matcher = tree.signature_matcher(terms)
     for obj_ptr, distance in incremental_nearest(
-        tree, query.target, entry_filter=matcher, trace=trace
+        tree, query.target, query_mask=tree.query_mask(terms), trace=trace
     ):
         obj = store.load(obj_ptr)
         if counters is not None:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SpatialObject:
     """One spatial object: an id, a point location, and a text document.
 
@@ -39,7 +39,7 @@ class SpatialObject:
         return SpatialObject(self.oid, self.point, text)
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     """One ranked answer of a top-k spatial keyword query.
 

@@ -144,14 +144,35 @@ def _engine_devices(engine) -> list:
     return devices
 
 
+def _export_object_intern(registry: MetricsRegistry, engines) -> None:
+    """Advance ``storage.object_intern.dropped`` to the engines' evictions.
+
+    Sums :attr:`~repro.storage.objectstore.RowIntern.dropped` over the
+    row intern maps of ``engines`` (a single engine or the shards of a
+    sharded one).  A map follows its engine through merges
+    (:meth:`~repro.core.engine.SpatialKeywordEngine.clone_empty` hands it
+    on), so the sum only grows; the counter never moves backwards.
+    """
+    dropped = sum(
+        engine.corpus.store.intern.dropped
+        for engine in engines
+        if getattr(engine, "corpus", None) is not None
+    )
+    counter = registry.counter("storage.object_intern.dropped")
+    if dropped > counter.value:
+        counter.inc(dropped - counter.value)
+
+
 def export_engine(registry: MetricsRegistry, engine) -> None:
     """Publish every device of a single or sharded engine.
 
     For a :class:`~repro.shard.ShardedEngine`, each shard's devices are
     exported with a ``shard<N>`` path segment and the merged running I/O
-    additionally lands under ``storage.all_shards.io``.
+    additionally lands under ``storage.all_shards.io``.  Either way the
+    object-row intern evictions land in ``storage.object_intern.dropped``.
     """
     shards = getattr(engine, "shards", None)
+    _export_object_intern(registry, [engine] if shards is None else shards)
     if shards is None:
         for device in _engine_devices(engine):
             export_device(registry, device)

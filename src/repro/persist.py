@@ -630,7 +630,9 @@ def copy_built_engine(engine):
     serializes — device block images plus the per-structure bookkeeping
     of :func:`_index_state` — so it is exactly the engine a save/load
     cycle would produce, without touching the filesystem and without
-    re-deriving the vocabulary.
+    re-deriving the vocabulary.  Through :meth:`clone_empty` the copy
+    also shares the source's object-row intern map: its rows are
+    byte-identical, so its loads return the objects already decoded.
 
     Returns ``None`` when the engine cannot be copied this way (not yet
     built, non-memory block devices, an index kind without persistence

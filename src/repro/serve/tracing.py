@@ -34,7 +34,7 @@ CACHE_BYPASS = "bypass"  # caching disabled for the service
 CACHE_COALESCED = "coalesced"  # answered by another in-flight duplicate
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceSpan:
     """The traced lifecycle of one query execution inside the service.
 

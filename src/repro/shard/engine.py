@@ -281,7 +281,8 @@ class ShardedEngine:
         The snapshot maintainer's copy-on-write merges rebuild into the
         clone (restaging every live object, refitting the partitioner)
         and swap it in, leaving this engine untouched for in-flight
-        readers.  Engines reassembled by :meth:`from_parts` (the
+        readers.  Each new shard keeps the object-row intern map of the
+        shard it replaces.  Engines reassembled by :meth:`from_parts` (the
         persistence load path) derive per-shard construction kwargs from
         their first shard's stored config.
         """
@@ -293,7 +294,7 @@ class ShardedEngine:
                 if key != "index"
             }
             kwargs["analyzer"] = self.shards[0].analyzer
-        return ShardedEngine(
+        clone = ShardedEngine(
             n_shards=self.n_shards,
             partitioner=make_partitioner(self.partitioner.kind, self.n_shards),
             index=self._index_kind,
@@ -305,6 +306,11 @@ class ShardedEngine:
             summary_bytes=self._summary_bytes,
             **kwargs,
         )
+        # Row intern maps are content-addressed, so a shard may keep its
+        # predecessor's even when the refit moves objects between shards.
+        for old, new in zip(self.shards, clone.shards):
+            new.corpus.store.intern = old.corpus.store.intern
+        return clone
 
     def _grow_mbb(self, shard_id: int, point: Sequence[float]) -> None:
         rect = Rect.from_point(point)

@@ -27,6 +27,39 @@ def point_distance(a: Sequence[float], b: Sequence[float]) -> float:
     return math.sqrt(sum((x - y) ** 2 for x, y in zip(a, b)))
 
 
+def box_min_distance(
+    lo: Sequence[float], hi: Sequence[float], point: Sequence[float]
+) -> float:
+    """MINDIST from ``point`` to the box ``[lo, hi]`` (0 when inside).
+
+    Takes bare corner tuples so a traversal can rank decoded node entries
+    without building a :class:`Rect` for each.
+    """
+    total = 0.0
+    for l, h, c in zip(lo, hi, point):
+        if c < l:
+            total += (l - c) ** 2
+        elif c > h:
+            total += (c - h) ** 2
+    return math.sqrt(total)
+
+
+def box_box_distance(
+    lo: Sequence[float],
+    hi: Sequence[float],
+    other_lo: Sequence[float],
+    other_hi: Sequence[float],
+) -> float:
+    """Smallest distance between boxes ``[lo, hi]`` and ``[other_lo, other_hi]``."""
+    total = 0.0
+    for sl, sh, ol, oh in zip(lo, hi, other_lo, other_hi):
+        if oh < sl:
+            total += (sl - oh) ** 2
+        elif ol > sh:
+            total += (ol - sh) ** 2
+    return math.sqrt(total)
+
+
 @dataclass(frozen=True)
 class Rect:
     """Axis-aligned minimum bounding rectangle in n dimensions.
@@ -154,13 +187,7 @@ class Rect:
         Zero when the point lies inside.  This is the ``Dist(p, MBR)`` of
         the paper's Figure 3 and the priority used by incremental NN.
         """
-        total = 0.0
-        for l, h, c in zip(self.lo, self.hi, point):
-            if c < l:
-                total += (l - c) ** 2
-            elif c > h:
-                total += (c - h) ** 2
-        return math.sqrt(total)
+        return box_min_distance(self.lo, self.hi, point)
 
     def min_distance_rect(self, other: "Rect") -> float:
         """Smallest Euclidean distance between two MBRs (0 if they touch).
@@ -169,13 +196,7 @@ class Rect:
         could be used instead" of the query point (Section III), in which
         case ``Dist`` becomes rectangle-to-rectangle MINDIST.
         """
-        total = 0.0
-        for sl, sh, ol, oh in zip(self.lo, self.hi, other.lo, other.hi):
-            if oh < sl:
-                total += (sl - oh) ** 2
-            elif ol > sh:
-                total += (ol - sh) ** 2
-        return math.sqrt(total)
+        return box_box_distance(self.lo, self.hi, other.lo, other.hi)
 
     def max_distance(self, point: Sequence[float]) -> float:
         """MAXDIST: largest distance from ``point`` to any point of the MBR."""

@@ -6,8 +6,16 @@ queue seeded with the root yields nodes and objects in order of MINDIST,
 reporting each object pointer exactly when it is proven to be the next
 nearest.  The paper's ``IR2NearestNeighbor`` (Figure 8) is the same loop
 with a signature test applied to every entry before it enters the queue;
-that test is exposed here as the optional ``entry_filter`` so one
-implementation serves both the plain R-Tree baseline and the IR2-Tree.
+the optional ``query_mask`` (``level -> query signature``, from the
+tree's ``query_mask(terms)``) turns that test on, so one implementation
+serves both the plain R-Tree baseline and the IR2-/MIR2-Trees.
+
+The loop works on the raw ``(child_ref, coords, signature)`` tuples a node
+decodes to (:meth:`RTree.read_entries`): "s matches w" is one integer AND
+of the entry's signature bytes against the query bits, MINDIST comes from
+the coordinate tuple, and no :class:`Rect` or signature object is built
+for an entry.  Most entries of a keyword query are pruned, so the objects
+would mostly be thrown away.
 
 Nodes are enqueued *by pointer* and loaded only when dequeued.  (The
 paper's Figure 3 writes ``Enqueue(LoadNode(ptr), dist)``, but loading at
@@ -23,11 +31,21 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from operator import gt
+from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
+from repro.errors import SignatureLengthError
 from repro.obs import trace as qtrace
-from repro.spatial.geometry import point_distance, target_min_distance
-from repro.spatial.rtree import Entry, Node, RTree
+from repro.spatial.geometry import (
+    Rect,
+    box_box_distance,
+    box_min_distance,
+    point_distance,
+)
+from repro.spatial.rtree import Node, RTree
+
+if TYPE_CHECKING:
+    from repro.text.signature import Signature
 
 #: Queue element kinds, ordered so objects pop before nodes at equal
 #: distance (an object at distance d is a confirmed result; a node at the
@@ -35,7 +53,9 @@ from repro.spatial.rtree import Entry, Node, RTree
 _KIND_OBJECT = 0
 _KIND_NODE = 1
 
-EntryFilter = Callable[[Entry, Node], bool]
+#: ``level -> query signature`` at that level's width; the traversal
+#: reads its ``bits`` and ``length_bits``.
+QueryMask = Callable[[int], "Signature"]
 
 
 @dataclass
@@ -61,7 +81,7 @@ class NNTrace:
 def incremental_nearest(
     tree: RTree,
     point: Sequence[float],
-    entry_filter: EntryFilter | None = None,
+    query_mask: QueryMask | None = None,
     trace: NNTrace | None = None,
 ) -> Iterator[tuple[int, float]]:
     """Yield ``(obj_ptr, distance)`` pairs in non-decreasing distance.
@@ -70,14 +90,39 @@ def incremental_nearest(
         tree: the R-Tree (or IR2-/MIR2-Tree) to search.
         point: query target — a point ``Q.p`` or a :class:`Rect` query
             area (the paper: "an area could be used instead").
-        entry_filter: predicate applied to every entry of a dequeued node;
-            entries failing it are dropped from the search (the paper's
-            "if s matches w" signature check).  ``None`` disables filtering.
+        query_mask: ``level -> Signature``, the superimposed query
+            signature at that level's width (the tree's
+            ``query_mask(terms)``).  An entry survives when its signature
+            bits cover the query bits — the paper's "if s matches w" —
+            tested with one integer AND on the raw entry bytes.  ``None``
+            disables filtering.
         trace: optional :class:`NNTrace` collecting the queue activity.
+
+    Raises:
+        SignatureLengthError: a node's signature width differs from the
+            query signature's width at that level.
+        ValueError: a decoded entry MBR is inverted (``lo > hi``), whether
+            or not the signature test prunes it.
 
     The generator is *incremental*: callers pull exactly as many neighbors
     as they need, and tree I/O happens lazily as the queue is consumed.
     """
+    dims = tree.dims
+    # The 2-D MBR check, inlined below, is the paper's case and costs a
+    # tenth of the general one; every entry of every node pays it.
+    planar = dims == 2
+    from_bytes = int.from_bytes
+    if isinstance(point, Rect):
+        area_lo, area_hi = point.lo, point.hi
+
+        def distance_to(coords) -> float:
+            return box_box_distance(coords[:dims], coords[dims:], area_lo, area_hi)
+
+    else:
+
+        def distance_to(coords) -> float:
+            return box_min_distance(coords[:dims], coords[dims:], point)
+
     counter = 0
     heap: list[tuple[float, int, int, int]] = []  # (dist, kind, seq, ref)
 
@@ -100,35 +145,49 @@ def incremental_nearest(
         if kind == _KIND_OBJECT:
             yield ref, distance
             continue
-        node = tree.load_node(ref)
+        level, sig_len, entries = tree.read_entries(ref)
         span = qtrace.current_span()
         if span is not None:
             span.event(
                 qtrace.EVT_NODE_READ,
                 node=ref,
-                level=node.level,
-                entries=len(node.entries),
+                level=level,
+                entries=len(entries),
                 distance=distance,
             )
-        child_kind = _KIND_OBJECT if node.is_leaf else _KIND_NODE
-        for entry in node.entries:
-            if entry_filter is not None and not entry_filter(entry, node):
+        child_kind = _KIND_OBJECT if level == 0 else _KIND_NODE
+        mask = 0
+        if query_mask is not None and entries:
+            query = query_mask(level)
+            if query.length_bits != sig_len * 8:
+                raise SignatureLengthError(sig_len * 8, query.length_bits)
+            mask = query.bits
+        for child_ref, coords, sig in entries:
+            if (
+                coords[0] > coords[2] or coords[1] > coords[3]
+                if planar
+                else any(map(gt, coords[:dims], coords[dims:]))
+            ):
+                raise ValueError(
+                    f"inverted rectangle: lo={coords[:dims]}, hi={coords[dims:]}"
+                )
+            if mask and from_bytes(sig, "little") & mask != mask:
                 if trace is not None:
                     trace.record(
                         "prune",
-                        "object" if node.is_leaf else "node",
-                        entry.child_ref,
-                        target_min_distance(entry.rect, point),
+                        "object" if level == 0 else "node",
+                        child_ref,
+                        distance_to(coords),
                     )
                 if span is not None:
                     span.event(
                         qtrace.EVT_SIG_PRUNE,
-                        level=node.level,
-                        entry=entry.child_ref,
-                        kind="object" if node.is_leaf else "node",
+                        level=level,
+                        entry=child_ref,
+                        kind="object" if level == 0 else "node",
                     )
                 continue
-            push(target_min_distance(entry.rect, point), child_kind, entry.child_ref)
+            push(distance_to(coords), child_kind, child_ref)
 
 
 def k_nearest(

@@ -71,16 +71,13 @@ class Node:
         return Rect.union_all(entry.rect for entry in self.entries)
 
     def or_signature(self) -> bytes:
-        """Byte-wise OR (superimposition) of all entry signatures."""
+        """Bitwise OR (superimposition) of all entry signatures."""
         if not self.entries:
             return b""
-        width = len(self.entries[0].signature)
-        acc = bytearray(width)
+        acc = 0
         for entry in self.entries:
-            sig = entry.signature
-            for i in range(width):
-                acc[i] |= sig[i]
-        return bytes(acc)
+            acc |= int.from_bytes(entry.signature, "little")
+        return acc.to_bytes(len(self.entries[0].signature), "little")
 
 
 class SignatureScheme:
@@ -165,16 +162,30 @@ class RTree:
 
     # ------------------------------------------------------------------ I/O --
 
-    def load_node(self, node_id: int) -> Node:
-        """The paper's ``LoadNode``: read and decode one node (counted I/O)."""
+    def read_entries(
+        self, node_id: int
+    ) -> tuple[int, int, list[tuple[int, tuple[float, ...], bytes]]]:
+        """Read one node (counted I/O) as raw decoded entry tuples.
+
+        Returns ``(level, sig_len, entries)`` with each entry a
+        ``(child_ref, mbr_coords, signature_bytes)`` tuple straight from
+        :func:`~repro.storage.serialization.decode_node`.  The query
+        traversal works on these directly and builds no :class:`Entry`
+        or :class:`Rect` per entry; :meth:`load_node` wraps them.
+        """
         image = self.pages.read(node_id)
-        decoded_id, level, is_leaf, _sig_len, raw_entries = decode_node(
+        decoded_id, level, _is_leaf, sig_len, raw_entries = decode_node(
             image, self.dims
         )
         if decoded_id != node_id:
             raise TreeInvariantError(
                 f"node id mismatch: asked {node_id}, image says {decoded_id}"
             )
+        return level, sig_len, raw_entries
+
+    def load_node(self, node_id: int) -> Node:
+        """The paper's ``LoadNode``: read and decode one node (counted I/O)."""
+        level, _sig_len, raw_entries = self.read_entries(node_id)
         entries = [
             Entry(ref, Rect.from_coords(coords), sig)
             for ref, coords, sig in raw_entries

@@ -100,7 +100,7 @@ def collecting_io() -> Iterator["IOStats"]:
                 break
 
 
-@dataclass
+@dataclass(slots=True)
 class AccessCounts:
     """Read/write counters for one access pattern (random or sequential)."""
 
@@ -117,7 +117,7 @@ class AccessCounts:
         return AccessCounts(self.reads, self.writes)
 
 
-@dataclass
+@dataclass(slots=True)
 class IOStats:
     """Running disk-access statistics for one block device.
 

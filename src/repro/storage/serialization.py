@@ -31,6 +31,7 @@ holds ``(4096 - 16) // 36 == 113`` entries — exactly the paper's figure.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 from repro.errors import SerializationError
 
@@ -153,15 +154,14 @@ def decode_node(
         raise SerializationError(
             f"node image truncated: need {needed} bytes, have {len(data)}"
         )
-    coord_struct = struct.Struct(f"<{2 * dims}d")
-    entries: list[tuple[int, tuple[float, ...], bytes]] = []
-    offset = HEADER_SIZE
-    for _ in range(count):
-        (child_ref,) = struct.unpack_from("<I", data, offset)
-        offset += _REF_SIZE
-        mbr = coord_struct.unpack_from(data, offset)
-        offset += coord_struct.size
-        sig = bytes(data[offset : offset + sig_len])
-        offset += sig_len
-        entries.append((child_ref, mbr, sig))
+    records = _entry_struct(dims, sig_len).iter_unpack(
+        memoryview(data)[HEADER_SIZE:needed]
+    )
+    entries = [(rec[0], rec[1:-1], rec[-1]) for rec in records]
     return node_id, level, is_leaf, sig_len, entries
+
+
+@lru_cache(maxsize=64)
+def _entry_struct(dims: int, sig_len: int) -> struct.Struct:
+    """One entry record: child ref, ``2*dims`` coordinates, signature."""
+    return struct.Struct(f"<I{2 * dims}d{sig_len}s")

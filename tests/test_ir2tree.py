@@ -28,6 +28,11 @@ def docs(n, vocab=40, words=6, seed=0):
     return out
 
 
+def covers(signature: bytes, query) -> bool:
+    """Figure 8's "s matches w" as the traversal runs it: one integer AND."""
+    return int.from_bytes(signature, "little") & query.bits == query.bits
+
+
 def signature_invariant(tree):
     """Every parent entry's signature covers its child's superimposition.
 
@@ -120,29 +125,29 @@ class TestQueryHelpers:
         assert combined.matches(tree.factory.for_word("pool"))
         assert combined.matches(tree.factory.for_word("spa"))
 
-    def test_signature_matcher_accepts_matching_entry(self):
+    def test_query_mask_accepts_matching_entry(self):
         tree = make_tree()
         tree.insert_object(0, (0.0, 0.0), {"pool", "spa"})
         entry = next(tree.iter_leaf_entries())
-        node = tree._load_uncounted(tree.root_id)
-        matcher = tree.signature_matcher(["pool"])
-        assert matcher(entry, node) is True
+        query = tree.query_mask(["pool"])(0)
+        assert query == tree.query_signature(["pool"])
+        assert covers(entry.signature, query)
 
-    def test_signature_matcher_never_false_negative(self):
+    def test_query_mask_never_false_negative(self):
         tree = make_tree()
         items = docs(25, seed=9)
         for oid, point, terms in items:
             tree.insert_object(oid, point, terms)
         # For each object, a query on its own terms must match all the way
-        # down (checked indirectly: matcher accepts the leaf entry).
+        # down (checked indirectly: the mask covers the leaf entry).
         leaf_entries = {e.child_ref: e for e in tree.iter_leaf_entries()}
         for oid, _, terms in items:
-            matcher = tree.signature_matcher(sorted(terms))
+            mask = tree.query_mask(sorted(terms))
             for node in tree.iter_nodes():
                 if node.is_leaf and any(
                     e.child_ref == oid for e in node.entries
                 ):
-                    assert matcher(leaf_entries[oid], node)
+                    assert covers(leaf_entries[oid].signature, mask(node.level))
 
     def test_matched_terms_subset_of_query(self):
         tree = make_tree()

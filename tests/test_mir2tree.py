@@ -140,11 +140,11 @@ class TestMaintenanceCost:
 
 
 class TestQueryHelpers:
-    def test_matcher_uses_level_specific_signatures(self):
+    def test_query_mask_uses_level_specific_signatures(self):
         corpus = make_corpus(60, seed=7)
         tree = make_tree(corpus)
         fill(tree, corpus)
-        matcher = tree.signature_matcher(["w1"])
+        mask = tree.query_mask(["w1"])
         # Must accept, at every level, entries over subtrees containing w1.
         for node in tree.iter_nodes():
             if node.is_leaf:
@@ -156,7 +156,10 @@ class TestQueryHelpers:
                     for p in MIR2Scheme.subtree_object_pointers(tree, child)
                 )
                 if has_w1:
-                    assert matcher(entry, node)
+                    query = mask(node.level)
+                    assert query.length_bits == 8 * len(entry.signature)
+                    bits = int.from_bytes(entry.signature, "little")
+                    assert bits & query.bits == query.bits
 
     def test_matched_terms_per_level(self):
         corpus = make_corpus(30, seed=8)

@@ -7,6 +7,7 @@ import random
 
 import pytest
 
+from repro.core import IR2Tree
 from repro.spatial import (
     NNTrace,
     Rect,
@@ -16,6 +17,7 @@ from repro.spatial import (
     k_nearest,
 )
 from repro.storage import InMemoryBlockDevice, PageStore
+from repro.text import ExactSignatureFactory
 
 
 def build_tree(points, capacity=4):
@@ -60,14 +62,17 @@ class TestIncrementalNearest:
         assert first is not None
         assert stats.total_reads < tree.node_count()
 
-    def test_entry_filter_prunes(self):
-        points = [(float(i), 0.0) for i in range(20)]
-        tree = build_tree(points)
-        # Filter out even object pointers at the leaf level.
-        def only_odd(entry, node):
-            return not node.is_leaf or entry.child_ref % 2 == 1
-
-        refs = [ref for ref, _ in incremental_nearest(tree, (0.0, 0.0), only_odd)]
+    def test_query_mask_prunes(self):
+        tree = IR2Tree(
+            PageStore(InMemoryBlockDevice()),
+            ExactSignatureFactory(["even", "odd"]),
+            capacity=4,
+        )
+        for i in range(20):
+            tree.insert_object(i, (float(i), 0.0), {"odd" if i % 2 else "even"})
+        # The "odd" query mask prunes every even object pointer.
+        mask = tree.query_mask(["odd"])
+        refs = [ref for ref, _ in incremental_nearest(tree, (0.0, 0.0), mask)]
         assert refs and all(ref % 2 == 1 for ref in refs)
 
     def test_empty_tree_yields_nothing(self):

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import pytest
 
 from repro.errors import ObjectNotFoundError, SerializationError
 from repro.model import SpatialObject
 from repro.storage import InMemoryBlockDevice, ObjectStore
+from repro.storage import objectstore
 from repro.storage.objectstore import decode_row, encode_row
 
 
@@ -129,3 +133,78 @@ class TestDeleteAndIteration:
         store.append(_obj(1))
         assert store.size_bytes > 0
         assert store.size_mb == pytest.approx(store.size_bytes / (1024 * 1024))
+
+
+class TestRowIntern:
+    def test_repeat_loads_share_one_object_and_count_every_load(self, store):
+        pointer = store.append(_obj(4))
+        store.device.stats.reset()
+        first = store.load(pointer)
+        second = store.load(pointer)
+        assert second is first
+        stats = store.device.stats
+        assert stats.objects_loaded == 2
+        assert stats.total_reads == 2 * store.blocks_for(pointer)
+
+    def test_changed_row_bytes_decode_afresh(self, store):
+        pointer = store.append(_obj(4, text="pool spa"))
+        assert store.load(pointer).text == "pool spa"
+        block_id = pointer // store.device.block_size
+        block = bytearray(store.device._read_raw(block_id))
+        at = block.find(b"pool")
+        block[at : at + 4] = b"golf"
+        store.device.write_block(block_id, bytes(block))
+        assert store.load(pointer).text == "golf spa"
+        # A flipped bit that breaks the row still fails to decode.
+        block[0:1] = b"x"
+        store.device.write_block(block_id, bytes(block))
+        with pytest.raises(SerializationError):
+            store.load(pointer)
+
+    def test_deleted_object_still_fails_after_a_cached_load(self, store):
+        pointer = store.append(_obj(3))
+        store.load(pointer)
+        store.delete(3)
+        with pytest.raises(ObjectNotFoundError):
+            store.load(pointer)
+
+    def test_bounded_and_counts_drops(self, store, monkeypatch):
+        monkeypatch.setattr(objectstore, "INTERN_CAPACITY", 2)
+        pointers = [store.append(_obj(oid)) for oid in range(5)]
+        for pointer in pointers:
+            store.load(pointer)
+        assert len(store.intern._rows) == 2
+        assert store.intern.dropped == 3
+        assert store.load(pointers[-1]) is store.load(pointers[-1])
+
+    def test_concurrent_loads_count_every_drop(self, store, monkeypatch):
+        """Racing loads neither lose a drop nor hand out a wrong object."""
+        monkeypatch.setattr(objectstore, "INTERN_CAPACITY", 4)
+        objects = [_obj(oid, text=f"doc {oid}") for oid in range(16)]
+        pointers = [store.append(obj) for obj in objects]
+        returned: list[list[SpatialObject]] = [[] for _ in range(8)]
+
+        def worker(slot: int) -> None:
+            for round_ in range(40):
+                for i in range(len(pointers)):
+                    j = (i * (slot + 1) + round_) % len(pointers)
+                    returned[slot].append(store.load(pointers[j]))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(s,)) for s in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        loaded = [obj for batch in returned for obj in batch]
+        assert len(loaded) == 8 * 40 * len(pointers)
+        assert all(obj == objects[obj.oid] for obj in loaded)
+        # Every decoded object that entered the map is still in it or was
+        # dropped exactly once.
+        distinct = {id(obj) for obj in loaded}
+        assert len(distinct) == len(store.intern._rows) + store.intern.dropped

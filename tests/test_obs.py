@@ -271,6 +271,40 @@ class TestExporters:
         assert any(n.startswith("storage.shard1.") for n in gauges)
         engine.close()
 
+    def test_export_object_intern_drops_follow_copies(self, monkeypatch):
+        from repro.persist import copy_built_engine
+        from repro.storage import objectstore
+
+        monkeypatch.setattr(objectstore, "INTERN_CAPACITY", 2)
+        registry = MetricsRegistry()
+        engine = SpatialKeywordEngine(index="ir2")
+        engine.add_all(small_objects())
+        engine.build()
+        engine.query((0.0, 0.0), ["cafe"], k=5)
+        dropped = engine.corpus.store.intern.dropped
+        assert dropped > 0
+        export_engine(registry, engine)
+        counters = registry.snapshot()["counters"]
+        assert counters["storage.object_intern.dropped"] == dropped
+        # Copies (incremental merges) and rebuilds (full merges) keep the
+        # map, so its drop count, and the counter, only grow.
+        for clone in (copy_built_engine(engine), engine.clone_empty()):
+            assert clone.corpus.store.intern is engine.corpus.store.intern
+        copy = copy_built_engine(engine)
+        copy.query((5.0, 4.0), ["cafe"], k=5)
+        export_engine(registry, copy)
+        counters = registry.snapshot()["counters"]
+        assert counters["storage.object_intern.dropped"] == copy.corpus.store.intern.dropped
+        assert copy.corpus.store.intern.dropped > dropped
+
+    def test_sharded_rebuild_keeps_shard_intern_maps(self):
+        engine = ShardedEngine(n_shards=2, index="ir2")
+        clone = engine.clone_empty()
+        for old, new in zip(engine.shards, clone.shards):
+            assert new.corpus.store.intern is old.corpus.store.intern
+        engine.close()
+        clone.close()
+
 
 class TestServiceIntegration:
     @pytest.fixture()
