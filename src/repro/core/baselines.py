@@ -27,6 +27,7 @@ def iio_top_k(
     index: InvertedIndex,
     store: ObjectStore,
     query: SpatialKeywordQuery,
+    exclude: frozenset[int] = frozenset(),
 ) -> SearchOutcome:
     """The paper's ``IIOTopK`` (Figure 7).
 
@@ -34,7 +35,8 @@ def iio_top_k(
     Lines 4-8: load every object in the intersection and compute its
     distance to ``Q.p``.  Lines 9-10: sort by distance, return the first
     ``Q.k``.  Every object in the intersection is charged as an
-    inspection — the algorithm cannot stop early.
+    inspection — the algorithm cannot stop early.  Objects whose oid is
+    in ``exclude`` are inspected but never enter the cut.
     """
     outcome = SearchOutcome()
     with qtrace.start_span("postings", category="phase"):
@@ -50,6 +52,8 @@ def iio_top_k(
                 span.event(
                     qtrace.EVT_OBJECT_VERIFY, oid=obj.oid, false_positive=False
                 )
+            if obj.oid in exclude:
+                continue
             distance = target_point_distance(obj.point, query.target)
             scored.append(SearchResult(obj, distance, score=-distance))
     scored.sort(key=result_sort_key)

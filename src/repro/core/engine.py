@@ -180,7 +180,11 @@ class SpatialKeywordEngine:
     # -- Queries ------------------------------------------------------------------
 
     def search(
-        self, query: SpatialKeywordQuery, *, vocabulary=None
+        self,
+        query: SpatialKeywordQuery,
+        *,
+        vocabulary=None,
+        exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
         """Unified entry point: execute any :class:`SpatialKeywordQuery`.
 
@@ -195,9 +199,21 @@ class SpatialKeywordEngine:
         uses (the snapshot layer passes a version-wide vocabulary so
         buffered overlays score exactly); ignored by distance-first
         queries, which never consult idf values.
+
+        ``exclude`` names oids the answer must skip: every top-k cut
+        drops them before they count toward ``k``, so the result is the
+        top ``k`` among the other objects.  The snapshot layer passes the
+        oids its overlay masks; an excluded object the algorithm reaches
+        is still loaded and counted as inspected.
         """
         if query.ranking is not None:
-            return self._search_ranked(query, vocabulary=vocabulary)
+            return self._search_ranked(
+                query, vocabulary=vocabulary, exclude=exclude
+            )
+        if exclude:
+            return self.index.execute(query, exclude=exclude)
+        # Only a dirty snapshot excludes; every other search keeps the
+        # plain one-argument ``execute`` call.
         return self.index.execute(query)
 
     def search_many(
@@ -322,6 +338,7 @@ class SpatialKeywordEngine:
         query: SpatialKeywordQuery,
         prune_zero_ir: bool = True,
         vocabulary=None,
+        exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
         """Ranked dispatch shared by :meth:`search` and :meth:`query_ranked`."""
         execute_ranked = getattr(self.index, "execute_ranked", None)
@@ -336,7 +353,8 @@ class SpatialKeywordEngine:
         elif not isinstance(ranking, (DistanceDecayRanking, LinearRanking)):
             validate_monotonicity(ranking)
         return execute_ranked(
-            query, ranking, prune_zero_ir=prune_zero_ir, vocabulary=vocabulary
+            query, ranking, prune_zero_ir=prune_zero_ir, vocabulary=vocabulary,
+            exclude=exclude,
         )
 
     def _default_half_distance(self) -> float:

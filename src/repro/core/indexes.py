@@ -11,7 +11,7 @@ engine facade talk only to this interface.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.baselines import iio_top_k
 from repro.core.builder import BulkItem, bulk_load, insert_build
@@ -30,7 +30,7 @@ from repro.core.search import (
 )
 from repro.core.search_general import ranked_top_k
 from repro.errors import IndexError_, QueryError
-from repro.model import SearchResult, SpatialObject
+from repro.model import SearchResult, SpatialObject, result_sort_key
 from repro.obs import trace as qtrace
 from repro.plan import PlannerStatistics, QueryPlanner
 from repro.plan.cost import (
@@ -39,7 +39,7 @@ from repro.plan.cost import (
     estimate_signature_scan,
     estimate_tree,
 )
-from repro.spatial.geometry import Rect
+from repro.spatial.geometry import Rect, target_point_distance
 from repro.spatial.rtree import RTree
 from repro.storage.block import BlockDevice, InMemoryBlockDevice
 from repro.storage.iostats import collecting_io
@@ -136,10 +136,20 @@ class SpatialKeywordIndex:
 
     # -- Execution ------------------------------------------------------------------
 
-    def execute(self, query: SpatialKeywordQuery) -> QueryExecution:
-        """Run a distance-first query with full I/O accounting."""
+    def execute(
+        self, query: SpatialKeywordQuery, *, exclude: frozenset[int] = frozenset()
+    ) -> QueryExecution:
+        """Run a distance-first query with full I/O accounting.
+
+        Objects whose oid is in ``exclude`` never enter the top-k cut:
+        the answer is the ``k`` nearest matches *outside* the set.  They
+        are still loaded when the algorithm reaches them, so their reads
+        and inspections stay counted.
+        """
         self.require_built()
-        return self._measured(query, lambda: self._run(query), self.label)
+        return self._measured(
+            query, lambda: self._run(query, exclude), self.label
+        )
 
     def _measured(
         self,
@@ -184,7 +194,9 @@ class SpatialKeywordIndex:
     def _devices(self) -> list[BlockDevice]:
         return [self.device, self.corpus.device]
 
-    def _run(self, query: SpatialKeywordQuery) -> SearchOutcome:
+    def _run(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> SearchOutcome:
         raise NotImplementedError
 
     # -- Maintenance -------------------------------------------------------------------
@@ -285,6 +297,14 @@ class _TreeIndex(SpatialKeywordIndex):
 class _RankedTreeIndex(_TreeIndex):
     """Signature-bearing trees additionally support ranked queries (§V.C)."""
 
+    def _run(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> SearchOutcome:
+        return ir2_top_k(
+            self.tree, self.corpus.store, self.corpus.analyzer, query,
+            exclude=exclude,
+        )
+
     def estimate_cost(
         self, query: SpatialKeywordQuery, stats: PlannerStatistics
     ) -> CostEstimate | None:
@@ -297,6 +317,7 @@ class _RankedTreeIndex(_TreeIndex):
         ranking: RankingCallable,
         prune_zero_ir: bool = True,
         vocabulary=None,
+        exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
         """General ranked top-k with I/O accounting.
 
@@ -310,6 +331,7 @@ class _RankedTreeIndex(_TreeIndex):
             vocabulary: idf statistics to score against; defaults to this
                 corpus's own.  A sharded engine passes the merged global
                 vocabulary so every shard scores with corpus-wide idf.
+            exclude: oids skipped before they count toward ``k``.
         """
         self.require_built()
         return self._measured(
@@ -322,6 +344,7 @@ class _RankedTreeIndex(_TreeIndex):
                 query,
                 ranking,
                 prune_zero_ir=prune_zero_ir,
+                exclude=exclude,
             ),
             f"{self.label}-RANKED",
         )
@@ -335,8 +358,13 @@ class RTreeIndex(_TreeIndex):
     def _make_tree(self) -> RTree:
         return RTree(self.pages, dims=self.corpus.dims, capacity=self.capacity)
 
-    def _run(self, query: SpatialKeywordQuery) -> SearchOutcome:
-        return rtree_top_k(self.tree, self.corpus.store, self.corpus.analyzer, query)
+    def _run(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> SearchOutcome:
+        return rtree_top_k(
+            self.tree, self.corpus.store, self.corpus.analyzer, query,
+            exclude=exclude,
+        )
 
     def result_stream(
         self,
@@ -371,9 +399,6 @@ class IR2Index(_RankedTreeIndex):
         return IR2Tree(
             self.pages, self.factory, dims=self.corpus.dims, capacity=self.capacity
         )
-
-    def _run(self, query: SpatialKeywordQuery) -> SearchOutcome:
-        return ir2_top_k(self.tree, self.corpus.store, self.corpus.analyzer, query)
 
     def _query_false_positive_rate(self, n_terms: int, stats) -> float:
         return false_positive_rate_for_query(
@@ -429,9 +454,6 @@ class MIR2Index(_RankedTreeIndex):
             seed=self.seed,
         )
 
-    def _run(self, query: SpatialKeywordQuery) -> SearchOutcome:
-        return ir2_top_k(self.tree, self.corpus.store, self.corpus.analyzer, query)
-
     def _query_false_positive_rate(self, n_terms: int, stats) -> float:
         return false_positive_rate_for_query(
             self.leaf_signature_bytes * 8,
@@ -468,8 +490,10 @@ class IIOIndex(SpatialKeywordIndex):
         )
         self.index.build(documents)
 
-    def _run(self, query: SpatialKeywordQuery) -> SearchOutcome:
-        return iio_top_k(self.index, self.corpus.store, query)
+    def _run(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> SearchOutcome:
+        return iio_top_k(self.index, self.corpus.store, query, exclude)
 
     def estimate_cost(
         self, query: SpatialKeywordQuery, stats: PlannerStatistics
@@ -493,6 +517,49 @@ class IIOIndex(SpatialKeywordIndex):
     @property
     def size_mb(self) -> float:
         return self.index.size_mb
+
+
+def _signature_scan_top_k(
+    corpus: Corpus,
+    candidates: Callable[[Sequence[str]], Iterable[int]],
+    query: SpatialKeywordQuery,
+    exclude: frozenset[int],
+) -> SearchOutcome:
+    """Candidate-then-verify top-k of the signature scan baselines.
+
+    ``candidates`` maps the query keywords to object pointers whose
+    signatures match (SIG's file scan, the S-Tree's descent).  Every
+    candidate is loaded and checked against the actual keywords; true
+    matches outside ``exclude`` are sorted by ``(distance, oid)`` and
+    cut at ``Q.k``.
+    """
+    outcome = SearchOutcome()
+    analyzer = corpus.analyzer
+    terms = analyzer.query_terms(query.keywords)
+    with qtrace.start_span("signature-scan", category="phase"):
+        pointers = candidates(query.keywords)
+    scored: list[SearchResult] = []
+    with qtrace.start_span("verify", category="phase") as span:
+        for pointer in pointers:
+            obj = corpus.store.load(pointer)
+            outcome.counters.objects_inspected += 1
+            ok = analyzer.contains_all(obj.text, terms)
+            if span is not None:
+                span.event(
+                    qtrace.EVT_OBJECT_VERIFY,
+                    oid=obj.oid,
+                    false_positive=not ok,
+                )
+            if not ok:
+                outcome.counters.false_positives += 1
+                continue
+            if obj.oid in exclude:
+                continue
+            distance = target_point_distance(obj.point, query.target)
+            scored.append(SearchResult(obj, distance, score=-distance))
+    scored.sort(key=result_sort_key)
+    outcome.results = scored[: query.k]
+    return outcome
 
 
 class SignatureFileIndex(SpatialKeywordIndex):
@@ -528,35 +595,12 @@ class SignatureFileIndex(SpatialKeywordIndex):
             (pointer, obj.text) for pointer, obj in self.corpus.iter_items()
         )
 
-    def _run(self, query: SpatialKeywordQuery) -> SearchOutcome:
-        from repro.core.search import SearchOutcome as Outcome
-        from repro.model import SearchResult
-        from repro.spatial.geometry import target_point_distance
-
-        outcome = Outcome()
-        terms = self.corpus.analyzer.query_terms(query.keywords)
-        with qtrace.start_span("signature-scan", category="phase"):
-            candidates = self.sigfile.candidates(query.keywords)
-        scored: list[SearchResult] = []
-        with qtrace.start_span("verify", category="phase") as span:
-            for pointer in candidates:
-                obj = self.corpus.store.load(pointer)
-                outcome.counters.objects_inspected += 1
-                ok = self.corpus.analyzer.contains_all(obj.text, terms)
-                if span is not None:
-                    span.event(
-                        qtrace.EVT_OBJECT_VERIFY,
-                        oid=obj.oid,
-                        false_positive=not ok,
-                    )
-                if not ok:
-                    outcome.counters.false_positives += 1
-                    continue
-                distance = target_point_distance(obj.point, query.target)
-                scored.append(SearchResult(obj, distance, score=-distance))
-        scored.sort(key=lambda r: (r.distance, r.obj.oid))
-        outcome.results = scored[: query.k]
-        return outcome
+    def _run(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> SearchOutcome:
+        return _signature_scan_top_k(
+            self.corpus, self.sigfile.candidates, query, exclude
+        )
 
     def estimate_cost(
         self, query: SpatialKeywordQuery, stats: PlannerStatistics
@@ -620,34 +664,12 @@ class STreeIndex(SpatialKeywordIndex):
         for pointer, obj in self.corpus.iter_items():
             self.stree.insert(pointer, obj.text)
 
-    def _run(self, query: SpatialKeywordQuery) -> SearchOutcome:
-        from repro.model import SearchResult
-        from repro.spatial.geometry import target_point_distance
-
-        outcome = SearchOutcome()
-        terms = self.corpus.analyzer.query_terms(query.keywords)
-        with qtrace.start_span("signature-scan", category="phase"):
-            candidates = self.stree.candidates(query.keywords)
-        scored: list[SearchResult] = []
-        with qtrace.start_span("verify", category="phase") as span:
-            for pointer in candidates:
-                obj = self.corpus.store.load(pointer)
-                outcome.counters.objects_inspected += 1
-                ok = self.corpus.analyzer.contains_all(obj.text, terms)
-                if span is not None:
-                    span.event(
-                        qtrace.EVT_OBJECT_VERIFY,
-                        oid=obj.oid,
-                        false_positive=not ok,
-                    )
-                if not ok:
-                    outcome.counters.false_positives += 1
-                    continue
-                distance = target_point_distance(obj.point, query.target)
-                scored.append(SearchResult(obj, distance, score=-distance))
-        scored.sort(key=lambda r: (r.distance, r.obj.oid))
-        outcome.results = scored[: query.k]
-        return outcome
+    def _run(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> SearchOutcome:
+        return _signature_scan_top_k(
+            self.corpus, self.stree.candidates, query, exclude
+        )
 
     def insert_object(self, pointer: int, obj: SpatialObject) -> None:
         self.require_built()
@@ -782,11 +804,13 @@ class AutoIndex(SpatialKeywordIndex):
 
     # -- Execution --------------------------------------------------------------
 
-    def execute(self, query: SpatialKeywordQuery) -> QueryExecution:
+    def execute(
+        self, query: SpatialKeywordQuery, *, exclude: frozenset[int] = frozenset()
+    ) -> QueryExecution:
         self.require_built()
         decision = self._plan(query)
         child = self.children[decision.strategy]
-        return self._finalize(decision, child.execute(query))
+        return self._finalize(decision, child.execute(query, exclude=exclude))
 
     def execute_ranked(
         self,
@@ -794,6 +818,7 @@ class AutoIndex(SpatialKeywordIndex):
         ranking: RankingCallable,
         prune_zero_ir: bool = True,
         vocabulary=None,
+        exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
         """Route a ranked query among the ranked-capable candidates."""
         self.require_built()
@@ -801,7 +826,8 @@ class AutoIndex(SpatialKeywordIndex):
         decision = self._plan(planned)
         child = self.children[decision.strategy]
         execution = child.execute_ranked(
-            query, ranking, prune_zero_ir=prune_zero_ir, vocabulary=vocabulary
+            query, ranking, prune_zero_ir=prune_zero_ir, vocabulary=vocabulary,
+            exclude=exclude,
         )
         return self._finalize(decision, execution)
 

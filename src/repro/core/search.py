@@ -85,7 +85,9 @@ def ir2_top_k_iter(
 
 
 def drain_top_k(
-    iterator: Iterator[SearchResult], k: int
+    iterator: Iterator[SearchResult],
+    k: int,
+    exclude: frozenset[int] = frozenset(),
 ) -> list[SearchResult]:
     """Top ``k`` of a non-decreasing distance stream, ties cut by oid.
 
@@ -97,10 +99,18 @@ def drain_top_k(
     the brute-force oracle's order, and the order
     :class:`repro.shard.merge.TopKMerger` guarantees — so single,
     sharded, and oracle answers are byte-identical.
+
+    Results whose oid is in ``exclude`` are dropped as they arrive,
+    before they count toward ``k``: the stream is pulled until ``k``
+    *live* results (plus their tie group) are in hand.  A snapshot
+    version passes the oids its overlay masks; a dropped object was
+    still loaded and verified, so it stays counted as inspected.
     """
     results: list[SearchResult] = []
     kth = 0.0
     for result in iterator:
+        if result.obj.oid in exclude:
+            continue
         if len(results) < k:
             results.append(result)
             kth = result.distance  # stream is non-decreasing
@@ -118,6 +128,7 @@ def ir2_top_k(
     analyzer: Analyzer,
     query: SpatialKeywordQuery,
     trace: NNTrace | None = None,
+    exclude: frozenset[int] = frozenset(),
 ) -> SearchOutcome:
     """The paper's ``IR2TopK``: top ``Q.k`` distance-first answers."""
     outcome = SearchOutcome()
@@ -125,7 +136,7 @@ def ir2_top_k(
         tree, store, analyzer, query, counters=outcome.counters, trace=trace
     )
     with qtrace.start_span("traverse", category="phase"):
-        outcome.results = drain_top_k(iterator, query.k)
+        outcome.results = drain_top_k(iterator, query.k, exclude)
     return outcome
 
 
@@ -165,6 +176,7 @@ def rtree_top_k(
     store: ObjectStore,
     analyzer: Analyzer,
     query: SpatialKeywordQuery,
+    exclude: frozenset[int] = frozenset(),
 ) -> SearchOutcome:
     """R-Tree baseline: top ``Q.k`` answers via fetch-and-filter NN."""
     outcome = SearchOutcome()
@@ -172,7 +184,7 @@ def rtree_top_k(
         tree, store, analyzer, query, counters=outcome.counters
     )
     with qtrace.start_span("traverse", category="phase"):
-        outcome.results = drain_top_k(iterator, query.k)
+        outcome.results = drain_top_k(iterator, query.k, exclude)
     return outcome
 
 

@@ -150,8 +150,14 @@ def ranked_top_k(
     query: SpatialKeywordQuery,
     ranking: RankingCallable,
     prune_zero_ir: bool = True,
+    exclude: frozenset[int] = frozenset(),
 ) -> SearchOutcome:
-    """Top ``Q.k`` answers under the combined ranking function."""
+    """Top ``Q.k`` answers under the combined ranking function.
+
+    Results whose oid is in ``exclude`` are skipped before they count
+    toward ``Q.k`` (they were still loaded and scored, and stay counted
+    as inspected).
+    """
     outcome = SearchOutcome()
     iterator = ranked_top_k_iter(
         tree,
@@ -165,6 +171,8 @@ def ranked_top_k(
     )
     with qtrace.start_span("ranked-traverse", category="phase"):
         for result in iterator:
+            if result.obj.oid in exclude:
+                continue
             outcome.results.append(result)
             if len(outcome.results) >= query.k:
                 break

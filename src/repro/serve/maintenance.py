@@ -10,8 +10,8 @@ applied to the paper's structures:
   with one attribute read and never block on writers;
 * ``add``/``delete`` append to a log-structured :class:`WriteBuffer`
   and atomically publish a new version (the overlay is consulted at
-  query time: buffered inserts are merged into the top-k, deleted oids
-  are masked out of the base answer);
+  query time: the base search skips masked oids inside its own top-k
+  cut, and buffered inserts are merged into the answer);
 * when the buffer reaches ``merge_threshold``, a background merge folds
   it into a *fresh* base engine (copy-on-write: the old base is never
   mutated after publication, so in-flight readers stay on a consistent
@@ -42,7 +42,11 @@ from repro.errors import QueryError, VersionRetiredError
 from repro.model import SearchResult, SpatialObject, result_sort_key
 from repro.obs import MetricsRegistry
 from repro.spatial.geometry import target_point_distance
+from repro.text.analyzer import Analyzer
 from repro.text.irmodel import ir_score
+
+#: Tokenizes a buffered insert when the caller supplies no term set.
+_DEFAULT_ANALYZER = Analyzer()
 
 
 #: A frozen buffer at most this fraction of the base's live objects is
@@ -68,13 +72,17 @@ class WriteBuffer:
     is ``(base - deleted - inserts.keys()) + inserts.values()``: the
     masked set is ``deleted | inserts.keys()`` (a re-inserted oid masks
     the base's stale copy), and the buffered inserts are the overlay's
-    own contribution.  Mutated only under the maintainer's mutex.
+    own contribution.  Each insert's term set is kept beside it in
+    ``terms``: tokenized once when the write is buffered, it is what
+    every overlay read tests the query keywords against.  Mutated only
+    under the maintainer's mutex.
     """
 
-    __slots__ = ("inserts", "deleted")
+    __slots__ = ("inserts", "terms", "deleted")
 
     def __init__(self) -> None:
         self.inserts: dict[int, SpatialObject] = {}
+        self.terms: dict[int, frozenset[str]] = {}
         self.deleted: set[int] = set()
 
     @property
@@ -82,26 +90,38 @@ class WriteBuffer:
         """Buffered operations pending a merge."""
         return len(self.inserts) + len(self.deleted)
 
-    def record_insert(self, obj: SpatialObject) -> None:
+    def record_insert(
+        self, obj: SpatialObject, terms: frozenset[str] | None = None
+    ) -> None:
+        """Buffer ``obj`` with its term set (the serving analyzer's).
+
+        ``terms`` defaults to the default :class:`Analyzer`'s terms of
+        ``obj.text``; the maintainer always passes its engine's own.
+        """
         # A previously-buffered delete of the same oid stays in
         # ``deleted``: it still has to mask any base/frozen copy, and
         # the re-inserted object wins because ``inserts`` is consulted
         # first everywhere.
+        if terms is None:
+            terms = frozenset(_DEFAULT_ANALYZER.terms(obj.text))
         self.inserts[obj.oid] = obj
+        self.terms[obj.oid] = terms
 
     def record_delete(self, oid: int) -> None:
         self.inserts.pop(oid, None)
+        self.terms.pop(oid, None)
         self.deleted.add(oid)
 
     def composed_with(self, later: "WriteBuffer") -> "WriteBuffer":
         """Flatten ``self`` then ``later`` into one equivalent buffer."""
         merged = WriteBuffer()
         merged.inserts = dict(self.inserts)
+        merged.terms = dict(self.terms)
         merged.deleted = set(self.deleted)
         for oid in later.deleted:
             merged.record_delete(oid)
-        for obj in later.inserts.values():
-            merged.record_insert(obj)
+        for oid, obj in later.inserts.items():
+            merged.record_insert(obj, later.terms[oid])
         return merged
 
 
@@ -117,22 +137,32 @@ class EngineVersion:
         version: monotonically increasing publication number.
         base: the built engine this version reads (single or sharded).
         inserts: buffered objects not yet folded into ``base``.
+        insert_terms: each buffered insert's term set, by oid.
         deleted: buffered deletions (oids masked out of ``base``).
+        masked: oids whose base copies must not appear in an answer —
+            ``deleted`` plus every buffered insert's oid (a re-insert
+            masks the base's stale copy).
     """
 
-    __slots__ = ("version", "base", "inserts", "deleted", "_vocabulary")
+    __slots__ = (
+        "version", "base", "inserts", "insert_terms", "deleted", "masked",
+        "_vocabulary",
+    )
 
     def __init__(
         self,
         version: int,
         base,
         inserts: dict[int, SpatialObject],
+        insert_terms: dict[int, frozenset[str]],
         deleted: frozenset[int],
     ) -> None:
         self.version = version
         self.base = base
         self.inserts = inserts
+        self.insert_terms = insert_terms
         self.deleted = deleted
+        self.masked = deleted.union(inserts)
         # Lazily computed effective vocabulary for ranked queries on a
         # dirty snapshot; the computation is deterministic, so the
         # benign unlocked double-compute race is safe.
@@ -146,11 +176,6 @@ class EngineVersion:
     @property
     def dirty(self) -> bool:
         return bool(self.inserts or self.deleted)
-
-    @property
-    def masked(self) -> set[int]:
-        """Oids whose base copies must not appear in an answer."""
-        return set(self.deleted) | set(self.inserts)
 
     def contains(self, oid: int) -> bool:
         """Whether ``oid`` is live in this version."""
@@ -180,38 +205,33 @@ class EngineVersion:
         """Answer ``query`` on this version; never blocks on writers.
 
         A clean version delegates straight to the base engine.  A dirty
-        one runs the base search with ``k`` inflated by the masked-set
-        size (masking can then never starve the answer below ``k``),
-        drops masked oids, merges the matching buffered inserts, and
-        re-cuts at ``k`` under the canonical ``(distance, oid)`` order —
-        reproducing the brute-force oracle over :meth:`objects` exactly.
-        The overlay itself costs no I/O, so the execution's per-query
-        I/O delta stays the base search's exact attribution.
+        one runs the base search with :attr:`masked` as its exclusion
+        set — every top-k cut inside the base skips a masked oid before
+        it counts toward ``k``, so the base returns the ``k`` nearest
+        *live* base objects — then merges the buffered inserts that
+        contain every query keyword and re-cuts at ``k`` under the
+        canonical ``(distance, oid)`` order.  That reproduces the
+        brute-force oracle over :meth:`objects` exactly.  The overlay
+        itself costs no I/O, so the execution's per-query I/O delta
+        stays the base search's exact attribution.
         """
         if not self.dirty:
             return self.base.search(query)
         if query.ranking is not None:
             return self._search_ranked(query)
-        masked = self.masked
-        base_execution = self.base.search(replace(query, k=query.k + len(masked)))
-        results = [
-            result
-            for result in base_execution.results
-            if result.obj.oid not in masked
-        ]
-        analyzer = self.base.analyzer
-        terms = analyzer.query_terms(query.keywords)
-        for obj in self.inserts.values():
-            if analyzer.contains_all(obj.text, terms):
-                overlay = SearchResult(
-                    obj, target_point_distance(obj.point, query.target)
-                )
-                overlay.score = -overlay.distance
-                results.append(overlay)
+        execution = self.base.search(query, exclude=self.masked)
+        needed = set(self.base.analyzer.query_terms(query.keywords))
+        overlay = []
+        for oid, terms in self.insert_terms.items():
+            if needed <= terms:
+                obj = self.inserts[oid]
+                distance = target_point_distance(obj.point, query.target)
+                overlay.append(SearchResult(obj, distance, score=-distance))
+        if not overlay:
+            return execution
+        results = execution.results + overlay
         results.sort(key=result_sort_key)
-        return replace(
-            base_execution, query=query, results=results[: query.k]
-        )
+        return replace(execution, results=results[: query.k])
 
     def _search_ranked(self, query: SpatialKeywordQuery) -> QueryExecution:
         """Ranked query on a dirty snapshot, without forcing a flush.
@@ -219,7 +239,9 @@ class EngineVersion:
         The base search runs with this version's *effective* vocabulary
         (base statistics minus masked documents plus buffered inserts) so
         every base survivor's idf — and therefore its score — is exactly
-        what a flushed engine would compute.  Buffered inserts are scored
+        what a flushed engine would compute, and with :attr:`masked` as
+        its exclusion set, so the ranked stream is pulled until ``k``
+        live base results are in hand.  Buffered inserts are scored
         through the same :func:`~repro.text.irmodel.ir_score` the index
         scorer uses, zero-IR overlays are dropped (matching the default
         ``prune_zero_ir`` semantics of the served ranked path), and the
@@ -230,15 +252,10 @@ class EngineVersion:
         analyzer = self.base.analyzer
         terms = analyzer.query_terms(query.keywords)
         vocabulary = self._effective_vocabulary()
-        masked = self.masked
-        base_execution = self.base.search(
-            replace(query, k=query.k + len(masked)), vocabulary=vocabulary
+        execution = self.base.search(
+            query, vocabulary=vocabulary, exclude=self.masked
         )
-        results = [
-            result
-            for result in base_execution.results
-            if result.obj.oid not in masked
-        ]
+        results = list(execution.results)
         for oid in sorted(self.inserts):
             obj = self.inserts[oid]
             relevance = ir_score(obj.text, terms, vocabulary, analyzer)
@@ -254,9 +271,7 @@ class EngineVersion:
                 )
             )
         results.sort(key=lambda r: (-r.score, r.distance, r.obj.oid))
-        return replace(
-            base_execution, query=query, results=results[: query.k]
-        )
+        return replace(execution, results=results[: query.k])
 
     def _effective_vocabulary(self):
         """This version's corpus statistics: base ⊖ masked ⊕ inserts.
@@ -278,9 +293,7 @@ class EngineVersion:
                 if obj is not None:
                     vocabulary.remove_document(analyzer.terms(obj.text))
             for oid in sorted(self.inserts):
-                vocabulary.add_document(
-                    analyzer.terms(self.inserts[oid].text)
-                )
+                vocabulary.add_document(self.insert_terms[oid])
             self._vocabulary = vocabulary
         return vocabulary
 
@@ -343,7 +356,7 @@ class SnapshotMaintainer:
         self._frozen: WriteBuffer | None = None
         self._merge_pending = False
         self._merge_thread: threading.Thread | None = None
-        self._current = EngineVersion(0, engine, {}, frozenset())
+        self._current = EngineVersion(0, engine, {}, {}, frozenset())
         self.version_window = version_window
         # Recently published versions, newest last (answer-at-version
         # window).  Appends happen under ``_mutex``; readers copy under
@@ -405,6 +418,7 @@ class SnapshotMaintainer:
             self._current.version + 1,
             self._base,
             dict(overlay.inserts),
+            dict(overlay.terms),
             frozenset(overlay.deleted),
         )
         self._current = version
@@ -434,7 +448,9 @@ class SnapshotMaintainer:
             else:
                 if self._current.contains(obj.oid):
                     raise QueryError(f"object id {obj.oid} already present")
-                self._active.record_insert(obj)
+                self._active.record_insert(
+                    obj, frozenset(self._base.analyzer.terms(obj.text))
+                )
                 version = self._publish_locked()
         self._publish_gauges(version)
         self._maybe_schedule_merge()

@@ -394,7 +394,11 @@ class ShardedEngine:
     # -- Queries ------------------------------------------------------------------
 
     def search(
-        self, query: SpatialKeywordQuery, *, vocabulary=None
+        self,
+        query: SpatialKeywordQuery,
+        *,
+        vocabulary=None,
+        exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
         """Unified entry point; same contract as the single engine's.
 
@@ -404,11 +408,16 @@ class ShardedEngine:
         the corpus statistics ranked scoring uses (the snapshot layer
         passes a version-wide vocabulary so dirty overlays score
         exactly); ``None`` uses the merged per-shard statistics.
+        ``exclude`` names oids every shard's top-k cut and the merge skip
+        before they count toward ``k`` (see
+        :meth:`SpatialKeywordEngine.search`).
         """
         self.require_built()
         if query.ranking is not None:
-            return self._search_ranked(query, vocabulary=vocabulary)
-        return self._scatter_gather(query)
+            return self._search_ranked(
+                query, vocabulary=vocabulary, exclude=exclude
+            )
+        return self._scatter_gather(query, exclude)
 
     def search_many(
         self, queries: Sequence[SpatialKeywordQuery]
@@ -544,7 +553,9 @@ class ShardedEngine:
             )
         return self._pool
 
-    def _scatter_gather(self, query: SpatialKeywordQuery) -> QueryExecution:
+    def _scatter_gather(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> QueryExecution:
         bounds = [
             target_min_distance(mbb, query.target) if mbb is not None else None
             for mbb in self._mbbs
@@ -652,13 +663,17 @@ class ShardedEngine:
                     # merged; TopKMerger deduplicates by oid, so a restart
                     # from the top of the stream is idempotent.
                     execution = retry_transient(
-                        lambda: self._pull_incremental(shard_id, query, merger),
+                        lambda: self._pull_incremental(
+                            shard_id, query, merger, exclude
+                        ),
                         self.retries, self.retry_backoff_s,
                         on_retry=count_retry,
                     )
                 else:
                     execution = retry_transient(
-                        lambda: self.shards[shard_id].search(query),
+                        lambda: self.shards[shard_id].search(
+                            query, exclude=exclude
+                        ),
                         self.retries, self.retry_backoff_s,
                         on_retry=count_retry,
                     )
@@ -730,9 +745,17 @@ class ShardedEngine:
         )
 
     def _pull_incremental(
-        self, shard_id: int, query: SpatialKeywordQuery, merger: TopKMerger
+        self,
+        shard_id: int,
+        query: SpatialKeywordQuery,
+        merger: TopKMerger,
+        exclude: frozenset[int],
     ) -> dict:
-        """Pull one shard's stream until it can no longer affect the top-k."""
+        """Pull one shard's stream until it can no longer affect the top-k.
+
+        Excluded results are passed over without being offered, so the
+        merge threshold only ever tightens on live results.
+        """
         counters = SearchCounters()
         offered = 0
         with collecting_io() as io:
@@ -741,6 +764,8 @@ class ShardedEngine:
             ):
                 if result.distance > merger.threshold():
                     break
+                if result.obj.oid in exclude:
+                    continue
                 merger.offer(result)
                 offered += 1
         return {"io": io, "counters": counters, "offered": offered}
@@ -750,6 +775,7 @@ class ShardedEngine:
         query: SpatialKeywordQuery,
         prune_zero_ir: bool = True,
         vocabulary=None,
+        exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
         ranking = query.ranking
         if ranking is None:
@@ -801,7 +827,7 @@ class ShardedEngine:
                     executions[shard_id] = retry_transient(
                         lambda: self.shards[shard_id].index.execute_ranked(
                             query, ranking, prune_zero_ir=prune_zero_ir,
-                            vocabulary=vocabulary,
+                            vocabulary=vocabulary, exclude=exclude,
                         ),
                         self.retries, self.retry_backoff_s,
                         on_retry=count_retry,

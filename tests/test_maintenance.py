@@ -23,9 +23,13 @@ import threading
 
 import pytest
 
+from dataclasses import replace
+
 from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import SpatialKeywordQuery
+from repro.core.ranking import LinearRanking
 from repro.core.search import brute_force_top_k
+from repro.core.search_general import brute_force_ranked
 from repro.errors import QueryError
 from repro.model import SpatialObject
 from repro.persist import load_engine
@@ -38,6 +42,7 @@ from repro.serve import (
     SnapshotMaintainer,
     WriteBuffer,
 )
+from repro.shard import ShardedEngine
 from repro.spatial.geometry import Rect
 
 TEXTS = ("cafe wifi", "cafe garden", "museum wifi", "pool garden",
@@ -55,17 +60,30 @@ def make_objects(n: int, start: int = 0) -> list[SpatialObject]:
     ]
 
 
-def built_engine(kind: str = "ir2", n: int = 24) -> SpatialKeywordEngine:
-    engine = SpatialKeywordEngine(index=kind, signature_bytes=4)
-    engine.add_all(make_objects(n))
+#: Every index kind, plus 2-shard keyword-partitioned bases over a
+#: streaming (ir2) and a non-streaming (iio) shard index.  One fan-out
+#: worker keeps the sharded I/O counts deterministic.
+ALL_KINDS = ("ir2", "rtree", "iio", "sig", "mir2", "stree", "auto",
+             "sharded", "sharded-iio")
+
+
+def built_engine(kind: str = "ir2", n: int = 24, objects=None):
+    if kind.startswith("sharded"):
+        engine = ShardedEngine(
+            n_shards=2, partitioner="keyword",
+            index=kind.partition("-")[2] or "ir2", workers=1,
+            signature_bytes=4,
+        )
+    else:
+        engine = SpatialKeywordEngine(index=kind, signature_bytes=4)
+    engine.add_all(make_objects(n) if objects is None else objects)
     engine.build()
     return engine
 
 
 def oracle_search(version: EngineVersion, engine, query):
     """Reference answer: a fresh engine built over the version's objects."""
-    analyzer = engine.corpus.analyzer
-    return brute_force_top_k(list(version.objects()), analyzer, query)
+    return brute_force_top_k(list(version.objects()), engine.analyzer, query)
 
 
 class TestWriteBuffer:
@@ -100,7 +118,7 @@ class TestWriteBuffer:
         assert flat.inserts[2] is newer
 
 
-@pytest.mark.parametrize("kind", ("ir2", "rtree", "iio", "sig"))
+@pytest.mark.parametrize("kind", ALL_KINDS)
 class TestEngineVersionSearch:
     def dirty_maintainer(self, kind):
         engine = built_engine(kind)
@@ -149,8 +167,114 @@ class TestEngineVersionSearch:
         assert (maintainer.current.search(query).oids
                 == engine.search(query).oids)
 
+    def test_search_exclude_matches_oracle(self, kind):
+        """``search(exclude=X)``: the top k among objects outside X."""
+        engine = built_engine(kind)
+        objects = make_objects(24)
+        for exclude in (frozenset({0}), frozenset({1, 2, 7, 13}),
+                        frozenset(range(0, 24, 2))):
+            for terms in (["cafe"], ["wifi"], ["garden", "pool"]):
+                query = SpatialKeywordQuery.of((2.0, 1.0), terms, 3)
+                got = engine.search(query, exclude=exclude).oids
+                want = [r.obj.oid for r in brute_force_top_k(
+                    [o for o in objects if o.oid not in exclude],
+                    engine.analyzer, query,
+                )]
+                assert list(got) == want, (exclude, terms)
+
+    def test_masked_oid_in_kth_tie_group_matches_oracle(self, kind):
+        """Masking a tie member at the k-th distance pulls in the next one."""
+        ring = [SpatialObject(oid, point, "cafe") for oid, point in enumerate(
+            ((1.0, 0.0), (0.0, 1.0), (-1.0, 0.0), (0.0, -1.0), (2.0, 0.0))
+        )]
+        others = [SpatialObject(10 + i, (float(i), 3.0), "pool garden")
+                  for i in range(4)]
+        engine = built_engine(kind, objects=ring + others)
+        maintainer = SnapshotMaintainer(engine, merge_threshold=None)
+        maintainer.delete(1)
+        maintainer.delete(0)
+        maintainer.add(SpatialObject(0, (5.0, 5.0), "cafe"))  # re-insert
+        version = maintainer.current
+        assert version.masked == frozenset({0, 1})
+        for k in (1, 2, 3, 5):
+            query = SpatialKeywordQuery.of((0.0, 0.0), ["cafe"], k)
+            got = [r.obj.oid for r in version.search(query).results]
+            want = [r.obj.oid for r in oracle_search(version, engine, query)]
+            assert got == want, k
+        query = SpatialKeywordQuery.of((0.0, 0.0), ["cafe"], 2)
+        assert version.search(query).oids == [2, 3]
+
+    def test_new_inserts_cost_the_base_nothing(self, kind):
+        """Brand-new buffered inserts never widen the base search."""
+        engine = built_engine(kind)
+        query = SpatialKeywordQuery.of((3.0, 2.0), ["cafe"], 2)
+        clean = engine.search(query)
+        maintainer = SnapshotMaintainer(engine, merge_threshold=None)
+        for obj in make_objects(6, start=100):
+            maintainer.add(obj)
+        dirty = maintainer.current.search(query)
+        assert dirty.io.random_reads == clean.io.random_reads
+        assert dirty.io.sequential_reads == clean.io.sequential_reads
+        assert dirty.io.objects_loaded == clean.io.objects_loaded
+        assert dirty.objects_inspected == clean.objects_inspected
+        want = [r.obj.oid for r in oracle_search(
+            maintainer.current, engine, query)]
+        assert list(dirty.oids) == want
+
+
+@pytest.mark.parametrize("kind", ("ir2", "mir2", "rtree", "sharded"))
+def test_masked_object_is_inspected_not_a_false_positive(kind):
+    """A masked match the stream loads is inspected, never a false positive.
+
+    With the nearest match deleted (and brand-new non-matching inserts
+    buffered), the k=3 dirty search consumes exactly the stream a clean
+    k=4 search consumes: the masked object is loaded and verified, then
+    skipped instead of counted toward k.
+    """
+    engine = built_engine(kind)
+    query = SpatialKeywordQuery.of((0.0, 0.0), ["cafe"], 3)
+    nearest = engine.search(query).oids[0]
+    wider = engine.search(replace(query, k=4))
+    maintainer = SnapshotMaintainer(engine, merge_threshold=None)
+    maintainer.delete(nearest)
+    for oid in range(500, 506):
+        maintainer.add(SpatialObject(oid, (6.0, 4.0), "museum"))
+    dirty = maintainer.current.search(query)
+    assert nearest not in dirty.oids
+    assert dirty.oids == wider.oids[1:]
+    assert dirty.objects_inspected == wider.objects_inspected
+    assert (dirty.false_positive_candidates
+            == wider.false_positive_candidates)
+    assert dirty.io.objects_loaded == wider.io.objects_loaded
+    assert dirty.io.random_reads == wider.io.random_reads
+
 
 class TestEngineVersionRanked:
+    def test_dirty_ranked_query_on_sharded_base_matches_oracle(self):
+        engine = built_engine("sharded")
+        maintainer = SnapshotMaintainer(engine, merge_threshold=None)
+        for obj in make_objects(6, start=100):
+            maintainer.add(obj)
+        for oid in (0, 5, 102):
+            maintainer.delete(oid)
+        version = maintainer.current
+        live = list(version.objects())
+        flushed = built_engine("ir2", objects=live)
+        ranking = LinearRanking(max_distance=20.0)
+        for terms in (["cafe"], ["wifi", "pool"]):
+            query = SpatialKeywordQuery.of(
+                (0.3, 0.7), terms, 4, ranking=ranking
+            )
+            everything = brute_force_ranked(
+                live, engine.analyzer, flushed.corpus.vocabulary,
+                replace(query, k=len(live)), ranking,
+            )
+            # Distinct scores at the cut make the comparison order-exact.
+            assert everything[3].score > everything[4].score
+            got = version.search(query).results
+            assert [(r.obj.oid, r.score) for r in got] == \
+                [(r.obj.oid, r.score) for r in everything[:4]]
+
     def test_dirty_ranked_query_matches_flushed_scores(self):
         """Ranked queries run on dirty snapshots without forcing a flush.
 
