@@ -81,9 +81,9 @@ from repro.shard import ShardedEngine  # noqa: E402
 
 DEFAULT_OUT = os.path.join(REPO_ROOT, "BENCH_PR10.json")
 
-#: Batch front-end configuration the batched passes use.  ``submit_many``
-#: flushes deterministically, so the window never fires in the bench.
-BATCHING = BatchConfig(window_ms=2.0, max_batch=16)
+#: Batch front-end configuration the batched passes use (``submit_many``
+#: groups, dispatched deterministically).
+BATCHING = BatchConfig(max_batch=16)
 
 #: Index kinds x shard counts the full baseline covers.  The ``ranked``
 #: workload class is measured only for kinds that can execute it.

@@ -196,9 +196,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="serve through the batch front-end: group "
                             "submissions, coalesce duplicates, and share "
                             "block reads within each group")
-    serve.add_argument("--batch-window-ms", type=float, default=2.0,
-                       help="arrival window before a batch group flushes "
-                            "(implies --batched when set)")
     serve.add_argument("--max-batch", type=int, default=16,
                        help="maximum queries per batch group")
     serve.add_argument("--merge-threshold", type=int, default=64,
@@ -457,7 +454,6 @@ def _cmd_serve(args) -> int:
         from repro.serve import BatchConfig
 
         batching = BatchConfig(
-            window_ms=args.batch_window_ms,
             max_batch=args.max_batch,
             max_pending=args.max_pending or None,
         )

@@ -143,9 +143,7 @@ def replay_query_log(
         except ReplayError:
             skipped_unreplayable += 1
 
-    batching = (
-        BatchConfig(window_ms=2.0, max_batch=max_batch) if batched else None
-    )
+    batching = BatchConfig(max_batch=max_batch) if batched else None
     mismatches: list[dict] = []
     mismatch_count = 0
     recorded_reads = 0

@@ -9,9 +9,11 @@ production wrapper the ROADMAP's north star asks for:
   buffer into a :class:`SnapshotMaintainer` write buffer and merge in
   the background;
 * :class:`BatchScheduler` / :class:`BatchConfig` — the batch front-end:
-  arrival-window grouping, duplicate coalescing, one shared-read
-  session per group, and admission control
-  (:class:`~repro.errors.ServiceOverloadError` shedding);
+  work-conserving grouping (a query is dispatched at once while a
+  worker is free; queries group only while every worker is busy),
+  duplicate coalescing, one shared-read session per group, and
+  admission control (:class:`~repro.errors.ServiceOverloadError`
+  shedding);
 * :class:`QueryResultCache` — LRU memoization of identical queries with
   explicit invalidation on every engine mutation;
 * :class:`TraceSpan` / :class:`TraceLog` — per-query tracing (queue

@@ -262,12 +262,15 @@ class QueryService:
         batching: enable the batch front-end — a
             :class:`~repro.serve.scheduler.BatchConfig` (or ``True`` for
             the defaults; ``None``/``False`` disables).  When enabled,
-            submissions are grouped by a :class:`~repro.serve.scheduler.
-            BatchScheduler` (arrival window / ``submit_many``), duplicate
-            in-flight queries coalesce onto one execution, every group
-            runs under one shared-read session (one block read serves
-            the whole group), and — when ``max_pending`` is set — excess
-            submissions shed with
+            submissions are grouped by a work-conserving
+            :class:`~repro.serve.scheduler.BatchScheduler`: a submission
+            is dispatched at once while a worker is free and waits in
+            the open group only while every worker is busy
+            (``submit_many`` batches are dispatched as given).
+            Duplicate waiting queries coalesce onto one execution,
+            every group runs under one shared-read session (one block
+            read serves the whole group), and — when ``max_pending`` is
+            set — excess submissions shed with
             :class:`~repro.errors.ServiceOverloadError`.
         merge_threshold: buffered writes that trigger a background merge
             (``None`` disables automatic merging; :meth:`build` and
@@ -361,7 +364,7 @@ class QueryService:
             batching = None
         self.batching: BatchConfig | None = batching
         self._scheduler = (
-            BatchScheduler(batching, self._dispatch_group)
+            BatchScheduler(batching, self._dispatch_group, workers=workers)
             if batching is not None
             else None
         )
@@ -417,10 +420,12 @@ class QueryService:
     def submit(self, query: SpatialKeywordQuery) -> Future:
         """Asynchronously run one query; returns a ``Future``.
 
-        With batching enabled the submission joins the open
-        arrival-window group (and may coalesce onto an identical
-        in-flight query); otherwise it runs alone, straight on the
-        worker pool.
+        With batching enabled the submission is dispatched at once as a
+        group of its own when a worker is free; while every worker is
+        busy it joins the open group (and may coalesce onto an
+        identical query waiting there), which the next worker to finish
+        takes.  With batching off it runs alone, straight on the worker
+        pool.
         """
         return self._submit_one(self._require_query(query))
 
@@ -430,10 +435,11 @@ class QueryService:
         """Asynchronously run a batch; one ``Future`` per query, in order.
 
         The batch entry point: with batching enabled the queries form
-        their own group(s) (flushed immediately — no arrival window, so
-        execution is deterministic), duplicates coalesce within each
-        group, and each group runs under one shared-read session.  With
-        batching disabled this is simply N :meth:`submit` calls.
+        their own group(s) (dispatched immediately, never merged with
+        other traffic, so execution is deterministic), duplicates
+        coalesce within each group, and each group runs under one
+        shared-read session.  With batching disabled this is simply N
+        :meth:`submit` calls.
         """
         queries = [self._require_query(query) for query in queries]
         if self._closed:
@@ -559,12 +565,17 @@ class QueryService:
             return self._pending
 
     def _dispatch_group(self, group: BatchGroup) -> None:
-        """Hand a flushed group to the worker pool (scheduler callback)."""
+        """Hand a sealed group to the worker pool (scheduler callback).
+
+        A group the closed pool refuses fails its callers and releases
+        its scheduler slot, as a finished group would.
+        """
         try:
             self._pool.submit(self._execute_group, group)
         except RuntimeError:
             exc = ServiceError("cannot execute batch: QueryService is closed")
             _fail_group(group, exc)
+            self._scheduler.done()
 
     # -- The worker body --------------------------------------------------------
 
@@ -574,13 +585,18 @@ class QueryService:
         An engine error reaches only its own member's futures (see
         :meth:`_run_member`); anything else that escapes — tracing or
         logging, say — fails every future of the group still unresolved,
-        so no caller waits forever.
+        so no caller waits forever.  A scheduler group then tells the
+        scheduler it finished, whichever way it ended, so the freed
+        worker takes the open group and no slot leaks.
         """
         try:
             self._run_group(group)
         except BaseException as exc:
             _fail_group(group, exc)
             raise
+        finally:
+            if group.batch_id is not None:
+                self._scheduler.done()
 
     def _run_group(self, group: BatchGroup) -> None:
         """The worker body every read runs through.
@@ -1116,8 +1132,8 @@ class QueryService:
     def close(self) -> None:
         """Drain in-flight queries and shut the worker pool down.
 
-        With batching enabled the scheduler's open window group is
-        flushed first, so every admitted submission's future completes
+        With batching enabled the scheduler's open group is dispatched
+        first, so every admitted submission's future completes
         before the pool drains.  A service-owned query-log writer (one
         constructed from a path) is drained and finalized; a caller-
         provided writer is left open for its owner to close.

@@ -20,6 +20,7 @@ session in :mod:`repro.storage.sharedread`) must change *cost*, never
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -63,6 +64,24 @@ def world():
 
 def _serial_answers(engine, queries):
     return [engine.search(query) for query in queries]
+
+
+def _hold_searches(monkeypatch) -> threading.Event:
+    """Park every engine search until the returned event is set.
+
+    A dispatched group counts as in flight from the moment it is handed
+    to the pool, so holding the searches keeps every worker busy and
+    later submissions collect into the scheduler's open group.
+    """
+    release = threading.Event()
+    search = EngineVersion.search
+
+    def held(version, query):
+        release.wait(10.0)
+        return search(version, query)
+
+    monkeypatch.setattr(EngineVersion, "search", held)
+    return release
 
 
 class TestBatchedEqualsSerial:
@@ -262,8 +281,9 @@ class TestAdmissionControl:
         engine.build()
         return engine
 
-    def test_shed_beyond_max_pending(self, engine, world):
+    def test_shed_beyond_max_pending(self, engine, world, monkeypatch):
         _, queries = world
+        release = _hold_searches(monkeypatch)
         with QueryService(
             engine, workers=1, cache=False,
             batching=BatchConfig(window_ms=50.0, max_batch=64, max_pending=3),
@@ -274,6 +294,7 @@ class TestAdmissionControl:
                 service.submit(queries[3])
             assert excinfo.value.pending == 3
             assert excinfo.value.max_pending == 3
+            release.set()
             for future in futures:
                 future.result()
             stats = service.stats()
@@ -391,42 +412,55 @@ class TestBatchTracing:
 
 
 class TestWindowGrouping:
-    """The arrival-window path: submissions group without submit_many."""
+    """The submit path: submissions group without submit_many."""
 
-    def test_window_groups_submissions(self, world):
+    def test_window_groups_submissions(self, world, monkeypatch):
         objects, queries = world
         engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
         engine.add_all(objects)
         engine.build()
+        release = _hold_searches(monkeypatch)
         with QueryService(
             engine, workers=1, cache=False,
-            batching=BatchConfig(window_ms=25.0, max_batch=16),
+            batching=BatchConfig(window_ms=10_000.0, max_batch=16),
         ) as service:
             futures = [service.submit(query) for query in queries[:5]]
+            release.set()
             executions = [future.result() for future in futures]
-            stats = service.stats()
+        stats = service.stats()  # after close: every group accounted
         assert stats.queries == 5
-        # All five arrived within one window: at most two groups even
-        # under scheduling jitter, and far fewer than five.
+        # The first query took the idle worker; the other four arrived
+        # while it was busy and waited in one group: two groups, far
+        # fewer than five.
         assert 1 <= stats.batches <= 2
         batch_ids = {e.trace.batch_id for e in executions}
         assert len(batch_ids) == stats.batches
 
-    def test_max_batch_flushes_early(self, world):
+    def test_max_batch_flushes_early(self, world, monkeypatch):
         objects, queries = world
         engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
         engine.add_all(objects)
         engine.build()
+        release = _hold_searches(monkeypatch)
         with QueryService(
             engine, workers=2, cache=False,
             batching=BatchConfig(window_ms=10_000.0, max_batch=2,
                                  coalesce=False),
         ) as service:
+            # Two held queries occupy both workers ...
+            held = [service.submit(query) for query in queries[4:6]]
+            # ... so these four wait, and max_batch seals them in pairs.
             futures = [service.submit(query) for query in queries[:4]]
-            for future in futures:
-                future.result()  # would hang until the 10 s window if
-                # max_batch never flushed
-            assert service.stats().batches == 2
+            release.set()
+            for future in held:
+                future.result()
+            executions = [future.result() for future in futures]
+        # Without the max_batch seal the four would run as one group;
+        # the cap splits them into two pairs, neither of which waits out
+        # the 10 s window.
+        assert service.stats().batches == len(held) + 2
+        batch_ids = [e.trace.batch_id for e in executions]
+        assert batch_ids[0] == batch_ids[1] != batch_ids[2] == batch_ids[3]
 
     def test_close_flushes_the_open_window(self, world):
         objects, queries = world
@@ -488,6 +522,213 @@ class TestSchedulerUnit:
         scheduler.close()
         with pytest.raises(ServiceError, match="closed"):
             scheduler.submit(self._member(queries[0]))
+
+    def test_idle_worker_dispatches_before_submit_returns(self, world):
+        _, queries = world
+        groups = []
+        scheduler = BatchScheduler(
+            BatchConfig(window_ms=10_000.0, max_batch=64), groups.append,
+            workers=2,
+        )
+        threads = threading.active_count()
+        scheduler.submit(self._member(queries[0]))
+        assert [len(g.members) for g in groups] == [1]
+        scheduler.submit(self._member(queries[1]))
+        assert [len(g.members) for g in groups] == [1, 1]
+        # No timer, no per-group thread.
+        assert threading.active_count() == threads
+        # Both workers busy: the next submission waits in the open group
+        # until a finishing group hands it to the freed worker.
+        scheduler.submit(self._member(queries[2]))
+        assert len(groups) == 2
+        scheduler.done()
+        assert len(groups) == 3
+        assert groups[2].members[0].query is queries[2]
+        assert groups[2].batch_id == 2
+        assert threading.active_count() == threads
+
+    def test_open_group_ages_out_lazily(self, world):
+        _, queries = world
+        groups = []
+        scheduler = BatchScheduler(
+            BatchConfig(window_ms=10.0, max_batch=64, coalesce=False),
+            groups.append, workers=1,
+        )
+
+        def member(query, at):
+            return BatchMember(query, None, 0, at)
+
+        scheduler.submit(member(queries[0], 0.0))  # takes the worker
+        scheduler.submit(member(queries[1], 1.000))
+        scheduler.submit(member(queries[2], 1.009))
+        assert len(groups) == 1
+        # 10 ms after the open group's first member: that group is
+        # sealed, and the newcomer opens a fresh one.
+        scheduler.submit(member(queries[3], 1.010))
+        assert [len(g.members) for g in groups] == [1, 2]
+        scheduler.done()  # the sealed group still holds the worker
+        assert len(groups) == 2
+        scheduler.done()
+        assert [len(g.members) for g in groups] == [1, 2, 1]
+        assert groups[2].members[0].query is queries[3]
+
+    def test_close_dispatches_the_open_group(self, world):
+        _, queries = world
+        groups = []
+        scheduler = BatchScheduler(
+            BatchConfig(window_ms=10_000.0, max_batch=64, coalesce=False),
+            groups.append, workers=1,
+        )
+        scheduler.submit(self._member(queries[0]))
+        scheduler.submit(self._member(queries[1]))
+        scheduler.submit(self._member(queries[2]))
+        assert len(groups) == 1
+        scheduler.close()
+        assert [len(g.members) for g in groups] == [1, 2]
+
+
+class TestWorkConserving:
+    """Groups form only while every worker is busy; slots never leak."""
+
+    @pytest.fixture()
+    def engine(self, world):
+        objects, _ = world
+        engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
+        engine.add_all(objects)
+        engine.build()
+        return engine
+
+    def test_busy_worker_collects_one_group(self, engine, world, monkeypatch):
+        _, queries = world
+        release = _hold_searches(monkeypatch)
+        with QueryService(
+            engine, workers=1, cache=False,
+            batching=BatchConfig(window_ms=10_000.0, max_batch=8,
+                                 coalesce=False),
+        ) as service:
+            first = service.submit(queries[0])  # takes the idle worker
+            waiting = [service.submit(q) for q in queries[1:7]]
+            release.set()
+            lone = first.result()
+            executions = [future.result() for future in waiting]
+        stats = service.stats()
+        assert lone.trace.batch_id is not None  # a group of one, batched
+        assert len({e.trace.batch_id for e in executions}) == 1
+        assert executions[0].trace.batch_id != lone.trace.batch_id
+        assert stats.batches == 2
+        sizes = stats.metrics["histograms"]["service.batch.size"]
+        assert sizes["count"] == 2
+        assert sizes["sum"] == 7
+        for execution, query in zip(executions, queries[1:7]):
+            assert execution.oids == engine.search(query).oids
+
+    def test_closed_loop_beyond_workers_batches(self, engine, world,
+                                                monkeypatch):
+        _, queries = world
+        search = EngineVersion.search
+
+        def slow(version, query):
+            time.sleep(0.002)  # keep the workers busy off the GIL
+            return search(version, query)
+
+        monkeypatch.setattr(EngineVersion, "search", slow)
+        with QueryService(
+            engine, workers=2, cache=False, batching=BatchConfig(),
+        ) as service:
+
+            def client(offset):
+                for query in queries[offset:] + queries[:offset]:
+                    service.search(query)
+
+            clients = [
+                threading.Thread(target=client, args=(i,)) for i in range(6)
+            ]
+            for thread in clients:
+                thread.start()
+            for thread in clients:
+                thread.join(30.0)
+            assert not any(thread.is_alive() for thread in clients)
+        stats = service.stats()
+        assert stats.queries == 6 * len(queries)
+        sizes = stats.metrics["histograms"]["service.batch.size"]
+        assert sizes["sum"] == stats.queries
+        assert sizes["sum"] / sizes["count"] > 1.0
+
+    def test_in_flight_count_survives_contention(self, engine, world):
+        _, queries = world
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with QueryService(
+                engine, workers=3, cache=False,
+                batching=BatchConfig(max_batch=4),
+            ) as service:
+
+                def client(offset):
+                    futures = [
+                        service.submit(q)
+                        for q in queries[offset:] + queries[:offset]
+                    ]
+                    for future in futures:
+                        future.result(30.0)
+
+                clients = [
+                    threading.Thread(target=client, args=(i,))
+                    for i in range(6)
+                ]
+                for thread in clients:
+                    thread.start()
+                for thread in clients:
+                    thread.join(30.0)
+                assert not any(thread.is_alive() for thread in clients)
+                scheduler = service._scheduler
+            stats = service.stats()
+        finally:
+            sys.setswitchinterval(interval)
+        # Every group released its slot exactly once.
+        assert scheduler._in_flight == 0
+        assert stats.queries == 6 * len(queries)
+        sizes = stats.metrics["histograms"]["service.batch.size"]
+        assert sizes["sum"] == stats.queries
+
+    def test_group_failure_outside_engine_frees_its_slot(
+        self, engine, world
+    ):
+        _, queries = world
+
+        class FailingLog:
+            def __init__(self):
+                self.calls = 0
+
+            def offer(self, span, execution, query=None):
+                self.calls += 1
+                if self.calls == 1:
+                    raise RuntimeError("log down")
+
+        log = FailingLog()
+        with QueryService(
+            engine, workers=1, cache=False, query_log=log,
+            batching=BatchConfig(window_ms=10_000.0),
+        ) as service:
+            service.submit(queries[0]).exception(10.0)
+            # One worker: had the raising group kept its slot, these
+            # would wait in the open group forever.
+            for query in queries[1:4]:
+                execution = service.submit(query).result(10.0)
+                assert execution.oids == engine.search(query).oids
+        assert log.calls == 4
+
+    def test_refused_dispatch_frees_its_slot(self, engine, world):
+        _, queries = world
+        service = QueryService(
+            engine, workers=1, cache=False, batching=True,
+        )
+        service._pool.shutdown()
+        future = service.submit(queries[0])
+        with pytest.raises(ServiceError, match="closed"):
+            future.result(10.0)
+        assert service._scheduler._in_flight == 0
+        service.close()
 
 
 class TestSharedReadSession:

@@ -565,24 +565,44 @@ class TestServiceSnapshotMode:
             with pytest.raises(TypeError, match="maintenance"):
                 QueryService(built_engine(), maintenance=mode)
 
-    def test_batch_group_pins_one_version(self):
+    def test_batch_group_pins_one_version(self, monkeypatch):
+        release = threading.Event()
+        search = EngineVersion.search
+
+        def held(version, query):
+            release.wait(10.0)
+            return search(version, query)
+
+        monkeypatch.setattr(EngineVersion, "search", held)
         with QueryService(
             built_engine(), workers=4,
-            batching=BatchConfig(window_ms=250.0, max_batch=16),
+            batching=BatchConfig(window_ms=10_000.0, max_batch=16),
             merge_threshold=None,
         ) as service:
+            # Four held reads keep every worker busy, so the queries
+            # below collect into one open group.
+            busy = [
+                service.submit(
+                    SpatialKeywordQuery.of((0.0, float(i)), ("pool",), 1)
+                )
+                for i in range(4)
+            ]
             futures = []
             for i in range(4):
                 futures.append(service.submit(
                     SpatialKeywordQuery.of((float(i), 0.0), ("cafe",), 2)
                 ))
                 # Writers bump the published version while the batch
-                # window is still open ...
+                # group is still open ...
                 service.add_object(410 + i, (9.0, 9.0), "museum")
+            release.set()
+            for future in busy:
+                future.result()
             versions = {f.result().engine_version for f in futures}
             # ... yet every member of the group answered from the one
             # version the group pinned.
             assert len(versions) == 1
+            assert len({f.result().trace.batch_id for f in futures}) == 1
 
     def test_ranked_query_leaves_dirty_overlay_in_place(self):
         """Ranked queries answer from the overlay instead of flushing."""
