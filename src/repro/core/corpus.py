@@ -13,6 +13,7 @@ from typing import Iterable, Iterator
 
 from repro.model import SpatialObject
 from repro.storage.block import DEFAULT_BLOCK_SIZE, BlockDevice, InMemoryBlockDevice
+from repro.storage.intern import Intern
 from repro.storage.objectstore import ObjectStore
 from repro.text.analyzer import DEFAULT_ANALYZER, Analyzer
 from repro.text.vocabulary import Vocabulary
@@ -58,7 +59,20 @@ class Corpus:
         self.device = device or InMemoryBlockDevice(block_size, name="objects")
         self.store = ObjectStore(self.device)
         self.vocabulary = Vocabulary()
+        #: Decoded node images of every tree built over this corpus
+        #: (:attr:`RTree.node_intern <repro.spatial.rtree.RTree.node_intern>`).
+        self.node_intern: Intern = Intern()
         self._dims: int | None = None
+
+    def share_interns(self, source: "Corpus") -> None:
+        """Decode rows and node images through ``source``'s interns.
+
+        Both maps are content-addressed, so a copy-on-write copy or a
+        rebuild of ``source`` may share them: what it rewrites
+        byte-identically decodes to the values already held.
+        """
+        self.store.intern = source.store.intern
+        self.node_intern = source.node_intern
 
     # -- Population ---------------------------------------------------------------
 

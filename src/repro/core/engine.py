@@ -166,15 +166,16 @@ class SpatialKeywordEngine:
 
         The snapshot maintainer's merges rebuild into a clone and swap
         it in atomically, leaving the original untouched for in-flight
-        readers.  The clone shares the analyzer (stateless) and the object
-        store's row intern map (content-addressed, so rows the clone
-        rewrites byte-identically decode to the objects already held) but
-        owns its own corpus, devices, and index structures.
+        readers.  The clone shares the analyzer, whose only state is its
+        bounded term-set memo, and the corpus's row and node-image intern
+        maps (:meth:`Corpus.share_interns`: content-addressed, so what the
+        clone rewrites byte-identically decodes to the values already
+        held), but owns its own corpus, devices, and index structures.
         """
         config = dict(self._init_config)
         config["analyzer"] = self.corpus.analyzer
         clone = SpatialKeywordEngine(**config)
-        clone.corpus.store.intern = self.corpus.store.intern
+        clone.corpus.share_interns(self.corpus)
         return clone
 
     # -- Queries ------------------------------------------------------------------

@@ -184,7 +184,7 @@ class SpatialKeywordIndex:
         return QueryExecution(
             query=query,
             results=outcome.results,
-            io=io,
+            io=io.counts(),
             objects_inspected=outcome.counters.objects_inspected,
             false_positive_candidates=outcome.counters.false_positives,
             nodes_visited=io.category_reads("node"),
@@ -356,7 +356,12 @@ class RTreeIndex(_TreeIndex):
     label = "RTREE"
 
     def _make_tree(self) -> RTree:
-        return RTree(self.pages, dims=self.corpus.dims, capacity=self.capacity)
+        return RTree(
+            self.pages,
+            dims=self.corpus.dims,
+            capacity=self.capacity,
+            node_intern=self.corpus.node_intern,
+        )
 
     def _run(
         self, query: SpatialKeywordQuery, exclude: frozenset[int]
@@ -397,7 +402,11 @@ class IR2Index(_RankedTreeIndex):
 
     def _make_tree(self) -> IR2Tree:
         return IR2Tree(
-            self.pages, self.factory, dims=self.corpus.dims, capacity=self.capacity
+            self.pages,
+            self.factory,
+            dims=self.corpus.dims,
+            capacity=self.capacity,
+            node_intern=self.corpus.node_intern,
         )
 
     def _query_false_positive_rate(self, n_terms: int, stats) -> float:
@@ -440,6 +449,7 @@ class MIR2Index(_RankedTreeIndex):
                 capacity=self.capacity,
                 bits_per_word=self.bits_per_word,
                 seed=self.seed,
+                node_intern=self.corpus.node_intern,
             )
         vocabulary = self.corpus.vocabulary
         return MIR2Tree.with_planned_levels(
@@ -452,6 +462,7 @@ class MIR2Index(_RankedTreeIndex):
             capacity=self.capacity,
             bits_per_word=self.bits_per_word,
             seed=self.seed,
+            node_intern=self.corpus.node_intern,
         )
 
     def _query_false_positive_rate(self, n_terms: int, stats) -> float:

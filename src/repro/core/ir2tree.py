@@ -17,6 +17,7 @@ from repro.core.schemes import IR2Scheme
 from repro.spatial.geometry import Rect
 from repro.spatial.rtree import Entry, Node, RTree
 from repro.spatial.split import SplitStrategy
+from repro.storage.intern import Intern
 from repro.storage.pagestore import PageStore
 from repro.text.signature import Signature, SignatureFactory
 
@@ -33,6 +34,7 @@ class IR2Tree(RTree):
         capacity: entries per node; the paper keeps the plain R-Tree
             fan-out (113 for 4 KB blocks) and spills into extra blocks.
         split_strategy: node split algorithm (quadratic by default).
+        node_intern: decoded node images, shared (see :class:`RTree`).
     """
 
     algorithm_label = "IR2"
@@ -44,6 +46,7 @@ class IR2Tree(RTree):
         dims: int = 2,
         capacity: int | None = None,
         split_strategy: SplitStrategy | None = None,
+        node_intern: Intern | None = None,
     ) -> None:
         super().__init__(
             pages,
@@ -51,6 +54,7 @@ class IR2Tree(RTree):
             capacity=capacity,
             split_strategy=split_strategy,
             scheme=IR2Scheme(factory),
+            node_intern=node_intern,
         )
         self.factory = factory
 

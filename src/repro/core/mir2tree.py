@@ -22,6 +22,7 @@ from repro.core.schemes import MIR2Scheme, TermResolver, plan_level_lengths
 from repro.spatial.geometry import Rect
 from repro.spatial.rtree import Entry, Node, RTree
 from repro.spatial.split import SplitStrategy
+from repro.storage.intern import Intern
 from repro.storage.pagestore import PageStore
 from repro.text.signature import Signature
 
@@ -42,6 +43,7 @@ class MIR2Tree(RTree):
         bits_per_word: signature hash bits per word.
         seed: signature hash seed.
         split_strategy: node split algorithm (quadratic by default).
+        node_intern: decoded node images, shared (see :class:`RTree`).
     """
 
     algorithm_label = "MIR2"
@@ -56,6 +58,7 @@ class MIR2Tree(RTree):
         bits_per_word: int = 3,
         seed: int = 0,
         split_strategy: SplitStrategy | None = None,
+        node_intern: Intern | None = None,
     ) -> None:
         scheme = MIR2Scheme(level_lengths, term_resolver, bits_per_word, seed)
         super().__init__(
@@ -64,6 +67,7 @@ class MIR2Tree(RTree):
             capacity=capacity,
             split_strategy=split_strategy,
             scheme=scheme,
+            node_intern=node_intern,
         )
         self.mir_scheme = scheme
 
@@ -80,6 +84,7 @@ class MIR2Tree(RTree):
         bits_per_word: int = 3,
         seed: int = 0,
         split_strategy: SplitStrategy | None = None,
+        node_intern: Intern | None = None,
     ) -> "MIR2Tree":
         """Build with level lengths planned from corpus statistics.
 
@@ -107,6 +112,7 @@ class MIR2Tree(RTree):
             bits_per_word=bits_per_word,
             seed=seed,
             split_strategy=split_strategy,
+            node_intern=node_intern,
         )
 
     # -- Object-level API ----------------------------------------------------------

@@ -20,7 +20,7 @@ from typing import Callable
 from repro.errors import QueryError
 from repro.model import SearchResult
 from repro.spatial.geometry import Rect
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOCounts, IOStats
 from repro.storage.timing import DEFAULT_DRIVE, DriveModel
 
 
@@ -108,7 +108,10 @@ class QueryExecution:
     Attributes:
         query: the executed query.
         results: ranked answers (length <= ``query.k``).
-        io: merged I/O delta across every device the algorithm touched.
+        io: merged I/O delta across every device the algorithm touched,
+            as a frozen :class:`~repro.storage.iostats.IOCounts` (an
+            :class:`~repro.storage.iostats.IOStats` passed in is frozen
+            into one).
         objects_inspected: objects loaded from the object file
             (Figures 11b / 14b report this as "object accesses").
         false_positive_candidates: loaded objects that failed the keyword
@@ -141,7 +144,7 @@ class QueryExecution:
 
     query: SpatialKeywordQuery
     results: list[SearchResult]
-    io: IOStats = field(default_factory=IOStats)
+    io: IOCounts = field(default_factory=IOCounts)
     objects_inspected: int = 0
     false_positive_candidates: int = 0
     nodes_visited: int = 0
@@ -152,6 +155,10 @@ class QueryExecution:
     failed_shards: list[int] | None = None
     plan: dict | None = None
     engine_version: int | None = None
+
+    def __post_init__(self) -> None:
+        if isinstance(self.io, IOStats):
+            self.io = self.io.counts()
 
     def simulated_ms(self, drive: DriveModel = DEFAULT_DRIVE) -> float:
         """Simulated execution time under the given drive model."""

@@ -144,23 +144,32 @@ def _engine_devices(engine) -> list:
     return devices
 
 
-def _export_object_intern(registry: MetricsRegistry, engines) -> None:
-    """Advance ``storage.object_intern.dropped`` to the engines' evictions.
+def _export_intern_drops(registry: MetricsRegistry, engines) -> None:
+    """Advance the intern drop counters to the engines' evictions.
 
-    Sums :attr:`~repro.storage.objectstore.RowIntern.dropped` over the
-    row intern maps of ``engines`` (a single engine or the shards of a
-    sharded one).  A map follows its engine through merges
+    Sums :attr:`~repro.storage.intern.Intern.dropped` over the distinct
+    maps of ``engines`` (a single engine or the shards of a sharded
+    one): the object-row interns (``storage.object_intern.dropped``),
+    the node-image interns (``storage.node_intern.dropped``) and the
+    analyzers' term-set memos (``text.term_memo.dropped``).  A map
+    follows its engine through merges
     (:meth:`~repro.core.engine.SpatialKeywordEngine.clone_empty` hands it
-    on), so the sum only grows; the counter never moves backwards.
+    on), so each sum only grows; the counters never move backwards.  An
+    analyzer may serve other engines too (the default one is shared
+    process-wide), and its drops count whichever engine caused them.
     """
-    dropped = sum(
-        engine.corpus.store.intern.dropped
-        for engine in engines
-        if getattr(engine, "corpus", None) is not None
-    )
-    counter = registry.counter("storage.object_intern.dropped")
-    if dropped > counter.value:
-        counter.inc(dropped - counter.value)
+    corpora = [
+        engine.corpus for engine in engines if getattr(engine, "corpus", None) is not None
+    ]
+    for name, maps in (
+        ("storage.object_intern.dropped", [c.store.intern for c in corpora]),
+        ("storage.node_intern.dropped", [c.node_intern for c in corpora]),
+        ("text.term_memo.dropped", [c.analyzer.memo for c in corpora]),
+    ):
+        dropped = sum({id(m): m.dropped for m in maps}.values())
+        counter = registry.counter(name)
+        if dropped > counter.value:
+            counter.inc(dropped - counter.value)
 
 
 def export_engine(registry: MetricsRegistry, engine) -> None:
@@ -169,10 +178,10 @@ def export_engine(registry: MetricsRegistry, engine) -> None:
     For a :class:`~repro.shard.ShardedEngine`, each shard's devices are
     exported with a ``shard<N>`` path segment and the merged running I/O
     additionally lands under ``storage.all_shards.io``.  Either way the
-    object-row intern evictions land in ``storage.object_intern.dropped``.
+    intern evictions land in their drop counters (:func:`_export_intern_drops`).
     """
     shards = getattr(engine, "shards", None)
-    _export_object_intern(registry, [engine] if shards is None else shards)
+    _export_intern_drops(registry, [engine] if shards is None else shards)
     if shards is None:
         for device in _engine_devices(engine):
             export_device(registry, device)

@@ -631,8 +631,9 @@ def copy_built_engine(engine):
     of :func:`_index_state` — so it is exactly the engine a save/load
     cycle would produce, without touching the filesystem and without
     re-deriving the vocabulary.  Through :meth:`clone_empty` the copy
-    also shares the source's object-row intern map: its rows are
-    byte-identical, so its loads return the objects already decoded.
+    also shares the source's row and node-image intern maps: its rows
+    and untouched nodes are byte-identical, so its reads return what the
+    source already decoded.
 
     Returns ``None`` when the engine cannot be copied this way (not yet
     built, non-memory block devices, an index kind without persistence

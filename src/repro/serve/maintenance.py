@@ -42,11 +42,8 @@ from repro.errors import QueryError, VersionRetiredError
 from repro.model import SearchResult, SpatialObject, result_sort_key
 from repro.obs import MetricsRegistry
 from repro.spatial.geometry import target_point_distance
-from repro.text.analyzer import Analyzer
+from repro.text.analyzer import DEFAULT_ANALYZER
 from repro.text.irmodel import ir_score
-
-#: Tokenizes a buffered insert when the caller supplies no term set.
-_DEFAULT_ANALYZER = Analyzer()
 
 
 #: A frozen buffer at most this fraction of the base's live objects is
@@ -95,15 +92,16 @@ class WriteBuffer:
     ) -> None:
         """Buffer ``obj`` with its term set (the serving analyzer's).
 
-        ``terms`` defaults to the default :class:`Analyzer`'s terms of
-        ``obj.text``; the maintainer always passes its engine's own.
+        ``terms`` defaults to the terms of ``obj.text`` under
+        :data:`~repro.text.analyzer.DEFAULT_ANALYZER`; the maintainer
+        always passes its engine's own.
         """
         # A previously-buffered delete of the same oid stays in
         # ``deleted``: it still has to mask any base/frozen copy, and
         # the re-inserted object wins because ``inserts`` is consulted
         # first everywhere.
         if terms is None:
-            terms = frozenset(_DEFAULT_ANALYZER.terms(obj.text))
+            terms = DEFAULT_ANALYZER.terms(obj.text)
         self.inserts[obj.oid] = obj
         self.terms[obj.oid] = terms
 
@@ -449,7 +447,7 @@ class SnapshotMaintainer:
                 if self._current.contains(obj.oid):
                     raise QueryError(f"object id {obj.oid} already present")
                 self._active.record_insert(
-                    obj, frozenset(self._base.analyzer.terms(obj.text))
+                    obj, self._base.analyzer.terms(obj.text)
                 )
                 version = self._publish_locked()
         self._publish_gauges(version)

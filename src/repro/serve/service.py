@@ -80,7 +80,7 @@ from repro.serve.tracing import (
     TraceSpan,
 )
 from repro.storage.faults import retry_transient
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOCounts, IOStats
 from repro.storage.sharedread import SharedReadSession, activate_session
 
 def _resolve_result(future: Future, result) -> None:
@@ -872,7 +872,7 @@ class QueryService:
                 return QueryExecution(
                     query=query,
                     results=[result.copy() for result in cached.results],
-                    io=IOStats(),
+                    io=IOCounts(),
                     objects_inspected=0,
                     false_positive_candidates=0,
                     nodes_visited=0,
@@ -948,7 +948,7 @@ class QueryService:
         return replace(
             copy,
             query=query,
-            io=IOStats(),
+            io=IOCounts(),
             objects_inspected=0,
             false_positive_candidates=0,
             nodes_visited=0,

@@ -53,7 +53,7 @@ from repro.shard.merge import TopKMerger
 from repro.shard.partitioner import SpatialPartitioner, make_partitioner
 from repro.shard.summary import DEFAULT_SUMMARY_BYTES, KeywordSummary
 from repro.spatial.geometry import Rect, target_min_distance
-from repro.storage.iostats import IOStats, collecting_io
+from repro.storage.iostats import IOCounts, IOStats, collecting_io
 
 #: Per-shard failure policies (see :class:`ShardedEngine`).
 FAIL_FAST = "fail-fast"
@@ -281,8 +281,8 @@ class ShardedEngine:
         The snapshot maintainer's copy-on-write merges rebuild into the
         clone (restaging every live object, refitting the partitioner)
         and swap it in, leaving this engine untouched for in-flight
-        readers.  Each new shard keeps the object-row intern map of the
-        shard it replaces.  Engines reassembled by :meth:`from_parts` (the
+        readers.  Each new shard keeps the object-row and node-image
+        intern maps of the shard it replaces.  Engines reassembled by :meth:`from_parts` (the
         persistence load path) derive per-shard construction kwargs from
         their first shard's stored config.
         """
@@ -306,10 +306,10 @@ class ShardedEngine:
             summary_bytes=self._summary_bytes,
             **kwargs,
         )
-        # Row intern maps are content-addressed, so a shard may keep its
+        # Intern maps are content-addressed, so a shard may keep its
         # predecessor's even when the refit moves objects between shards.
         for old, new in zip(self.shards, clone.shards):
-            new.corpus.store.intern = old.corpus.store.intern
+            new.corpus.share_interns(old.corpus)
         return clone
 
     def _grow_mbb(self, shard_id: int, point: Sequence[float]) -> None:
@@ -564,7 +564,7 @@ class ShardedEngine:
         merger = TopKMerger(query.k)
         incremental = self._supports_incremental()
         reports: list[dict | None] = [None] * self.n_shards
-        ios: list[IOStats] = [IOStats() for _ in range(self.n_shards)]
+        ios: list[IOStats | IOCounts] = [IOCounts() for _ in range(self.n_shards)]
         errors: list[StorageError | None] = [None] * self.n_shards
         totals_lock = threading.Lock()
         totals = {"objects": 0, "false_pos": 0, "nodes": 0}
@@ -727,7 +727,7 @@ class ShardedEngine:
             parent.annotate(degraded=True, failed_shards=failed)
         if failed and self.failure_policy == FAIL_FAST:
             raise errors[failed[0]]
-        io = IOStats()
+        io = IOCounts()
         for shard_io in ios:
             io = io.merged_with(shard_io)
         return QueryExecution(
@@ -850,7 +850,7 @@ class ShardedEngine:
         if failed and self.failure_policy == FAIL_FAST:
             raise errors[failed[0]]
         merged: list[SearchResult] = []
-        io = IOStats()
+        io = IOCounts()
         objects = false_pos = nodes = 0
         reports = []
         for shard_id in nonempty:

@@ -25,6 +25,7 @@ from typing import Callable, Iterator, Sequence
 from repro.errors import TreeInvariantError
 from repro.spatial.geometry import Rect
 from repro.spatial.split import QuadraticSplit, SplitStrategy
+from repro.storage.intern import Intern
 from repro.storage.pagestore import PageStore
 from repro.storage.serialization import (
     blocks_per_node,
@@ -35,6 +36,12 @@ from repro.storage.serialization import (
 
 #: Default minimum fill factor (Guttman's m = 40% of capacity).
 DEFAULT_MIN_FILL_RATIO = 0.4
+
+#: Decoded node images a node intern keeps; past it the oldest is dropped.
+NODE_INTERN_CAPACITY = 128
+
+#: A node image decoded once: ``(node_id, level, sig_len, entries)``.
+DecodedNode = tuple[int, int, int, tuple[tuple[int, tuple[float, ...], bytes], ...]]
 
 
 @dataclass
@@ -130,7 +137,15 @@ class RTree:
         split_strategy: overflow splitting algorithm (quadratic by default,
             as in the paper).
         scheme: signature sizing/propagation policy (none by default).
+        node_intern: map from node images to their decoded entries
+            (:mod:`repro.storage.intern`).  Engines pass one map shared
+            by all their trees and copies; trees given none share
+            :attr:`node_intern` of the class.
     """
+
+    #: Decoded node images of trees constructed without a map of their
+    #: own.  Content-addressed, so any trees may share it.
+    node_intern: Intern[tuple[int, bytes], DecodedNode] = Intern()
 
     def __init__(
         self,
@@ -140,8 +155,11 @@ class RTree:
         min_fill_ratio: float = DEFAULT_MIN_FILL_RATIO,
         split_strategy: SplitStrategy | None = None,
         scheme: SignatureScheme | None = None,
+        node_intern: Intern[tuple[int, bytes], DecodedNode] | None = None,
     ) -> None:
         self.pages = pages
+        if node_intern is not None:
+            self.node_intern = node_intern
         self.dims = dims
         if capacity is None:
             capacity = node_capacity(pages.device.block_size, dims)
@@ -164,7 +182,7 @@ class RTree:
 
     def read_entries(
         self, node_id: int
-    ) -> tuple[int, int, list[tuple[int, tuple[float, ...], bytes]]]:
+    ) -> tuple[int, int, tuple[tuple[int, tuple[float, ...], bytes], ...]]:
         """Read one node (counted I/O) as raw decoded entry tuples.
 
         Returns ``(level, sig_len, entries)`` with each entry a
@@ -172,16 +190,30 @@ class RTree:
         :func:`~repro.storage.serialization.decode_node`.  The query
         traversal works on these directly and builds no :class:`Entry`
         or :class:`Rect` per entry; :meth:`load_node` wraps them.
+
+        The image is always read (and charged); only its decode goes
+        through :attr:`node_intern`, keyed by ``dims`` and the image
+        bytes, so a byte-identical image is decoded once.  The node-id
+        check runs on every read.
         """
         image = self.pages.read(node_id)
-        decoded_id, level, _is_leaf, sig_len, raw_entries = decode_node(
-            image, self.dims
-        )
+        key = (self.dims, image)
+        decoded = self.node_intern.get(key)
+        if decoded is None:
+            decoded_id, level, _is_leaf, sig_len, raw_entries = decode_node(
+                image, self.dims
+            )
+            decoded = self.node_intern.add(
+                key,
+                (decoded_id, level, sig_len, tuple(raw_entries)),
+                NODE_INTERN_CAPACITY,
+            )
+        decoded_id, level, sig_len, entries = decoded
         if decoded_id != node_id:
             raise TreeInvariantError(
                 f"node id mismatch: asked {node_id}, image says {decoded_id}"
             )
-        return level, sig_len, raw_entries
+        return level, sig_len, entries
 
     def load_node(self, node_id: int) -> Node:
         """The paper's ``LoadNode``: read and decode one node (counted I/O)."""

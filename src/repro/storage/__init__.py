@@ -21,7 +21,8 @@ from repro.storage.faults import (
     inject_engine_faults,
     retry_transient,
 )
-from repro.storage.iostats import AccessCounts, IOStats, collecting_io
+from repro.storage.intern import Intern
+from repro.storage.iostats import AccessCounts, IOCounts, IOStats, collecting_io
 from repro.storage.sharedread import (
     SharedReadSession,
     activate_session,
@@ -54,8 +55,10 @@ __all__ = [
     "FaultPlan",
     "FileBlockDevice",
     "HEADER_SIZE",
+    "IOCounts",
     "IOStats",
     "InMemoryBlockDevice",
+    "Intern",
     "SimulatedCrash",
     "OBJECT_CATEGORY",
     "ObjectStore",

@@ -284,6 +284,19 @@ class IOStats:
             self.shared_reads = 0
             self._last_block = None
 
+    def counts(self) -> "IOCounts":
+        """Return the counters as a frozen, lock-free :class:`IOCounts`."""
+        with self._lock:
+            return IOCounts(
+                self.random.reads,
+                self.sequential.reads,
+                self.random.writes,
+                self.sequential.writes,
+                self.objects_loaded,
+                self.shared_reads,
+                _flat_categories(self.by_category),
+            )
+
     def snapshot(self) -> "IOStats":
         """Return a frozen, internally consistent copy of the counters."""
         with self._lock:
@@ -325,11 +338,6 @@ class IOStats:
         Used to aggregate accesses across several devices (tree file,
         object file, postings file) into one per-query figure.
         """
-        categories = {k: list(v) for k, v in self.by_category.items()}
-        for key, counts in other.by_category.items():
-            merged = categories.setdefault(key, [0, 0, 0, 0])
-            for i, value in enumerate(counts):
-                merged[i] += value
         return IOStats(
             random=AccessCounts(
                 self.random.reads + other.random.reads,
@@ -339,16 +347,149 @@ class IOStats:
                 self.sequential.reads + other.sequential.reads,
                 self.sequential.writes + other.sequential.writes,
             ),
-            by_category=categories,
+            by_category=_summed_categories(self, other),
             objects_loaded=self.objects_loaded + other.objects_loaded,
             shared_reads=self.shared_reads + other.shared_reads,
         )
 
     def summary(self) -> str:
         """One-line human-readable summary of the counters."""
+        return self.counts().summary()
+
+
+def _summed_categories(a: "IOStats | IOCounts", b: "IOStats | IOCounts") -> dict:
+    """Element-wise sum of two ``by_category`` maps, as lists."""
+    categories = {k: list(v) for k, v in a.by_category.items()}
+    for key, counts in b.by_category.items():
+        merged = categories.setdefault(key, [0, 0, 0, 0])
+        for i, value in enumerate(counts):
+            merged[i] += value
+    return categories
+
+
+def _flat_categories(by_category: dict) -> tuple:
+    """``{category: 4 counts}`` as one flat ``(category, *counts, ...)`` tuple."""
+    return tuple(
+        value for category, counts in by_category.items() for value in (category, *counts)
+    )
+
+
+class IOCounts:
+    """The I/O counts of one finished execution, frozen.
+
+    :attr:`QueryExecution.io <repro.core.query.QueryExecution.io>` keeps
+    one of these rather than the live :class:`IOStats` collector: plain
+    integers in slots, no lock and no per-category dict of lists, so a
+    server or benchmark that retains many executions pays under a third
+    of the memory per record.  It reads like an :class:`IOStats`
+    (``random_reads``, ``total_reads``, ``random.total``,
+    ``category_reads("node")``, ``by_category``, :meth:`merged_with`).
+
+    The per-category counts are one flat tuple of ``(category,
+    random_reads, sequential_reads, random_writes, sequential_writes)``
+    runs, in first-access order.
+    """
+
+    __slots__ = (
+        "random_reads",
+        "sequential_reads",
+        "random_writes",
+        "sequential_writes",
+        "objects_loaded",
+        "shared_reads",
+        "_categories",
+    )
+
+    def __init__(
+        self,
+        random_reads: int = 0,
+        sequential_reads: int = 0,
+        random_writes: int = 0,
+        sequential_writes: int = 0,
+        objects_loaded: int = 0,
+        shared_reads: int = 0,
+        categories: tuple = (),
+    ) -> None:
+        self.random_reads = random_reads
+        self.sequential_reads = sequential_reads
+        self.random_writes = random_writes
+        self.sequential_writes = sequential_writes
+        self.objects_loaded = objects_loaded
+        self.shared_reads = shared_reads
+        self._categories = categories
+
+    def __repr__(self) -> str:
+        return f"IOCounts({self.summary()}, by_category={self.by_category})"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, IOCounts):
+            return NotImplemented
+        return all(
+            getattr(self, name) == getattr(other, name) for name in self.__slots__
+        )
+
+    __hash__ = None  # type: ignore[assignment]
+
+    @property
+    def random(self) -> AccessCounts:
+        return AccessCounts(self.random_reads, self.random_writes)
+
+    @property
+    def sequential(self) -> AccessCounts:
+        return AccessCounts(self.sequential_reads, self.sequential_writes)
+
+    @property
+    def total_reads(self) -> int:
+        return self.random_reads + self.sequential_reads
+
+    @property
+    def total_writes(self) -> int:
+        return self.random_writes + self.sequential_writes
+
+    @property
+    def total_accesses(self) -> int:
+        return self.total_reads + self.total_writes
+
+    @property
+    def by_category(self) -> dict[str, tuple[int, int, int, int]]:
+        """Category -> ``(random_reads, seq_reads, random_writes, seq_writes)``."""
+        flat = self._categories
+        return {flat[i]: flat[i + 1 : i + 5] for i in range(0, len(flat), 5)}
+
+    def _slots_of(self, category: str) -> tuple[int, ...] | None:
+        flat = self._categories
+        for i in range(0, len(flat), 5):
+            if flat[i] == category:
+                return flat[i + 1 : i + 5]
+        return None
+
+    def category_reads(self, category: str) -> int:
+        """Total reads (random + sequential) recorded under ``category``."""
+        counts = self._slots_of(category)
+        return 0 if counts is None else counts[0] + counts[1]
+
+    def category_random_reads(self, category: str) -> int:
+        """Random reads recorded under ``category``."""
+        counts = self._slots_of(category)
+        return 0 if counts is None else counts[0]
+
+    def merged_with(self, other: "IOCounts | IOStats") -> "IOCounts":
+        """Return the element-wise sum of two records (either class)."""
+        return IOCounts(
+            self.random_reads + other.random_reads,
+            self.sequential_reads + other.sequential_reads,
+            self.random_writes + other.random_writes,
+            self.sequential_writes + other.sequential_writes,
+            self.objects_loaded + other.objects_loaded,
+            self.shared_reads + other.shared_reads,
+            _flat_categories(_summed_categories(self, other)),
+        )
+
+    def summary(self) -> str:
+        """One-line human-readable summary of the counters."""
         text = (
-            f"random: {self.random.reads}r/{self.random.writes}w, "
-            f"sequential: {self.sequential.reads}r/{self.sequential.writes}w, "
+            f"random: {self.random_reads}r/{self.random_writes}w, "
+            f"sequential: {self.sequential_reads}r/{self.sequential_writes}w, "
             f"objects: {self.objects_loaded}"
         )
         if self.shared_reads:

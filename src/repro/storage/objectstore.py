@@ -15,12 +15,12 @@ mean number of blocks such a load touches.
 
 from __future__ import annotations
 
-import threading
 from typing import Iterable, Iterator
 
 from repro.errors import ObjectNotFoundError, SerializationError
 from repro.model import SpatialObject
 from repro.storage.block import BlockDevice
+from repro.storage.intern import Intern
 
 #: Row terminator; document text is sanitized so it cannot contain one.
 _ROW_END = b"\n"
@@ -28,7 +28,7 @@ _ROW_END = b"\n"
 #: Category label for object-file accesses in IOStats.
 OBJECT_CATEGORY = "object"
 
-#: Decoded rows a :class:`RowIntern` keeps; past it the oldest is dropped.
+#: Decoded rows an object store's intern keeps; past it the oldest is dropped.
 INTERN_CAPACITY = 4096
 
 
@@ -62,42 +62,6 @@ def decode_row(row: bytes) -> SpatialObject:
     return SpatialObject(oid, point, text)
 
 
-class RowIntern:
-    """Bounded map from a row's bytes to its decoded :class:`SpatialObject`.
-
-    Repeat loads of one row return the same frozen object, so results a
-    server retains share one copy of each object instead of one per load.
-    The key is the whole row, so the map is content-addressed: a row that
-    reads back different (a flipped bit) is a different key and decodes,
-    or fails, exactly as it would uncached.  That also makes one map safe
-    to share between stores whose rows may differ, such as a store and
-    its copy-on-write copies.  At :data:`INTERN_CAPACITY` rows the oldest
-    entry is dropped and counted in :attr:`dropped`.
-    """
-
-    def __init__(self) -> None:
-        self.dropped = 0
-        self._rows: dict[bytes, SpatialObject] = {}
-        self._lock = threading.Lock()
-
-    def decode(self, row: bytes) -> SpatialObject:
-        """The object ``row`` decodes to (:func:`decode_row`), shared."""
-        obj = self._rows.get(row)
-        if obj is not None:
-            return obj
-        obj = decode_row(row)
-        with self._lock:
-            rows = self._rows
-            cached = rows.get(row)
-            if cached is not None:
-                return cached
-            if len(rows) >= INTERN_CAPACITY:
-                del rows[next(iter(rows))]
-                self.dropped += 1
-            rows[row] = obj
-        return obj
-
-
 class ObjectStore:
     """Append-only tab-delimited object file with per-row byte pointers.
 
@@ -110,8 +74,9 @@ class ObjectStore:
         self._end = 0  # byte offset one past the last row
         self._count = 0
         self._pointers: dict[int, int] = {}  # oid -> ObjPtr (for delete())
-        #: Decoded rows shared across loads (and across store copies).
-        self.intern = RowIntern()
+        #: Row bytes -> decoded object, shared across loads (and across
+        #: store copies); see :mod:`repro.storage.intern`.
+        self.intern: Intern[bytes, SpatialObject] = Intern()
 
     # -- Writing ---------------------------------------------------------------
 
@@ -183,7 +148,10 @@ class ObjectStore:
             if block_id >= self.device.num_blocks:
                 raise ObjectNotFoundError(pointer)
         self.device.stats.record_object_load()
-        obj = self.intern.decode(bytes(row))
+        row = bytes(row)
+        obj = self.intern.get(row)
+        if obj is None:
+            obj = self.intern.add(row, decode_row(row), INTERN_CAPACITY)
         if obj.oid not in self._pointers:
             raise ObjectNotFoundError(pointer)
         return obj

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOCounts, IOStats
 
 #: Average seek time of a 10,000 RPM enterprise drive, in milliseconds.
 DEFAULT_SEEK_MS = 4.5
@@ -67,15 +67,15 @@ class DriveModel:
         """Time to move one block at the sustained transfer rate."""
         return self.block_size / (self.transfer_mb_per_s * 1e6) * 1e3
 
-    def simulated_ms(self, stats: IOStats) -> float:
+    def simulated_ms(self, stats: IOStats | IOCounts) -> float:
         """Simulated execution time in milliseconds for ``stats``.
 
         Reads and writes are charged identically: the paper's disk-resident
         indexes write during maintenance and read during search, and a
         write's mechanical cost on a conventional drive matches a read's.
         """
-        random_accesses = stats.random.total
-        sequential_accesses = stats.sequential.total
+        random_accesses = stats.random_reads + stats.random_writes
+        sequential_accesses = stats.sequential_reads + stats.sequential_writes
         return (
             random_accesses * self.random_access_ms
             + sequential_accesses * self.sequential_access_ms

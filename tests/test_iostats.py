@@ -300,3 +300,63 @@ class TestCollectingIO:
         # shared device counted all 1000.
         assert collected == {"a": 500, "b": 500}
         assert shared.total_reads == 1000
+
+
+class TestIOCounts:
+    """The frozen per-execution record reads like the live collector."""
+
+    def _stats(self):
+        stats = IOStats()
+        stats.record_read(0, "node")
+        stats.record_read(1, "node")
+        stats.record_read(9, "object")
+        stats.record_write(20, "object")
+        stats.record_object_load(2)
+        stats.record_shared_read(4, "node")
+        return stats
+
+    def test_counts_match_the_collector(self):
+        stats = self._stats()
+        counts = stats.counts()
+        for name in (
+            "random_reads", "sequential_reads", "random_writes",
+            "sequential_writes", "total_reads", "total_writes",
+            "total_accesses", "objects_loaded", "shared_reads",
+        ):
+            assert getattr(counts, name) == getattr(stats, name), name
+        assert counts.random == stats.random
+        assert counts.sequential == stats.sequential
+        assert counts.by_category == {
+            key: tuple(value) for key, value in stats.by_category.items()
+        }
+        assert counts.category_reads("node") == 2
+        assert counts.category_random_reads("object") == 1
+        assert counts.category_reads("missing") == 0
+        assert counts.summary() == stats.summary()
+
+    def test_frozen_against_later_events(self):
+        stats = self._stats()
+        counts = stats.counts()
+        stats.record_read(30, "node")
+        assert counts.total_reads == 3
+        assert not hasattr(counts, "__dict__")
+
+    def test_merged_with_either_class(self):
+        a = self._stats()
+        b = IOStats()
+        b.record_read(7, "postings")
+        merged = a.counts().merged_with(b).merged_with(b.counts())
+        assert merged.total_reads == 5
+        assert merged.category_reads("postings") == 2
+        assert merged.objects_loaded == 2
+        assert merged == a.merged_with(b).merged_with(b).counts()
+
+    def test_query_execution_freezes_a_collector(self):
+        from repro.core.query import QueryExecution, SpatialKeywordQuery
+        from repro.storage.iostats import IOCounts
+
+        query = SpatialKeywordQuery.of((0.0, 0.0), ("pool",), 1)
+        execution = QueryExecution(query=query, results=[], io=self._stats())
+        assert isinstance(execution.io, IOCounts)
+        assert execution.io.total_reads == 3
+        assert QueryExecution(query=query, results=[]).io == IOCounts()
