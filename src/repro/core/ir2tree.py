@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 from repro.core.schemes import IR2Scheme
 from repro.spatial.geometry import Rect
-from repro.spatial.rtree import Entry, Node, RTree
+from repro.spatial.rtree import RTree
 from repro.spatial.split import SplitStrategy
 from repro.storage.intern import Intern
 from repro.storage.pagestore import PageStore
@@ -87,18 +87,3 @@ class IR2Tree(RTree):
         """
         query = self.query_signature(terms)
         return lambda level: query
-
-    def matched_terms(
-        self, entry: Entry, node: Node, terms: Sequence[str]
-    ) -> list[str]:
-        """Query terms whose individual signatures the entry covers.
-
-        The general algorithm's per-keyword test (Section V.C change #1):
-        no AND semantics, each keyword is checked on its own.
-        """
-        entry_signature = Signature.from_bytes(entry.signature)
-        return [
-            term
-            for term in terms
-            if entry_signature.matches(self.factory.for_word(term))
-        ]

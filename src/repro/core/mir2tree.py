@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 from repro.core.schemes import MIR2Scheme, TermResolver, plan_level_lengths
 from repro.spatial.geometry import Rect
-from repro.spatial.rtree import Entry, Node, RTree
+from repro.spatial.rtree import RTree
 from repro.spatial.split import SplitStrategy
 from repro.storage.intern import Intern
 from repro.storage.pagestore import PageStore
@@ -151,15 +151,3 @@ class MIR2Tree(RTree):
             return query
 
         return mask
-
-    def matched_terms(
-        self, entry: Entry, node: Node, terms: Sequence[str]
-    ) -> list[str]:
-        """Query terms individually covered by the entry's signature."""
-        factory = self.mir_scheme.factory_for_level(node.level)
-        entry_signature = Signature.from_bytes(entry.signature)
-        return [
-            term
-            for term in terms
-            if entry_signature.matches(factory.for_word(term))
-        ]

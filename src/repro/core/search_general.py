@@ -28,9 +28,10 @@ from typing import Iterator
 from repro.core.query import SpatialKeywordQuery
 from repro.core.ranking import RankingCallable
 from repro.core.search import SearchCounters, SearchOutcome
+from repro.errors import SignatureLengthError
 from repro.model import SearchResult
 from repro.obs import trace as qtrace
-from repro.spatial.geometry import target_min_distance, target_point_distance
+from repro.spatial.geometry import coords_distance, target_point_distance
 from repro.spatial.rtree import RTree
 from repro.storage.objectstore import ObjectStore
 from repro.text.analyzer import Analyzer
@@ -56,7 +57,7 @@ def ranked_top_k_iter(
     """Yield ranked results in non-increasing combined score.
 
     Args:
-        tree: an IR2- or MIR2-Tree (anything exposing ``matched_terms``).
+        tree: an IR2- or MIR2-Tree (anything exposing ``query_mask``).
         store: object store for candidate verification.
         analyzer: shared tokenizer.
         vocabulary: corpus statistics providing idf values.
@@ -66,9 +67,36 @@ def ranked_top_k_iter(
             keyword (the paper's optional "if Score > 0" check; disable to
             allow pure-distance results with zero IR score).
         counters: optional cost counters to fill in.
+
+    Raises:
+        SignatureLengthError: a node's signature width differs from a
+            query term's signature width at that level.
+        ValueError: a node read has an inverted entry MBR
+            (:meth:`~repro.spatial.rtree.RTree.read_entries`).
+
+    Nodes are read as raw ``(child_ref, coords, bits)`` entries: each
+    query term is tested on its own (the paper's change 1, no AND
+    semantics) as one integer AND of its single-term mask against the
+    entry's signature bits, and MINDIST comes from the coordinate tuple.
     """
     terms = analyzer.query_terms(query.keywords)
     idf = {term: vocabulary.idf(term) for term in terms}
+    entry_distance = coords_distance(query.target, tree.dims)
+    # Per query term: its idf and ``level -> Signature`` of the term alone.
+    term_masks = [(idf[term], tree.query_mask([term])) for term in terms]
+    level_masks: dict[tuple[int, int], list[tuple[float, int]]] = {}
+
+    def masks_for(level: int, sig_len: int) -> list[tuple[float, int]]:
+        """``(idf, mask bits)`` per query term at a node's level and width."""
+        width = sig_len * 8
+        masks = []
+        for weight, mask in term_masks:
+            signature = mask(level)
+            if signature.length_bits != width:
+                raise SignatureLengthError(width, signature.length_bits)
+            masks.append((weight, signature.bits))
+        return masks
+
     counter = 0
     # Max-heap via negated priority: (-upper, seq, kind, payload, distance)
     heap: list[tuple[float, int, int, object, float]] = []
@@ -112,34 +140,38 @@ def ranked_top_k_iter(
                 SearchResult(obj, actual_distance, score=score, ir_score=actual_ir),
             )
             continue
-        node = tree.load_node(payload)
+        level, sig_len, entries = tree.read_entries(payload)
         span = qtrace.current_span()
         if span is not None:
             span.event(
                 qtrace.EVT_NODE_READ,
                 node=payload,
-                level=node.level,
-                entries=len(node.entries),
+                level=level,
+                entries=len(entries),
                 distance=distance,
             )
-        for entry in node.entries:
-            matched = tree.matched_terms(entry, node, terms)
+        if not entries:
+            continue
+        masks = level_masks.get((level, sig_len))
+        if masks is None:
+            masks = level_masks[level, sig_len] = masks_for(level, sig_len)
+        for child_ref, coords, bits in entries:
+            matched = [weight for weight, mask in masks if bits & mask == mask]
             if prune_zero_ir and not matched:
                 if span is not None:
                     span.event(
                         qtrace.EVT_SIG_PRUNE,
-                        level=node.level,
-                        entry=entry.child_ref,
-                        kind="object" if node.is_leaf else "node",
+                        level=level,
+                        entry=child_ref,
+                        kind="object" if level == 0 else "node",
                     )
                 continue
-            bound_ir = upper_bound_ir_score(idf[term] for term in matched)
-            entry_distance = target_min_distance(entry.rect, query.target)
-            upper = ranking(entry_distance, bound_ir)
-            if node.is_leaf:
-                push(upper, _OBJECT_PTR, entry.child_ref, entry_distance)
+            child_distance = entry_distance(coords)
+            upper = ranking(child_distance, upper_bound_ir_score(matched))
+            if level == 0:
+                push(upper, _OBJECT_PTR, child_ref, child_distance)
             else:
-                push(upper, _NODE, entry.child_ref)
+                push(upper, _NODE, child_ref)
 
 
 def ranked_top_k(

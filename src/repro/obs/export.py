@@ -150,8 +150,9 @@ def _export_intern_drops(registry: MetricsRegistry, engines) -> None:
     Sums :attr:`~repro.storage.intern.Intern.dropped` over the distinct
     maps of ``engines`` (a single engine or the shards of a sharded
     one): the object-row interns (``storage.object_intern.dropped``),
-    the node-image interns (``storage.node_intern.dropped``) and the
-    analyzers' term-set memos (``text.term_memo.dropped``).  A map
+    the node-image interns (``storage.node_intern.dropped``), the
+    analyzers' term-set memos (``text.term_memo.dropped``) and their
+    token-count memos (``text.length_memo.dropped``).  A map
     follows its engine through merges
     (:meth:`~repro.core.engine.SpatialKeywordEngine.clone_empty` hands it
     on), so each sum only grows; the counters never move backwards.  An
@@ -165,6 +166,7 @@ def _export_intern_drops(registry: MetricsRegistry, engines) -> None:
         ("storage.object_intern.dropped", [c.store.intern for c in corpora]),
         ("storage.node_intern.dropped", [c.node_intern for c in corpora]),
         ("text.term_memo.dropped", [c.analyzer.memo for c in corpora]),
+        ("text.length_memo.dropped", [c.analyzer.length_memo for c in corpora]),
     ):
         dropped = sum({id(m): m.dropped for m in maps}.values())
         counter = registry.counter(name)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 Point = tuple[float, ...]
 
@@ -220,6 +220,27 @@ def target_min_distance(rect: Rect, target) -> float:
     if isinstance(target, Rect):
         return rect.min_distance_rect(target)
     return rect.min_distance(target)
+
+
+def coords_distance(target, dims: int) -> Callable[[Sequence[float]], float]:
+    """MINDIST from a query target to an MBR given as ``lo + hi`` coordinates.
+
+    Returns a function of the coordinate tuple a decoded node entry
+    carries, equal to :func:`target_min_distance` on the same MBR, so a
+    traversal can rank raw entries without building a :class:`Rect`.
+    """
+    if isinstance(target, Rect):
+        area_lo, area_hi = target.lo, target.hi
+
+        def distance(coords: Sequence[float]) -> float:
+            return box_box_distance(coords[:dims], coords[dims:], area_lo, area_hi)
+
+    else:
+
+        def distance(coords: Sequence[float]) -> float:
+            return box_min_distance(coords[:dims], coords[dims:], target)
+
+    return distance
 
 
 def target_point_distance(point: Sequence[float], target) -> float:

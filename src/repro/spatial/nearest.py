@@ -10,12 +10,14 @@ the optional ``query_mask`` (``level -> query signature``, from the
 tree's ``query_mask(terms)``) turns that test on, so one implementation
 serves both the plain R-Tree baseline and the IR2-/MIR2-Trees.
 
-The loop works on the raw ``(child_ref, coords, signature)`` tuples a node
+The loop works on the raw ``(child_ref, coords, bits)`` tuples a node
 decodes to (:meth:`RTree.read_entries`): "s matches w" is one integer AND
-of the entry's signature bytes against the query bits, MINDIST comes from
+of the entry's signature bits against the query bits, MINDIST comes from
 the coordinate tuple, and no :class:`Rect` or signature object is built
 for an entry.  Most entries of a keyword query are pruned, so the objects
-would mostly be thrown away.
+would mostly be thrown away.  Both the signature's ``int`` and the check
+that every entry MBR has ``lo <= hi`` come from the decode, which the
+node intern runs once per distinct image.
 
 Nodes are enqueued *by pointer* and loaded only when dequeued.  (The
 paper's Figure 3 writes ``Enqueue(LoadNode(ptr), dist)``, but loading at
@@ -31,17 +33,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from operator import gt
 from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 
 from repro.errors import SignatureLengthError
 from repro.obs import trace as qtrace
-from repro.spatial.geometry import (
-    Rect,
-    box_box_distance,
-    box_min_distance,
-    point_distance,
-)
+from repro.spatial.geometry import coords_distance, point_distance
 from repro.spatial.rtree import Node, RTree
 
 if TYPE_CHECKING:
@@ -94,34 +90,21 @@ def incremental_nearest(
             signature at that level's width (the tree's
             ``query_mask(terms)``).  An entry survives when its signature
             bits cover the query bits — the paper's "if s matches w" —
-            tested with one integer AND on the raw entry bytes.  ``None``
-            disables filtering.
+            tested with one integer AND on the decoded entry bits.
+            ``None`` disables filtering.
         trace: optional :class:`NNTrace` collecting the queue activity.
 
     Raises:
         SignatureLengthError: a node's signature width differs from the
             query signature's width at that level.
-        ValueError: a decoded entry MBR is inverted (``lo > hi``), whether
-            or not the signature test prunes it.
+        ValueError: a node read has an inverted entry MBR (``lo > hi``),
+            whether or not the signature test would prune that entry
+            (:meth:`RTree.read_entries` checks every entry at decode).
 
     The generator is *incremental*: callers pull exactly as many neighbors
     as they need, and tree I/O happens lazily as the queue is consumed.
     """
-    dims = tree.dims
-    # The 2-D MBR check, inlined below, is the paper's case and costs a
-    # tenth of the general one; every entry of every node pays it.
-    planar = dims == 2
-    from_bytes = int.from_bytes
-    if isinstance(point, Rect):
-        area_lo, area_hi = point.lo, point.hi
-
-        def distance_to(coords) -> float:
-            return box_box_distance(coords[:dims], coords[dims:], area_lo, area_hi)
-
-    else:
-
-        def distance_to(coords) -> float:
-            return box_min_distance(coords[:dims], coords[dims:], point)
+    distance_to = coords_distance(point, tree.dims)
 
     counter = 0
     heap: list[tuple[float, int, int, int]] = []  # (dist, kind, seq, ref)
@@ -162,16 +145,8 @@ def incremental_nearest(
             if query.length_bits != sig_len * 8:
                 raise SignatureLengthError(sig_len * 8, query.length_bits)
             mask = query.bits
-        for child_ref, coords, sig in entries:
-            if (
-                coords[0] > coords[2] or coords[1] > coords[3]
-                if planar
-                else any(map(gt, coords[:dims], coords[dims:]))
-            ):
-                raise ValueError(
-                    f"inverted rectangle: lo={coords[:dims]}, hi={coords[dims:]}"
-                )
-            if mask and from_bytes(sig, "little") & mask != mask:
+        for child_ref, coords, bits in entries:
+            if bits & mask != mask:
                 if trace is not None:
                     trace.record(
                         "prune",

@@ -20,6 +20,7 @@ AdjustTree / CondenseTree passes that maintain MBRs.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import gt
 from typing import Callable, Iterator, Sequence
 
 from repro.errors import TreeInvariantError
@@ -40,8 +41,37 @@ DEFAULT_MIN_FILL_RATIO = 0.4
 #: Decoded node images a node intern keeps; past it the oldest is dropped.
 NODE_INTERN_CAPACITY = 128
 
-#: A node image decoded once: ``(node_id, level, sig_len, entries)``.
-DecodedNode = tuple[int, int, int, tuple[tuple[int, tuple[float, ...], bytes], ...]]
+#: A node image decoded once: ``(node_id, level, sig_len, entries)``, each
+#: entry ``(child_ref, mbr_coords, bits)`` (see :meth:`RTree.read_entries`).
+DecodedNode = tuple[int, int, int, tuple[tuple[int, tuple[float, ...], int], ...]]
+
+
+def decode_entries(image: bytes, dims: int) -> DecodedNode:
+    """Decode a node image into its :data:`DecodedNode` value.
+
+    Each signature becomes an ``int`` and each entry MBR is checked once.
+
+    Raises:
+        SerializationError: the image header or length is bad.
+        ValueError: an entry MBR is inverted (``lo > hi``).
+    """
+    node_id, level, _is_leaf, sig_len, raw_entries = decode_node(image, dims)
+    from_bytes = int.from_bytes
+    # The inlined 2-D check is the paper's case and costs a tenth of the
+    # general one; maintenance decodes every image it rewrites.
+    planar = dims == 2
+    entries = []
+    for ref, coords, sig in raw_entries:
+        if (
+            coords[0] > coords[2] or coords[1] > coords[3]
+            if planar
+            else any(map(gt, coords[:dims], coords[dims:]))
+        ):
+            raise ValueError(
+                f"inverted rectangle: lo={coords[:dims]}, hi={coords[dims:]}"
+            )
+        entries.append((ref, coords, from_bytes(sig, "little")))
+    return node_id, level, sig_len, tuple(entries)
 
 
 @dataclass
@@ -182,31 +212,30 @@ class RTree:
 
     def read_entries(
         self, node_id: int
-    ) -> tuple[int, int, tuple[tuple[int, tuple[float, ...], bytes], ...]]:
+    ) -> tuple[int, int, tuple[tuple[int, tuple[float, ...], int], ...]]:
         """Read one node (counted I/O) as raw decoded entry tuples.
 
         Returns ``(level, sig_len, entries)`` with each entry a
-        ``(child_ref, mbr_coords, signature_bytes)`` tuple straight from
-        :func:`~repro.storage.serialization.decode_node`.  The query
-        traversal works on these directly and builds no :class:`Entry`
-        or :class:`Rect` per entry; :meth:`load_node` wraps them.
+        ``(child_ref, mbr_coords, bits)`` tuple: the child pointer, the
+        MBR's ``lo + hi`` corners and the signature as an ``int``
+        (little-endian, ``sig_len`` bytes wide).  The query traversals
+        work on these directly: "s matches w" is one AND on ``bits`` and
+        no :class:`Entry`, :class:`Rect` or signature object is built
+        per entry; :meth:`load_node` wraps them for maintenance.
 
         The image is always read (and charged); only its decode goes
         through :attr:`node_intern`, keyed by ``dims`` and the image
-        bytes, so a byte-identical image is decoded once.  The node-id
-        check runs on every read.
+        bytes, so a byte-identical image is decoded once.  A miss checks
+        every entry's MBR (``lo <= hi``) before the image is added, so an
+        image with an inverted MBR is never interned and each read of it
+        raises ``ValueError``.  The node-id check runs on every read.
         """
         image = self.pages.read(node_id)
         key = (self.dims, image)
         decoded = self.node_intern.get(key)
         if decoded is None:
-            decoded_id, level, _is_leaf, sig_len, raw_entries = decode_node(
-                image, self.dims
-            )
             decoded = self.node_intern.add(
-                key,
-                (decoded_id, level, sig_len, tuple(raw_entries)),
-                NODE_INTERN_CAPACITY,
+                key, decode_entries(image, self.dims), NODE_INTERN_CAPACITY
             )
         decoded_id, level, sig_len, entries = decoded
         if decoded_id != node_id:
@@ -217,10 +246,10 @@ class RTree:
 
     def load_node(self, node_id: int) -> Node:
         """The paper's ``LoadNode``: read and decode one node (counted I/O)."""
-        level, _sig_len, raw_entries = self.read_entries(node_id)
+        level, sig_len, raw_entries = self.read_entries(node_id)
         entries = [
-            Entry(ref, Rect.from_coords(coords), sig)
-            for ref, coords, sig in raw_entries
+            Entry(ref, Rect.from_coords(coords), bits.to_bytes(sig_len, "little"))
+            for ref, coords, bits in raw_entries
         ]
         return Node(node_id, level, entries)
 

@@ -16,7 +16,9 @@ depend on.
 Each analyzer memoizes the distinct-term set of every text it analyzes
 in a bounded, content-addressed :class:`~repro.storage.intern.Intern`
 keyed by the text, so verification, indexing and upkeep tokenize a
-given document once while it stays in the memo.
+given document once while it stays in the memo.  A second map beside it
+memoizes each text's token count, the document length ranked scoring
+reads.
 """
 
 from __future__ import annotations
@@ -32,6 +34,11 @@ from repro.storage.intern import Intern
 #: contains_all`), so the bound covers a corpus of a few thousand objects
 #: plus the distinct keywords of its queries.
 TERM_MEMO_CAPACITY = 8192
+
+#: Distinct texts whose token counts an analyzer's length memo keeps;
+#: past it the oldest is dropped.  Only documents are counted (ranked
+#: scoring), not query keywords.
+LENGTH_MEMO_CAPACITY = 8192
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -49,9 +56,11 @@ class Analyzer:
     because the analyzer memoizes its results: :meth:`terms` keeps each
     text's distinct-term ``frozenset`` in a bounded memo of
     :data:`TERM_MEMO_CAPACITY` texts, dropping the oldest past it and
-    counting each drop in ``memo.dropped``.  The memo belongs to the
-    instance, so two analyzers never share entries; it is safe to use
-    from several threads.
+    counting each drop in ``memo.dropped``; :meth:`document_length`
+    keeps each text's token count the same way in ``length_memo``
+    (:data:`LENGTH_MEMO_CAPACITY` texts).  The memos belong to the
+    instance, so two analyzers never share entries; they are safe to
+    use from several threads.
 
     Args:
         lowercase: fold tokens to lower case (the paper's example treats
@@ -60,7 +69,13 @@ class Analyzer:
         stopwords: tokens to drop entirely, or ``None`` to keep everything.
     """
 
-    __slots__ = ("_lowercase", "_min_token_length", "_stopwords", "memo")
+    __slots__ = (
+        "_lowercase",
+        "_min_token_length",
+        "_stopwords",
+        "memo",
+        "length_memo",
+    )
 
     def __init__(
         self,
@@ -73,6 +88,8 @@ class Analyzer:
         self._stopwords = stopwords
         #: Text -> its distinct terms (see :meth:`terms`).
         self.memo: Intern[str, frozenset[str]] = Intern()
+        #: Text -> its token count (see :meth:`document_length`).
+        self.length_memo: Intern[str, int] = Intern()
 
     @property
     def lowercase(self) -> bool:
@@ -125,8 +142,16 @@ class Analyzer:
         return frequencies
 
     def document_length(self, text: str) -> int:
-        """Number of tokens in ``text`` (the ``dl`` of the IR model)."""
-        return sum(1 for _ in self.tokens(text))
+        """Number of tokens in ``text`` (the ``dl`` of the IR model).
+
+        Memoized like :meth:`terms`, in :attr:`length_memo`.
+        """
+        length = self.length_memo.get(text)
+        if length is None:
+            length = self.length_memo.add(
+                text, sum(1 for _ in self.tokens(text)), LENGTH_MEMO_CAPACITY
+            )
+        return length
 
     def query_terms(self, keywords: Iterable[str]) -> list[str]:
         """Normalize query keywords through the same pipeline.

@@ -46,20 +46,17 @@ def ir_score(
 ) -> float:
     """Relevance of ``text`` to the query under the default (binary-tf) model.
 
-    Returns 0.0 when no query term occurs in the text.
+    Returns 0.0 when no query term occurs in the text.  Reads the
+    analyzer's memoized term set and token count (``dl``), so a text
+    scored before is not tokenized again.
     """
     if not query_terms:
         return 0.0
-    frequencies = analyzer.term_frequencies(text)
-    dl = sum(frequencies.values())
-    if dl == 0:
-        return 0.0
-    matched_idf = sum(
-        vocabulary.idf(term) for term in query_terms if term in frequencies
-    )
+    terms = analyzer.terms(text)
+    matched_idf = sum(vocabulary.idf(term) for term in query_terms if term in terms)
     if matched_idf == 0.0:
         return 0.0
-    return matched_idf / (1.0 + math.log(dl))
+    return matched_idf / (1.0 + math.log(analyzer.document_length(text)))
 
 
 def tf_idf_score(

@@ -1,8 +1,9 @@
 """Content-addressed interns: decode and analyze once, fail as uncached.
 
-:class:`repro.storage.intern.Intern` backs three maps: object rows
+:class:`repro.storage.intern.Intern` backs four maps: object rows
 (``ObjectStore.intern``), node images (``RTree.read_entries`` through
-``Corpus.node_intern``) and term sets (``Analyzer.terms``).  A hit must
+``Corpus.node_intern``), term sets (``Analyzer.terms``) and token counts
+(``Analyzer.document_length``).  A hit must
 never hide a fault: corrupted bytes are a different key and decode, or
 fail, exactly as they would with no map, and the node-id check runs on
 every read.  The maps are bounded, count their drops, and stay
@@ -22,9 +23,11 @@ from hypothesis import strategies as st
 
 from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import SpatialKeywordQuery
+from repro.core.ranking import DistanceDecayRanking
 from repro.datasets import DatasetConfig, SpatialTextDatasetGenerator
 from repro.errors import SerializationError, TreeInvariantError
 from repro.obs import MetricsRegistry, export_engine
+from repro.spatial import Rect
 from repro.spatial import rtree as rtree_module
 from repro.storage import FaultPlan, Intern, objectstore
 from repro.storage.faults import inject_engine_faults
@@ -182,10 +185,15 @@ class TestNodeIntern:
         monkeypatch.setattr(tree.pages, "read", spy)
 
         def uncached(image, node_id):
-            decoded_id, level, _leaf, sig_len, entries = decode_node(image, tree.dims)
+            decoded_id, level, _leaf, sig_len, raw = decode_node(image, tree.dims)
+            entries = tuple(
+                (ref, coords, int.from_bytes(sig, "little")) for ref, coords, sig in raw
+            )
+            for _ref, coords, _bits in entries:
+                Rect.from_coords(coords)  # ValueError on an inverted MBR
             if decoded_id != node_id:
                 raise TreeInvariantError("node id mismatch")
-            return level, sig_len, tuple(entries)
+            return level, sig_len, entries
 
         raised = 0
         for _ in range(30):
@@ -302,6 +310,17 @@ class TestTermMemo:
         assert analyzer.terms("word4 shared") is sets[4]
         assert analyzer.terms("word0 shared") == sets[0]
 
+    def test_length_memo_is_bounded_and_counts_its_drops(self, monkeypatch):
+        monkeypatch.setattr(analyzer_module, "LENGTH_MEMO_CAPACITY", 3)
+        analyzer = Analyzer()
+        lengths = [analyzer.document_length("w " * i) for i in range(5)]
+        assert lengths == list(range(5))
+        assert len(analyzer.length_memo) == 3
+        assert analyzer.length_memo.dropped == 2
+        assert analyzer.document_length("w " * 4) == 4
+        assert analyzer.length_memo.get("w " * 4) == 4
+        assert analyzer.length_memo.get("") is None
+
     @settings(max_examples=200, deadline=None)
     @given(
         text=st.lists(
@@ -338,12 +357,16 @@ class TestConcurrentEviction:
         """Racing reads at tiny bounds raise nothing and answer correctly."""
         monkeypatch.setattr(rtree_module, "NODE_INTERN_CAPACITY", 2)
         monkeypatch.setattr(analyzer_module, "TERM_MEMO_CAPACITY", 3)
+        monkeypatch.setattr(analyzer_module, "LENGTH_MEMO_CAPACITY", 3)
         monkeypatch.setattr(objectstore, "INTERN_CAPACITY", 4)
         objects = make_objects()
         engine = make_engine(objects)
         analyzer = Analyzer()  # a private memo, so the bound binds here
         engine.corpus.analyzer = analyzer
         queries = make_queries(objects, analyzer)
+        # Ranked scoring reads the length memo as well.
+        ranking = DistanceDecayRanking(half_distance=10.0)
+        queries += [query.with_ranking(ranking) for query in queries[:6]]
         expected = [engine.search(query).oids for query in queries]
         errors: list[BaseException] = []
         answers: list[list[list[int]]] = [[] for _ in range(6)]
@@ -377,6 +400,8 @@ class TestConcurrentEviction:
         assert len(analyzer.memo) <= 3
         assert engine.corpus.node_intern.dropped > 0
         assert analyzer.memo.dropped > 0
+        assert len(analyzer.length_memo) <= 3
+        assert analyzer.length_memo.dropped > 0
 
 
 class TestExport:
@@ -397,3 +422,21 @@ class TestExport:
         assert counters["storage.node_intern.dropped"] == engine.corpus.node_intern.dropped > 0
         assert counters["text.term_memo.dropped"] == engine.corpus.analyzer.memo.dropped > 0
         assert counters["storage.object_intern.dropped"] == engine.corpus.store.intern.dropped
+
+    def test_length_memo_drops_follow_ranked_scoring(self, monkeypatch):
+        monkeypatch.setattr(analyzer_module, "LENGTH_MEMO_CAPACITY", 2)
+        objects = make_objects(80)
+        engine = SpatialKeywordEngine(
+            index="ir2", signature_bytes=8, capacity=8, analyzer=Analyzer()
+        )
+        engine.add_all(objects)
+        engine.build()
+        ranking = DistanceDecayRanking(half_distance=10.0)
+        for query in make_queries(objects, engine.corpus.analyzer, count=8):
+            engine.search(query.with_ranking(ranking))
+        registry = MetricsRegistry()
+        export_engine(registry, engine)
+        counters = registry.snapshot()["counters"]
+        memo = engine.corpus.analyzer.length_memo
+        assert len(memo) == 2
+        assert counters["text.length_memo.dropped"] == memo.dropped > 0

@@ -150,11 +150,13 @@ class TestQueryHelpers:
                     assert covers(leaf_entries[oid].signature, mask(node.level))
 
     def test_matched_terms_subset_of_query(self):
+        """The ranked search's per-keyword test: each term's own mask."""
         tree = make_tree()
         tree.insert_object(0, (0.0, 0.0), {"pool"})
-        entry = next(tree.iter_leaf_entries())
-        node = tree._load_uncounted(tree.root_id)
-        matched = tree.matched_terms(entry, node, ["pool", "zebra"])
+        level, _sig_len, entries = tree.read_entries(tree.root_id)
+        ((_ref, _coords, bits),) = entries
+        masks = {term: tree.query_mask([term])(level) for term in ["pool", "zebra"]}
+        matched = [term for term, mask in masks.items() if bits & mask.bits == mask.bits]
         assert "pool" in matched
         assert set(matched) <= {"pool", "zebra"}
 

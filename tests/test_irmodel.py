@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.text import Vocabulary, ir_score, tf_idf_score, upper_bound_ir_score
-from repro.text.analyzer import DEFAULT_ANALYZER
+from repro.text.analyzer import DEFAULT_ANALYZER, DEFAULT_STOPWORDS, Analyzer
 
 
 @pytest.fixture
@@ -53,6 +53,49 @@ class TestIrScore:
         once = ir_score("pool bar", ["pool"], vocabulary, DEFAULT_ANALYZER)
         thrice = ir_score("pool pool pool bar", ["pool"], vocabulary, DEFAULT_ANALYZER)
         assert once > thrice
+
+
+def tokenizing_ir_score(text, query_terms, vocabulary, analyzer):
+    """The default model computed from a fresh tokenization of ``text``."""
+    if not query_terms:
+        return 0.0
+    frequencies = analyzer.term_frequencies(text)
+    dl = sum(frequencies.values())
+    if dl == 0:
+        return 0.0
+    matched_idf = sum(vocabulary.idf(term) for term in query_terms if term in frequencies)
+    if matched_idf == 0.0:
+        return 0.0
+    return matched_idf / (1.0 + math.log(dl))
+
+
+WORDS = ["pool", "Pool", "spa", "the", "a", "internet", "İnternet", "ßauna", "x9"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    text=st.lists(
+        st.sampled_from(WORDS + [" ", ",", "_", "-", "\t"]), max_size=30
+    ).map(" ".join),
+    keywords=st.lists(st.sampled_from(WORDS + ["golf", "pool spa"]), max_size=4),
+    documents=st.lists(st.sets(st.sampled_from(WORDS)), max_size=6),
+    lowercase=st.booleans(),
+    min_token_length=st.integers(min_value=1, max_value=4),
+    stopwords=st.sampled_from([None, DEFAULT_STOPWORDS, frozenset({"pool", "Spa"})]),
+)
+def test_property_memoized_ir_score_equals_tokenizing_formula(
+    text, keywords, documents, lowercase, min_token_length, stopwords
+):
+    """``ir_score`` reads the analyzer's memos; it equals the tokenizing form exactly."""
+    analyzer = Analyzer(lowercase, min_token_length, stopwords)
+    vocab = Vocabulary()
+    for document in documents:
+        vocab.add_document({term for word in document for term in analyzer.tokens(word)})
+    terms = analyzer.query_terms(keywords)
+    expected = tokenizing_ir_score(text, terms, vocab, analyzer)
+    assert ir_score(text, terms, vocab, analyzer) == expected
+    assert ir_score(text, terms, vocab, analyzer) == expected  # the memo hits
+    assert analyzer.document_length(text) == len(list(analyzer.tokens(text)))
 
 
 class TestTfIdfVariant:

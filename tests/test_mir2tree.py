@@ -162,10 +162,25 @@ class TestQueryHelpers:
                     assert bits & query.bits == query.bits
 
     def test_matched_terms_per_level(self):
+        """Per-term masks at the root's width match every term below an entry."""
         corpus = make_corpus(30, seed=8)
         tree = make_tree(corpus)
         fill(tree, corpus)
-        node = tree._load_uncounted(tree.root_id)
-        for entry in node.entries:
-            matched = tree.matched_terms(entry, node, ["w0", "w1", "w2"])
+        level, sig_len, entries = tree.read_entries(tree.root_id)
+        assert level > 0
+        terms = ["w0", "w1", "w2"]
+        masks = {term: tree.query_mask([term])(level) for term in terms}
+        assert all(mask.length_bits == 8 * sig_len for mask in masks.values())
+        for child_ref, _coords, bits in entries:
+            matched = [
+                term for term, mask in masks.items() if bits & mask.bits == mask.bits
+            ]
             assert set(matched) <= {"w0", "w1", "w2"}
+            child = tree._load_uncounted(child_ref)
+            below = set().union(
+                *(
+                    corpus.term_resolver(pointer)
+                    for pointer in MIR2Scheme.subtree_object_pointers(tree, child)
+                )
+            )
+            assert below & set(terms) <= set(matched)
