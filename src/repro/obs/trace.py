@@ -252,19 +252,28 @@ class Trace:
 
 # -- Thread-local context propagation -------------------------------------------
 
-_ctx = threading.local()
+class _Context(threading.local):
+    """Each thread's span stack, created empty on the thread's first use.
+
+    The attribute always exists, so the untraced fast path never pays
+    for the ``AttributeError`` a defaulted ``getattr`` on a bare
+    ``threading.local`` raises and swallows on every call.
+    """
+
+    def __init__(self) -> None:
+        self.stack: list[Span] = []
+
+
+_ctx = _Context()
 
 
 def _stack() -> list[Span]:
-    stack = getattr(_ctx, "stack", None)
-    if stack is None:
-        stack = _ctx.stack = []
-    return stack
+    return _ctx.stack
 
 
 def current_span() -> Span | None:
     """The span active on this thread, or None (the fast path)."""
-    stack = getattr(_ctx, "stack", None)
+    stack = _ctx.stack
     return stack[-1] if stack else None
 
 
@@ -335,16 +344,23 @@ def trace_query(name: str = "query", trace: Trace | None = None, **attrs) -> Ite
 
 # -- Storage-layer event bridge --------------------------------------------------
 
-def _block_io_sink(op: str, block_id: int, category: str, is_seq: bool) -> None:
-    """Receive one classified block access from :mod:`repro.storage.iostats`."""
+def _block_io_sink(
+    op: str, block_id: int, category: str, is_seq: bool, count: int = 1
+) -> None:
+    """Receive one classified access of ``count`` contiguous blocks from
+    :mod:`repro.storage.iostats`; emits one event per block."""
     span = current_span()
-    if span is not None:
-        span.event(
-            EVT_BLOCK_READ if op == "read" else EVT_BLOCK_WRITE,
-            block=block_id,
-            category=category,
-            pattern=PATTERN_SEQUENTIAL if is_seq else PATTERN_RANDOM,
-        )
+    if span is None:
+        return
+    kind = EVT_BLOCK_READ if op == "read" else EVT_BLOCK_WRITE
+    span.event(
+        kind,
+        block=block_id,
+        category=category,
+        pattern=PATTERN_SEQUENTIAL if is_seq else PATTERN_RANDOM,
+    )
+    for block in range(block_id + 1, block_id + count):
+        span.event(kind, block=block, category=category, pattern=PATTERN_SEQUENTIAL)
 
 
 def _object_load_sink(count: int) -> None:

@@ -9,7 +9,7 @@ access to an :class:`~repro.storage.iostats.IOStats` instance.
 Two interchangeable backends are provided:
 
 * :class:`InMemoryBlockDevice` keeps blocks in a Python list of
-  ``bytearray`` objects.  It is the default for tests and benchmarks: the
+  immutable ``bytes`` objects.  It is the default for tests and benchmarks: the
   evaluation metric is the *number* of block accesses, not the wall time of
   Python file I/O.
 * :class:`FileBlockDevice` stores blocks in a real file on disk, proving
@@ -18,6 +18,14 @@ Two interchangeable backends are provided:
 Both expose single-block and *extent* (contiguous multi-block) operations.
 An extent read costs one random access plus length-1 sequential accesses,
 which is how the paper's multi-block IR2/MIR2 nodes are charged.
+
+:meth:`BlockDevice.read_block` is the one counted read.  It reads
+``count`` contiguous blocks (one by default) and does its work once per
+call, not once per block: one range check, one shared-read session
+lookup, one :meth:`~repro.storage.iostats.IOStats.record_reads` charge
+and one backend read (:meth:`BlockDevice._read_raw_extent`).
+:meth:`BlockDevice.read_extent` is the same call under the name the
+node, postings and signature-file readers use.
 """
 
 from __future__ import annotations
@@ -63,6 +71,10 @@ class BlockDevice:
     def _read_raw(self, block_id: int) -> bytes:
         raise NotImplementedError
 
+    def _read_raw_extent(self, start: int, count: int) -> bytes:
+        """Uncounted read of ``count`` blocks from ``start`` (in range)."""
+        return b"".join(self._read_raw(b) for b in range(start, start + count))
+
     def _write_raw(self, block_id: int, data: bytes) -> None:
         raise NotImplementedError
 
@@ -71,27 +83,58 @@ class BlockDevice:
         """Number of blocks currently allocated on the device."""
         raise NotImplementedError
 
-    # -- Single-block API ----------------------------------------------------
+    # -- Counted reads and writes ----------------------------------------------
 
-    def read_block(self, block_id: int, category: str = "data") -> bytes:
-        """Read one block; counts one (random or sequential) access.
+    def read_block(
+        self, block_id: int, category: str = "data", count: int = 1
+    ) -> bytes:
+        """Read ``count`` contiguous blocks from ``block_id``, counted.
+
+        Accounting: the first block is classified by head position
+        (usually random); each following block is sequential by
+        construction.  An extent that starts below 0 or runs past the
+        device end raises :class:`BlockOutOfRangeError` for its first bad
+        block before anything is charged or read.
 
         When a :class:`~repro.storage.sharedread.SharedReadSession` is
         active on the calling thread, a block another query in the batch
         already fetched is served from the session instead: recorded as a
-        ``shared_read`` (zero device I/O, head position unchanged).
+        ``shared_read`` (zero device I/O, head position unchanged).  Each
+        maximal run of the extent's other blocks is charged and read as
+        one extent and stored in the session.
         """
-        self._check_range(block_id)
+        if count < 1:
+            return b""
+        if block_id < 0 or block_id + count > self.num_blocks:
+            self._raise_out_of_range(block_id)
         session = current_session()
-        if session is not None:
-            cached = session.lookup(self, block_id)
-            if cached is not None:
-                self.stats.record_shared_read(block_id, category)
-                return cached
-        self.stats.record_read(block_id, category)
-        data = self._read_raw(block_id)
-        if session is not None:
-            session.store(self, block_id, data)
+        if session is None:
+            self.stats.record_reads(block_id, count, category)
+            return self._read_raw_extent(block_id, count)
+        cached = session.lookup_extent(self, block_id, count)
+        pieces = []
+        run_start = None  # first block of the pending run of misses
+        for block, data in enumerate(cached, block_id):
+            if data is None:
+                if run_start is None:
+                    run_start = block
+                continue
+            if run_start is not None:
+                pieces.append(self._read_run(session, run_start, block, category))
+                run_start = None
+            self.stats.record_shared_read(block, category)
+            pieces.append(data)
+        if run_start is not None:
+            pieces.append(
+                self._read_run(session, run_start, block_id + count, category)
+            )
+        return b"".join(pieces)
+
+    def _read_run(self, session, start: int, stop: int, category: str) -> bytes:
+        """Charge, read and share blocks ``start`` .. ``stop - 1``."""
+        self.stats.record_reads(start, stop - start, category)
+        data = self._read_raw_extent(start, stop - start)
+        session.store_extent(self, start, data, self.block_size)
         return data
 
     def write_block(self, block_id: int, data: bytes, category: str = "data") -> None:
@@ -118,15 +161,8 @@ class BlockDevice:
     # -- Extent API ----------------------------------------------------------
 
     def read_extent(self, start: int, count: int, category: str = "data") -> bytes:
-        """Read ``count`` contiguous blocks starting at ``start``.
-
-        Accounting: the first block is classified by head position (usually
-        random); each following block is sequential by construction.
-        """
-        pieces = []
-        for block_id in range(start, start + count):
-            pieces.append(self.read_block(block_id, category))
-        return b"".join(pieces)
+        """Read ``count`` contiguous blocks from ``start``; see :meth:`read_block`."""
+        return self.read_block(start, category, count)
 
     def write_extent(self, start: int, data: bytes, category: str = "data") -> int:
         """Write ``data`` over contiguous blocks starting at ``start``.
@@ -165,9 +201,15 @@ class BlockDevice:
         for block_id in range(self.num_blocks):
             yield self._read_raw(block_id)
 
-    def _check_range(self, block_id: int) -> None:
-        if block_id < 0 or block_id >= self.num_blocks:
-            raise BlockOutOfRangeError(block_id, self.num_blocks)
+    def _check_extent(self, start: int, count: int) -> None:
+        if start < 0 or start + count > self.num_blocks:
+            self._raise_out_of_range(start)
+
+    def _raise_out_of_range(self, start: int) -> None:
+        """Raise for the first bad block of an extent from ``start``."""
+        num_blocks = self.num_blocks
+        bad = start if start < 0 or start >= num_blocks else num_blocks
+        raise BlockOutOfRangeError(bad, num_blocks)
 
     def _grow_to(self, num_blocks: int) -> None:
         raise NotImplementedError
@@ -180,10 +222,13 @@ class BlockDevice:
 
 
 class InMemoryBlockDevice(BlockDevice):
-    """Block device backed by an in-process list of bytearrays.
+    """Block device backed by an in-process list of immutable blocks.
 
     The default backend: access *counting* is identical to the file-backed
     device while avoiding filesystem overhead in tests and benchmarks.
+    Blocks are ``bytes``, replaced whole on write, so a single-block read
+    returns the stored object without a copy and a device copy can share
+    them.
     """
 
     def __init__(
@@ -193,21 +238,24 @@ class InMemoryBlockDevice(BlockDevice):
         name: str = "memory",
     ) -> None:
         super().__init__(block_size, stats, name)
-        self._blocks: list[bytearray] = []
+        self._blocks: list[bytes] = []
 
     @property
     def num_blocks(self) -> int:
         return len(self._blocks)
 
     def _read_raw(self, block_id: int) -> bytes:
-        return bytes(self._blocks[block_id])
+        return self._blocks[block_id]
+
+    def _read_raw_extent(self, start: int, count: int) -> bytes:
+        return b"".join(self._blocks[start : start + count])
 
     def _write_raw(self, block_id: int, data: bytes) -> None:
-        self._blocks[block_id] = bytearray(data)
+        self._blocks[block_id] = bytes(data)
 
     def _grow_to(self, num_blocks: int) -> None:
         while len(self._blocks) < num_blocks:
-            self._blocks.append(bytearray(self.block_size))
+            self._blocks.append(bytes(self.block_size))
 
 
 class FileBlockDevice(BlockDevice):
@@ -247,6 +295,10 @@ class FileBlockDevice(BlockDevice):
     def _read_raw(self, block_id: int) -> bytes:
         self._file.seek(block_id * self.block_size)
         return self._file.read(self.block_size)
+
+    def _read_raw_extent(self, start: int, count: int) -> bytes:
+        self._file.seek(start * self.block_size)
+        return self._file.read(count * self.block_size)
 
     def _write_raw(self, block_id: int, data: bytes) -> None:
         self._file.seek(block_id * self.block_size)

@@ -15,8 +15,8 @@ nodes eagerly), updating the cached copy.
 The pool is safe under concurrent readers and writers, and cache hits are
 not serialized behind in-flight disk reads: a short *pool lock* protects
 the LRU map and the hit/miss counters (so ``hits + misses`` always equals
-the number of ``read_block`` calls and a reader can never observe a torn
-cache entry), while a separate *inner lock* serializes access to the
+the number of blocks read and a reader can never observe a torn cache
+entry), while a separate *inner lock* serializes access to the
 wrapped device only — its backends (notably
 :class:`~repro.storage.block.FileBlockDevice` with its single shared file
 handle) are not themselves safe under interleaved raw reads and writes.
@@ -75,35 +75,62 @@ class BufferPoolDevice(BlockDevice):
     def _grow_to(self, num_blocks: int) -> None:
         self.inner._grow_to(num_blocks)
 
-    def read_block(self, block_id: int, category: str = "data") -> bytes:
-        """Serve from cache when possible; otherwise read through.
+    def read_block(
+        self, block_id: int, category: str = "data", count: int = 1
+    ) -> bytes:
+        """Serve each block from cache when possible; read the rest through.
 
-        The pool lock is released while the inner device is read, so hits
-        on other blocks proceed while a miss is on disk.
+        Blocks are taken in order, each a hit or a miss, so ``hits +
+        misses`` grows by ``count``.  Each maximal run of misses is read
+        from the inner device as one extent — charged exactly as its
+        blocks read one at a time — and admitted block by block before
+        the block after it is looked up.  The pool lock is released while
+        the inner device is read, so hits on other blocks proceed while a
+        miss is on disk.
         """
-        with self._pool_lock:
-            cached = self._cache.get(block_id)
-            if cached is not None:
-                self._cache.move_to_end(block_id)
-                self.hits += 1
-                return cached
-            self.misses += 1
-            epoch = self._write_epoch
-        with self._inner_lock:
-            data = self.inner.read_block(block_id, category)
-        with self._pool_lock:
-            current = self._cache.get(block_id)
-            if current is not None:
-                # Another miss (or a write-through) populated the entry
-                # while we were on disk; theirs is at least as fresh.
-                self._cache.move_to_end(block_id)
-                return current
-            if self._write_epoch == epoch:
-                self._admit(block_id, data)
-            # else: a write landed during our disk read and its cached
-            # copy was already evicted — admitting `data` could cache a
-            # pre-write block image, so serve it uncached instead.
-            return data
+        self._check_extent(block_id, count)
+        block_size = self.block_size
+        stop = block_id + count
+        pieces = []
+        block = block_id
+        while block < stop:
+            with self._pool_lock:
+                cached = self._cache.get(block)
+                if cached is not None:
+                    self._cache.move_to_end(block)
+                    self.hits += 1
+                    pieces.append(cached)
+                    block += 1
+                    continue
+                run_stop = block + 1
+                while run_stop < stop and run_stop not in self._cache:
+                    run_stop += 1
+                self.misses += run_stop - block
+                epoch = self._write_epoch
+            with self._inner_lock:
+                data = self.inner.read_block(block, category, run_stop - block)
+            with self._pool_lock:
+                for offset in range(0, len(data), block_size):
+                    piece = data[offset : offset + block_size]
+                    pieces.append(self._admit_read(block, piece, epoch))
+                    block += 1
+        return b"".join(pieces)
+
+    def _admit_read(self, block_id: int, data: bytes, epoch: int) -> bytes:
+        """Cache a block a miss just read, unless it may be stale; return
+        the freshest copy (caller holds the pool lock)."""
+        current = self._cache.get(block_id)
+        if current is not None:
+            # Another miss (or a write-through) populated the entry
+            # while we were on disk; theirs is at least as fresh.
+            self._cache.move_to_end(block_id)
+            return current
+        if self._write_epoch == epoch:
+            self._admit(block_id, data)
+        # else: a write landed during our disk read and its cached
+        # copy was already evicted — admitting `data` could cache a
+        # pre-write block image, so serve it uncached instead.
+        return data
 
     def write_block(self, block_id: int, data: bytes, category: str = "data") -> None:
         """Write through to the inner device and refresh the cached copy.

@@ -235,12 +235,24 @@ class FaultInjectingDevice(BlockDevice):
     def _grow_to(self, num_blocks: int) -> None:
         self.inner._grow_to(num_blocks)
 
-    def read_block(self, block_id: int, category: str = "data") -> bytes:
-        flip = self.plan.on_read(self.name, block_id)
-        data = self.inner.read_block(block_id, category)
-        if flip:
-            data = self.plan.flip_bit(data)
-        return data
+    def read_block(
+        self, block_id: int, category: str = "data", count: int = 1
+    ) -> bytes:
+        """Read block by block, in order, each consulting the plan first.
+
+        A fault at block *i* of an extent leaves exactly the blocks before
+        *i* charged, and a bit flip lands inside the flipped block.  An
+        extent out of range raises before the plan sees any of it.
+        """
+        self._check_extent(block_id, count)
+        pieces = []
+        for block in range(block_id, block_id + count):
+            flip = self.plan.on_read(self.name, block)
+            data = self.inner.read_block(block, category)
+            if flip:
+                data = self.plan.flip_bit(data)
+            pieces.append(data)
+        return b"".join(pieces)
 
     def write_block(self, block_id: int, data: bytes, category: str = "data") -> None:
         torn = self.plan.on_write(self.name, block_id)

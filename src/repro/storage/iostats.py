@@ -7,12 +7,15 @@ accesses (the thick bars and thin lines of Figures 9b-14b), observing that
 
 :class:`IOStats` is the single source of truth for that accounting.  Every
 :class:`~repro.storage.block.BlockDevice` owns one and reports each block
-read/write to it.  An access to block ``b`` is classified *sequential* when
-it immediately follows an access to block ``b - 1`` on the same device (the
+write and each counted read to it; a read is one extent of ``count``
+contiguous blocks, recorded by :meth:`IOStats.record_reads` in one locked
+update.  An access to block ``b`` is classified *sequential* when it
+immediately follows an access to block ``b - 1`` on the same device (the
 head does not move), and *random* otherwise.  Multi-block node reads are
 therefore 1 random + (n-1) sequential accesses, which is exactly the
 mechanism that makes the MIR2-Tree trade sequential accesses for random ones
-in the paper's figures.
+in the paper's figures.  An extent is tallied exactly as its blocks read
+one at a time in order would be.
 
 Counters are additionally broken down by a free-form *category* string
 ("node", "object", "postings", ...) so experiments can report object
@@ -45,10 +48,12 @@ from typing import Iterator
 #: observability package, so instead of importing it we expose two module
 #: globals that default to ``None`` (a single cheap check per access).
 #: When set, every classified block access is forwarded as
-#: ``sink(op, block_id, category, is_sequential)`` and every logical
-#: object load as ``sink(count)``, firing at exactly the code points the
-#: counters tally — which is what lets span-tree event counts reconcile
-#: exactly with per-query :func:`collecting_io` deltas.
+#: ``sink(op, block_id, category, is_sequential, count=1)`` (an extent
+#: read arrives once, with its first block, that block's classification
+#: and its length; the rest of its blocks are sequential) and every
+#: logical object load as ``sink(count)``, firing at exactly the code
+#: points the counters tally — which is what lets span-tree event counts
+#: reconcile exactly with per-query :func:`collecting_io` deltas.
 _TRACE_BLOCK_SINK = None
 _TRACE_OBJECT_SINK = None
 #: Fired as ``sink(block_id, category)`` for every *shared-read hit*: a
@@ -150,15 +155,27 @@ class IOStats:
 
     def record_read(self, block_id: int, category: str = "data") -> bool:
         """Record a read of ``block_id``; return True if it was sequential."""
+        return self.record_reads(block_id, 1, category)
+
+    def record_reads(self, start: int, count: int = 1, category: str = "data") -> bool:
+        """Record a read of the ``count`` blocks from ``start`` (``count >= 1``).
+
+        The first block is classified by head position, the other
+        ``count - 1`` are sequential, and the head ends on the last block:
+        exactly what ``count`` single-block reads in order would record,
+        in one locked update per stats object and per collector.  Returns
+        True if the first block was sequential.
+        """
         with self._lock:
-            is_seq = self._classify(block_id)
-            self._tally_read(is_seq, category)
+            is_seq = self._last_block is not None and start == self._last_block + 1
+            self._last_block = start + count - 1
+            self._tally_reads(is_seq, count, category)
         for collector in _collector_stack():
             if collector is not self:
                 with collector._lock:
-                    collector._tally_read(is_seq, category)
+                    collector._tally_reads(is_seq, count, category)
         if _TRACE_BLOCK_SINK is not None:
-            _TRACE_BLOCK_SINK("read", block_id, category, is_seq)
+            _TRACE_BLOCK_SINK("read", start, category, is_seq, count)
         return is_seq
 
     def record_write(self, block_id: int, category: str = "data") -> bool:
@@ -202,13 +219,16 @@ class IOStats:
         if _TRACE_SHARED_SINK is not None:
             _TRACE_SHARED_SINK(block_id, category)
 
-    def _tally_read(self, is_seq: bool, category: str) -> None:
-        """Apply one pre-classified read (caller holds the lock)."""
-        if is_seq:
-            self.sequential.reads += 1
-        else:
-            self.random.reads += 1
-        self._bump(category, 1 if is_seq else 0)
+    def _tally_reads(self, first_seq: bool, count: int, category: str) -> None:
+        """Apply ``count`` contiguous reads, the first pre-classified
+        (caller holds the lock)."""
+        random = 0 if first_seq else 1
+        sequential = count - random
+        self.random.reads += random
+        self.sequential.reads += sequential
+        counts = self.by_category.setdefault(category, [0, 0, 0, 0])
+        counts[0] += random
+        counts[1] += sequential
 
     def _tally_write(self, is_seq: bool, category: str) -> None:
         """Apply one pre-classified write (caller holds the lock)."""

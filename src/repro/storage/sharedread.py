@@ -35,6 +35,13 @@ Correctness notes:
   random/sequential classification of the remaining real accesses is
   identical to a serial run — byte-identical answers *and* comparable
   counters.
+* A multi-block read looks up all of its blocks in one pass
+  (:meth:`SharedReadSession.lookup_extent`).  Hits are charged one by
+  one as shared reads; each maximal run of misses is charged, read and
+  stored (:meth:`SharedReadSession.store_extent`) as one extent.  That
+  is the charge the blocks would get read one at a time, so
+  ``real + shared == standalone`` and the random/sequential split hold
+  for extents too.
 """
 
 from __future__ import annotations
@@ -106,19 +113,32 @@ class SharedReadSession:
         self.hits = 0
         self.misses = 0
 
-    def lookup(self, device: object, block_id: int) -> bytes | None:
-        """Return cached bytes for ``block_id`` on ``device``, if present."""
+    def lookup_extent(
+        self, device: object, start: int, count: int
+    ) -> list[bytes | None]:
+        """Cached bytes of each of the ``count`` blocks from ``start`` on
+        ``device``, in one locked pass; ``None`` marks a block the session
+        lacks.  Each block found counts one hit."""
+        key = id(device)
+        blocks = self._blocks
         with self._lock:
-            data = self._blocks.get((id(device), block_id))
-            if data is not None:
-                self.hits += 1
-            return data
+            found = [blocks.get((key, block)) for block in range(start, start + count)]
+            self.hits += count - found.count(None)
+        return found
 
-    def store(self, device: object, block_id: int, data: bytes) -> None:
-        """Remember the bytes a real device read just returned."""
+    def store_extent(
+        self, device: object, start: int, data: bytes, block_size: int
+    ) -> None:
+        """Remember each block of the extent a real device read returned
+        from ``start``; each block counts one miss."""
+        key = id(device)
+        count = len(data) // block_size
         with self._lock:
-            self.misses += 1
-            self._blocks[(id(device), block_id)] = data
+            self.misses += count
+            for i in range(count):
+                self._blocks[(key, start + i)] = data[
+                    i * block_size : (i + 1) * block_size
+                ]
 
     def invalidate(self, device: object, block_id: int) -> None:
         """Drop a cached block after a write (defensive; see module docs)."""

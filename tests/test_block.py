@@ -6,6 +6,8 @@ import pytest
 
 from repro.errors import BlockOutOfRangeError, BlockSizeError
 from repro.storage import FileBlockDevice, InMemoryBlockDevice
+from repro.storage.iostats import collecting_io
+from repro.storage.sharedread import SharedReadSession, activate_session
 
 
 class TestInMemoryDevice:
@@ -78,6 +80,51 @@ class TestExtents:
         assert device.stats.random_reads == 1
         assert device.stats.sequential_reads == 3
 
+    @pytest.mark.parametrize(
+        "start, count, first_bad",
+        [(2, 5, 4), (-1, 3, -1), (4, 1, 4), (9, 2, 9)],
+    )
+    def test_out_of_range_extent_charges_nothing(self, start, count, first_bad):
+        device = InMemoryBlockDevice(block_size=8)
+        device.write_extent(0, b"x" * 32)
+        device.stats.reset()
+        device.read_block(0)
+        before = device.stats.counts()
+        with collecting_io() as io, activate_session(SharedReadSession()):
+            with pytest.raises(BlockOutOfRangeError) as excinfo:
+                device.read_extent(start, count)
+            with pytest.raises(BlockOutOfRangeError):
+                device.read_block(start, "data", count)
+        assert excinfo.value.block_id == first_bad
+        assert device.stats.counts() == before
+        assert io.total_reads == io.shared_reads == 0
+        device.read_block(1)  # the head never left block 0
+        assert device.stats.sequential_reads == 1
+
+    def test_empty_extent_reads_nothing(self):
+        device = InMemoryBlockDevice(block_size=8)
+        device.write_extent(0, b"x" * 16)
+        device.stats.reset()
+        assert device.read_extent(2, 0) == b""
+        assert device.stats.total_reads == 0
+
+    def test_extent_inside_session_reads_runs_of_misses(self):
+        device = InMemoryBlockDevice(block_size=8)
+        device.write_extent(0, bytes(range(48)))
+        device.stats.reset()
+        session = SharedReadSession()
+        with activate_session(session):
+            device.read_block(2)
+            device.read_block(3)
+            data = device.read_extent(0, 6)
+        assert data == bytes(range(48))
+        # 2 and 3 are hits; 0-1 and 4-5 are each one random + one
+        # sequential read, as if read block by block.
+        assert device.stats.shared_reads == 2
+        assert device.stats.random_reads == 1 + 2
+        assert device.stats.sequential_reads == 1 + 2
+        assert (session.hits, session.misses) == (2, 6)
+
     def test_write_empty_extent_still_one_block(self):
         device = InMemoryBlockDevice(block_size=8)
         assert device.write_extent(0, b"") == 1
@@ -119,6 +166,17 @@ class TestFileDevice:
         assert memory.stats.random_reads == disk.stats.random_reads
         assert memory.stats.sequential_reads == disk.stats.sequential_reads
         disk.close()
+
+    def test_file_extent_is_one_read_of_adjacent_blocks(self, tmp_path):
+        with FileBlockDevice(str(tmp_path / "e.dat"), block_size=16) as device:
+            device.write_extent(0, bytes(range(64)))
+            device.stats.reset()
+            assert device.read_extent(1, 3) == bytes(range(16, 64))
+            assert device.stats.random_reads == 1
+            assert device.stats.sequential_reads == 2
+            with pytest.raises(BlockOutOfRangeError):
+                device.read_extent(2, 3)
+            assert device.stats.total_reads == 3
 
     def test_iter_blocks_does_not_count(self):
         device = InMemoryBlockDevice(block_size=8)

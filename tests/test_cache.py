@@ -70,6 +70,36 @@ class TestCaching:
         pool.read_block(0)
         assert pool.inner.stats.total_reads == 1
 
+    def test_partly_cached_extent_reads_the_misses_through(self):
+        inner = InMemoryBlockDevice(block_size=8)
+        inner.write_extent(0, bytes(range(40)))
+        pool = BufferPoolDevice(inner, capacity_blocks=8)
+        pool.read_block(2)
+        inner.stats.reset()
+        assert pool.read_extent(0, 5, "node") == bytes(range(40))
+        assert (pool.hits, pool.misses) == (1, 5)  # 1 + 4 this extent
+        # Runs 0-1 and 3-4 are charged as if read block by block.
+        assert inner.stats.random_reads == 2
+        assert inner.stats.sequential_reads == 2
+        inner.stats.reset()
+        assert pool.read_extent(0, 5) == bytes(range(40))
+        assert pool.hits + pool.misses == 11
+        assert inner.stats.total_reads == 0
+
+    def test_extent_admissions_evict_in_block_order(self):
+        inner = InMemoryBlockDevice(block_size=8)
+        inner.write_extent(0, bytes(range(24)))
+        pool = BufferPoolDevice(inner, capacity_blocks=2)
+        pool.read_block(1)
+        pool.read_block(2)
+        inner.stats.reset()
+        # Admitting 0 evicts 1 and admitting 1 evicts 2 before each is
+        # looked up, exactly as three single-block reads would.
+        assert pool.read_extent(0, 3) == bytes(range(24))
+        assert (pool.hits, pool.misses) == (0, 5)
+        assert inner.stats.random_reads == 1
+        assert inner.stats.sequential_reads == 2
+
     def test_invalid_capacity(self):
         with pytest.raises(ValueError):
             BufferPoolDevice(InMemoryBlockDevice(), capacity_blocks=0)

@@ -7,6 +7,7 @@ import pytest
 from repro import SpatialKeywordEngine
 from repro.datasets import figure1_hotels
 from repro.errors import (
+    BlockOutOfRangeError,
     DeviceFaultError,
     StorageError,
     TransientDeviceError,
@@ -112,6 +113,40 @@ class TestTornWritesAndBitFlips:
         assert len(changed) == 1 and bin(changed[0]).count("1") == 1
         assert inner.read_block(0) == clean  # the device itself is untouched
         assert device.plan.bitflips_injected == 1
+
+
+class TestExtentFaults:
+    def test_fault_at_second_block_charges_only_the_first(self):
+        inner = loaded_device(4)
+        inner.stats.reset()
+        device = FaultInjectingDevice(inner, fail_read_at=(1,))
+        with pytest.raises(DeviceFaultError, match="block 1"):
+            device.read_extent(0, 3, "node")
+        assert inner.stats.random_reads == 1
+        assert inner.stats.sequential_reads == 0
+        assert inner.stats.category_reads("node") == 1
+        assert device.plan.reads_seen == 2
+
+    def test_bitflips_land_inside_each_blocks_slice(self):
+        inner = loaded_device(3)
+        device = FaultInjectingDevice(inner, bitflip_rate=1.0)
+        clean = inner.read_extent(0, 3)
+        flipped = device.read_extent(0, 3)
+        size = device.block_size
+        for block in range(3):
+            piece = slice(block * size, (block + 1) * size)
+            changed = [a ^ b for a, b in zip(clean[piece], flipped[piece]) if a ^ b]
+            assert len(changed) == 1 and bin(changed[0]).count("1") == 1
+        assert device.plan.bitflips_injected == 3
+
+    def test_out_of_range_extent_consumes_no_read_ordinal(self):
+        inner = loaded_device(3)
+        inner.stats.reset()
+        device = FaultInjectingDevice(inner, fail_read_at=(0,))
+        with pytest.raises(BlockOutOfRangeError):
+            device.read_extent(1, 3)
+        assert device.plan.reads_seen == 0
+        assert inner.stats.total_reads == 0
 
 
 class TestDeviceWrapping:
