@@ -13,6 +13,16 @@ changes relative to the distance-first algorithm:
    upper bound left in the queue; otherwise it is re-enqueued with its
    actual score ("to be considered later").
 
+Nodes are read as interned
+:class:`~repro.spatial.rtree.DecodedNode` values.  Each query term is
+tested on its own (change 1) against a node's bit slices: the term's
+signature bit positions are found once per query and level, and ANDing
+the node's slices for them gives the term's survivors, one ``int`` with
+bit ``i`` set for entry ``i``.  The loop then visits the union of the
+terms' survivors (every entry when zero-IR pruning is off, or when an
+active trace span wants a prune event per entry) in entry order, and
+builds each visited entry's ``matched`` list in query-term order.
+
 The node IR bound follows the paper's imaginary-document construction
 (every signature-matched keyword present once), made admissible by
 maximizing over matched-subset sizes — see
@@ -32,7 +42,7 @@ from repro.errors import SignatureLengthError
 from repro.model import SearchResult
 from repro.obs import trace as qtrace
 from repro.spatial.geometry import coords_distance, target_point_distance
-from repro.spatial.rtree import RTree
+from repro.spatial.rtree import RTree, bit_positions
 from repro.storage.objectstore import ObjectStore
 from repro.text.analyzer import Analyzer
 from repro.text.irmodel import ir_score, upper_bound_ir_score
@@ -72,30 +82,29 @@ def ranked_top_k_iter(
         SignatureLengthError: a node's signature width differs from a
             query term's signature width at that level.
         ValueError: a node read has an inverted entry MBR
-            (:meth:`~repro.spatial.rtree.RTree.read_entries`).
+            (:meth:`~repro.spatial.rtree.RTree.read_decoded`).
 
-    Nodes are read as raw ``(child_ref, coords, bits)`` entries: each
-    query term is tested on its own (the paper's change 1, no AND
-    semantics) as one integer AND of its single-term mask against the
-    entry's signature bits, and MINDIST comes from the coordinate tuple.
+    Each query term is tested on its own (the paper's change 1, no AND
+    semantics) on the node's bit slices, and MINDIST comes from the
+    entry's coordinate tuple.
     """
     terms = analyzer.query_terms(query.keywords)
     idf = {term: vocabulary.idf(term) for term in terms}
     entry_distance = coords_distance(query.target, tree.dims)
     # Per query term: its idf and ``level -> Signature`` of the term alone.
     term_masks = [(idf[term], tree.query_mask([term])) for term in terms]
-    level_masks: dict[tuple[int, int], list[tuple[float, int]]] = {}
+    level_bits: dict[tuple[int, int], list[tuple[float, list[int]]]] = {}
 
-    def masks_for(level: int, sig_len: int) -> list[tuple[float, int]]:
-        """``(idf, mask bits)`` per query term at a node's level and width."""
+    def bits_for(level: int, sig_len: int) -> list[tuple[float, list[int]]]:
+        """``(idf, mask bit positions)`` per query term at a level and width."""
         width = sig_len * 8
-        masks = []
+        term_bits = []
         for weight, mask in term_masks:
             signature = mask(level)
             if signature.length_bits != width:
                 raise SignatureLengthError(width, signature.length_bits)
-            masks.append((weight, signature.bits))
-        return masks
+            term_bits.append((weight, bit_positions(signature.bits)))
+        return term_bits
 
     counter = 0
     # Max-heap via negated priority: (-upper, seq, kind, payload, distance)
@@ -140,7 +149,9 @@ def ranked_top_k_iter(
                 SearchResult(obj, actual_distance, score=score, ir_score=actual_ir),
             )
             continue
-        level, sig_len, entries = tree.read_entries(payload)
+        node = tree.read_decoded(payload)
+        level = node.level
+        entries = node.entries
         span = qtrace.current_span()
         if span is not None:
             span.event(
@@ -152,11 +163,26 @@ def ranked_top_k_iter(
             )
         if not entries:
             continue
-        masks = level_masks.get((level, sig_len))
-        if masks is None:
-            masks = level_masks[level, sig_len] = masks_for(level, sig_len)
-        for child_ref, coords, bits in entries:
-            matched = [weight for weight, mask in masks if bits & mask == mask]
+        term_bits = level_bits.get((level, node.sig_len))
+        if term_bits is None:
+            term_bits = level_bits[level, node.sig_len] = bits_for(
+                level, node.sig_len
+            )
+        # Per query term: the entries its signature bits survive in.
+        matches = [
+            (weight, node.survivors(positions)) for weight, positions in term_bits
+        ]
+        if prune_zero_ir and span is None:
+            union = 0
+            for _weight, survivors in matches:
+                union |= survivors
+            indices = bit_positions(union)
+        else:
+            # Every entry gets an upper bound, or a prune event.
+            indices = range(len(entries))
+        for index in indices:
+            child_ref, coords, _signature = entries[index]
+            matched = [weight for weight, survivors in matches if survivors >> index & 1]
             if prune_zero_ir and not matched:
                 if span is not None:
                     span.event(

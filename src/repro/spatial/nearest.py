@@ -10,14 +10,22 @@ the optional ``query_mask`` (``level -> query signature``, from the
 tree's ``query_mask(terms)``) turns that test on, so one implementation
 serves both the plain R-Tree baseline and the IR2-/MIR2-Trees.
 
-The loop works on the raw ``(child_ref, coords, bits)`` tuples a node
-decodes to (:meth:`RTree.read_entries`): "s matches w" is one integer AND
-of the entry's signature bits against the query bits, MINDIST comes from
-the coordinate tuple, and no :class:`Rect` or signature object is built
-for an entry.  Most entries of a keyword query are pruned, so the objects
-would mostly be thrown away.  Both the signature's ``int`` and the check
-that every entry MBR has ``lo <= hi`` come from the decode, which the
-node intern runs once per distinct image.
+The loop works on the interned :class:`~repro.spatial.rtree.DecodedNode`
+a node image decodes to (:meth:`RTree.read_decoded`), with no
+:class:`Rect` or signature object built per entry.  "s matches w" is
+tested for all of a node's entries at once on its bit slices: the query
+mask's set bit positions are found once per query and level, the node's
+slices for those bits are ANDed (:meth:`DecodedNode.survivors`), and
+only the surviving entries are visited, in entry order, so the heap sees
+the same pushes in the same order as a per-entry test would give.  Most
+entries of a keyword query are pruned, so most are never touched.  When
+an :class:`NNTrace` or an active trace span wants a prune event per
+entry, the same loop walks every entry in order instead and tests each
+one's bit in the survivors.  A slice is built from the node image the
+first time a query needs it and kept with the interned image (up to a
+fixed number per node); the check that every entry MBR has
+``lo <= hi`` comes from the decode, which the node intern runs once per
+distinct image.
 
 Nodes are enqueued *by pointer* and loaded only when dequeued.  (The
 paper's Figure 3 writes ``Enqueue(LoadNode(ptr), dist)``, but loading at
@@ -38,7 +46,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from repro.errors import SignatureLengthError
 from repro.obs import trace as qtrace
 from repro.spatial.geometry import coords_distance, point_distance
-from repro.spatial.rtree import Node, RTree
+from repro.spatial.rtree import Node, RTree, bit_positions
 
 if TYPE_CHECKING:
     from repro.text.signature import Signature
@@ -90,7 +98,7 @@ def incremental_nearest(
             signature at that level's width (the tree's
             ``query_mask(terms)``).  An entry survives when its signature
             bits cover the query bits — the paper's "if s matches w" —
-            tested with one integer AND on the decoded entry bits.
+            tested on the node's bit slices, one AND per query bit.
             ``None`` disables filtering.
         trace: optional :class:`NNTrace` collecting the queue activity.
 
@@ -99,12 +107,15 @@ def incremental_nearest(
             query signature's width at that level.
         ValueError: a node read has an inverted entry MBR (``lo > hi``),
             whether or not the signature test would prune that entry
-            (:meth:`RTree.read_entries` checks every entry at decode).
+            (:meth:`RTree.read_decoded` checks every entry at decode).
 
     The generator is *incremental*: callers pull exactly as many neighbors
     as they need, and tree I/O happens lazily as the queue is consumed.
     """
     distance_to = coords_distance(point, tree.dims)
+    # ``(level, sig_len) -> query bit positions``, width-checked once per
+    # query; a node of another width raises before anything is cached.
+    level_bits: dict[tuple[int, int], list[int]] = {}
 
     counter = 0
     heap: list[tuple[float, int, int, int]] = []  # (dist, kind, seq, ref)
@@ -128,7 +139,9 @@ def incremental_nearest(
         if kind == _KIND_OBJECT:
             yield ref, distance
             continue
-        level, sig_len, entries = tree.read_entries(ref)
+        node = tree.read_decoded(ref)
+        level = node.level
+        entries = node.entries
         span = qtrace.current_span()
         if span is not None:
             span.event(
@@ -139,30 +152,42 @@ def incremental_nearest(
                 distance=distance,
             )
         child_kind = _KIND_OBJECT if level == 0 else _KIND_NODE
-        mask = 0
+        positions: Sequence[int] = ()
         if query_mask is not None and entries:
-            query = query_mask(level)
-            if query.length_bits != sig_len * 8:
-                raise SignatureLengthError(sig_len * 8, query.length_bits)
-            mask = query.bits
-        for child_ref, coords, bits in entries:
-            if bits & mask != mask:
-                if trace is not None:
-                    trace.record(
-                        "prune",
-                        "object" if level == 0 else "node",
-                        child_ref,
-                        distance_to(coords),
-                    )
-                if span is not None:
-                    span.event(
-                        qtrace.EVT_SIG_PRUNE,
-                        level=level,
-                        entry=child_ref,
-                        kind="object" if level == 0 else "node",
-                    )
+            positions = level_bits.get((level, node.sig_len))
+            if positions is None:
+                query = query_mask(level)
+                if query.length_bits != node.sig_len * 8:
+                    raise SignatureLengthError(node.sig_len * 8, query.length_bits)
+                positions = level_bits[level, node.sig_len] = bit_positions(
+                    query.bits
+                )
+        survivors = node.survivors(positions)
+        if positions and trace is None and span is None:
+            indices: Sequence[int] = bit_positions(survivors)
+        else:
+            # Every entry, in order: no query bit prunes any, or each
+            # pruned one gets a prune event.
+            indices = range(len(entries))
+        for index in indices:
+            child_ref, coords, _signature = entries[index]
+            if survivors >> index & 1:
+                push(distance_to(coords), child_kind, child_ref)
                 continue
-            push(distance_to(coords), child_kind, child_ref)
+            if trace is not None:
+                trace.record(
+                    "prune",
+                    "object" if level == 0 else "node",
+                    child_ref,
+                    distance_to(coords),
+                )
+            if span is not None:
+                span.event(
+                    qtrace.EVT_SIG_PRUNE,
+                    level=level,
+                    entry=child_ref,
+                    kind="object" if level == 0 else "node",
+                )
 
 
 def k_nearest(

@@ -29,9 +29,11 @@ from repro.spatial.split import QuadraticSplit, SplitStrategy
 from repro.storage.intern import Intern
 from repro.storage.pagestore import PageStore
 from repro.storage.serialization import (
+    HEADER_SIZE,
     blocks_per_node,
     decode_node,
     encode_node,
+    entry_size,
     node_capacity,
 )
 
@@ -41,27 +43,119 @@ DEFAULT_MIN_FILL_RATIO = 0.4
 #: Decoded node images a node intern keeps; past it the oldest is dropped.
 NODE_INTERN_CAPACITY = 128
 
-#: A node image decoded once: ``(node_id, level, sig_len, entries)``, each
-#: entry ``(child_ref, mbr_coords, bits)`` (see :meth:`RTree.read_entries`).
-DecodedNode = tuple[int, int, int, tuple[tuple[int, tuple[float, ...], int], ...]]
+#: Bit slices a decoded node image keeps (see :class:`DecodedNode`):
+#: every slice of a signature up to 16 bytes wide, and at most about
+#: 12 KB of slices per node at any width.
+SLICES_PER_NODE = 128
+
+#: Per bit ``k`` of a signature byte: the ``bytes.translate`` table that
+#: maps a byte to the digit ``"1"`` when it has bit ``k``, else ``"0"``.
+_BIT_DIGITS = tuple(
+    bytes(0x31 if value >> k & 1 else 0x30 for value in range(256)) for k in range(8)
+)
+
+
+def bit_positions(value: int) -> list[int]:
+    """The positions of the set bits of ``value``, lowest first."""
+    positions = []
+    while value:
+        low = value & -value
+        positions.append(low.bit_length() - 1)
+        value ^= low
+    return positions
+
+
+class DecodedNode:
+    """A node image decoded once, its signatures bit-sliced on demand.
+
+    ``entries`` holds one ``(child_ref, mbr_coords, signature)`` tuple per
+    entry, as :func:`~repro.storage.serialization.decode_node` unpacks
+    it: the child pointer, the MBR's ``lo + hi`` corners and the
+    ``sig_len`` signature bytes.  The query traversals work on these
+    directly, with no :class:`Entry`, :class:`Rect` or signature object
+    per entry, and test signatures only through :meth:`survivors`;
+    :meth:`RTree.load_node` wraps the entries for maintenance.
+
+    A *slice* is the bit-sliced layout of signature files: for a
+    signature bit ``b``, an ``int`` whose bit ``i`` is set when entry
+    ``i``'s signature has bit ``b``.  :meth:`survivors` builds a slice
+    from the image the node was decoded from (the node intern's key, so
+    holding it costs nothing): a strided slice picks byte ``b // 8`` of
+    every entry's signature, and a ``translate`` and an ``int(..., 2)``
+    read bit ``b % 8`` of each out.  All three run in C, so a slice
+    costs about as much as testing six entries one at a time in Python.
+    :attr:`slices` keeps the slices built so far, up to
+    :data:`SLICES_PER_NODE` of them, so their memory is bounded whatever
+    the signature width; a slice past that bound is built, used and
+    dropped.  Slices live, and are dropped, with the interned image.
+    Two threads that build one slice at once build equal ints, and
+    either may be kept.
+    """
+
+    __slots__ = (
+        "node_id", "level", "sig_len", "entries", "slices",
+        "_image", "_first", "_stop", "_step",
+    )
+
+    def __init__(
+        self,
+        node_id: int,
+        level: int,
+        sig_len: int,
+        entries: tuple[tuple[int, tuple[float, ...], bytes], ...],
+        image: bytes,
+        dims: int,
+    ) -> None:
+        self.node_id = node_id
+        self.level = level
+        self.sig_len = sig_len
+        self.entries = entries
+        self.slices: dict[int, int] = {}
+        self._image = image
+        # Entry i's signature byte j sits at _first + i * _step + j.
+        self._step = step = entry_size(dims, sig_len)
+        self._first = first = HEADER_SIZE + step - sig_len
+        self._stop = first + len(entries) * step
+
+    def survivors(self, positions: Sequence[int]) -> int:
+        """Entries whose signature has every bit in ``positions``.
+
+        Bit ``i`` of the result is set when entry ``i`` survives, so the
+        survivors read out in entry order; no positions keep every
+        entry.  This is the paper's "s matches w" for every entry at
+        once, one AND per query bit.
+        """
+        count = len(self.entries)
+        slices = self.slices
+        survivors = (1 << count) - 1
+        for bit in positions:
+            if not survivors:
+                break
+            sliced = slices.get(bit)
+            if sliced is None:
+                column = self._image[self._first + (bit >> 3) : self._stop : self._step]
+                # Entry 0's digit goes last, to the lowest bit.
+                sliced = int(column.translate(_BIT_DIGITS[bit & 7])[::-1], 2)
+                if len(slices) < SLICES_PER_NODE:
+                    slices[bit] = sliced
+            survivors &= sliced
+        return survivors
 
 
 def decode_entries(image: bytes, dims: int) -> DecodedNode:
-    """Decode a node image into its :data:`DecodedNode` value.
+    """Decode a node image into its :class:`DecodedNode` value.
 
-    Each signature becomes an ``int`` and each entry MBR is checked once.
+    Each entry MBR is checked once; no slice is built here.
 
     Raises:
         SerializationError: the image header or length is bad.
         ValueError: an entry MBR is inverted (``lo > hi``).
     """
-    node_id, level, _is_leaf, sig_len, raw_entries = decode_node(image, dims)
-    from_bytes = int.from_bytes
+    node_id, level, _is_leaf, sig_len, entries = decode_node(image, dims)
     # The inlined 2-D check is the paper's case and costs a tenth of the
     # general one; maintenance decodes every image it rewrites.
     planar = dims == 2
-    entries = []
-    for ref, coords, sig in raw_entries:
+    for _ref, coords, _signature in entries:
         if (
             coords[0] > coords[2] or coords[1] > coords[3]
             if planar
@@ -70,8 +164,7 @@ def decode_entries(image: bytes, dims: int) -> DecodedNode:
             raise ValueError(
                 f"inverted rectangle: lo={coords[:dims]}, hi={coords[dims:]}"
             )
-        entries.append((ref, coords, from_bytes(sig, "little")))
-    return node_id, level, sig_len, tuple(entries)
+    return DecodedNode(node_id, level, sig_len, tuple(entries), image, dims)
 
 
 @dataclass
@@ -210,25 +303,16 @@ class RTree:
 
     # ------------------------------------------------------------------ I/O --
 
-    def read_entries(
-        self, node_id: int
-    ) -> tuple[int, int, tuple[tuple[int, tuple[float, ...], int], ...]]:
-        """Read one node (counted I/O) as raw decoded entry tuples.
-
-        Returns ``(level, sig_len, entries)`` with each entry a
-        ``(child_ref, mbr_coords, bits)`` tuple: the child pointer, the
-        MBR's ``lo + hi`` corners and the signature as an ``int``
-        (little-endian, ``sig_len`` bytes wide).  The query traversals
-        work on these directly: "s matches w" is one AND on ``bits`` and
-        no :class:`Entry`, :class:`Rect` or signature object is built
-        per entry; :meth:`load_node` wraps them for maintenance.
+    def read_decoded(self, node_id: int) -> DecodedNode:
+        """Read one node (counted I/O) as its interned :class:`DecodedNode`.
 
         The image is always read (and charged); only its decode goes
         through :attr:`node_intern`, keyed by ``dims`` and the image
-        bytes, so a byte-identical image is decoded once.  A miss checks
-        every entry's MBR (``lo <= hi``) before the image is added, so an
-        image with an inverted MBR is never interned and each read of it
-        raises ``ValueError``.  The node-id check runs on every read.
+        bytes, so a byte-identical image is decoded once and its slices
+        are shared by every later read.  A miss checks every entry's MBR
+        (``lo <= hi``) before the image is added, so an image with an
+        inverted MBR is never interned and each read of it raises
+        ``ValueError``.  The node-id check runs on every read.
         """
         image = self.pages.read(node_id)
         key = (self.dims, image)
@@ -237,21 +321,11 @@ class RTree:
             decoded = self.node_intern.add(
                 key, decode_entries(image, self.dims), NODE_INTERN_CAPACITY
             )
-        decoded_id, level, sig_len, entries = decoded
-        if decoded_id != node_id:
-            raise TreeInvariantError(
-                f"node id mismatch: asked {node_id}, image says {decoded_id}"
-            )
-        return level, sig_len, entries
+        return _checked(decoded, node_id)
 
     def load_node(self, node_id: int) -> Node:
         """The paper's ``LoadNode``: read and decode one node (counted I/O)."""
-        level, sig_len, raw_entries = self.read_entries(node_id)
-        entries = [
-            Entry(ref, Rect.from_coords(coords), bits.to_bytes(sig_len, "little"))
-            for ref, coords, bits in raw_entries
-        ]
-        return Node(node_id, level, entries)
+        return _as_node(self.read_decoded(node_id))
 
     def store_node(self, node: Node) -> None:
         """The paper's ``StoreNode``: encode and write one node (counted I/O)."""
@@ -506,17 +580,14 @@ class RTree:
                 yield from node.entries
 
     def _load_uncounted(self, node_id: int) -> Node:
-        """Load a node without charging I/O (validation/statistics only)."""
-        stats = self.pages.device.stats
-        snapshot = (
-            stats.random.copy(),
-            stats.sequential.copy(),
-            {k: list(v) for k, v in stats.by_category.items()},
-            stats._last_block,
-        )
-        node = self.load_node(node_id)
-        stats.random, stats.sequential, stats.by_category, stats._last_block = snapshot
-        return node
+        """Load a node off the books (validation and statistics only).
+
+        Decodes the extent's raw bytes: no device, collector or trace
+        sees the read, no shared-read session serves it, and the node
+        intern is left as the queries filled it.
+        """
+        image = self.pages.read_uncounted(node_id)
+        return _as_node(_checked(decode_entries(image, self.dims), node_id))
 
     def node_count(self) -> int:
         """Number of nodes currently in the tree."""
@@ -586,6 +657,24 @@ class RTree:
                 )
             total += self._validate_node(child, is_root=False)
         return total
+
+
+def _checked(decoded: DecodedNode, node_id: int) -> DecodedNode:
+    """``decoded``, once its image is shown to be node ``node_id``'s."""
+    if decoded.node_id != node_id:
+        raise TreeInvariantError(
+            f"node id mismatch: asked {node_id}, image says {decoded.node_id}"
+        )
+    return decoded
+
+
+def _as_node(decoded: DecodedNode) -> Node:
+    """Wrap a decoded image's entries as a maintenance :class:`Node`."""
+    entries = [
+        Entry(ref, Rect.from_coords(coords), signature)
+        for ref, coords, signature in decoded.entries
+    ]
+    return Node(decoded.node_id, decoded.level, entries)
 
 
 def build_from_layout(

@@ -98,6 +98,16 @@ class PageStore:
         start, length = extent
         return self.device.read_extent(start, length, self.category)
 
+    def read_uncounted(self, node_id: int) -> bytes:
+        """Load a node image off the books (validation and statistics only).
+
+        Reads the extent's raw bytes: nothing is charged to the device or
+        to a collector, no trace event is emitted and no shared-read
+        session is consulted.
+        """
+        start, length = self.extent_of(node_id)
+        return self.device._read_raw_extent(start, length)
+
     def delete(self, node_id: int) -> None:
         """Free a node's blocks and forget its id."""
         extent = self._directory.pop(node_id, None)

@@ -116,7 +116,10 @@ class STree:
 
     def load_node(self, node_id: int) -> SNode:
         """Read and decode one node (counted I/O)."""
-        image = self.pages.read(node_id)
+        return self._decode(node_id, self.pages.read(node_id))
+
+    @staticmethod
+    def _decode(node_id: int, image: bytes) -> SNode:
         _, level, _, _, raw_entries = decode_node(image, 0)
         entries = [
             SEntry(ref, Signature.from_bytes(sig)) for ref, _, sig in raw_entries
@@ -271,16 +274,12 @@ class STree:
     # ---------------------------------------------------------- Introspection --
 
     def _load_uncounted(self, node_id: int) -> SNode:
-        """Load a node without charging I/O (validation/statistics only)."""
-        stats = self.pages.device.stats
-        snapshot = stats.snapshot()
-        last = stats._last_block
-        node = self.load_node(node_id)
-        stats.random = snapshot.random
-        stats.sequential = snapshot.sequential
-        stats.by_category = snapshot.by_category
-        stats._last_block = last
-        return node
+        """Load a node off the books (validation and statistics only).
+
+        Decodes the extent's raw bytes: no device, collector or trace
+        sees the read and no shared-read session serves it.
+        """
+        return self._decode(node_id, self.pages.read_uncounted(node_id))
 
     def iter_nodes(self) -> Iterator[SNode]:
         """Yield every node (uncounted reads; for validation and stats)."""

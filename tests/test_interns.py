@@ -1,7 +1,7 @@
 """Content-addressed interns: decode and analyze once, fail as uncached.
 
 :class:`repro.storage.intern.Intern` backs four maps: object rows
-(``ObjectStore.intern``), node images (``RTree.read_entries`` through
+(``ObjectStore.intern``), node images (``RTree.read_decoded`` through
 ``Corpus.node_intern``), term sets (``Analyzer.terms``) and token counts
 (``Analyzer.document_length``).  A hit must
 never hide a fault: corrupted bytes are a different key and decode, or
@@ -73,6 +73,11 @@ def node_ids(tree):
     return [node.node_id for node in tree.iter_nodes()]
 
 
+def entries_of(decoded):
+    """``(level, sig_len, entries)`` of a decoded node image."""
+    return decoded.level, decoded.sig_len, decoded.entries
+
+
 def outcome(fn):
     """``("ok", value)`` or ``("raised", exception type)`` of ``fn()``."""
     try:
@@ -114,15 +119,15 @@ class TestNodeIntern:
         tree = engine.index.tree
         assert tree.node_intern is engine.corpus.node_intern
         ids = node_ids(tree)
-        first = [tree.read_entries(node_id) for node_id in ids]
+        first = [tree.read_decoded(node_id) for node_id in ids]
         stats = tree.pages.device.stats
         stats.reset()
-        second = [tree.read_entries(node_id) for node_id in ids]
+        second = [tree.read_decoded(node_id) for node_id in ids]
         # Every read is charged again; the decoded entries are shared.
         assert stats.total_reads == sum(
             tree.pages.extent_of(node_id)[1] for node_id in ids
         )
-        assert all(a[2] is b[2] for a, b in zip(first, second))
+        assert all(a is b for a, b in zip(first, second))
 
     def test_copies_and_rebuilds_keep_the_map(self):
         from repro.persist import copy_built_engine
@@ -138,7 +143,7 @@ class TestNodeIntern:
         tree = engine.index.tree
         device = tree.pages.device
         node_id = node_ids(tree)[-1]
-        clean = tree.read_entries(node_id)
+        clean = tree.read_decoded(node_id)
         start, _length = tree.pages.extent_of(node_id)
         block = device._read_raw(start)
         edits = {
@@ -151,28 +156,28 @@ class TestNodeIntern:
         for edited, error in edits.values():
             device.write_block(start, edited)
             with pytest.raises(error):
-                tree.read_entries(node_id)
+                tree.read_decoded(node_id)
             device.write_block(start, block)
-            assert tree.read_entries(node_id)[2] is clean[2]
+            assert tree.read_decoded(node_id) is clean
 
     def test_another_nodes_interned_image_still_fails_the_id_check(self, monkeypatch):
         engine = make_engine()
         tree = engine.index.tree
         asked, other = node_ids(tree)[:2]
-        tree.read_entries(other)  # the image that will be returned is interned
+        tree.read_decoded(other)  # the image that will be returned is interned
         read = tree.pages.read
         monkeypatch.setattr(
             tree.pages, "read", lambda node_id: read(other if node_id == asked else node_id)
         )
         with pytest.raises(TreeInvariantError, match="node id mismatch"):
-            tree.read_entries(asked)
+            tree.read_decoded(asked)
 
     def test_bitflipped_images_decode_as_they_would_uncached(self, monkeypatch):
         engine = make_engine()
         tree = engine.index.tree
         ids = node_ids(tree)
         for node_id in ids:
-            tree.read_entries(node_id)  # intern every clean image
+            tree.read_decoded(node_id)  # intern every clean image
         plan = inject_engine_faults(engine, FaultPlan(seed=4, bitflip_rate=1.0))
         seen: list[bytes] = []
         read = tree.pages.read
@@ -186,10 +191,8 @@ class TestNodeIntern:
 
         def uncached(image, node_id):
             decoded_id, level, _leaf, sig_len, raw = decode_node(image, tree.dims)
-            entries = tuple(
-                (ref, coords, int.from_bytes(sig, "little")) for ref, coords, sig in raw
-            )
-            for _ref, coords, _bits in entries:
+            entries = tuple(raw)
+            for _ref, coords, _signature in entries:
                 Rect.from_coords(coords)  # ValueError on an inverted MBR
             if decoded_id != node_id:
                 raise TreeInvariantError("node id mismatch")
@@ -198,7 +201,7 @@ class TestNodeIntern:
         raised = 0
         for _ in range(30):
             for node_id in ids:
-                got = outcome(lambda: tree.read_entries(node_id))
+                got = outcome(lambda: entries_of(tree.read_decoded(node_id)))
                 assert got == outcome(lambda: uncached(seen[-1], node_id))
                 raised += got[0] == "raised"
         assert plan.bitflips_injected > 0
@@ -214,7 +217,7 @@ class TestNodeIntern:
         ids = node_ids(engine.index.tree)
         assert len(ids) > 3
         for node_id in ids:
-            engine.index.tree.read_entries(node_id)
+            engine.index.tree.read_decoded(node_id)
         assert len(intern) == 2
         assert intern.dropped - dropped >= len(ids) - 2
 
@@ -354,8 +357,12 @@ class TestTermMemo:
 
 class TestConcurrentEviction:
     def test_threads_read_and_evict_both_interns(self, monkeypatch):
-        """Racing reads at tiny bounds raise nothing and answer correctly."""
-        monkeypatch.setattr(rtree_module, "NODE_INTERN_CAPACITY", 2)
+        """Racing reads at tiny bounds raise nothing and answer correctly.
+
+        The threads also fill the bit slices of the node images they
+        share; every slice they keep must equal one built alone.
+        """
+        monkeypatch.setattr(rtree_module, "NODE_INTERN_CAPACITY", 3)
         monkeypatch.setattr(analyzer_module, "TERM_MEMO_CAPACITY", 3)
         monkeypatch.setattr(analyzer_module, "LENGTH_MEMO_CAPACITY", 3)
         monkeypatch.setattr(objectstore, "INTERN_CAPACITY", 4)
@@ -370,6 +377,16 @@ class TestConcurrentEviction:
         expected = [engine.search(query).oids for query in queries]
         errors: list[BaseException] = []
         answers: list[list[list[int]]] = [[] for _ in range(6)]
+        interned: list[tuple[tuple[int, bytes], rtree_module.DecodedNode]] = []
+        add = Intern.add
+
+        def recording_add(intern, key, value, capacity):
+            held = add(intern, key, value, capacity)
+            if isinstance(held, rtree_module.DecodedNode):
+                interned.append((key, held))
+            return held
+
+        monkeypatch.setattr(Intern, "add", recording_add)
 
         def worker(slot: int) -> None:
             try:
@@ -396,7 +413,12 @@ class TestConcurrentEviction:
         for batch in answers:
             assert len(batch) == 4 * len(queries)
             assert all(oids == by_query[id(query)] for query, oids in batch)
-        assert len(engine.corpus.node_intern) <= 2
+        filled = [(key, node) for key, node in interned if node.slices]
+        assert len(filled) > 3
+        for (dims, image), node in filled:
+            alone = rtree_module.decode_entries(image, dims)
+            assert node.slices == {bit: alone.survivors([bit]) for bit in node.slices}
+        assert len(engine.corpus.node_intern) <= 3
         assert len(analyzer.memo) <= 3
         assert engine.corpus.node_intern.dropped > 0
         assert analyzer.memo.dropped > 0

@@ -153,8 +153,10 @@ class TestQueryHelpers:
         """The ranked search's per-keyword test: each term's own mask."""
         tree = make_tree()
         tree.insert_object(0, (0.0, 0.0), {"pool"})
-        level, _sig_len, entries = tree.read_entries(tree.root_id)
-        ((_ref, _coords, bits),) = entries
+        root = tree.read_decoded(tree.root_id)
+        level = root.level
+        ((_ref, _coords, signature),) = root.entries
+        bits = int.from_bytes(signature, "little")
         masks = {term: tree.query_mask([term])(level) for term in ["pool", "zebra"]}
         matched = [term for term, mask in masks.items() if bits & mask.bits == mask.bits]
         assert "pool" in matched

@@ -166,12 +166,14 @@ class TestQueryHelpers:
         corpus = make_corpus(30, seed=8)
         tree = make_tree(corpus)
         fill(tree, corpus)
-        level, sig_len, entries = tree.read_entries(tree.root_id)
+        root = tree.read_decoded(tree.root_id)
+        level, sig_len, entries = root.level, root.sig_len, root.entries
         assert level > 0
         terms = ["w0", "w1", "w2"]
         masks = {term: tree.query_mask([term])(level) for term in terms}
         assert all(mask.length_bits == 8 * sig_len for mask in masks.values())
-        for child_ref, _coords, bits in entries:
+        for child_ref, _coords, signature in entries:
+            bits = int.from_bytes(signature, "little")
             matched = [
                 term for term, mask in masks.items() if bits & mask.bits == mask.bits
             ]
