@@ -11,12 +11,15 @@ object verifications with their false-positive outcome, and every block
 access tagged random/sequential (cross-checkable against
 :class:`repro.storage.iostats.IOStats`).
 
-Context propagation is thread-local: :func:`start_span` opens a child of
+Context propagation is thread-local: the span stack is the ``spans`` list
+of the thread's :class:`~repro.storage.iostats.IOScope`, beside its I/O
+collectors and shared-read session.  :func:`start_span` opens a child of
 the current span, :func:`activate` re-parents a worker thread onto a
 span created elsewhere (the sharded fan-out), and :func:`add_event`
 attaches an instant event to whatever span is current.  Every hook is a
 no-op returning immediately when no trace is active on the thread, so
-instrumented hot paths stay cheap with tracing off.
+instrumented hot paths stay cheap with tracing off; the storage layer
+calls the event sinks below only while a span is active.
 
 Traces export two ways:
 
@@ -252,28 +255,14 @@ class Trace:
 
 # -- Thread-local context propagation -------------------------------------------
 
-class _Context(threading.local):
-    """Each thread's span stack, created empty on the thread's first use.
-
-    The attribute always exists, so the untraced fast path never pays
-    for the ``AttributeError`` a defaulted ``getattr`` on a bare
-    ``threading.local`` raises and swallows on every call.
-    """
-
-    def __init__(self) -> None:
-        self.stack: list[Span] = []
-
-
-_ctx = _Context()
-
-
 def _stack() -> list[Span]:
-    return _ctx.stack
+    """This thread's span stack: the ``spans`` of its I/O scope."""
+    return _iostats.current_scope().spans
 
 
 def current_span() -> Span | None:
     """The span active on this thread, or None (the fast path)."""
-    stack = _ctx.stack
+    stack = _iostats.current_scope().spans
     return stack[-1] if stack else None
 
 
@@ -382,9 +371,9 @@ def _shared_read_sink(block_id: int, category: str) -> None:
         span.event(EVT_SHARED_READ, block=block_id, category=category)
 
 
-# The storage layer stays tracing-agnostic: iostats exposes two module
-# globals that default to None (zero overhead until this module is
-# imported) and this import installs the bridge.
+# The storage layer stays tracing-agnostic: iostats exposes three module
+# globals that default to None and calls them only while a span is
+# active on the recording thread; this import installs the bridge.
 _iostats._TRACE_BLOCK_SINK = _block_io_sink
 _iostats._TRACE_OBJECT_SINK = _object_load_sink
 _iostats._TRACE_SHARED_SINK = _shared_read_sink

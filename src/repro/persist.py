@@ -720,7 +720,7 @@ def _copy_device_blocks(src, dst) -> bool:
         dst, InMemoryBlockDevice
     ):
         return False
-    dst._blocks = list(src._blocks)  # immutable blocks: shared, not copied
+    dst.copy_from(src)
     return True
 
 
@@ -733,7 +733,7 @@ def _load_device(device: InMemoryBlockDevice, path: str, block_size: int) -> Non
         raise DatasetError(
             f"{path}: size {len(data)} is not a multiple of block size {block_size}"
         )
-    device._blocks = [data[i : i + block_size] for i in range(0, len(data), block_size)]
+    device.load_bytes(data)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,9 @@ Two interchangeable backends are provided:
 * :class:`InMemoryBlockDevice` keeps blocks in a Python list of
   immutable ``bytes`` objects.  It is the default for tests and benchmarks: the
   evaluation metric is the *number* of block accesses, not the wall time of
-  Python file I/O.
+  Python file I/O.  It returns one stable ``bytes`` object per unchanged
+  multi-block extent, so a map keyed by node images finds a repeat by
+  identity instead of hashing and comparing it again.
 * :class:`FileBlockDevice` stores blocks in a real file on disk, proving
   the serialization layer round-trips through an actual filesystem.
 
@@ -22,8 +24,9 @@ which is how the paper's multi-block IR2/MIR2 nodes are charged.
 :meth:`BlockDevice.read_block` is the one counted read.  It reads
 ``count`` contiguous blocks (one by default) and does its work once per
 call, not once per block: one range check, one shared-read session
-lookup, one :meth:`~repro.storage.iostats.IOStats.record_reads` charge
-and one backend read (:meth:`BlockDevice._read_raw_extent`).
+lookup in the thread's :class:`~repro.storage.iostats.IOScope`, one
+:meth:`~repro.storage.iostats.IOStats.record_reads` charge and one
+backend read (:meth:`BlockDevice._read_raw_extent`).
 :meth:`BlockDevice.read_extent` is the same call under the name the
 node, postings and signature-file readers use.
 """
@@ -31,11 +34,11 @@ node, postings and signature-file readers use.
 from __future__ import annotations
 
 import os
+import threading
 from typing import Iterator
 
 from repro.errors import BlockOutOfRangeError, BlockSizeError
-from repro.storage.iostats import IOStats
-from repro.storage.sharedread import current_session
+from repro.storage.iostats import IOStats, current_scope
 
 #: Disk block size used throughout the paper's experiments (4 KB).
 DEFAULT_BLOCK_SIZE = 4096
@@ -107,7 +110,7 @@ class BlockDevice:
             return b""
         if block_id < 0 or block_id + count > self.num_blocks:
             self._raise_out_of_range(block_id)
-        session = current_session()
+        session = current_scope().session
         if session is None:
             self.stats.record_reads(block_id, count, category)
             return self._read_raw_extent(block_id, count)
@@ -148,7 +151,7 @@ class BlockDevice:
         if block_id < 0:
             raise BlockOutOfRangeError(block_id, self.num_blocks)
         self._grow_to(block_id + 1)
-        session = current_session()
+        session = current_scope().session
         if session is not None:
             # Mutations are excluded for the lifetime of a batch by the
             # serving layer's RW lock; invalidate anyway so a session that
@@ -229,6 +232,16 @@ class InMemoryBlockDevice(BlockDevice):
     Blocks are ``bytes``, replaced whole on write, so a single-block read
     returns the stored object without a copy and a device copy can share
     them.
+
+    Extent images are stable: the joined image of each multi-block extent
+    read is kept, keyed by ``(start, count)``, and the same object is
+    returned by every later read of that extent until a block inside it
+    is written.  A content-addressed map keyed by the image (the R-tree's
+    node intern) then hashes each image once and finds it again by
+    identity.  At most one image is kept per multi-block extent; a write
+    drops exactly the images whose extent covers the written block.  The
+    images sit behind the counted read: :meth:`BlockDevice.read_block`
+    charges every block as before.
     """
 
     def __init__(
@@ -239,6 +252,13 @@ class InMemoryBlockDevice(BlockDevice):
     ) -> None:
         super().__init__(block_size, stats, name)
         self._blocks: list[bytes] = []
+        self._images: dict[tuple[int, int], bytes] = {}
+        # Block -> keys of the kept images whose extent covers it.  A key
+        # may outlive its image here; dropping a missing image is a no-op.
+        self._covering: dict[int, set[tuple[int, int]]] = {}
+        # Orders image misses against writes, so an image joined from
+        # blocks a write has replaced is never kept past that write.
+        self._lock = threading.Lock()
 
     @property
     def num_blocks(self) -> int:
@@ -248,14 +268,72 @@ class InMemoryBlockDevice(BlockDevice):
         return self._blocks[block_id]
 
     def _read_raw_extent(self, start: int, count: int) -> bytes:
-        return b"".join(self._blocks[start : start + count])
+        if count < 2:
+            return b"".join(self._blocks[start : start + count])
+        key = (start, count)
+        image = self._images.get(key)
+        if image is None:
+            with self._lock:
+                image = self._images.get(key)
+                if image is None:
+                    image = b"".join(self._blocks[start : start + count])
+                    self._keep(key, image)
+        return image
+
+    def _keep(self, key: tuple[int, int], image: bytes) -> None:
+        """Hold ``image`` for extent ``key`` (caller holds the lock)."""
+        self._images[key] = image
+        covering = self._covering
+        start, count = key
+        for block in range(start, start + count):
+            keys = covering.get(block)
+            if keys is None:
+                covering[block] = {key}
+            else:
+                keys.add(key)
 
     def _write_raw(self, block_id: int, data: bytes) -> None:
-        self._blocks[block_id] = bytes(data)
+        with self._lock:
+            self._blocks[block_id] = bytes(data)
+            keys = self._covering.pop(block_id, None)
+            if keys:
+                images = self._images
+                for key in keys:
+                    images.pop(key, None)
 
     def _grow_to(self, num_blocks: int) -> None:
         while len(self._blocks) < num_blocks:
             self._blocks.append(bytes(self.block_size))
+
+    def copy_from(self, source: "InMemoryBlockDevice") -> None:
+        """Replace this device's content with ``source``'s (uncounted).
+
+        Blocks and extent images are immutable, so both are shared, not
+        copied: until either device writes inside an extent, reading it
+        on the copy returns the very image object the source returns.
+        """
+        with source._lock:
+            blocks = list(source._blocks)
+            images = dict(source._images)
+        with self._lock:
+            self._blocks = blocks
+            self._images = {}
+            self._covering = {}
+            for key, image in images.items():
+                self._keep(key, image)
+
+    def load_bytes(self, data: bytes) -> None:
+        """Replace this device's content with ``data``, cut into blocks
+        (uncounted); ``len(data)`` must be a multiple of the block size."""
+        size = self.block_size
+        if len(data) % size:
+            raise ValueError(
+                f"{len(data)} bytes is not a whole number of {size}-byte blocks"
+            )
+        with self._lock:
+            self._blocks = [data[i : i + size] for i in range(0, len(data), size)]
+            self._images = {}
+            self._covering = {}
 
 
 class FileBlockDevice(BlockDevice):

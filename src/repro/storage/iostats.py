@@ -8,7 +8,7 @@ accesses (the thick bars and thin lines of Figures 9b-14b), observing that
 :class:`IOStats` is the single source of truth for that accounting.  Every
 :class:`~repro.storage.block.BlockDevice` owns one and reports each block
 write and each counted read to it; a read is one extent of ``count``
-contiguous blocks, recorded by :meth:`IOStats.record_reads` in one locked
+contiguous blocks, recorded by :meth:`IOStats.record_reads` in one
 update.  An access to block ``b`` is classified *sequential* when it
 immediately follows an access to block ``b - 1`` on the same device (the
 head does not move), and *random* otherwise.  Multi-block node reads are
@@ -24,16 +24,28 @@ accesses (Figures 11b and 14b) separately from index-node accesses.
 Concurrency
 -----------
 
-Counter updates are read-modify-write sequences, so every mutation is
-protected by a per-``IOStats`` lock: devices shared between threads (the
-serving layer in :mod:`repro.serve` dispatches queries across a pool)
-never lose counts.  Per-*execution* accounting cannot come from
-snapshot/diff of a shared device under concurrency — another thread's
-accesses would land inside the window — so :func:`collecting_io` installs
-a **thread-local collector**: every access the *current thread* records on
-any device is also tallied (with its already-decided random/sequential
-classification) into a private :class:`IOStats`, giving each query its own
-isolated I/O delta regardless of what other threads do.
+Counter updates are read-modify-write sequences, so every mutation of a
+device's :class:`IOStats` is protected by its lock: devices shared
+between threads (the serving layer in :mod:`repro.serve` dispatches
+queries across a pool) never lose counts.  Per-*execution* accounting
+cannot come from snapshot/diff of a shared device under concurrency —
+another thread's accesses would land inside the window — so
+:func:`collecting_io` installs a **thread-local collector**: every
+access the *current thread* records on any device is also tallied (with
+its already-decided random/sequential classification) into a private
+:class:`IOStats`, giving each query its own isolated I/O delta
+regardless of what other threads do.  Only the thread that opened a
+collector ever tallies it, so collectors are tallied without a lock.
+
+One thread-local scope
+----------------------
+
+Everything a counted access must consult on its own thread lives in one
+:class:`IOScope` per thread (:func:`current_scope`): the active
+collectors, the active shared-read session
+(:mod:`repro.storage.sharedread`) and the trace span stack
+(:mod:`repro.obs.trace`).  Each recorded event reads the scope once; a
+trace sink is called only while a span is active.
 """
 
 from __future__ import annotations
@@ -45,9 +57,9 @@ from typing import Iterator
 
 #: Optional tracing bridge, installed by :mod:`repro.obs.trace` when it is
 #: imported.  The storage layer must stay import-cycle-free with the
-#: observability package, so instead of importing it we expose two module
-#: globals that default to ``None`` (a single cheap check per access).
-#: When set, every classified block access is forwarded as
+#: observability package, so instead of importing it we expose module
+#: globals that default to ``None``.  While a span is active on the
+#: recording thread, every classified block access is forwarded as
 #: ``sink(op, block_id, category, is_sequential, count=1)`` (an extent
 #: read arrives once, with its first block, that block's classification
 #: and its length; the rest of its blocks are sequential) and every
@@ -64,15 +76,39 @@ _TRACE_OBJECT_SINK = None
 #: nor the head position).
 _TRACE_SHARED_SINK = None
 
-#: Thread-local stack of active per-execution collectors.
-_collectors = threading.local()
+
+class IOScope:
+    """What the calling thread's counted I/O reports to.
+
+    Attributes:
+        collectors: the active :func:`collecting_io` collectors,
+            outermost first.
+        session: the active :class:`~repro.storage.sharedread.
+            SharedReadSession`, or ``None``.
+        spans: the :mod:`repro.obs.trace` span stack, innermost last.
+    """
+
+    __slots__ = ("collectors", "session", "spans")
+
+    def __init__(self) -> None:
+        self.collectors: list[IOStats] = []
+        self.session = None
+        self.spans: list = []
 
 
-def _collector_stack() -> list["IOStats"]:
-    stack = getattr(_collectors, "stack", None)
-    if stack is None:
-        stack = _collectors.stack = []
-    return stack
+class _ThreadScope(threading.local):
+    """Holds each thread's :class:`IOScope`, created on first use."""
+
+    def __init__(self) -> None:
+        self.scope = IOScope()
+
+
+_thread = _ThreadScope()
+
+
+def current_scope() -> IOScope:
+    """The calling thread's :class:`IOScope`."""
+    return _thread.scope
 
 
 @contextmanager
@@ -90,8 +126,8 @@ def collecting_io() -> Iterator["IOStats"]:
     per-query accounting exact under concurrent execution.
     """
     collector = IOStats()
-    stack = _collector_stack()
-    stack.append(collector)
+    collectors = _thread.scope.collectors
+    collectors.append(collector)
     try:
         yield collector
     finally:
@@ -99,9 +135,9 @@ def collecting_io() -> Iterator["IOStats"]:
         # generated __eq__ compares counter values, and nested collectors
         # that saw the same events are equal — list.remove() would delete
         # the wrong (usually the outer) one.
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] is collector:
-                del stack[i]
+        for i in range(len(collectors) - 1, -1, -1):
+            if collectors[i] is collector:
+                del collectors[i]
                 break
 
 
@@ -163,18 +199,19 @@ class IOStats:
         The first block is classified by head position, the other
         ``count - 1`` are sequential, and the head ends on the last block:
         exactly what ``count`` single-block reads in order would record,
-        in one locked update per stats object and per collector.  Returns
-        True if the first block was sequential.
+        in one locked update of this object and one update of each of the
+        thread's collectors.  Returns True if the first block was
+        sequential.
         """
         with self._lock:
             is_seq = self._last_block is not None and start == self._last_block + 1
             self._last_block = start + count - 1
             self._tally_reads(is_seq, count, category)
-        for collector in _collector_stack():
+        scope = _thread.scope
+        for collector in scope.collectors:
             if collector is not self:
-                with collector._lock:
-                    collector._tally_reads(is_seq, count, category)
-        if _TRACE_BLOCK_SINK is not None:
+                collector._tally_reads(is_seq, count, category)
+        if scope.spans and _TRACE_BLOCK_SINK is not None:
             _TRACE_BLOCK_SINK("read", start, category, is_seq, count)
         return is_seq
 
@@ -183,11 +220,11 @@ class IOStats:
         with self._lock:
             is_seq = self._classify(block_id)
             self._tally_write(is_seq, category)
-        for collector in _collector_stack():
+        scope = _thread.scope
+        for collector in scope.collectors:
             if collector is not self:
-                with collector._lock:
-                    collector._tally_write(is_seq, category)
-        if _TRACE_BLOCK_SINK is not None:
+                collector._tally_write(is_seq, category)
+        if scope.spans and _TRACE_BLOCK_SINK is not None:
             _TRACE_BLOCK_SINK("write", block_id, category, is_seq)
         return is_seq
 
@@ -195,11 +232,11 @@ class IOStats:
         """Record that ``count`` logical objects were materialized."""
         with self._lock:
             self.objects_loaded += count
-        for collector in _collector_stack():
+        scope = _thread.scope
+        for collector in scope.collectors:
             if collector is not self:
-                with collector._lock:
-                    collector.objects_loaded += count
-        if _TRACE_OBJECT_SINK is not None:
+                collector.objects_loaded += count
+        if scope.spans and _TRACE_OBJECT_SINK is not None:
             _TRACE_OBJECT_SINK(count)
 
     def record_shared_read(self, block_id: int, category: str = "data") -> None:
@@ -212,11 +249,11 @@ class IOStats:
         """
         with self._lock:
             self.shared_reads += 1
-        for collector in _collector_stack():
+        scope = _thread.scope
+        for collector in scope.collectors:
             if collector is not self:
-                with collector._lock:
-                    collector.shared_reads += 1
-        if _TRACE_SHARED_SINK is not None:
+                collector.shared_reads += 1
+        if scope.spans and _TRACE_SHARED_SINK is not None:
             _TRACE_SHARED_SINK(block_id, category)
 
     def _tally_reads(self, first_seq: bool, count: int, category: str) -> None:

@@ -13,9 +13,12 @@ sublinearly with batch size while per-query attribution stays exact —
 run alone, and the sum of per-query ``total_reads`` still equals the
 device totals.
 
-Activation mirrors :func:`repro.storage.iostats.collecting_io`: a
-thread-local stack, so sessions are invisible to unrelated threads.  The
-sharded engine's fan-out workers re-activate the dispatching thread's
+The active session is the ``session`` slot of the calling thread's
+:class:`~repro.storage.iostats.IOScope`, the same per-thread scope that
+holds the :func:`~repro.storage.iostats.collecting_io` collectors and the
+trace span stack, so sessions are invisible to unrelated threads.
+:func:`activate_session` sets it and restores the outer session on exit.
+The sharded engine's fan-out workers re-activate the dispatching thread's
 session explicitly (the same pattern used for trace-span propagation),
 so a batch shares reads across shard workers too.
 
@@ -50,42 +53,33 @@ import threading
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-_sessions = threading.local()
-
-
-def _session_stack() -> list["SharedReadSession"]:
-    stack = getattr(_sessions, "stack", None)
-    if stack is None:
-        stack = _sessions.stack = []
-    return stack
+from repro.storage.iostats import current_scope
 
 
 def current_session() -> Optional["SharedReadSession"]:
-    """Return the innermost active session on this thread, if any."""
-    stack = _session_stack()
-    return stack[-1] if stack else None
+    """Return the active session on this thread, if any."""
+    return current_scope().session
 
 
 @contextmanager
 def activate_session(session: Optional["SharedReadSession"]) -> Iterator[None]:
     """Make ``session`` the current thread's active session.
 
-    Accepts ``None`` as a no-op so call sites can unconditionally wrap
-    work in ``with activate_session(maybe_session):`` (the shard fan-out
-    workers do exactly this with the dispatcher's session).
+    The session active before is restored on exit.  Accepts ``None`` as
+    a no-op so call sites can unconditionally wrap work in ``with
+    activate_session(maybe_session):`` (the shard fan-out workers do
+    exactly this with the dispatcher's session).
     """
     if session is None:
         yield
         return
-    stack = _session_stack()
-    stack.append(session)
+    scope = current_scope()
+    outer = scope.session
+    scope.session = session
     try:
         yield
     finally:
-        for i in range(len(stack) - 1, -1, -1):
-            if stack[i] is session:
-                del stack[i]
-                break
+        scope.session = outer
 
 
 @contextmanager
