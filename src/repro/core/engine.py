@@ -35,12 +35,7 @@ from typing import Iterable, Iterator, Sequence
 from repro.core.corpus import Corpus, CorpusStats
 from repro.core.indexes import SpatialKeywordIndex, make_index
 from repro.core.query import QueryExecution, SpatialKeywordQuery
-from repro.core.ranking import (
-    DistanceDecayRanking,
-    LinearRanking,
-    RankingCallable,
-    validate_monotonicity,
-)
+from repro.core.ranking import RankingCallable, resolve_ranking
 from repro.core.search import SearchCounters
 from repro.errors import IndexError_, QueryError
 from repro.model import SearchResult, SpatialObject
@@ -347,28 +342,15 @@ class SpatialKeywordEngine:
             raise QueryError(
                 f"index kind {self._index_kind!r} does not support ranked queries"
             )
-        ranking = query.ranking
-        if ranking is None:
-            ranking = DistanceDecayRanking(half_distance=self._default_half_distance())
+        ranking = resolve_ranking(
+            query.ranking, (obj.point for obj in self.corpus.objects())
+        )
+        if ranking is not query.ranking:
             query = query.with_ranking(ranking)
-        elif not isinstance(ranking, (DistanceDecayRanking, LinearRanking)):
-            validate_monotonicity(ranking)
         return execute_ranked(
             query, ranking, prune_zero_ir=prune_zero_ir, vocabulary=vocabulary,
             exclude=exclude,
         )
-
-    def _default_half_distance(self) -> float:
-        """A data-independent but sane decay scale: 10% of the data extent."""
-        points = [obj.point for obj in self.corpus.objects()]
-        if not points:
-            return 1.0
-        spans = [
-            max(p[d] for p in points) - min(p[d] for p in points)
-            for d in range(self.corpus.dims)
-        ]
-        extent = max(spans) if spans else 1.0
-        return max(extent * 0.1, 1e-9)
 
     # -- Serving ----------------------------------------------------------------
 

@@ -10,7 +10,7 @@ search trusts it.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol, Sequence
+from typing import Callable, Iterable, Protocol, Sequence
 
 from repro.errors import QueryError
 
@@ -106,3 +106,42 @@ def validate_monotonicity(
                     f"ranking function decreases with IR score at d={d}, ir={ir}"
                 )
             previous = value
+
+
+def default_half_distance(points: Iterable[Sequence[float]]) -> float:
+    """A data-independent but sane decay scale: 10% of the data extent.
+
+    The extent is the largest per-dimension span of ``points``; an empty
+    dataset gets 1.0.  A sharded engine passes every shard's points, so
+    its default equals the single engine's over the same corpus.
+    """
+    points = list(points)
+    if not points:
+        return 1.0
+    spans = [
+        max(p[d] for p in points) - min(p[d] for p in points)
+        for d in range(len(points[0]))
+    ]
+    extent = max(spans) if spans else 1.0
+    return max(extent * 0.1, 1e-9)
+
+
+def resolve_ranking(
+    ranking: RankingCallable | None, points: Iterable[Sequence[float]]
+) -> RankingCallable:
+    """The ranking function a ranked query runs with, on every engine.
+
+    ``None`` selects a :class:`DistanceDecayRanking` scaled by
+    :func:`default_half_distance` over ``points`` (consumed only then, so
+    a lazy iterable costs nothing otherwise).  A custom function must
+    pass :func:`validate_monotonicity`; the built-in classes are monotone
+    by construction and skip the check.
+
+    Raises:
+        QueryError: when a custom function fails the monotonicity check.
+    """
+    if ranking is None:
+        return DistanceDecayRanking(half_distance=default_half_distance(points))
+    if not isinstance(ranking, (DistanceDecayRanking, LinearRanking)):
+        validate_monotonicity(ranking)
+    return ranking

@@ -2,27 +2,32 @@
 
 :class:`ShardedEngine` partitions a dataset spatially across ``n_shards``
 complete :class:`~repro.core.engine.SpatialKeywordEngine` instances —
-each shard owns its own corpus, devices, and index — and answers queries
-by tie-aware scatter-gather:
+each shard owns its own corpus, devices, and index — and answers both
+query kinds through one scatter-gather, :meth:`ShardedEngine._fan_out`:
 
 * every shard's partition MBB gives a lower bound on the distance of any
   result it can contribute (``MINDIST`` of the paper's Figure 3, lifted
-  to whole partitions);
-* shards fan out across a thread pool; incremental index kinds pull from
-  their nearest-first streams and stop as soon as the next distance
-  exceeds the global k-th distance, while scan kinds run their local
-  top-k and merge;
-* shards whose lower bound already exceeds the global k-th distance are
-  pruned without any I/O;
-* the routing table additionally keeps one :class:`~repro.shard.summary
+  to whole partitions), and shards are submitted nearest first;
+* the routing table keeps one :class:`~repro.shard.summary
   .KeywordSummary` (Bloom filter over the shard's distinct terms) per
-  shard, so keyword-selective queries skip shards that provably cannot
-  contain a query term before paying any I/O — recorded as the
-  ``pruned_by_keywords`` outcome in the per-shard reports and fan-out
-  counters;
-* per-shard I/O, node, and object counters are aggregated into one
-  :class:`~repro.core.query.QueryExecution` with a per-shard breakdown
-  in :attr:`~repro.core.query.QueryExecution.shards`.
+  shard; empty shards and shards the summary rules out (any query term
+  absent for distance-first queries, every term absent for ranked ones
+  under zero-IR pruning) are pruned on the dispatching thread before
+  any I/O — recorded as the ``pruned_by_keywords`` outcome in the
+  per-shard reports and fan-out counters;
+* the rest fan out across a thread pool, each worker with its own
+  ``shard-<id>`` span, the dispatcher's shared-read session, bounded
+  retries of transient device errors, and the engine's failure policy;
+* distance-first queries (§V.B): incremental index kinds pull from their
+  nearest-first streams and stop as soon as the next distance exceeds
+  the global k-th distance, scan kinds run their local top-k, and a
+  shard whose lower bound already exceeds that distance prunes itself
+  without any I/O; ranked queries (§V.C) run each shard's local top-k
+  against the merged global vocabulary and merge by score;
+* every shard gets exactly one report row of the same shape, and the
+  per-shard I/O, node, and object counters are aggregated into one
+  :class:`~repro.core.query.QueryExecution` with that breakdown in
+  :attr:`~repro.core.query.QueryExecution.shards`.
 
 The public surface mirrors the single engine (``add`` / ``build`` /
 ``delete`` / ``search`` / ``query*`` / ``serve`` / stats), so the serving
@@ -33,15 +38,14 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import threading
 import weakref
 from concurrent.futures import ThreadPoolExecutor
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.core.engine import SpatialKeywordEngine
 from repro.core.corpus import CorpusStats
 from repro.core.query import QueryExecution, SpatialKeywordQuery
-from repro.core.ranking import DistanceDecayRanking, RankingCallable, validate_monotonicity
+from repro.core.ranking import RankingCallable, resolve_ranking
 from repro.core.search import SearchCounters
 from repro.errors import IndexError_, QueryError, StorageError
 from repro.obs import MetricsRegistry
@@ -402,22 +406,22 @@ class ShardedEngine:
     ) -> QueryExecution:
         """Unified entry point; same contract as the single engine's.
 
-        Distance-first queries (point or area) run the scatter-gather
-        fan-out; ranked queries execute on every shard with one shared
-        ranking function and merge by score.  ``vocabulary`` overrides
-        the corpus statistics ranked scoring uses (the snapshot layer
-        passes a version-wide vocabulary so dirty overlays score
-        exactly); ``None`` uses the merged per-shard statistics.
-        ``exclude`` names oids every shard's top-k cut and the merge skip
-        before they count toward ``k`` (see
+        Both query kinds run the one shard fan-out (:meth:`_fan_out`).
+        Distance-first queries (point or area) merge tie-aware by
+        ``(distance, oid)``; ranked queries execute on every shard with
+        one shared ranking function (resolved and, when custom, checked
+        for monotonicity exactly as the single engine does) and merge by
+        score.  ``vocabulary`` overrides the corpus statistics ranked
+        scoring uses (the snapshot layer passes a version-wide vocabulary
+        so dirty overlays score exactly); ``None`` uses the merged
+        per-shard statistics.  ``exclude`` names oids every shard's top-k
+        cut and the merge skip before they count toward ``k`` (see
         :meth:`SpatialKeywordEngine.search`).
         """
         self.require_built()
         if query.ranking is not None:
-            return self._search_ranked(
-                query, vocabulary=vocabulary, exclude=exclude
-            )
-        return self._scatter_gather(query, exclude)
+            return self._ranked(query, vocabulary=vocabulary, exclude=exclude)
+        return self._distance_first(query, exclude)
 
     def search_many(
         self, queries: Sequence[SpatialKeywordQuery]
@@ -461,15 +465,9 @@ class ShardedEngine:
         prune_zero_ir: bool = True,
     ) -> QueryExecution:
         """General ranked top-k; one ranking function shared by all shards."""
-        if ranking is None:
-            ranking = DistanceDecayRanking(
-                half_distance=self._default_half_distance()
-            )
-        else:
-            validate_monotonicity(ranking)
         query = SpatialKeywordQuery.of(point, keywords, k, ranking=ranking)
         self.require_built()
-        return self._search_ranked(query, prune_zero_ir=prune_zero_ir)
+        return self._ranked(query, prune_zero_ir=prune_zero_ir)
 
     def query_incremental(
         self,
@@ -553,34 +551,47 @@ class ShardedEngine:
             )
         return self._pool
 
-    def _scatter_gather(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    def _fan_out(
+        self,
+        query: SpatialKeywordQuery,
+        keyword_pruned: Callable[[int], bool],
+        body: Callable[[int, dict], QueryExecution | None],
+        gather: Callable[[list[QueryExecution]], list[SearchResult]],
+        algorithm: str,
     ) -> QueryExecution:
+        """Run ``body`` on every shard that can contribute; one report each.
+
+        The two deterministic prunes — an empty shard, and a shard
+        ``keyword_pruned`` rules out — are decided here on the
+        dispatching thread before anything is submitted, so fan-out
+        counters are exact.  The remaining shards go to the pool nearest
+        first: with fewer workers than shards the far partitions often
+        find a distance-first threshold already tight and prune
+        themselves without touching a block.
+
+        Each shard opens its ``shard-<id>`` span under the dispatcher's
+        span (cross-thread context propagation) and joins the
+        dispatcher's shared-read session, so one batch shares block
+        reads across shard workers too.  ``body(shard_id, report)`` runs
+        under :func:`retry_transient`; it returns the shard's execution,
+        or ``None`` after marking the report pruned.  A
+        :class:`StorageError` marks the report failed; the failure
+        policy then re-raises the first failure or answers from the
+        survivors.  ``gather`` merges the survivors' executions into the
+        final answer.
+        """
         bounds = [
             target_min_distance(mbb, query.target) if mbb is not None else None
             for mbb in self._mbbs
         ]
-        terms = self.analyzer.query_terms(query.keywords)
-        merger = TopKMerger(query.k)
-        incremental = self._supports_incremental()
-        reports: list[dict | None] = [None] * self.n_shards
-        ios: list[IOStats | IOCounts] = [IOCounts() for _ in range(self.n_shards)]
-        errors: list[StorageError | None] = [None] * self.n_shards
-        totals_lock = threading.Lock()
-        totals = {"objects": 0, "false_pos": 0, "nodes": 0}
-        # Captured on the dispatching thread; each fan-out worker opens
-        # its own child span under it (cross-thread context propagation).
-        # The batch front-end's shared-read session propagates the same
-        # way, so one batch shares block reads across shard workers too.
-        parent = qtrace.current_span()
-        session = current_session()
-
-        def run_shard(shard_id: int) -> None:
-            report = {
+        reports: list[dict] = []
+        for shard_id, bound in enumerate(bounds):
+            by_keywords = bound is not None and keyword_pruned(shard_id)
+            reports.append({
                 "shard": shard_id,
-                "lower_bound": bounds[shard_id],
-                "pruned": False,
-                "pruned_by_keywords": False,
+                "lower_bound": bound,
+                "pruned": bound is None or by_keywords,
+                "pruned_by_keywords": by_keywords,
                 "failed": False,
                 "error": None,
                 "strategy": None,
@@ -590,8 +601,14 @@ class ShardedEngine:
                 "random_reads": 0,
                 "sequential_reads": 0,
                 "retries": 0,
-            }
-            reports[shard_id] = report
+            })
+        executions: list[QueryExecution | None] = [None] * self.n_shards
+        errors: list[StorageError | None] = [None] * self.n_shards
+        parent = qtrace.current_span()
+        session = current_session()
+
+        def run_shard(shard_id: int) -> None:
+            report = reports[shard_id]
             span = (
                 parent.trace.new_span(
                     f"shard-{shard_id}", category="shard",
@@ -600,48 +617,104 @@ class ShardedEngine:
                 if parent is not None
                 else None
             )
-            try:
-                with qtrace.activate(span), activate_session(session):
-                    search_shard(shard_id, report)
-            finally:
-                if span is not None:
-                    span.finish()
-                    if report["strategy"] is not None:
-                        span.annotate(strategy=report["strategy"])
-                    span.annotate(
-                        lower_bound=report["lower_bound"],
-                        pruned=report["pruned"],
-                        pruned_by_keywords=report["pruned_by_keywords"],
-                        failed=report["failed"],
-                        retries=report["retries"],
-                        results_offered=report["results_offered"],
-                        objects_inspected=report["objects_inspected"],
-                        nodes_visited=report["nodes_visited"],
-                        random_reads=report["random_reads"],
-                        sequential_reads=report["sequential_reads"],
-                    )
-                    if report["error"]:
-                        span.annotate(error=report["error"])
-
-        def search_shard(shard_id: int, report: dict) -> None:
-            bound = bounds[shard_id]
-            if bound is None:  # empty shard
-                report["pruned"] = True
-                return
-            # Keyword routing first: it is deterministic (unlike the
-            # threshold check, which depends on sibling-shard progress),
-            # so fan-out counters for selective workloads are exact.
-            if self._keyword_pruned(shard_id, terms):
-                report["pruned"] = True
-                report["pruned_by_keywords"] = True
-                return
-            if bound > merger.threshold():
-                report["pruned"] = True
-                return
 
             def count_retry(attempt: int, exc: Exception) -> None:
                 report["retries"] += 1
 
+            try:
+                with qtrace.activate(span), activate_session(session):
+                    if report["pruned"]:
+                        return
+                    execution = retry_transient(
+                        lambda: body(shard_id, report),
+                        self.retries, self.retry_backoff_s,
+                        on_retry=count_retry,
+                    )
+                if execution is not None:
+                    executions[shard_id] = execution
+                    report["objects_inspected"] = execution.objects_inspected
+                    report["nodes_visited"] = execution.nodes_visited
+                    report["random_reads"] = execution.io.random_reads
+                    report["sequential_reads"] = execution.io.sequential_reads
+            except StorageError as exc:
+                report["failed"] = True
+                report["error"] = f"{type(exc).__name__}: {exc}"
+                errors[shard_id] = exc
+            finally:
+                if span is not None:
+                    span.finish()
+                    span.annotate(**report)
+
+        order = sorted(
+            range(self.n_shards),
+            key=lambda i: bounds[i] if bounds[i] is not None else float("inf"),
+        )
+        searched = [i for i in order if not reports[i]["pruned"]]
+        for shard_id in order:
+            if reports[shard_id]["pruned"]:
+                run_shard(shard_id)  # no I/O: only its span, if traced
+        pool = self._executor()
+        for future in [pool.submit(run_shard, i) for i in searched]:
+            future.result()
+
+        failed = [i for i, exc in enumerate(errors) if exc is not None]
+        self._record_fanout_metrics(reports)
+        if parent is not None and failed:
+            parent.annotate(degraded=True, failed_shards=failed)
+        if failed and self.failure_policy == FAIL_FAST:
+            raise errors[failed[0]]
+        done = [execution for execution in executions if execution is not None]
+        io = IOCounts()
+        for execution in done:
+            io = io.merged_with(execution.io)
+        return QueryExecution(
+            query=query,
+            results=gather(done),
+            io=io,
+            objects_inspected=sum(e.objects_inspected for e in done),
+            false_positive_candidates=sum(
+                e.false_positive_candidates for e in done
+            ),
+            nodes_visited=sum(e.nodes_visited for e in done),
+            algorithm=algorithm,
+            shards=reports,
+            degraded=bool(failed),
+            failed_shards=failed or None,
+            plan=self._merged_plan(reports),
+        )
+
+    def _distance_first(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> QueryExecution:
+        """Distance-first fan-out: shards offer into one tie-aware merger.
+
+        A shard still prunes itself when its lower bound already exceeds
+        the global k-th distance — a check that depends on how far its
+        siblings have got, so it runs in the worker.  Excluded results
+        are passed over without being offered, so the merge threshold
+        only ever tightens on live results.
+        """
+        # Built on the dispatching thread: tracers join the merger's
+        # offers to the request that constructed it.
+        merger = TopKMerger(query.k)
+        terms = self.analyzer.query_terms(query.keywords)
+        incremental = self._supports_incremental()
+
+        def offer(results: Iterable[SearchResult]) -> int:
+            offered = 0
+            for result in results:
+                if result.distance > merger.threshold():
+                    break
+                if result.obj.oid not in exclude:
+                    merger.offer(result)
+                    offered += 1
+            return offered
+
+        def body(shard_id: int, report: dict) -> QueryExecution | None:
+            if report["lower_bound"] > merger.threshold():
+                report["pruned"] = True
+                return None
+            shard = self.shards[shard_id]
             # Adaptive shards route each *sub-query* independently: the
             # planner decides from this shard's own statistics whether to
             # pull the nearest-first stream (tree strategies) or run the
@@ -649,312 +722,96 @@ class ShardedEngine:
             # so the search call re-planning inside the shard is free and
             # lands on the identical (deterministic) choice.
             pull_stream = incremental
-            plan_for = getattr(self.shards[shard_id].index, "plan_for", None)
+            plan_for = getattr(shard.index, "plan_for", None)
             if plan_for is not None:
-                decision = plan_for(query)
-                report["strategy"] = decision.strategy
-                pull_stream = self.shards[
-                    shard_id
-                ].index.strategy_supports_streaming(decision.strategy)
+                report["strategy"] = plan_for(query).strategy
+                pull_stream = shard.index.strategy_supports_streaming(
+                    report["strategy"]
+                )
+            if not pull_stream:
+                execution = shard.search(query, exclude=exclude)
+                report["results_offered"] = offer(execution.results)
+                return execution
+            # Pull the stream until it can no longer affect the top-k.  A
+            # retry restarts from the top and re-offers what the failed
+            # attempt merged; TopKMerger deduplicates by oid.
+            counters = SearchCounters()
+            with collecting_io() as io:
+                report["results_offered"] = offer(
+                    shard.stream_results(query, counters=counters)
+                )
+            return QueryExecution(
+                query=query,
+                results=[],
+                io=io,
+                objects_inspected=counters.objects_inspected,
+                false_positive_candidates=counters.false_positives,
+                nodes_visited=io.category_reads("node"),
+            )
 
-            try:
-                if pull_stream:
-                    # Retrying re-offers results the failed attempt already
-                    # merged; TopKMerger deduplicates by oid, so a restart
-                    # from the top of the stream is idempotent.
-                    execution = retry_transient(
-                        lambda: self._pull_incremental(
-                            shard_id, query, merger, exclude
-                        ),
-                        self.retries, self.retry_backoff_s,
-                        on_retry=count_retry,
-                    )
-                else:
-                    execution = retry_transient(
-                        lambda: self.shards[shard_id].search(
-                            query, exclude=exclude
-                        ),
-                        self.retries, self.retry_backoff_s,
-                        on_retry=count_retry,
-                    )
-                    for result in execution.results:
-                        if result.distance > merger.threshold():
-                            break
-                        merger.offer(result)
-                        report["results_offered"] += 1
-            except StorageError as exc:
-                report["failed"] = True
-                report["error"] = f"{type(exc).__name__}: {exc}"
-                errors[shard_id] = exc
-                return
-            if pull_stream:
-                report["results_offered"] = execution.pop("offered")
-                io = execution.pop("io")
-                counters = execution.pop("counters")
-                objects_inspected = counters.objects_inspected
-                false_positives = counters.false_positives
-                nodes = io.category_reads("node")
-            else:
-                io = execution.io
-                objects_inspected = execution.objects_inspected
-                false_positives = execution.false_positive_candidates
-                nodes = execution.nodes_visited
-            ios[shard_id] = io
-            report["objects_inspected"] = objects_inspected
-            report["nodes_visited"] = nodes
-            report["random_reads"] = io.random_reads
-            report["sequential_reads"] = io.sequential_reads
-            with totals_lock:
-                totals["objects"] += objects_inspected
-                totals["false_pos"] += false_positives
-                totals["nodes"] += nodes
-
-        # Submit nearest shards first: with fewer workers than shards the
-        # far partitions often find the threshold already tight and prune
-        # themselves without touching a block.
-        order = sorted(
-            (i for i in range(self.n_shards)),
-            key=lambda i: bounds[i] if bounds[i] is not None else float("inf"),
-        )
-        pool = self._executor()
-        futures = [pool.submit(run_shard, shard_id) for shard_id in order]
-        for future in futures:
-            future.result()
-
-        failed = [i for i, exc in enumerate(errors) if exc is not None]
-        self._record_fanout_metrics(reports)
-        if parent is not None and failed:
-            parent.annotate(degraded=True, failed_shards=failed)
-        if failed and self.failure_policy == FAIL_FAST:
-            raise errors[failed[0]]
-        io = IOCounts()
-        for shard_io in ios:
-            io = io.merged_with(shard_io)
-        return QueryExecution(
-            query=query,
-            results=merger.results(),
-            io=io,
-            objects_inspected=totals["objects"],
-            false_positive_candidates=totals["false_pos"],
-            nodes_visited=totals["nodes"],
-            algorithm=self._algorithm_label(),
-            shards=[r for r in reports if r is not None],
-            degraded=bool(failed),
-            failed_shards=failed or None,
-            plan=self._merged_plan(reports),
+        return self._fan_out(
+            query,
+            lambda shard_id: self._keyword_pruned(shard_id, terms),
+            body,
+            lambda executions: merger.results(),
+            self._algorithm_label(),
         )
 
-    def _pull_incremental(
-        self,
-        shard_id: int,
-        query: SpatialKeywordQuery,
-        merger: TopKMerger,
-        exclude: frozenset[int],
-    ) -> dict:
-        """Pull one shard's stream until it can no longer affect the top-k.
-
-        Excluded results are passed over without being offered, so the
-        merge threshold only ever tightens on live results.
-        """
-        counters = SearchCounters()
-        offered = 0
-        with collecting_io() as io:
-            for result in self.shards[shard_id].stream_results(
-                query, counters=counters
-            ):
-                if result.distance > merger.threshold():
-                    break
-                if result.obj.oid in exclude:
-                    continue
-                merger.offer(result)
-                offered += 1
-        return {"io": io, "counters": counters, "offered": offered}
-
-    def _search_ranked(
+    def _ranked(
         self,
         query: SpatialKeywordQuery,
         prune_zero_ir: bool = True,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
-        ranking = query.ranking
-        if ranking is None:
-            ranking = DistanceDecayRanking(
-                half_distance=self._default_half_distance()
-            )
-            query = query.with_ranking(ranking)
+        """Ranked fan-out: every shard runs its local top-k, merged by score."""
         if not hasattr(self.shards[0].index, "execute_ranked"):
             raise QueryError(
                 f"index kind {self._index_kind!r} does not support ranked queries"
             )
+        # Resolved once from the *global* extent, so the default decay
+        # scale is identical on every shard and equal to the single
+        # engine's over the same corpus.
+        ranking = resolve_ranking(
+            query.ranking, (obj.point for obj in self.objects())
+        )
+        if ranking is not query.ranking:
+            query = query.with_ranking(ranking)
         # Per-shard idf values would skew scores toward whatever terms are
         # locally rare; every shard scores against the merged corpus-wide
         # vocabulary so sharded scores equal single-engine scores.
         if vocabulary is None:
             vocabulary = self._global_vocabulary()
         terms = self.analyzer.query_terms(query.keywords)
-        executions: list[QueryExecution | None] = [None] * self.n_shards
-        errors: list[StorageError | None] = [None] * self.n_shards
-        retries_taken = [0] * self.n_shards
-        nonempty = [i for i, mbb in enumerate(self._mbbs) if mbb is not None]
+
+        def body(shard_id: int, report: dict) -> QueryExecution:
+            execution = self.shards[shard_id].index.execute_ranked(
+                query, ranking, prune_zero_ir=prune_zero_ir,
+                vocabulary=vocabulary, exclude=exclude,
+            )
+            report["strategy"] = (execution.plan or {}).get("strategy")
+            report["results_offered"] = len(execution.results)
+            return execution
+
+        def gather(executions: list[QueryExecution]) -> list[SearchResult]:
+            merged = [result for e in executions for result in e.results]
+            merged.sort(key=lambda r: (-r.score, r.distance, r.obj.oid))
+            return merged[: query.k]
+
         # Under zero-IR pruning a shard provably holding none of the query
         # terms can only contribute zero-scored results the scorer drops
         # anyway — skip it before paying any I/O.
-        kw_pruned = {
-            i
-            for i in nonempty
-            if prune_zero_ir and self._keyword_pruned_ranked(i, terms)
-        }
-        parent = qtrace.current_span()
-        session = current_session()
-        shard_spans: list = [None] * self.n_shards
-
-        def run_shard(shard_id: int) -> None:
-            def count_retry(attempt: int, exc: Exception) -> None:
-                retries_taken[shard_id] += 1
-
-            span = (
-                parent.trace.new_span(
-                    f"shard-{shard_id}", category="shard",
-                    parent=parent, shard=shard_id,
-                )
-                if parent is not None
-                else None
-            )
-            shard_spans[shard_id] = span
-            try:
-                with qtrace.activate(span), activate_session(session):
-                    executions[shard_id] = retry_transient(
-                        lambda: self.shards[shard_id].index.execute_ranked(
-                            query, ranking, prune_zero_ir=prune_zero_ir,
-                            vocabulary=vocabulary, exclude=exclude,
-                        ),
-                        self.retries, self.retry_backoff_s,
-                        on_retry=count_retry,
-                    )
-            except StorageError as exc:
-                errors[shard_id] = exc
-            finally:
-                if span is not None:
-                    span.finish()
-
-        pool = self._executor()
-        for future in [
-            pool.submit(run_shard, i) for i in nonempty if i not in kw_pruned
-        ]:
-            future.result()
-
-        failed = [i for i, exc in enumerate(errors) if exc is not None]
-        if parent is not None and failed:
-            parent.annotate(degraded=True, failed_shards=failed)
-        if failed and self.failure_policy == FAIL_FAST:
-            raise errors[failed[0]]
-        merged: list[SearchResult] = []
-        io = IOCounts()
-        objects = false_pos = nodes = 0
-        reports = []
-        for shard_id in nonempty:
-            if shard_id in kw_pruned:
-                report = {
-                    "shard": shard_id,
-                    "lower_bound": None,
-                    "pruned": True,
-                    "pruned_by_keywords": True,
-                    "failed": False,
-                    "error": None,
-                    "strategy": None,
-                    "results_offered": 0,
-                    "objects_inspected": 0,
-                    "nodes_visited": 0,
-                    "random_reads": 0,
-                    "sequential_reads": 0,
-                    "retries": 0,
-                }
-                reports.append(report)
-                if parent is not None:
-                    span = parent.trace.new_span(
-                        f"shard-{shard_id}", category="shard",
-                        parent=parent, shard=shard_id,
-                    )
-                    span.finish()
-                    span.annotate(pruned=True, pruned_by_keywords=True)
-                continue
-            execution = executions[shard_id]
-            if execution is None:  # failed shard under the partial policy
-                exc = errors[shard_id]
-                reports.append({
-                    "shard": shard_id,
-                    "lower_bound": None,
-                    "pruned": False,
-                    "pruned_by_keywords": False,
-                    "failed": True,
-                    "error": f"{type(exc).__name__}: {exc}",
-                    "strategy": None,
-                    "results_offered": 0,
-                    "objects_inspected": 0,
-                    "nodes_visited": 0,
-                    "random_reads": 0,
-                    "sequential_reads": 0,
-                    "retries": retries_taken[shard_id],
-                })
-                if shard_spans[shard_id] is not None:
-                    shard_spans[shard_id].annotate(
-                        failed=True,
-                        error=f"{type(exc).__name__}: {exc}",
-                        retries=retries_taken[shard_id],
-                    )
-                continue
-            merged.extend(execution.results)
-            io = io.merged_with(execution.io)
-            objects += execution.objects_inspected
-            false_pos += execution.false_positive_candidates
-            nodes += execution.nodes_visited
-            strategy = (execution.plan or {}).get("strategy")
-            reports.append({
-                "shard": shard_id,
-                "lower_bound": None,
-                "pruned": False,
-                "pruned_by_keywords": False,
-                "failed": False,
-                "error": None,
-                "strategy": strategy,
-                "results_offered": len(execution.results),
-                "objects_inspected": execution.objects_inspected,
-                "nodes_visited": execution.nodes_visited,
-                "random_reads": execution.io.random_reads,
-                "sequential_reads": execution.io.sequential_reads,
-                "retries": retries_taken[shard_id],
-            })
-            if shard_spans[shard_id] is not None:
-                if strategy is not None:
-                    shard_spans[shard_id].annotate(strategy=strategy)
-                shard_spans[shard_id].annotate(
-                    failed=False,
-                    retries=retries_taken[shard_id],
-                    results_offered=len(execution.results),
-                    objects_inspected=execution.objects_inspected,
-                    nodes_visited=execution.nodes_visited,
-                    random_reads=execution.io.random_reads,
-                    sequential_reads=execution.io.sequential_reads,
-                )
-        self._record_fanout_metrics(reports)
-        merged.sort(key=lambda r: (-r.score, r.distance, r.obj.oid))
-        return QueryExecution(
-            query=query,
-            results=merged[: query.k],
-            io=io,
-            objects_inspected=objects,
-            false_positive_candidates=false_pos,
-            nodes_visited=nodes,
-            algorithm=f"{self._algorithm_label()}-RANKED",
-            shards=reports,
-            degraded=bool(failed),
-            failed_shards=failed or None,
-            plan=self._merged_plan(reports),
+        return self._fan_out(
+            query,
+            lambda shard_id: prune_zero_ir
+            and self._keyword_pruned_ranked(shard_id, terms),
+            body,
+            gather,
+            f"{self._algorithm_label()}-RANKED",
         )
 
     @staticmethod
-    def _merged_plan(reports: list[dict | None]) -> dict | None:
+    def _merged_plan(reports: list[dict]) -> dict | None:
         """Summarize per-shard routing into one execution-level record.
 
         ``strategy`` is the sorted, "+"-joined set of strategies the
@@ -965,7 +822,7 @@ class ShardedEngine:
         per_shard = {
             str(report["shard"]): report["strategy"]
             for report in reports
-            if report is not None and report.get("strategy") is not None
+            if report["strategy"] is not None
         }
         if not per_shard:
             return None
@@ -987,28 +844,10 @@ class ShardedEngine:
             vocabulary = vocabulary.merged_with(shard.corpus.vocabulary)
         return vocabulary
 
-    def _default_half_distance(self) -> float:
-        """10% of the *global* extent, identical on every shard.
-
-        Each shard's own default would depend on its partition's extent;
-        resolving the ranking once here keeps sharded scores equal to the
-        single-engine scores over the same corpus.
-        """
-        points = [obj.point for obj in self.objects()]
-        if not points:
-            return 1.0
-        dims = len(points[0])
-        spans = [
-            max(p[d] for p in points) - min(p[d] for p in points)
-            for d in range(dims)
-        ]
-        extent = max(spans) if spans else 1.0
-        return max(extent * 0.1, 1e-9)
-
     def _algorithm_label(self) -> str:
         return f"SHARDED-{self._index_kind.upper()}x{self.n_shards}"
 
-    def _record_fanout_metrics(self, reports: list[dict | None]) -> None:
+    def _record_fanout_metrics(self, reports: list[dict]) -> None:
         """Emit one query's per-shard reports into the metrics registry.
 
         Records both the fleet-wide ``shard.fanout.*`` counters and a
@@ -1020,13 +859,11 @@ class ShardedEngine:
             return
         m.counter("shard.fanout.queries").inc()
         for report in reports:
-            if report is None:
-                continue
             shard_id = report["shard"]
             if report["pruned"]:
                 m.counter("shard.fanout.pruned").inc()
                 m.counter(f"shard.{shard_id}.pruned").inc()
-                if report.get("pruned_by_keywords"):
+                if report["pruned_by_keywords"]:
                     m.counter("shard.fanout.pruned_by_keywords").inc()
                     m.counter(f"shard.{shard_id}.pruned_by_keywords").inc()
                 continue

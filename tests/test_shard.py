@@ -17,10 +17,13 @@ import pytest
 
 from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import SpatialKeywordQuery
+from repro.core.ranking import LinearRanking
 from repro.datasets import DatasetConfig, SpatialTextDatasetGenerator
 from repro.errors import DatasetError, DeviceFaultError, IndexError_, QueryError
 from repro.model import SearchResult, SpatialObject
+from repro.obs.trace import trace_query
 from repro.persist import MANIFEST_VERSION, load_engine, save_engine
+from repro.serve import QueryService
 from repro.shard import (
     PARTIAL,
     GridPartitioner,
@@ -37,6 +40,8 @@ EPS = 1e-9
 
 KINDS = ("ir2", "mir2", "rtree", "iio", "sig")
 SHARD_COUNTS = (1, 2, 5)
+#: The two query kinds the sharded fan-out answers.
+QUERY_KINDS = ("distance", "ranked")
 
 
 def corpus_objects(n_objects, seed, vocabulary=300, avg_words=8, clusters=5):
@@ -292,13 +297,46 @@ class TestShardedEquivalence:
             )
 
 
+def kind_query(kind, point, keywords, k):
+    """A distance-first or ranked query with the same point, terms and k."""
+    ranking = LinearRanking(max_distance=200.0) if kind == "ranked" else None
+    return SpatialKeywordQuery.of(point, keywords, k, ranking=ranking)
+
+
+def traced_search(sharded, query):
+    """Search under an active trace and pin the one per-shard report shape.
+
+    Every shard gets exactly one report row, every row has the same keys,
+    the rows' costs add up to the execution's totals, and each
+    ``shard-<id>`` span carries exactly its row's fields.
+    """
+    with trace_query("query") as trace:
+        execution = sharded.search(query)
+    rows = execution.shards
+    assert len(rows) == sharded.n_shards
+    assert sorted(row["shard"] for row in rows) == list(range(sharded.n_shards))
+    assert len({frozenset(row) for row in rows}) == 1
+    assert sum(row["objects_inspected"] for row in rows) == (
+        execution.objects_inspected
+    )
+    assert sum(row["nodes_visited"] for row in rows) == execution.nodes_visited
+    spans = [span for span in trace.spans if span.category == "shard"]
+    assert len(spans) == sharded.n_shards
+    for span in spans:
+        row = rows[span.attrs["shard"]]
+        assert span.name == f"shard-{row['shard']}"
+        assert span.attrs == row
+    return execution
+
+
 class TestShardBreakdown:
-    def test_breakdown_aggregates_to_totals(self, shard_corpus):
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_breakdown_aggregates_to_totals(self, shard_corpus, kind):
         with build_sharded(shard_corpus, "ir2", 4) as sharded:
             term = sorted(sharded._global_vocabulary().terms())[0]
-            execution = sharded.query((50.0, 50.0), [term], k=5)
-            assert execution.shards is not None
-            assert len(execution.shards) == 4
+            execution = traced_search(
+                sharded, kind_query(kind, (50.0, 50.0), [term], 5)
+            )
             live = [r for r in execution.shards if not r["pruned"]]
             assert sum(r["objects_inspected"] for r in live) == (
                 execution.objects_inspected
@@ -306,10 +344,27 @@ class TestShardBreakdown:
             assert sum(r["nodes_visited"] for r in live) == (
                 execution.nodes_visited
             )
-            assert execution.algorithm == "SHARDED-IR2x4"
+            assert execution.algorithm == (
+                "SHARDED-IR2x4-RANKED" if kind == "ranked" else "SHARDED-IR2x4"
+            )
             payload = execution.to_dict()
             json.dumps(payload)
             assert payload["shards"] == execution.shards
+
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_more_shards_than_objects_reports_every_shard(self, kind):
+        objects = corpus_objects(4, seed=2)
+        with build_sharded(objects, "ir2", 9) as sharded:
+            query = kind_query(kind, (50.0, 50.0), ["ba"], 3)
+            execution = traced_search(sharded, query)
+            assert execution.results
+            empty = [r for r in execution.shards if r["lower_bound"] is None]
+            assert len(empty) >= 9 - len(objects)
+            assert all(
+                r["pruned"] and not r["pruned_by_keywords"] for r in empty
+            )
+            if kind == "distance":
+                assert_tie_equivalent(execution, objects, sharded.analyzer, query)
 
     def test_distant_shards_get_pruned(self):
         # Two tight clusters far apart: querying inside one cluster with
@@ -476,11 +531,18 @@ class TestDegradation:
             assert execution.degraded
             assert execution.failed_shards == [2]
             assert all(sharded.shard_of(oid) != 2 for oid in execution.oids)
+            report = [r for r in execution.shards if r["shard"] == 2][0]
+            assert report["failed"] and "DeviceFaultError" in report["error"]
+            # A permanent fault is not retried.
+            assert report["retries"] == 0
 
-    def test_transient_fault_is_retried_to_a_full_answer(self, shard_corpus):
+    @pytest.mark.parametrize("kind", QUERY_KINDS)
+    def test_transient_fault_is_retried_to_a_full_answer(
+        self, shard_corpus, kind
+    ):
         with build_sharded(shard_corpus, "ir2", 3) as healthy:
             term = self.common_term(healthy)
-            full = healthy.query((50.0, 50.0), [term], k=8)
+            full = healthy.search(kind_query(kind, (50.0, 50.0), [term], 8))
         with build_sharded(
             shard_corpus, "ir2", 3, retry_backoff_s=0.0
         ) as sharded:
@@ -490,11 +552,46 @@ class TestDegradation:
                 self.break_shard(sharded, i, fail_read_at=(0,), transient=True)
                 for i in range(3)
             ]
-            execution = sharded.query((50.0, 50.0), [term], k=8)
+            execution = sharded.search(full.query)
             assert not execution.degraded
             assert execution.oids == full.oids
-            assert sum(p.failures_injected for p in plans) >= 1
+            injected = sum(p.failures_injected for p in plans)
+            assert injected >= 1
+            assert sum(r["retries"] for r in execution.shards) == injected
 
     def test_bad_failure_policy_rejected(self):
         with pytest.raises(QueryError, match="failure_policy"):
             ShardedEngine(n_shards=2, failure_policy="shrug")
+
+
+class TestRankingResolution:
+    """Every engine resolves a query's ranking the same way."""
+
+    @pytest.fixture(params=["single", 1, 2], ids=["single", "1-shard", "2-shard"])
+    def engine(self, request, shard_corpus):
+        if request.param == "single":
+            engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
+            engine.add_all(shard_corpus)
+            engine.build()
+            yield engine
+        else:
+            with build_sharded(shard_corpus, "ir2", request.param) as engine:
+                yield engine
+
+    def test_non_monotone_custom_ranking_is_rejected(self, engine):
+        query = SpatialKeywordQuery.of(
+            (50.0, 50.0), ["ba"], 5, ranking=lambda d, ir: d + ir
+        )
+        with pytest.raises(QueryError, match="increases with distance"):
+            engine.search(query)
+        with QueryService(engine, workers=1) as service:
+            with pytest.raises(QueryError, match="increases with distance"):
+                service.search(query)
+
+    def test_monotone_custom_ranking_matches_builtin(self, engine):
+        builtin = LinearRanking(alpha=0.5, max_distance=200.0)
+        query = SpatialKeywordQuery.of((50.0, 50.0), ["ba"], 5, ranking=builtin)
+        custom = query.with_ranking(lambda d, ir: builtin(d, ir))
+        expected = engine.search(query).oids
+        assert len(expected) == 5
+        assert engine.search(custom).oids == expected
