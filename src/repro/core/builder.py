@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.errors import TreeInvariantError
-from repro.spatial.geometry import Rect
-from repro.spatial.rtree import Entry, Node, RTree
+from repro.spatial.geometry import Rect, coords_center, coords_union_all
+from repro.spatial.rtree import RTree
 
 #: Default node fill during bulk load (fraction of capacity).
 DEFAULT_BULK_FILL = 0.7
@@ -58,49 +58,36 @@ def bulk_load(tree: RTree, items: Sequence[BulkItem], fill: float = DEFAULT_BULK
     group_size = max(2, min(tree.capacity, int(tree.capacity * fill)))
     old_root = tree.root_id
 
-    # ---- Leaves: STR partition of the objects. ----
-    def item_center(item: BulkItem) -> tuple[float, ...]:
-        return item.rect.center
-
-    groups = _str_partition(list(items), group_size, tree.dims, item_center)
-    level_nodes: list[tuple[Node, set[str]]] = []
-    for group in groups:
-        node = Node(tree.pages.new_node_id(), 0)
-        subtree_terms: set[str] = set()
-        for item in group:
-            node.entries.append(
-                Entry(item.obj_ptr, item.rect, tree.scheme.object_signature(item.terms))
-            )
-            subtree_terms |= item.terms
-        tree.store_node(node)
-        level_nodes.append((node, subtree_terms))
-
-    # ---- Internal levels: pack children until one root remains. ----
-    while len(level_nodes) > 1:
-        def node_center(pair: tuple[Node, set[str]]) -> tuple[float, ...]:
-            return pair[0].mbr().center
-
-        parent_groups = _str_partition(level_nodes, group_size, tree.dims, node_center)
-        next_level: list[tuple[Node, set[str]]] = []
-        for group in parent_groups:
-            parent = Node(tree.pages.new_node_id(), group[0][0].level + 1)
-            parent_terms: set[str] = set()
-            for child, child_terms in group:
-                parent.entries.append(
-                    Entry(
-                        child.node_id,
-                        child.mbr(),
-                        tree.scheme.subtree_signature(child, child_terms),
-                    )
+    # Each pass packs one level's children, ``(ref, mbr_coords,
+    # subtree_terms, entries)``, into STR groups, one node per group;
+    # the objects are the leaves' children.  It stops at a single node.
+    children = [(item.obj_ptr, item.rect.to_coords(), item.terms, ()) for item in items]
+    level = 0
+    while True:
+        nodes = []
+        for group in _str_partition(children, group_size, tree.dims):
+            node_id = tree.pages.new_node_id()
+            entries = [
+                (
+                    ref,
+                    coords,
+                    tree.scheme.subtree_signature(level - 1, child_entries, terms)
+                    if level
+                    else tree.scheme.object_signature(terms),
                 )
-                parent_terms |= child_terms
-            tree.store_node(parent)
-            next_level.append((parent, parent_terms))
-        level_nodes = next_level
+                for ref, coords, terms, child_entries in group
+            ]
+            tree.store_node(node_id, level, entries)
+            mbr = coords_union_all(coords for _ref, coords, _sig in entries)
+            terms = set().union(*(child[2] for child in group))
+            nodes.append((node_id, mbr, terms, entries))
+        if len(nodes) == 1:
+            break
+        children = nodes
+        level += 1
 
-    root, _ = level_nodes[0]
-    tree.root_id = root.node_id
-    tree.height = root.level + 1
+    tree.root_id = nodes[0][0]
+    tree.height = level + 1
     tree.size = len(items)
     tree.bulk_loaded = True
     tree.pages.delete(old_root)
@@ -112,8 +99,9 @@ def insert_build(tree: RTree, items: Sequence[BulkItem]) -> None:
         tree.insert(item.obj_ptr, item.rect, tree.scheme.object_signature(item.terms))
 
 
-def _str_partition(items: list, group_size: int, dims: int, center) -> list[list]:
-    """Sort-Tile-Recursive grouping: runs of ~``group_size`` nearby items.
+def _str_partition(items: list, group_size: int, dims: int) -> list[list]:
+    """Sort-Tile-Recursive grouping: runs of ~``group_size`` nearby items,
+    each a tuple with its MBR's ``lo + hi`` coordinates second.
 
     Sorts by the first dimension, slices into vertical slabs sized so the
     recursion on the remaining dimensions yields square-ish tiles, and
@@ -123,7 +111,7 @@ def _str_partition(items: list, group_size: int, dims: int, center) -> list[list
     def recurse(chunk: list, dim: int) -> list[list]:
         if len(chunk) <= group_size:
             return [chunk]
-        chunk = sorted(chunk, key=lambda it: center(it)[dim])
+        chunk = sorted(chunk, key=lambda it: coords_center(it[1])[dim])
         if dim == dims - 1:
             return [
                 chunk[i : i + group_size] for i in range(0, len(chunk), group_size)

@@ -55,13 +55,13 @@ def signature_saturation(tree: RTree) -> list[LevelSaturation]:
     for node in tree.iter_nodes():
         node_counts[node.level] = node_counts.get(node.level, 0) + 1
         fills = per_level.setdefault(node.level, [])
-        for entry in node.entries:
-            width = len(entry.signature) * 8
+        for _ref, _coords, signature in node.entries:
+            width = len(signature) * 8
             widths[node.level] = width
             if width == 0:
                 fills.append(0.0)
             else:
-                fills.append(Signature.from_bytes(entry.signature).weight() / width)
+                fills.append(Signature.from_bytes(signature).weight() / width)
     report = []
     for level in sorted(per_level):
         fills = per_level[level]

@@ -17,7 +17,8 @@ from __future__ import annotations
 import math
 from typing import Callable, Sequence
 
-from repro.spatial.rtree import Node, RTree, SignatureScheme
+from repro.spatial.rtree import RTree, SignatureScheme
+from repro.spatial.split import NodeEntry
 from repro.text.sigdesign import scaled_length_bytes
 from repro.text.signature import HashSignatureFactory, SignatureFactory
 
@@ -40,24 +41,28 @@ class IR2Scheme(SignatureScheme):
     def length_for_level(self, level: int) -> int:
         return self.factory.length_bytes
 
-    def entry_signature_for_child(self, tree: RTree, child: Node) -> bytes:
+    def entry_signature_for_child(
+        self, tree: RTree, level: int, entries: Sequence[NodeEntry]
+    ) -> bytes:
         """Superimpose the child's entry signatures (cheap, no extra I/O).
 
         Because every level shares one length, OR-ing the child's entries
         equals OR-ing every object signature in the subtree — the identity
         the IR2-Tree's cheap maintenance rests on.
         """
-        superimposed = child.or_signature()
-        if not superimposed:
-            return bytes(self.factory.length_bytes)
-        return superimposed
+        superimposed = 0
+        for _ref, _coords, signature in entries:
+            superimposed |= int.from_bytes(signature, "little")
+        return superimposed.to_bytes(self.factory.length_bytes, "little")
 
     def object_signature(self, terms) -> bytes:
         return self.factory.for_words(terms).to_bytes()
 
-    def subtree_signature(self, child: Node, subtree_terms) -> bytes:
+    def subtree_signature(
+        self, level: int, entries: Sequence[NodeEntry], subtree_terms
+    ) -> bytes:
         """OR of the child's (in-memory) entries — no object reads needed."""
-        return self.entry_signature_for_child(None, child)  # type: ignore[arg-type]
+        return self.entry_signature_for_child(None, level, entries)  # type: ignore[arg-type]
 
 
 class MIR2Scheme(SignatureScheme):
@@ -105,34 +110,42 @@ class MIR2Scheme(SignatureScheme):
     def length_for_level(self, level: int) -> int:
         return self.factory_for_level(level).length_bytes
 
-    def entry_signature_for_child(self, tree: RTree, child: Node) -> bytes:
-        """Re-hash every term under ``child`` at the parent level's length."""
+    def entry_signature_for_child(
+        self, tree: RTree, level: int, entries: Sequence[NodeEntry]
+    ) -> bytes:
+        """Re-hash every term under the child at the parent level's length."""
         terms: set[str] = set()
-        for pointer in self.subtree_object_pointers(tree, child):
+        for pointer in self.subtree_object_pointers(tree, level, entries):
             terms |= self.term_resolver(pointer)
-        factory = self.factory_for_level(child.level + 1)
+        factory = self.factory_for_level(level + 1)
         return factory.for_words(terms).to_bytes()
 
     def object_signature(self, terms) -> bytes:
         return self.factory_for_level(0).for_words(terms).to_bytes()
 
-    def subtree_signature(self, child: Node, subtree_terms) -> bytes:
+    def subtree_signature(
+        self, level: int, entries: Sequence[NodeEntry], subtree_terms
+    ) -> bytes:
         """Hash the known subtree term union at the parent level's length."""
-        factory = self.factory_for_level(child.level + 1)
+        factory = self.factory_for_level(level + 1)
         return factory.for_words(subtree_terms).to_bytes()
 
     @staticmethod
-    def subtree_object_pointers(tree: RTree, node: Node) -> list[int]:
-        """All object pointers below ``node`` (descendants loaded, counted)."""
+    def subtree_object_pointers(
+        tree: RTree, level: int, entries: Sequence[NodeEntry]
+    ) -> list[int]:
+        """All object pointers below the node at ``level`` with ``entries``
+        (descendants read through :meth:`RTree.read_decoded`, counted)."""
         pointers: list[int] = []
-        stack = [node]
+        stack = [(level, entries)]
         while stack:
-            current = stack.pop()
-            if current.is_leaf:
-                pointers.extend(entry.child_ref for entry in current.entries)
+            level, entries = stack.pop()
+            if level == 0:
+                pointers.extend(ref for ref, _coords, _sig in entries)
             else:
-                for entry in current.entries:
-                    stack.append(tree.load_node(entry.child_ref))
+                for ref, _coords, _sig in entries:
+                    child = tree.read_decoded(ref)
+                    stack.append((child.level, child.entries))
         return pointers
 
 

@@ -41,6 +41,7 @@ from repro.core.query import QueryExecution, SpatialKeywordQuery
 from repro.errors import QueryError, VersionRetiredError
 from repro.model import SearchResult, SpatialObject, result_sort_key
 from repro.obs import MetricsRegistry
+from repro.persist import copy_built_engine
 from repro.spatial.geometry import target_point_distance
 from repro.text.analyzer import DEFAULT_ANALYZER
 from repro.text.irmodel import ir_score
@@ -105,10 +106,18 @@ class WriteBuffer:
         self.inserts[obj.oid] = obj
         self.terms[obj.oid] = terms
 
-    def record_delete(self, oid: int) -> None:
+    def record_delete(self, oid: int, mask: bool = True) -> None:
+        """Buffer a delete of ``oid``, dropping any buffered insert of it.
+
+        ``mask`` says whether an older copy (in the base or a frozen
+        buffer) may exist and must be masked; without one, deleting an
+        oid only this buffer inserted leaves no trace, so an add+delete
+        pair changes no version and counts toward no merge.
+        """
         self.inserts.pop(oid, None)
         self.terms.pop(oid, None)
-        self.deleted.add(oid)
+        if mask:
+            self.deleted.add(oid)
 
     def composed_with(self, later: "WriteBuffer") -> "WriteBuffer":
         """Flatten ``self`` then ``later`` into one equivalent buffer."""
@@ -467,7 +476,12 @@ class SnapshotMaintainer:
                 return None
             if not self._current.contains(oid):
                 return None
-            self._active.record_delete(oid)
+            frozen = self._frozen
+            self._active.record_delete(
+                oid,
+                mask=self._base.contains(oid)
+                or (frozen is not None and oid in frozen.inserts),
+            )
             version = self._publish_locked()
         self._publish_gauges(version)
         self._maybe_schedule_merge()
@@ -577,8 +591,6 @@ class SnapshotMaintainer:
             if self.incremental_ratio > 0.0 and frozen.depth <= max(
                 1, int(base_live * self.incremental_ratio)
             ):
-                from repro.persist import copy_built_engine
-
                 rebuilt = copy_built_engine(self._base)
             if rebuilt is not None:
                 mode = "incremental"

@@ -15,8 +15,6 @@ from repro.spatial.nearest import (
 )
 from repro.spatial.rtree import (
     DEFAULT_MIN_FILL_RATIO,
-    Entry,
-    Node,
     NoSignatures,
     RTree,
     SignatureScheme,
@@ -26,10 +24,8 @@ from repro.spatial.split import LinearSplit, QuadraticSplit, SplitStrategy
 
 __all__ = [
     "DEFAULT_MIN_FILL_RATIO",
-    "Entry",
     "LinearSplit",
     "NNTrace",
-    "Node",
     "NoSignatures",
     "Point",
     "QuadraticSplit",

@@ -35,6 +35,8 @@ nodes" — defer the load, as we do.)
 
 :func:`k_nearest` is the classic branch-and-bound k-NN of Roussopoulos et
 al. [RKV95], provided as an independent oracle for cross-checking tests.
+It reads the same :class:`~repro.spatial.rtree.DecodedNode` entries
+through :meth:`RTree.read_decoded`, with counted I/O.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from typing import TYPE_CHECKING, Callable, Iterator, Sequence
 from repro.errors import SignatureLengthError
 from repro.obs import trace as qtrace
 from repro.spatial.geometry import coords_distance, point_distance
-from repro.spatial.rtree import Node, RTree, bit_positions
+from repro.spatial.rtree import DecodedNode, RTree, bit_positions
 
 if TYPE_CHECKING:
     from repro.text.signature import Signature
@@ -202,27 +204,28 @@ def k_nearest(
     """
     if k <= 0:
         return []
+    distance_to = coords_distance(point, tree.dims)
     best: list[tuple[float, int]] = []  # max-heap via negated distance
 
-    def visit(node: Node) -> None:
-        if node.is_leaf:
-            for entry in node.entries:
-                distance = entry.rect.min_distance(point)
+    def visit(node: DecodedNode) -> None:
+        if node.level == 0:
+            for ref, coords, _sig in node.entries:
+                distance = distance_to(coords)
                 if len(best) < k:
-                    heapq.heappush(best, (-distance, entry.child_ref))
+                    heapq.heappush(best, (-distance, ref))
                 elif distance < -best[0][0]:
-                    heapq.heapreplace(best, (-distance, entry.child_ref))
+                    heapq.heapreplace(best, (-distance, ref))
             return
         children = sorted(
-            node.entries, key=lambda e: e.rect.min_distance(point)
+            (distance_to(coords), index, ref)
+            for index, (ref, coords, _sig) in enumerate(node.entries)
         )
-        for entry in children:
-            distance = entry.rect.min_distance(point)
+        for distance, _index, ref in children:
             if len(best) >= k and distance > -best[0][0]:
                 break  # children are sorted; the rest are farther
-            visit(tree.load_node(entry.child_ref))
+            visit(tree.read_decoded(ref))
 
-    visit(tree.load_node(tree.root_id))
+    visit(tree.read_decoded(tree.root_id))
     ordered = sorted((-neg, ref) for neg, ref in best)
     return [(ref, distance) for distance, ref in ordered]
 

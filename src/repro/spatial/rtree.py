@@ -5,7 +5,8 @@ from scratch: ChooseLeaf descends by least MBR enlargement, overflow is
 resolved by the quadratic split, AdjustTree propagates MBR changes upward,
 and Delete condenses underfull nodes and re-inserts orphaned entries, all
 through a :class:`~repro.storage.pagestore.PageStore` so every node touch
-is a counted disk access.
+is a counted disk access.  Queries and maintenance alike see an entry as
+the ``(child_ref, mbr_coords, signature)`` tuple of :class:`DecodedNode`.
 
 The IR2-Tree (Section IV) is this same tree with signatures attached to
 every entry.  Rather than duplicating the maintenance logic, the tree
@@ -19,13 +20,19 @@ AdjustTree / CondenseTree passes that maintain MBRs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import gt
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from repro.errors import TreeInvariantError
-from repro.spatial.geometry import Rect
-from repro.spatial.split import QuadraticSplit, SplitStrategy
+from repro.spatial.geometry import (
+    Rect,
+    coords_area,
+    coords_contain,
+    coords_enlargement,
+    coords_intersect,
+    coords_union_all,
+)
+from repro.spatial.split import NodeEntry, QuadraticSplit, SplitStrategy
 from repro.storage.intern import Intern
 from repro.storage.pagestore import PageStore
 from repro.storage.serialization import (
@@ -71,10 +78,10 @@ class DecodedNode:
     ``entries`` holds one ``(child_ref, mbr_coords, signature)`` tuple per
     entry, as :func:`~repro.storage.serialization.decode_node` unpacks
     it: the child pointer, the MBR's ``lo + hi`` corners and the
-    ``sig_len`` signature bytes.  The query traversals work on these
-    directly, with no :class:`Entry`, :class:`Rect` or signature object
-    per entry, and test signatures only through :meth:`survivors`;
-    :meth:`RTree.load_node` wraps the entries for maintenance.
+    ``sig_len`` signature bytes: the tree's one entry form.  Queries
+    read it with no :class:`Rect` or signature object per entry and test
+    signatures only through :meth:`survivors`; maintenance edits a list
+    copy of the entries and stores it back (:meth:`RTree.store_node`).
 
     A *slice* is the bit-sliced layout of signature files: for a
     signature bit ``b``, an ``int`` whose bit ``i`` is set when entry
@@ -167,65 +174,25 @@ def decode_entries(image: bytes, dims: int) -> DecodedNode:
     return DecodedNode(node_id, level, sig_len, tuple(entries), image, dims)
 
 
-@dataclass
-class Entry:
-    """One slot of a tree node.
-
-    Attributes:
-        child_ref: node id (internal nodes) or object pointer (leaves).
-        rect: MBR of the child subtree or of the object.
-        signature: superimposed-coding signature bytes summarizing the
-            textual content below this entry (empty for plain R-Trees).
-    """
-
-    child_ref: int
-    rect: Rect
-    signature: bytes = b""
-
-
-@dataclass
-class Node:
-    """One tree node: an id, a level (0 = leaf) and up to ``capacity`` entries."""
-
-    node_id: int
-    level: int
-    entries: list[Entry] = field(default_factory=list)
-
-    @property
-    def is_leaf(self) -> bool:
-        """True for level-0 nodes, whose entries reference objects."""
-        return self.level == 0
-
-    def mbr(self) -> Rect:
-        """Minimum bounding rectangle of all entries."""
-        return Rect.union_all(entry.rect for entry in self.entries)
-
-    def or_signature(self) -> bytes:
-        """Bitwise OR (superimposition) of all entry signatures."""
-        if not self.entries:
-            return b""
-        acc = 0
-        for entry in self.entries:
-            acc |= int.from_bytes(entry.signature, "little")
-        return acc.to_bytes(len(self.entries[0].signature), "little")
-
-
 class SignatureScheme:
     """How signatures are sized and propagated up the tree.
 
     The base implementation is the *no signature* scheme used by the plain
-    R-Tree: zero-length signatures everywhere.
+    R-Tree: zero-length signatures everywhere.  The hooks see a child
+    node as its ``level`` and its entry tuples.
     """
 
     def length_for_level(self, level: int) -> int:
         """Signature length in bytes for entries stored at ``level``."""
         return 0
 
-    def entry_signature_for_child(self, tree: "RTree", child: Node) -> bytes:
-        """Signature for a parent entry referencing ``child``.
+    def entry_signature_for_child(
+        self, tree: "RTree", level: int, entries: Sequence[NodeEntry]
+    ) -> bytes:
+        """Signature for a parent entry referencing the child ``entries``.
 
         Called during AdjustTree whenever a child changed; the returned
-        bytes must have length ``length_for_level(child.level + 1)``.
+        bytes must have length ``length_for_level(level + 1)``.
         """
         return b""
 
@@ -233,8 +200,10 @@ class SignatureScheme:
         """Leaf-entry signature for an object with the given distinct terms."""
         return b""
 
-    def subtree_signature(self, child: Node, subtree_terms) -> bytes:
-        """Bulk-load fast path: parent-entry signature for ``child`` given
+    def subtree_signature(
+        self, level: int, entries: Sequence[NodeEntry], subtree_terms
+    ) -> bytes:
+        """Bulk-load fast path: parent-entry signature for a child given
         the (already known) union of distinct terms in its subtree.
 
         Must equal what :meth:`entry_signature_for_child` would compute by
@@ -246,6 +215,10 @@ class SignatureScheme:
 
 #: Alias emphasizing intent at call sites building plain R-Trees.
 NoSignatures = SignatureScheme
+
+#: A maintenance path step: ``(node_id, level, entries, child_index)``, the
+#: entries a mutable copy, the index the slot taken below (-1 at the end).
+PathStep = tuple[int, int, list[NodeEntry], int]
 
 
 class RTree:
@@ -297,14 +270,14 @@ class RTree:
         # Bulk loading may leave trailing nodes below min_fill (legal for
         # packed trees); validate() relaxes the fill check when set.
         self.bulk_loaded = False
-        root = Node(pages.new_node_id(), level=0)
-        self.root_id = root.node_id
-        self.store_node(root)
+        self.root_id = pages.new_node_id()
+        self.store_node(self.root_id, 0, [])
 
     # ------------------------------------------------------------------ I/O --
 
     def read_decoded(self, node_id: int) -> DecodedNode:
-        """Read one node (counted I/O) as its interned :class:`DecodedNode`.
+        """The paper's ``LoadNode``: read one node (counted I/O) as its
+        interned :class:`DecodedNode`.
 
         The image is always read (and charged); only its decode goes
         through :attr:`node_intern`, keyed by ``dims`` and the image
@@ -323,28 +296,30 @@ class RTree:
             )
         return _checked(decoded, node_id)
 
-    def load_node(self, node_id: int) -> Node:
-        """The paper's ``LoadNode``: read and decode one node (counted I/O)."""
-        return _as_node(self.read_decoded(node_id))
-
-    def store_node(self, node: Node) -> None:
+    def store_node(
+        self, node_id: int, level: int, entries: Sequence[NodeEntry]
+    ) -> None:
         """The paper's ``StoreNode``: encode and write one node (counted I/O)."""
-        sig_len = self.scheme.length_for_level(node.level)
-        raw_entries = []
-        for entry in node.entries:
-            if len(entry.signature) != sig_len:
+        sig_len = self.scheme.length_for_level(level)
+        for _ref, _coords, signature in entries:
+            if len(signature) != sig_len:
                 raise TreeInvariantError(
-                    f"entry signature is {len(entry.signature)} bytes at level "
-                    f"{node.level}, scheme expects {sig_len}"
+                    f"entry signature is {len(signature)} bytes at level "
+                    f"{level}, scheme expects {sig_len}"
                 )
-            raw_entries.append((entry.child_ref, entry.rect.to_coords(), entry.signature))
-        image = encode_node(
-            node.node_id, node.level, node.is_leaf, self.dims, sig_len, raw_entries
-        )
+        image = encode_node(node_id, level, level == 0, self.dims, sig_len, entries)
         # Reserve the full-capacity footprint so node updates are in
         # place and sizes match the paper's capacity-derived node blocks.
-        self.pages.write(
-            node.node_id, image, reserve_blocks=self.blocks_per_node_at(node.level)
+        self.pages.write(node_id, image, reserve_blocks=self.blocks_per_node_at(level))
+
+    def _parent_entry(
+        self, node_id: int, level: int, entries: Sequence[NodeEntry]
+    ) -> NodeEntry:
+        """The entry a parent keeps for a child: its id, MBR and signature."""
+        return (
+            node_id,
+            coords_union_all(coords for _ref, coords, _sig in entries),
+            self.scheme.entry_signature_for_child(self, level, entries),
         )
 
     # --------------------------------------------------------------- Insert --
@@ -361,62 +336,53 @@ class RTree:
             raise TreeInvariantError(
                 f"rect dimensionality {rect.dims} != tree dimensionality {self.dims}"
             )
-        self._insert_entry(Entry(obj_ptr, rect, signature), 0)
+        self._insert_entry((obj_ptr, rect.to_coords(), signature), 0)
         self.size += 1
 
-    def _insert_entry(self, entry: Entry, target_level: int) -> None:
+    def _insert_entry(self, entry: NodeEntry, target_level: int) -> None:
         """Insert ``entry`` into a node at ``target_level`` and adjust upward."""
-        path = self._choose_path(entry.rect, target_level)
-        node, _ = path[-1]
-        node.entries.append(entry)
-        split_node = self._split_if_needed(node)
-        self.store_node(node)
-        if split_node is not None:
-            self.store_node(split_node)
-        self._adjust_tree(path, split_node)
+        path = self._choose_path(entry[1], target_level)
+        node_id, level, entries, _ = path[-1]
+        entries.append(entry)
+        split = self._split_if_needed(level, entries)
+        self.store_node(node_id, level, entries)
+        if split is not None:
+            self.store_node(split[0], level, split[1])
+        self._adjust_tree(path, split)
 
-    def _choose_path(self, rect: Rect, target_level: int) -> list[tuple[Node, int]]:
+    def _choose_path(
+        self, coords: Sequence[float], target_level: int
+    ) -> list[PathStep]:
         """Descend by least enlargement to a node at ``target_level``.
 
-        Returns the root-to-target path as ``(node, child_index)`` pairs;
-        the child index is the slot taken at each step (-1 for the target).
+        Returns the root-to-target path; each step's child index is the
+        slot taken there (-1 for the target).
         """
-        node = self.load_node(self.root_id)
+        node = self.read_decoded(self.root_id)
         if target_level > node.level:
             raise TreeInvariantError(
                 f"cannot insert at level {target_level}: tree height {self.height}"
             )
-        path: list[tuple[Node, int]] = []
+        path: list[PathStep] = []
         while node.level > target_level:
-            index = self._choose_subtree(node, rect)
-            path.append((node, index))
-            node = self.load_node(node.entries[index].child_ref)
-        path.append((node, -1))
+            index = _choose_subtree(node.entries, coords)
+            path.append((node.node_id, node.level, list(node.entries), index))
+            node = self.read_decoded(node.entries[index][0])
+        path.append((node.node_id, node.level, list(node.entries), -1))
         return path
 
-    @staticmethod
-    def _choose_subtree(node: Node, rect: Rect) -> int:
-        """Guttman's ChooseLeaf criterion: least enlargement, then least area."""
-        best_index = 0
-        best_key = (float("inf"), float("inf"))
-        for i, entry in enumerate(node.entries):
-            key = (entry.rect.enlargement(rect), entry.rect.area())
-            if key < best_key:
-                best_key = key
-                best_index = i
-        return best_index
-
-    def _split_if_needed(self, node: Node) -> Node | None:
-        """Split an overfull node; return the new sibling (or None)."""
-        if len(node.entries) <= self.capacity:
+    def _split_if_needed(
+        self, level: int, entries: list[NodeEntry]
+    ) -> tuple[int, list[NodeEntry]] | None:
+        """Split an overfull node in place; return the sibling's (id, entries)."""
+        if len(entries) <= self.capacity:
             return None
-        group_a, group_b = self.split_strategy.split(node.entries, self.min_fill)
-        node.entries = group_a
-        sibling = Node(self.pages.new_node_id(), node.level, group_b)
-        return sibling
+        group_a, group_b = self.split_strategy.split(entries, self.min_fill)
+        entries[:] = group_a
+        return self.pages.new_node_id(), group_b
 
     def _adjust_tree(
-        self, path: list[tuple[Node, int]], split_node: Node | None
+        self, path: list[PathStep], split: tuple[int, list[NodeEntry]] | None
     ) -> None:
         """AdjustTree: refresh parent MBRs/signatures, propagate splits.
 
@@ -424,44 +390,25 @@ class RTree:
         and its ancestors is being done at the same time the tree would
         normally update the MBR" — both ride the same upward pass.
         """
-        child, _ = path[-1]
-        for parent, child_index in reversed(path[:-1]):
-            entry = parent.entries[child_index]
-            entry.rect = child.mbr()
-            entry.signature = self.scheme.entry_signature_for_child(self, child)
-            if split_node is not None:
-                parent.entries.append(
-                    Entry(
-                        split_node.node_id,
-                        split_node.mbr(),
-                        self.scheme.entry_signature_for_child(self, split_node),
-                    )
-                )
-            split_node = self._split_if_needed(parent)
-            self.store_node(parent)
-            if split_node is not None:
-                self.store_node(split_node)
-            child = parent
-        if split_node is not None:
-            self._grow_root(child, split_node)
+        child_id, level, child_entries, _ = path[-1]
+        for parent_id, parent_level, parent_entries, index in reversed(path[:-1]):
+            parent_entries[index] = self._parent_entry(child_id, level, child_entries)
+            if split is not None:
+                parent_entries.append(self._parent_entry(split[0], level, split[1]))
+            split = self._split_if_needed(parent_level, parent_entries)
+            self.store_node(parent_id, parent_level, parent_entries)
+            if split is not None:
+                self.store_node(split[0], parent_level, split[1])
+            child_id, level, child_entries = parent_id, parent_level, parent_entries
+        if split is not None:
+            self._grow_root(level, (child_id, child_entries), split)
 
-    def _grow_root(self, old_root: Node, sibling: Node) -> None:
+    def _grow_root(self, level: int, *halves: tuple[int, list[NodeEntry]]) -> None:
         """Handle a root split: create a new root referencing both halves."""
-        new_root = Node(self.pages.new_node_id(), old_root.level + 1)
-        new_root.entries = [
-            Entry(
-                old_root.node_id,
-                old_root.mbr(),
-                self.scheme.entry_signature_for_child(self, old_root),
-            ),
-            Entry(
-                sibling.node_id,
-                sibling.mbr(),
-                self.scheme.entry_signature_for_child(self, sibling),
-            ),
-        ]
-        self.store_node(new_root)
-        self.root_id = new_root.node_id
+        new_root_id = self.pages.new_node_id()
+        entries = [self._parent_entry(node_id, level, half) for node_id, half in halves]
+        self.store_node(new_root_id, level + 1, entries)
+        self.root_id = new_root_id
         self.height += 1
 
     # --------------------------------------------------------------- Delete --
@@ -478,108 +425,105 @@ class RTree:
             True when the entry was found and removed, False otherwise
             (the paper's algorithm "stops" when no leaf contains T).
         """
-        root = self.load_node(self.root_id)
-        path = self._find_leaf(root, obj_ptr, rect, [])
-        if path is None:
+        coords = rect.to_coords()
+        trail = self._find_leaf(self.read_decoded(self.root_id), obj_ptr, coords, [])
+        if trail is None:
             return False
-        leaf, _ = path[-1]
-        leaf.entries = [
-            e for e in leaf.entries if not (e.child_ref == obj_ptr and e.rect == rect)
-        ]
+        path = [(node.node_id, node.level, list(node.entries), i) for node, i in trail]
+        leaf = path[-1][2]
+        leaf[:] = [e for e in leaf if not (e[0] == obj_ptr and e[1] == coords)]
         self._condense_tree(path)
         self.size -= 1
         return True
 
     def _find_leaf(
         self,
-        node: Node,
+        node: DecodedNode,
         obj_ptr: int,
-        rect: Rect,
-        trail: list[tuple[Node, int]],
-    ) -> list[tuple[Node, int]] | None:
-        """FindLeaf: DFS over subtrees whose MBR contains ``rect``."""
-        if node.is_leaf:
-            for entry in node.entries:
-                if entry.child_ref == obj_ptr and entry.rect == rect:
-                    return trail + [(node, -1)]
+        coords: tuple[float, ...],
+        trail: list[tuple[DecodedNode, int]],
+    ) -> list[tuple[DecodedNode, int]] | None:
+        """FindLeaf: DFS over subtrees whose MBR contains ``coords``."""
+        if node.level == 0:
+            if any(ref == obj_ptr and box == coords for ref, box, _sig in node.entries):
+                return trail + [(node, -1)]
             return None
-        for index, entry in enumerate(node.entries):
-            if entry.rect.contains_rect(rect):
-                child = self.load_node(entry.child_ref)
-                found = self._find_leaf(child, obj_ptr, rect, trail + [(node, index)])
+        for index, (ref, box, _sig) in enumerate(node.entries):
+            if coords_contain(box, coords):
+                found = self._find_leaf(
+                    self.read_decoded(ref), obj_ptr, coords, trail + [(node, index)]
+                )
                 if found is not None:
                     return found
         return None
 
-    def _condense_tree(self, path: list[tuple[Node, int]]) -> None:
+    def _condense_tree(self, path: list[PathStep]) -> None:
         """CondenseTree with signature maintenance (Section IV).
 
         Underfull non-root nodes are removed and their entries queued for
         re-insertion at their original level; surviving ancestors get their
         MBR and signature refreshed exactly as AdjustTree would.
         """
-        orphans: list[tuple[Entry, int]] = []  # (entry, level it lived at)
-        node, _ = path[-1]
-        for parent, child_index in reversed(path[:-1]):
-            if len(node.entries) < self.min_fill:
-                for entry in node.entries:
-                    orphans.append((entry, node.level))
-                del parent.entries[child_index]
-                self.pages.delete(node.node_id)
+        orphans: list[tuple[NodeEntry, int]] = []  # (entry, level it lived at)
+        node_id, level, entries, _ = path[-1]
+        for parent_id, parent_level, parent_entries, index in reversed(path[:-1]):
+            if len(entries) < self.min_fill:
+                orphans.extend((entry, level) for entry in entries)
+                del parent_entries[index]
+                self.pages.delete(node_id)
             else:
-                entry = parent.entries[child_index]
-                entry.rect = node.mbr()
-                entry.signature = self.scheme.entry_signature_for_child(self, node)
-                self.store_node(node)
-            node = parent
-        # ``node`` is now the root.
-        self.store_node(node)
-        for entry, level in sorted(orphans, key=lambda pair: pair[1]):
-            self._insert_entry(entry, level)
+                parent_entries[index] = self._parent_entry(node_id, level, entries)
+                self.store_node(node_id, level, entries)
+            node_id, level, entries = parent_id, parent_level, parent_entries
+        # ``node_id`` is now the root.
+        self.store_node(node_id, level, entries)
+        for entry, entry_level in sorted(orphans, key=lambda pair: pair[1]):
+            self._insert_entry(entry, entry_level)
         self._shrink_root()
 
     def _shrink_root(self) -> None:
         """Collapse a non-leaf root with a single child."""
-        root = self.load_node(self.root_id)
-        while not root.is_leaf and len(root.entries) == 1:
-            child_id = root.entries[0].child_ref
+        root = self.read_decoded(self.root_id)
+        while root.level > 0 and len(root.entries) == 1:
+            child_id = root.entries[0][0]
             self.pages.delete(root.node_id)
             self.root_id = child_id
             self.height -= 1
-            root = self.load_node(child_id)
+            root = self.read_decoded(child_id)
 
     # --------------------------------------------------------------- Search --
 
-    def search(self, rect: Rect) -> Iterator[Entry]:
+    def search(self, rect: Rect) -> Iterator[NodeEntry]:
         """Range query: yield leaf entries whose MBR intersects ``rect``."""
+        target = rect.to_coords()
         stack = [self.root_id]
         while stack:
-            node = self.load_node(stack.pop())
+            node = self.read_decoded(stack.pop())
             for entry in node.entries:
-                if entry.rect.intersects(rect):
-                    if node.is_leaf:
+                if coords_intersect(entry[1], target):
+                    if node.level == 0:
                         yield entry
                     else:
-                        stack.append(entry.child_ref)
+                        stack.append(entry[0])
 
     # ---------------------------------------------------------- Introspection --
 
-    def iter_nodes(self) -> Iterator[Node]:
+    def iter_nodes(self) -> Iterator[DecodedNode]:
         """Yield every node (uncounted reads; for validation and stats)."""
         stack = [self.root_id]
         while stack:
             node = self._load_uncounted(stack.pop())
             yield node
-            if not node.is_leaf:
-                stack.extend(entry.child_ref for entry in node.entries)
+            if node.level > 0:
+                stack.extend(ref for ref, _coords, _sig in node.entries)
 
-    def iter_leaf_entries(self) -> Iterator[Entry]:
+    def iter_leaf_entries(self) -> Iterator[NodeEntry]:
         """Yield every object entry in the tree (uncounted reads)."""
         for node in self.iter_nodes():
-            if node.is_leaf:
+            if node.level == 0:
                 yield from node.entries
 
-    def _load_uncounted(self, node_id: int) -> Node:
+    def _load_uncounted(self, node_id: int) -> DecodedNode:
         """Load a node off the books (validation and statistics only).
 
         Decodes the extent's raw bytes: no device, collector or trace
@@ -587,7 +531,7 @@ class RTree:
         intern is left as the queries filled it.
         """
         image = self.pages.read_uncounted(node_id)
-        return _as_node(_checked(decode_entries(image, self.dims), node_id))
+        return _checked(decode_entries(image, self.dims), node_id)
 
     def node_count(self) -> int:
         """Number of nodes currently in the tree."""
@@ -607,13 +551,12 @@ class RTree:
             self.scheme.length_for_level(level),
         )
 
-    def validate(self, resolve_signature: Callable[[Entry], bytes] | None = None) -> None:
+    def validate(self) -> None:
         """Check structural invariants; raise :class:`TreeInvariantError`.
 
         Verifies: uniform leaf depth, entry counts within [min_fill,
-        capacity] (root exempt from the minimum), parent MBR containment,
-        and — when the scheme uses signatures — that each parent entry's
-        signature covers (bitwise includes) its child's superimposition.
+        capacity] (root exempt from the minimum), and that each parent
+        entry's MBR is exactly its child's MBR.
         """
         root = self._load_uncounted(self.root_id)
         expected_level = self.height - 1
@@ -625,7 +568,7 @@ class RTree:
         if count != self.size:
             raise TreeInvariantError(f"tree says size={self.size}, found {count}")
 
-    def _validate_node(self, node: Node, is_root: bool) -> int:
+    def _validate_node(self, node: DecodedNode, is_root: bool) -> int:
         if len(node.entries) > self.capacity:
             raise TreeInvariantError(
                 f"node {node.node_id} overfull: {len(node.entries)}"
@@ -635,21 +578,22 @@ class RTree:
             raise TreeInvariantError(
                 f"node {node.node_id} underfull: {len(node.entries)}"
             )
-        if node.is_leaf:
+        if node.level == 0:
             return len(node.entries)
         total = 0
-        for entry in node.entries:
-            child = self._load_uncounted(entry.child_ref)
+        for ref, coords, _sig in node.entries:
+            child = self._load_uncounted(ref)
             if child.level != node.level - 1:
                 raise TreeInvariantError(
                     f"child {child.node_id} level {child.level} under node "
                     f"level {node.level}"
                 )
-            if not entry.rect.contains_rect(child.mbr()):
+            child_mbr = coords_union_all(c for _ref, c, _sig in child.entries)
+            if not coords_contain(coords, child_mbr):
                 raise TreeInvariantError(
                     f"entry MBR does not contain child {child.node_id} MBR"
                 )
-            if entry.rect != child.mbr():
+            if coords != child_mbr:
                 # Not fatal (rect may be slack after deletes in some R-Tree
                 # variants) but in this implementation MBRs are kept tight.
                 raise TreeInvariantError(
@@ -659,6 +603,18 @@ class RTree:
         return total
 
 
+def _choose_subtree(entries: Sequence[NodeEntry], coords: Sequence[float]) -> int:
+    """Guttman's ChooseLeaf criterion: least enlargement, then least area."""
+    best_index = 0
+    best_key = (float("inf"), float("inf"))
+    for i, (_ref, entry_coords, _sig) in enumerate(entries):
+        key = (coords_enlargement(entry_coords, coords), coords_area(entry_coords))
+        if key < best_key:
+            best_key = key
+            best_index = i
+    return best_index
+
+
 def _checked(decoded: DecodedNode, node_id: int) -> DecodedNode:
     """``decoded``, once its image is shown to be node ``node_id``'s."""
     if decoded.node_id != node_id:
@@ -666,15 +622,6 @@ def _checked(decoded: DecodedNode, node_id: int) -> DecodedNode:
             f"node id mismatch: asked {node_id}, image says {decoded.node_id}"
         )
     return decoded
-
-
-def _as_node(decoded: DecodedNode) -> Node:
-    """Wrap a decoded image's entries as a maintenance :class:`Node`."""
-    entries = [
-        Entry(ref, Rect.from_coords(coords), signature)
-        for ref, coords, signature in decoded.entries
-    ]
-    return Node(decoded.node_id, decoded.level, entries)
 
 
 def build_from_layout(
@@ -711,32 +658,26 @@ def build_from_layout(
     pages.delete(tree.root_id)  # discard the empty bootstrap root
     names: dict[str, int] = {}
 
-    def build(spec) -> Node:
+    def build(spec) -> tuple[int, int, list[NodeEntry]]:
+        """Store the node ``spec`` describes; return its ``(id, level, entries)``."""
         name, children = spec
         if children and isinstance(children[0], tuple) and isinstance(
             children[0][0], str
         ):
             child_nodes = [build(child) for child in children]
-            level = child_nodes[0].level + 1
-            node = Node(pages.new_node_id(), level)
-            for child in child_nodes:
-                node.entries.append(
-                    Entry(
-                        child.node_id,
-                        child.mbr(),
-                        tree.scheme.entry_signature_for_child(tree, child),
-                    )
-                )
+            level = child_nodes[0][1] + 1
+            node_id = pages.new_node_id()
+            entries = [tree._parent_entry(*child) for child in child_nodes]
         else:
-            node = Node(pages.new_node_id(), 0)
-            for obj_ptr, rect, sig in children:
-                node.entries.append(Entry(obj_ptr, rect, sig))
-        tree.store_node(node)
-        names[name] = node.node_id
-        return node
+            level = 0
+            node_id = pages.new_node_id()
+            entries = [(ref, rect.to_coords(), sig) for ref, rect, sig in children]
+        tree.store_node(node_id, level, entries)
+        names[name] = node_id
+        return node_id, level, entries
 
-    root = build(layout)
-    tree.root_id = root.node_id
-    tree.height = root.level + 1
+    root_id, root_level, _ = build(layout)
+    tree.root_id = root_id
+    tree.height = root_level + 1
     tree.size = sum(1 for _ in tree.iter_leaf_entries())
     return tree, names

@@ -10,23 +10,22 @@ minimum fill does so.
 :class:`LinearSplit` (Guttman's cheaper O(n) variant) is included as an
 ablation axis — ``benchmarks/bench_ablation_split.py`` measures its effect
 on search I/O.
+
+Both partition node entries in the form the tree stores and decodes them,
+``(child_ref, mbr_coords, signature)`` tuples, by their ``lo + hi`` MBR
+coordinates alone; the other two fields ride along untouched.
 """
 
 from __future__ import annotations
 
-from typing import Protocol, Sequence, TypeVar
+from typing import Sequence
 
 from repro.errors import TreeInvariantError
-from repro.spatial.geometry import Rect
+from repro.spatial.geometry import coords_area, coords_enlargement, coords_union
 
-
-class HasRect(Protocol):
-    """Anything with a bounding rectangle — node entries in practice."""
-
-    rect: Rect
-
-
-E = TypeVar("E", bound=HasRect)
+#: A node entry as the tree stores it: ``(child_ref, mbr_coords, signature)``
+#: with the MBR as its flat ``lo + hi`` coordinates.
+NodeEntry = tuple[int, tuple[float, ...], bytes]
 
 
 class SplitStrategy:
@@ -35,8 +34,10 @@ class SplitStrategy:
     #: Short identifier used in benchmark labels.
     name = "abstract"
 
-    def split(self, entries: Sequence[E], min_fill: int) -> tuple[list[E], list[E]]:
-        """Partition ``entries`` into two non-empty groups.
+    def split(
+        self, entries: Sequence[NodeEntry], min_fill: int
+    ) -> tuple[list[NodeEntry], list[NodeEntry]]:
+        """Partition ``entries`` into two non-empty groups by their MBRs.
 
         Args:
             entries: the ``capacity + 1`` entries of an overfull node.
@@ -53,7 +54,9 @@ class QuadraticSplit(SplitStrategy):
 
     name = "quadratic"
 
-    def split(self, entries: Sequence[E], min_fill: int) -> tuple[list[E], list[E]]:
+    def split(
+        self, entries: Sequence[NodeEntry], min_fill: int
+    ) -> tuple[list[NodeEntry], list[NodeEntry]]:
         _check_split_args(entries, min_fill)
         remaining = list(entries)
         seed_a, seed_b = self._pick_seeds(remaining)
@@ -61,8 +64,8 @@ class QuadraticSplit(SplitStrategy):
         first, second = sorted((seed_a, seed_b), reverse=True)
         group_a = [remaining.pop(first)]
         group_b = [remaining.pop(second)]
-        rect_a = group_a[0].rect
-        rect_b = group_b[0].rect
+        box_a = group_a[0][1]
+        box_b = group_b[0][1]
 
         while remaining:
             # If one group must take everything left to reach min_fill, do so.
@@ -72,34 +75,38 @@ class QuadraticSplit(SplitStrategy):
             if len(group_b) + len(remaining) == min_fill:
                 group_b.extend(remaining)
                 break
-            index, prefer_a = self._pick_next(remaining, rect_a, rect_b)
+            index, prefer_a = self._pick_next(remaining, box_a, box_b)
             entry = remaining.pop(index)
             if prefer_a:
                 group_a.append(entry)
-                rect_a = rect_a.union(entry.rect)
+                box_a = coords_union(box_a, entry[1])
             else:
                 group_b.append(entry)
-                rect_b = rect_b.union(entry.rect)
+                box_b = coords_union(box_b, entry[1])
         return group_a, group_b
 
     @staticmethod
-    def _pick_seeds(entries: Sequence[E]) -> tuple[int, int]:
+    def _pick_seeds(entries: Sequence[NodeEntry]) -> tuple[int, int]:
         """PickSeeds: the pair wasting the most area when grouped."""
+        boxes = [entry[1] for entry in entries]
+        areas = [coords_area(box) for box in boxes]
         worst = -float("inf")
         best_pair = (0, 1)
-        for i in range(len(entries)):
-            rect_i = entries[i].rect
-            area_i = rect_i.area()
-            for j in range(i + 1, len(entries)):
-                rect_j = entries[j].rect
-                waste = rect_i.union(rect_j).area() - area_i - rect_j.area()
+        for i, box_i in enumerate(boxes):
+            area_i = areas[i]
+            for j in range(i + 1, len(boxes)):
+                waste = coords_area(coords_union(box_i, boxes[j])) - area_i - areas[j]
                 if waste > worst:
                     worst = waste
                     best_pair = (i, j)
         return best_pair
 
     @staticmethod
-    def _pick_next(remaining: Sequence[E], rect_a: Rect, rect_b: Rect) -> tuple[int, bool]:
+    def _pick_next(
+        remaining: Sequence[NodeEntry],
+        box_a: tuple[float, ...],
+        box_b: tuple[float, ...],
+    ) -> tuple[int, bool]:
         """PickNext: entry with max |d_a - d_b|; ties break by smaller growth,
         then smaller area, then smaller group is preferred by the caller via
         ``prefer_a``."""
@@ -107,16 +114,16 @@ class QuadraticSplit(SplitStrategy):
         best_diff = -1.0
         best_prefer_a = True
         for i, entry in enumerate(remaining):
-            d_a = rect_a.enlargement(entry.rect)
-            d_b = rect_b.enlargement(entry.rect)
+            d_a = coords_enlargement(box_a, entry[1])
+            d_b = coords_enlargement(box_b, entry[1])
             diff = abs(d_a - d_b)
             if diff > best_diff:
                 best_diff = diff
                 best_index = i
                 if d_a != d_b:
                     best_prefer_a = d_a < d_b
-                elif rect_a.area() != rect_b.area():
-                    best_prefer_a = rect_a.area() < rect_b.area()
+                elif coords_area(box_a) != coords_area(box_b):
+                    best_prefer_a = coords_area(box_a) < coords_area(box_b)
                 else:
                     best_prefer_a = True
         return best_index, best_prefer_a
@@ -131,25 +138,27 @@ class LinearSplit(SplitStrategy):
 
     name = "linear"
 
-    def split(self, entries: Sequence[E], min_fill: int) -> tuple[list[E], list[E]]:
+    def split(
+        self, entries: Sequence[NodeEntry], min_fill: int
+    ) -> tuple[list[NodeEntry], list[NodeEntry]]:
         _check_split_args(entries, min_fill)
         remaining = list(entries)
         seed_a, seed_b = self._pick_seeds(remaining)
         first, second = sorted((seed_a, seed_b), reverse=True)
         group_a = [remaining.pop(first)]
         group_b = [remaining.pop(second)]
-        rect_a = group_a[0].rect
-        rect_b = group_b[0].rect
+        box_a = group_a[0][1]
+        box_b = group_b[0][1]
         for entry in remaining:
-            d_a = rect_a.enlargement(entry.rect)
-            d_b = rect_b.enlargement(entry.rect)
+            d_a = coords_enlargement(box_a, entry[1])
+            d_b = coords_enlargement(box_b, entry[1])
             take_a = d_a < d_b or (d_a == d_b and len(group_a) <= len(group_b))
             if take_a:
                 group_a.append(entry)
-                rect_a = rect_a.union(entry.rect)
+                box_a = coords_union(box_a, entry[1])
             else:
                 group_b.append(entry)
-                rect_b = rect_b.union(entry.rect)
+                box_b = coords_union(box_b, entry[1])
         # Rebalance if a group fell below min_fill (possible in this simple
         # assignment loop): move closest entries from the bigger group.
         self._rebalance(group_a, group_b, min_fill)
@@ -157,23 +166,20 @@ class LinearSplit(SplitStrategy):
         return group_a, group_b
 
     @staticmethod
-    def _pick_seeds(entries: Sequence[E]) -> tuple[int, int]:
-        dims = entries[0].rect.dims
-        best_pair = (0, 1 if len(entries) > 1 else 0)
+    def _pick_seeds(entries: Sequence[NodeEntry]) -> tuple[int, int]:
+        boxes = [entry[1] for entry in entries]
+        dims = len(boxes[0]) >> 1
+        best_pair = (0, 1 if len(boxes) > 1 else 0)
         best_separation = -float("inf")
         for d in range(dims):
-            highest_lo = max(range(len(entries)), key=lambda i: entries[i].rect.lo[d])
-            lowest_hi = min(range(len(entries)), key=lambda i: entries[i].rect.hi[d])
+            highest_lo = max(range(len(boxes)), key=lambda i: boxes[i][d])
+            lowest_hi = min(range(len(boxes)), key=lambda i: boxes[i][dims + d])
             if highest_lo == lowest_hi:
                 continue
-            width = max(e.rect.hi[d] for e in entries) - min(
-                e.rect.lo[d] for e in entries
-            )
+            width = max(box[dims + d] for box in boxes) - min(box[d] for box in boxes)
             if width <= 0:
                 continue
-            separation = (
-                entries[highest_lo].rect.lo[d] - entries[lowest_hi].rect.hi[d]
-            ) / width
+            separation = (boxes[highest_lo][d] - boxes[lowest_hi][dims + d]) / width
             if separation > best_separation:
                 best_separation = separation
                 best_pair = (lowest_hi, highest_lo)
@@ -182,7 +188,9 @@ class LinearSplit(SplitStrategy):
         return best_pair
 
     @staticmethod
-    def _rebalance(short: list[E], long: list[E], min_fill: int) -> None:
+    def _rebalance(
+        short: list[NodeEntry], long: list[NodeEntry], min_fill: int
+    ) -> None:
         while len(short) < min_fill:
             short.append(long.pop())
 

@@ -10,8 +10,17 @@ from repro.core import BulkItem, IR2Tree, MIR2Tree, bulk_load, insert_build
 from repro.core.schemes import MIR2Scheme
 from repro.errors import TreeInvariantError
 from repro.spatial import Rect, RTree
+from repro.spatial.geometry import coords_area, coords_union_all
 from repro.storage import InMemoryBlockDevice, PageStore
 from repro.text import HashSignatureFactory, Signature
+
+
+def or_signature(entries) -> int:
+    """Superimposition of the entries' signatures, as an int."""
+    acc = 0
+    for _ref, _coords, signature in entries:
+        acc |= int.from_bytes(signature, "little")
+    return acc
 
 
 def items_for(n, seed=0, with_terms=True):
@@ -35,7 +44,7 @@ class TestBulkLoadRTree:
         items = items_for(100)
         bulk_load(tree, items)
         assert tree.size == 100
-        refs = sorted(e.child_ref for e in tree.iter_leaf_entries())
+        refs = sorted(ref for ref, _coords, _sig in tree.iter_leaf_entries())
         assert refs == list(range(100))
         tree.validate()
 
@@ -80,8 +89,11 @@ class TestBulkLoadRTree:
         """Leaves cover compact regions: sibling MBRs overlap little."""
         tree = fresh_rtree(capacity=10)
         bulk_load(tree, items_for(300, seed=3))
-        leaves = [n for n in tree.iter_nodes() if n.is_leaf]
-        total_area = sum(leaf.mbr().area() for leaf in leaves)
+        leaves = [n for n in tree.iter_nodes() if n.level == 0]
+        total_area = sum(
+            coords_area(coords_union_all(c for _ref, c, _sig in leaf.entries))
+            for leaf in leaves
+        )
         universe = Rect((0.0, 0.0), (100.0, 100.0)).area()
         assert total_area < 3 * universe  # packed, not shredded
 
@@ -104,8 +116,8 @@ class TestBulkLoadSignatures:
         bulk_load(bulk_tree, items)
         insert_tree = IR2Tree(PageStore(InMemoryBlockDevice()), factory, capacity=8)
         insert_build(insert_tree, items)
-        bulk_root = bulk_tree._load_uncounted(bulk_tree.root_id).or_signature()
-        insert_root = insert_tree._load_uncounted(insert_tree.root_id).or_signature()
+        bulk_root = or_signature(bulk_tree._load_uncounted(bulk_tree.root_id).entries)
+        insert_root = or_signature(insert_tree._load_uncounted(insert_tree.root_id).entries)
         assert bulk_root == insert_root
 
     def test_mir2_bulk_equals_walk_recomputation(self):
@@ -124,19 +136,21 @@ class TestBulkLoadSignatures:
         bulk_load(tree, items)
         scheme: MIR2Scheme = tree.mir_scheme
         for node in tree.iter_nodes():
-            if node.is_leaf:
+            if node.level == 0:
                 continue
-            for entry in node.entries:
-                child = tree._load_uncounted(entry.child_ref)
-                recomputed = scheme.entry_signature_for_child(tree, child)
-                assert entry.signature == recomputed
+            for ref, _coords, signature in node.entries:
+                child = tree._load_uncounted(ref)
+                recomputed = scheme.entry_signature_for_child(
+                    tree, child.level, child.entries
+                )
+                assert signature == recomputed
 
     def test_plain_rtree_entries_have_empty_signatures(self):
         tree = fresh_rtree()
         bulk_load(tree, items_for(30))
         for node in tree.iter_nodes():
-            for entry in node.entries:
-                assert entry.signature == b""
+            for _ref, _coords, signature in node.entries:
+                assert signature == b""
 
 
 class TestInsertBuild:
@@ -152,7 +166,7 @@ class TestInsertBuild:
         tree = IR2Tree(PageStore(InMemoryBlockDevice()), factory, capacity=8)
         items = items_for(20, seed=8)
         insert_build(tree, items)
-        for entry in tree.iter_leaf_entries():
-            assert len(entry.signature) == 8
-            item = next(i for i in items if i.obj_ptr == entry.child_ref)
-            assert Signature.from_bytes(entry.signature) == factory.for_words(item.terms)
+        for ref, _coords, signature in tree.iter_leaf_entries():
+            assert len(signature) == 8
+            item = next(i for i in items if i.obj_ptr == ref)
+            assert Signature.from_bytes(signature) == factory.for_words(item.terms)

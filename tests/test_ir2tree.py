@@ -33,6 +33,14 @@ def covers(signature: bytes, query) -> bool:
     return int.from_bytes(signature, "little") & query.bits == query.bits
 
 
+def or_signature(entries) -> bytes:
+    """Superimposition (OR) of node entries' signature bytes."""
+    acc = 0
+    for _ref, _coords, signature in entries:
+        acc |= int.from_bytes(signature, "little")
+    return acc.to_bytes(len(entries[0][2]), "little")
+
+
 def signature_invariant(tree):
     """Every parent entry's signature covers its child's superimposition.
 
@@ -40,12 +48,12 @@ def signature_invariant(tree):
     signature matches some object below v, it must match v's signature.
     """
     for node in tree.iter_nodes():
-        if node.is_leaf:
+        if node.level == 0:
             continue
-        for entry in node.entries:
-            child = tree._load_uncounted(entry.child_ref)
-            child_or = Signature.from_bytes(child.or_signature())
-            parent_sig = Signature.from_bytes(entry.signature)
+        for ref, _coords, signature in node.entries:
+            child = tree._load_uncounted(ref)
+            child_or = Signature.from_bytes(or_signature(child.entries))
+            parent_sig = Signature.from_bytes(signature)
             assert parent_sig.bits & child_or.bits == child_or.bits
 
 
@@ -53,9 +61,9 @@ class TestInsert:
     def test_leaf_signature_is_document_signature(self):
         tree = make_tree()
         tree.insert_object(0, (1.0, 1.0), {"pool", "spa"})
-        entry = next(tree.iter_leaf_entries())
+        _ref, _coords, signature = next(tree.iter_leaf_entries())
         expected = tree.factory.for_words({"pool", "spa"})
-        assert Signature.from_bytes(entry.signature) == expected
+        assert Signature.from_bytes(signature) == expected
 
     def test_signatures_propagate_up_after_splits(self):
         tree = make_tree()
@@ -71,7 +79,7 @@ class TestInsert:
         for oid, point, terms in items:
             tree.insert_object(oid, point, terms)
         root = tree._load_uncounted(tree.root_id)
-        root_sig = Signature.from_bytes(root.or_signature())
+        root_sig = Signature.from_bytes(or_signature(root.entries))
         for _, _, terms in items:
             assert root_sig.matches(tree.factory.for_words(terms))
 
@@ -103,18 +111,18 @@ class TestDelete:
         tree.insert_object(100, (50.0, 50.0), rare_terms)
         rare_sig = tree.factory.for_words(rare_terms)
         root_sig = Signature.from_bytes(
-            tree._load_uncounted(tree.root_id).or_signature()
+            or_signature(tree._load_uncounted(tree.root_id).entries)
         )
         assert root_sig.matches(rare_sig)
         assert tree.delete_object(100, (50.0, 50.0))
         # CondenseTree refreshed the whole path, so the rare word's bits
         # survive in ancestors only where live objects also set them.
         root_sig = Signature.from_bytes(
-            tree._load_uncounted(tree.root_id).or_signature()
+            or_signature(tree._load_uncounted(tree.root_id).entries)
         )
         live_bits = 0
-        for entry in tree.iter_leaf_entries():
-            live_bits |= Signature.from_bytes(entry.signature).bits
+        for _ref, _coords, signature in tree.iter_leaf_entries():
+            live_bits |= Signature.from_bytes(signature).bits
         assert root_sig.bits & rare_sig.bits == live_bits & rare_sig.bits
 
 
@@ -128,10 +136,10 @@ class TestQueryHelpers:
     def test_query_mask_accepts_matching_entry(self):
         tree = make_tree()
         tree.insert_object(0, (0.0, 0.0), {"pool", "spa"})
-        entry = next(tree.iter_leaf_entries())
+        _ref, _coords, signature = next(tree.iter_leaf_entries())
         query = tree.query_mask(["pool"])(0)
         assert query == tree.query_signature(["pool"])
-        assert covers(entry.signature, query)
+        assert covers(signature, query)
 
     def test_query_mask_never_false_negative(self):
         tree = make_tree()
@@ -140,14 +148,14 @@ class TestQueryHelpers:
             tree.insert_object(oid, point, terms)
         # For each object, a query on its own terms must match all the way
         # down (checked indirectly: the mask covers the leaf entry).
-        leaf_entries = {e.child_ref: e for e in tree.iter_leaf_entries()}
+        leaf_signatures = {ref: sig for ref, _coords, sig in tree.iter_leaf_entries()}
         for oid, _, terms in items:
             mask = tree.query_mask(sorted(terms))
             for node in tree.iter_nodes():
-                if node.is_leaf and any(
-                    e.child_ref == oid for e in node.entries
+                if node.level == 0 and any(
+                    ref == oid for ref, _coords, _sig in node.entries
                 ):
-                    assert covers(leaf_entries[oid].signature, mask(node.level))
+                    assert covers(leaf_signatures[oid], mask(node.level))
 
     def test_matched_terms_subset_of_query(self):
         """The ranked search's per-keyword test: each term's own mask."""
@@ -179,9 +187,9 @@ class TestStorageFootprint:
         # "additional disk block(s) ... when needed"); a ~56-entry leaf
         # with 189-byte signatures spans several blocks.
         root = tree._load_uncounted(tree.root_id)
-        leaf_id = root.entries[0].child_ref
+        leaf_id = root.entries[0][0]
         pages.device.stats.reset()
-        tree.load_node(leaf_id)
+        tree.read_decoded(leaf_id)
         stats = pages.device.stats
         assert stats.random_reads == 1
         assert stats.sequential_reads >= 1

@@ -86,6 +86,14 @@ def oracle_search(version: EngineVersion, engine, query):
     return brute_force_top_k(list(version.objects()), engine.analyzer, query)
 
 
+def answer(version: EngineVersion, query) -> list[int]:
+    return [r.obj.oid for r in version.search(query).results]
+
+
+def oracle_oids(version: EngineVersion, engine, query) -> list[int]:
+    return [r.obj.oid for r in oracle_search(version, engine, query)]
+
+
 class TestWriteBuffer:
     def test_insert_then_delete_masks(self):
         buffer = WriteBuffer()
@@ -355,6 +363,53 @@ class TestSnapshotMaintainer:
         assert maintainer.delete(999) is None
         assert maintainer.current.version == version
         assert maintainer.current.buffer_depth == 0
+
+    def test_add_delete_pair_leaves_no_trace(self):
+        """Deleting an oid only the active buffer inserted drops the insert
+        and buffers no delete: the pair changes no version's live set, so
+        it must not count toward a merge."""
+        engine = built_engine()
+        maintainer = SnapshotMaintainer(engine, merge_threshold=2)
+        query = SpatialKeywordQuery.of((5.0, 5.0), ["cafe"], 3)
+        for oid in (350, 351):
+            maintainer.add(SpatialObject(oid, (5.0, 5.0), "cafe pool"))
+            version = maintainer.delete(oid)
+            assert version.buffer_depth == 0 and not version.dirty
+            assert not version.contains(oid)
+            assert answer(version, query) == oracle_oids(version, engine, query)
+        assert maintainer._merge_thread is None and maintainer.merges == 0
+        assert maintainer.current.search(query).oids == engine.search(query).oids
+
+    def test_delete_of_frozen_insert_still_masks_it(self):
+        """While a merge folds a buffered insert, deleting that oid must
+        mask the copy the merge is about to put into the base."""
+        engine = built_engine()
+        maintainer = SnapshotMaintainer(engine, merge_threshold=None)
+        maintainer.add(SpatialObject(360, (5.0, 5.0), "cafe pool"))
+        hold = threading.Event()
+        entered = threading.Event()
+
+        def stall():
+            entered.set()
+            assert hold.wait(10.0)
+
+        maintainer.merge_hook = stall
+        merge = threading.Thread(target=maintainer.flush, daemon=True)
+        merge.start()
+        query = SpatialKeywordQuery.of((5.0, 5.0), ["cafe"], 3)
+        try:
+            assert entered.wait(10.0)
+            version = maintainer.delete(360)
+            assert 360 in version.deleted and not version.contains(360)
+            assert answer(version, query) == oracle_oids(version, engine, query)
+        finally:
+            hold.set()
+            merge.join(10.0)
+        # flush() folded the insert, then the delete that masks it.
+        after = maintainer.current
+        assert not after.dirty and not maintainer.base.contains(360)
+        assert 360 not in answer(after, query)
+        assert answer(after, query) == oracle_oids(after, engine, query)
 
     def test_flush_folds_everything(self):
         engine = built_engine()

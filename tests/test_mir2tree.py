@@ -77,8 +77,8 @@ class TestStructure:
         assert tree.height >= 2
         for node in tree.iter_nodes():
             expected = tree.scheme.length_for_level(node.level)
-            for entry in node.entries:
-                assert len(entry.signature) == expected
+            for _ref, _coords, signature in node.entries:
+                assert len(signature) == expected
 
     def test_parent_signature_covers_subtree_objects(self):
         """A parent entry at level l+1 must match every term of every
@@ -89,13 +89,15 @@ class TestStructure:
         fill(tree, corpus)
         scheme: MIR2Scheme = tree.mir_scheme
         for node in tree.iter_nodes():
-            if node.is_leaf:
+            if node.level == 0:
                 continue
             factory = scheme.factory_for_level(node.level)
-            for entry in node.entries:
-                child = tree._load_uncounted(entry.child_ref)
-                entry_sig = Signature.from_bytes(entry.signature)
-                for pointer in MIR2Scheme.subtree_object_pointers(tree, child):
+            for ref, _coords, signature in node.entries:
+                child = tree._load_uncounted(ref)
+                entry_sig = Signature.from_bytes(signature)
+                for pointer in MIR2Scheme.subtree_object_pointers(
+                    tree, child.level, child.entries
+                ):
                     terms = corpus.term_resolver(pointer)
                     for term in terms:
                         assert entry_sig.matches(factory.for_word(term))
@@ -147,18 +149,20 @@ class TestQueryHelpers:
         mask = tree.query_mask(["w1"])
         # Must accept, at every level, entries over subtrees containing w1.
         for node in tree.iter_nodes():
-            if node.is_leaf:
+            if node.level == 0:
                 continue
-            for entry in node.entries:
-                child = tree._load_uncounted(entry.child_ref)
+            for ref, _coords, signature in node.entries:
+                child = tree._load_uncounted(ref)
                 has_w1 = any(
                     "w1" in corpus.term_resolver(p)
-                    for p in MIR2Scheme.subtree_object_pointers(tree, child)
+                    for p in MIR2Scheme.subtree_object_pointers(
+                        tree, child.level, child.entries
+                    )
                 )
                 if has_w1:
                     query = mask(node.level)
-                    assert query.length_bits == 8 * len(entry.signature)
-                    bits = int.from_bytes(entry.signature, "little")
+                    assert query.length_bits == 8 * len(signature)
+                    bits = int.from_bytes(signature, "little")
                     assert bits & query.bits == query.bits
 
     def test_matched_terms_per_level(self):
@@ -182,7 +186,9 @@ class TestQueryHelpers:
             below = set().union(
                 *(
                     corpus.term_resolver(pointer)
-                    for pointer in MIR2Scheme.subtree_object_pointers(tree, child)
+                    for pointer in MIR2Scheme.subtree_object_pointers(
+                        tree, child.level, child.entries
+                    )
                 )
             )
             assert below & set(terms) <= set(matched)

@@ -49,7 +49,7 @@ class TestInsert:
         tree.insert(7, Rect.from_point((1.0, 2.0)))
         assert tree.size == 1
         entries = list(tree.iter_leaf_entries())
-        assert entries[0].child_ref == 7
+        assert entries[0][0] == 7
 
     def test_fill_one_node_no_split(self):
         tree = make_tree(capacity=4)
@@ -113,7 +113,7 @@ class TestDelete:
         insert_points(tree, [(i, i) for i in range(10)])
         assert tree.delete(3, Rect.from_point((3.0, 3.0))) is True
         assert tree.size == 9
-        refs = {e.child_ref for e in tree.iter_leaf_entries()}
+        refs = {ref for ref, _coords, _sig in tree.iter_leaf_entries()}
         assert 3 not in refs
         tree.validate()
 
@@ -166,7 +166,7 @@ class TestDelete:
                 next_id += 1
         assert tree.size == len(live)
         tree.validate()
-        refs = {e.child_ref for e in tree.iter_leaf_entries()}
+        refs = {ref for ref, _coords, _sig in tree.iter_leaf_entries()}
         assert refs == set(live)
 
 
@@ -177,7 +177,7 @@ class TestSearch:
         points = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(150)]
         insert_points(tree, points)
         window = Rect((20.0, 20.0), (60.0, 70.0))
-        got = sorted(e.child_ref for e in tree.search(window))
+        got = sorted(ref for ref, _coords, _sig in tree.search(window))
         want = sorted(
             i for i, p in enumerate(points) if window.contains_point(p)
         )
@@ -208,7 +208,7 @@ class TestPersistence:
         reopened.size = tree.size
         reopened.bulk_loaded = False
         reopened.validate()
-        assert {e.child_ref for e in reopened.iter_leaf_entries()} == set(range(25))
+        assert {ref for ref, _coords, _sig in reopened.iter_leaf_entries()} == set(range(25))
 
     def test_node_io_is_counted(self):
         tree = make_tree(capacity=4)
@@ -242,6 +242,6 @@ class TestLayoutBuilder:
         assert tree.height == 2
         assert tree.size == 4
         assert set(names) == {"root", "left", "right"}
-        root = tree.load_node(names["root"])
-        assert not root.is_leaf
+        root = tree.read_decoded(names["root"])
+        assert root.level > 0
         assert len(root.entries) == 2

@@ -25,7 +25,7 @@ def test_property_insert_preserves_invariants(point_list):
     for i, point in enumerate(point_list):
         tree.insert(i, Rect.from_point(point))
     tree.validate()
-    refs = sorted(e.child_ref for e in tree.iter_leaf_entries())
+    refs = sorted(ref for ref, _coords, _sig in tree.iter_leaf_entries())
     assert refs == list(range(len(point_list)))
 
 
@@ -45,7 +45,7 @@ def test_property_delete_preserves_invariants(point_list, delete_mask):
             assert tree.delete(i, Rect.from_point(point)) is True
             survivors.discard(i)
     tree.validate()
-    refs = {e.child_ref for e in tree.iter_leaf_entries()}
+    refs = {ref for ref, _coords, _sig in tree.iter_leaf_entries()}
     assert refs == survivors
 
 
@@ -61,7 +61,7 @@ def test_property_range_query_exact(point_list, window):
     tree = _fresh_tree()
     for i, point in enumerate(point_list):
         tree.insert(i, Rect.from_point(point))
-    got = sorted(e.child_ref for e in tree.search(rect))
+    got = sorted(ref for ref, _coords, _sig in tree.search(rect))
     want = sorted(i for i, p in enumerate(point_list) if rect.contains_point(p))
     assert got == want
 

@@ -5,18 +5,17 @@ from __future__ import annotations
 import pytest
 
 from repro.core.schemes import IR2Scheme, MIR2Scheme, plan_level_lengths
-from repro.spatial.rtree import Entry, Node, NoSignatures
+from repro.spatial.rtree import NoSignatures
 from repro.spatial.geometry import Rect
 from repro.text import HashSignatureFactory, Signature
 
 
 def _leaf_with(factory, docs):
-    node = Node(0, 0)
-    for i, terms in enumerate(docs):
-        node.entries.append(
-            Entry(i, Rect.from_point((float(i), 0.0)), factory.for_words(terms).to_bytes())
-        )
-    return node
+    """Leaf entries ``(child_ref, mbr_coords, signature)``, one per doc."""
+    return [
+        (i, Rect.from_point((float(i), 0.0)).to_coords(), factory.for_words(terms).to_bytes())
+        for i, terms in enumerate(docs)
+    ]
 
 
 class TestNoSignatures:
@@ -24,7 +23,7 @@ class TestNoSignatures:
         scheme = NoSignatures()
         assert scheme.length_for_level(0) == 0
         assert scheme.object_signature({"a"}) == b""
-        assert scheme.subtree_signature(Node(0, 0), {"a"}) == b""
+        assert scheme.subtree_signature(0, [], {"a"}) == b""
 
 
 class TestIR2Scheme:
@@ -36,13 +35,13 @@ class TestIR2Scheme:
     def test_parent_is_or_of_entries(self):
         factory = HashSignatureFactory(8)
         scheme = IR2Scheme(factory)
-        node = _leaf_with(factory, [{"a", "b"}, {"c"}])
-        parent_sig = Signature.from_bytes(scheme.entry_signature_for_child(None, node))
+        entries = _leaf_with(factory, [{"a", "b"}, {"c"}])
+        parent_sig = Signature.from_bytes(scheme.entry_signature_for_child(None, 0, entries))
         assert parent_sig == factory.for_words({"a", "b", "c"})
 
     def test_empty_child_gives_zero_signature(self):
         scheme = IR2Scheme(HashSignatureFactory(8))
-        assert scheme.entry_signature_for_child(None, Node(0, 0)) == bytes(8)
+        assert scheme.entry_signature_for_child(None, 0, []) == bytes(8)
 
     def test_object_signature(self):
         factory = HashSignatureFactory(8)
@@ -52,8 +51,8 @@ class TestIR2Scheme:
     def test_subtree_signature_ignores_terms_arg(self):
         factory = HashSignatureFactory(8)
         scheme = IR2Scheme(factory)
-        node = _leaf_with(factory, [{"a"}])
-        assert scheme.subtree_signature(node, {"zzz"}) == node.or_signature()
+        entries = _leaf_with(factory, [{"a"}])
+        assert scheme.subtree_signature(0, entries, {"zzz"}) == entries[0][2]
 
 
 class TestMIR2Scheme:
@@ -70,8 +69,7 @@ class TestMIR2Scheme:
 
     def test_subtree_signature_uses_parent_level_factory(self):
         scheme = MIR2Scheme((4, 8, 16), lambda ptr: set())
-        leaf = Node(0, 0)
-        sig = scheme.subtree_signature(leaf, {"pool", "spa"})
+        sig = scheme.subtree_signature(0, [], {"pool", "spa"})
         assert len(sig) == 8  # child level 0 -> parent level 1
         expected = scheme.factory_for_level(1).for_words({"pool", "spa"})
         assert Signature.from_bytes(sig) == expected
@@ -84,9 +82,8 @@ class TestMIR2Scheme:
             return {f"word{ptr}"}
 
         scheme = MIR2Scheme((4, 8), resolver)
-        leaf = Node(0, 0)
-        leaf.entries = [Entry(5, Rect.from_point((0.0, 0.0)), bytes(4))]
-        sig = scheme.entry_signature_for_child(None, leaf)
+        leaf = [(5, Rect.from_point((0.0, 0.0)).to_coords(), bytes(4))]
+        sig = scheme.entry_signature_for_child(None, 0, leaf)
         assert resolved == [5]
         assert Signature.from_bytes(sig) == scheme.factory_for_level(1).for_words(
             {"word5"}

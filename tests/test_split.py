@@ -10,11 +10,15 @@ from hypothesis import strategies as st
 
 from repro.errors import TreeInvariantError
 from repro.spatial import LinearSplit, QuadraticSplit, Rect
-from repro.spatial.rtree import Entry
 
 
 def _entries(points):
-    return [Entry(i, Rect.from_point(p)) for i, p in enumerate(points)]
+    """Node entries ``(child_ref, mbr_coords, signature)`` for the points."""
+    return [(i, Rect.from_point(p).to_coords(), b"") for i, p in enumerate(points)]
+
+
+def _refs(entries):
+    return [ref for ref, _coords, _sig in entries]
 
 
 STRATEGIES = [QuadraticSplit(), LinearSplit()]
@@ -25,9 +29,9 @@ class TestCommonBehaviour:
     def test_partition_is_complete_and_disjoint(self, strategy):
         entries = _entries([(i, i % 3) for i in range(10)])
         a, b = strategy.split(entries, min_fill=2)
-        refs = sorted(e.child_ref for e in a + b)
+        refs = sorted(_refs(a + b))
         assert refs == list(range(10))
-        assert not set(e.child_ref for e in a) & set(e.child_ref for e in b)
+        assert not set(_refs(a)) & set(_refs(b))
 
     def test_min_fill_respected(self, strategy):
         entries = _entries([(float(i), 0.0) for i in range(9)])
@@ -62,8 +66,8 @@ class TestQuadraticQuality:
         entries = _entries(cluster_a + cluster_b)
         a, b = QuadraticSplit().split(entries, min_fill=2)
         groups = (
-            {e.child_ref for e in a},
-            {e.child_ref for e in b},
+            set(_refs(a)),
+            set(_refs(b)),
         )
         assert {frozenset(range(5)), frozenset(range(5, 10))} == {
             frozenset(g) for g in groups
@@ -74,7 +78,7 @@ class TestQuadraticQuality:
         points = [(0.0, 0.0), (0.1, 0.1), (100.0, 0.0), (0.2, 0.0)]
         entries = _entries(points)
         i, j = QuadraticSplit._pick_seeds(entries)
-        assert {entries[i].child_ref, entries[j].child_ref} & {2} == {2}
+        assert {entries[i][0], entries[j][0]} & {2} == {2}
 
 
 @pytest.mark.parametrize("strategy", STRATEGIES, ids=lambda s: s.name)
@@ -95,6 +99,4 @@ def test_property_split_preserves_entries(strategy, points):
     a, b = strategy.split(entries, min_fill)
     assert len(a) + len(b) == len(entries)
     assert len(a) >= min_fill and len(b) >= min_fill
-    assert sorted(e.child_ref for e in a + b) == sorted(
-        e.child_ref for e in entries
-    )
+    assert sorted(_refs(a + b)) == sorted(_refs(entries))

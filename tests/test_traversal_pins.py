@@ -12,7 +12,7 @@ any change to them is a change to the paper's I/O measure.
 
 The module also covers the checks that run on every decoded entry: an
 image with an inverted MBR raises on every read, through either
-traversal and through ``load_node``, even when the signature test would
+traversal and through ``read_decoded``, even when the signature test would
 prune the entry, and is never interned; and a node whose signature width
 differs from a query mask's raises
 :class:`~repro.errors.SignatureLengthError` in both traversals.
@@ -235,8 +235,8 @@ def exact_tree():
 
 def invert_mbr_of_even_object(tree):
     """Rewrite the root image so object 0's entry has ``lo_x > hi_x``."""
-    root = tree.load_node(tree.root_id)
-    slot = [e.child_ref for e in root.entries].index(0)
+    root = tree.read_decoded(tree.root_id)
+    slot = [ref for ref, _coords, _sig in root.entries].index(0)
     image = bytearray(tree.pages.read(tree.root_id))
     # Entry layout: uint32 ref, lo_x, lo_y, hi_x, hi_y, 1 signature byte.
     offset = HEADER_SIZE + slot * (4 + 4 * 8 + 1) + 4
@@ -265,7 +265,7 @@ READ_PATHS = {
         incremental_nearest(tree, (0.0, 0.0), tree.query_mask(["odd"]))
     ),
     "ranked_top_k": lambda tree: ranked(tree, ["odd"]),
-    "load_node": lambda tree: tree.load_node(tree.root_id),
+    "read_decoded": lambda tree: tree.read_decoded(tree.root_id),
 }
 
 
