@@ -80,7 +80,8 @@ def main() -> None:
         save_engine(sharded, directory)
         reloaded = load_engine(directory)
         assert reloaded.search(queries[0]).oids == execution.oids
-        print(f"\nsave/load round-trip OK (manifest v2, {N_SHARDS} shard dirs)")
+        print(f"\nsave/load round-trip OK (digests verified, "
+              f"{N_SHARDS} shard dirs)")
         reloaded.close()
 
     with sharded.serve(workers=4) as service:

@@ -178,7 +178,7 @@ def build_record(
         "latency_ms": {
             "queue_wait": round(span.queue_wait_ms, 4),
             "lock_wait": round(span.lock_wait_ms, 4),
-            "engine": round(span.engine_ms, 4),
+            "engine": round(span.search_ms, 4),
             "merge": round(span.merge_ms, 4),
             "total": round(span.total_ms, 4),
         },

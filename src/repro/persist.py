@@ -58,8 +58,10 @@ step 3, and it fails *loudly* (no directory → :class:`DatasetError`),
 never silently.  :func:`verify_engine` runs the same integrity checks
 without building an engine — the CLI exposes it as ``repro verify``.
 
-Version-1/2 directories (no digests) still load, with digest checks
-skipped.  Devices are reloaded into memory by default (matching the
+Only version-3 manifests load, and each must carry its ``files``
+digests: a manifest without them is refused as :class:`DatasetError`,
+so no edit of the manifest can switch the checks off.  Devices are
+reloaded into memory by default (matching the
 engine's default backend); the block images are identical either way
 because both backends share one serialization.
 
@@ -96,12 +98,11 @@ from repro.spatial.geometry import Rect
 from repro.storage.block import BlockDevice, InMemoryBlockDevice
 
 #: Manifest format version (bump on incompatible layout changes).
-#: Version 2 added sharded layouts; version 3 added per-file SHA-256
-#: digests ("files") written by the atomic save protocol.  Loading is
-#: backward compatible: v1/v2 directories load with digest checks skipped.
+#: Version 3 carries per-file SHA-256 digests ("files") written by the
+#: atomic save protocol; it is the only version that loads.
 MANIFEST_VERSION = 3
 
-_SUPPORTED_VERSIONS = frozenset({1, 2, 3})
+_SUPPORTED_VERSIONS = frozenset({3})
 
 _MANIFEST = "manifest.json"
 _OBJECTS = "objects.dat"
@@ -178,13 +179,13 @@ def load_engine(directory: str) -> SpatialKeywordEngine | ShardedEngine:
     """Reopen an engine saved by :func:`save_engine`.
 
     Verifies every file's SHA-256 digest against the manifest before
-    reconstructing anything (version-3 layouts).  Returns a
+    reconstructing anything.  Returns a
     :class:`~repro.shard.ShardedEngine` when the directory holds a
     sharded layout, a plain :class:`SpatialKeywordEngine` otherwise.
 
     Raises:
-        DatasetError: missing/corrupt/truncated manifest, or unsupported
-            version.
+        DatasetError: missing/corrupt/truncated manifest, unsupported
+            version, or a manifest without its ``files`` digests.
         PersistError: a file is missing, truncated, or fails its digest.
     """
     manifest = _read_manifest(directory)
@@ -218,6 +219,10 @@ def _read_manifest(directory: str) -> dict:
         raise DatasetError(
             f"unsupported manifest version {manifest.get('version')!r} "
             f"at {path}"
+        )
+    if not isinstance(manifest.get("files"), dict):
+        raise DatasetError(
+            f"corrupt engine manifest at {path}: no \"files\" digests"
         )
     return manifest
 
@@ -286,7 +291,7 @@ def _write_manifest(directory: str, manifest: dict) -> str:
 
 def _verify_manifest_files(manifest: dict, directory: str) -> None:
     """Re-hash every file the manifest covers; raise on any mismatch."""
-    for rel, meta in manifest.get("files", {}).items():
+    for rel, meta in manifest["files"].items():
         path = os.path.join(directory, rel)
         if not os.path.exists(path):
             raise PersistError(f"missing engine file {path}")
@@ -517,7 +522,7 @@ def verify_engine(directory: str, load: bool = True) -> dict:
     Returns a JSON-serializable report::
 
         {"directory": ..., "ok": bool,
-         "checks": [{"path", "status": "ok"|"skipped"|"error", "detail"}],
+         "checks": [{"path", "status": "ok"|"error", "detail"}],
          "warnings": [...]}
     """
     directory = os.path.abspath(directory)
@@ -570,20 +575,14 @@ def _verify_directory(directory: str, root: str, check) -> None:
     sharded = bool(manifest.get("sharded"))
     label = f"version {version}" + (", sharded" if sharded else "")
     check(rel(manifest_path), "ok", label)
-    files = manifest.get("files")
-    if files is None:
-        check(rel(directory), "skipped",
-              "legacy layout without digests (manifest version < 3)")
-    else:
-        for file_rel, meta in sorted(files.items()):
-            path = os.path.join(directory, file_rel)
-            try:
-                _verify_manifest_files({"files": {file_rel: meta}}, directory)
-            except PersistError as exc:
-                check(rel(path), "error", str(exc))
-            else:
-                check(rel(path), "ok",
-                      f"sha256 ok, {meta['bytes']} bytes")
+    for file_rel, meta in sorted(manifest["files"].items()):
+        path = os.path.join(directory, file_rel)
+        try:
+            _verify_manifest_files({"files": {file_rel: meta}}, directory)
+        except PersistError as exc:
+            check(rel(path), "error", str(exc))
+        else:
+            check(rel(path), "ok", f"sha256 ok, {meta['bytes']} bytes")
     if sharded:
         names = manifest.get("shards", [])
         if not isinstance(names, list):

@@ -18,7 +18,7 @@ production wrapper the ROADMAP's north star asks for:
   explicit invalidation on every engine mutation;
 * :class:`TraceSpan` / :class:`TraceLog` — per-query tracing (queue
   wait, search time, I/O counts, cache disposition);
-* :class:`ServiceStats` — lifetime aggregates.
+* :class:`ServiceStats` — lifetime counters, a view of the metrics registry.
 
 Quick start::
 

@@ -29,12 +29,12 @@ while staying byte-for-byte faithful to them:
   *copies* of the result objects, so a caller mutating a returned
   result can never corrupt later answers;
 * every execution carries a :class:`~repro.serve.tracing.TraceSpan`
-  (queue wait, search time, I/O counts, cache disposition), aggregated
-  into a :class:`ServiceStats` summary;
-* per-stage latency histograms (queue wait, lock wait, search, merge),
-  cache / degradation / retry counters, and a slow-query log are
-  recorded into a :class:`repro.obs.MetricsRegistry`, snapshotted by
-  :attr:`ServiceStats.metrics` and :meth:`QueryService.export_metrics`;
+  (queue wait, search time, I/O counts, cache disposition), counted
+  once, completed or failed, into a :class:`repro.obs.MetricsRegistry`:
+  per-stage latency histograms and cache / degradation / retry / I/O
+  counters, which :class:`ServiceStats` and
+  :meth:`QueryService.export_metrics` read; slow spans also go to a
+  slow-query log;
 * attaching a :class:`repro.obs.trace.QueryTracer` turns on hierarchical
   tracing: sampled (and slow) queries get a full span tree — service
   root, per-shard fan-out, engine phases, block-level I/O events — whose
@@ -80,7 +80,7 @@ from repro.serve.tracing import (
     TraceSpan,
 )
 from repro.storage.faults import retry_transient
-from repro.storage.iostats import IOCounts, IOStats
+from repro.storage.iostats import IOCounts
 from repro.storage.sharedread import SharedReadSession, activate_session
 
 def _resolve_result(future: Future, result) -> None:
@@ -134,9 +134,21 @@ def _settle(answered: Iterable[_Answered]) -> None:
             _resolve_result(each.future, each.execution)
 
 
-@dataclass
+#: The per-query I/O counters, named after their :class:`IOCounts` fields.
+_IO_FIELDS = (
+    "random_reads", "sequential_reads", "shared_reads", "objects_loaded",
+)
+
+
+@dataclass(frozen=True)
 class ServiceStats:
-    """Aggregate counters for one service's lifetime (a frozen snapshot).
+    """A frozen view of one :meth:`repro.obs.MetricsRegistry.snapshot`.
+
+    Every field is read from the registry metric that counts the same
+    event (see :meth:`from_metrics`), so the two can never disagree.  A
+    registry passed to two services sums both, as all its metrics do.
+    Counters are read one at a time, so a view taken while queries run
+    may be a few executions apart across fields.
 
     Attributes:
         queries: completed query executions (including cache hits).
@@ -155,14 +167,15 @@ class ServiceStats:
             admission queue was at ``max_pending``.
         io: element-wise sum of every execution's per-query I/O delta
             (``io.shared_reads`` counts batch-session hits, which cost
-            no device I/O).
+            no device I/O); it carries no per-category breakdown.
         queue_wait_ms_total: summed queue wait across executions.
         search_ms_total: summed search time across executions.
-        retries: transient-error retries spent across executions.
-        metrics: JSON-ready :meth:`repro.obs.MetricsRegistry.snapshot`
-            taken with this stats snapshot — per-stage latency
-            histograms, cache/degradation/retry counters, per-shard
-            fan-out counters, and device/buffer-pool gauges.
+        retries: transient-error retries spent across executions,
+            failed ones included.
+        metrics: the JSON-ready snapshot the fields were read from —
+            per-stage latency histograms, cache/degradation/retry
+            counters, per-shard fan-out counters, and device/buffer-pool
+            gauges.
     """
 
     queries: int = 0
@@ -173,11 +186,39 @@ class ServiceStats:
     batches: int = 0
     coalesced: int = 0
     shed: int = 0
-    io: IOStats = field(default_factory=IOStats)
+    io: IOCounts = field(default_factory=IOCounts)
     queue_wait_ms_total: float = 0.0
     search_ms_total: float = 0.0
     retries: int = 0
     metrics: dict = field(default_factory=dict)
+
+    @classmethod
+    def from_metrics(cls, snapshot: dict) -> "ServiceStats":
+        """Read every field from one registry ``snapshot``."""
+        counters = snapshot["counters"]
+        histograms = snapshot["histograms"]
+
+        def count(name: str) -> int:
+            return counters.get(f"service.{name}", 0)
+
+        def total(name: str) -> float:
+            return histograms.get(f"service.{name}", {}).get("sum", 0.0)
+
+        return cls(
+            queries=count("queries"),
+            cache_hits=count("cache.hit"),
+            cache_misses=count("cache.miss"),
+            errors=count("errors"),
+            degraded=count("degraded"),
+            batches=count("batches"),
+            coalesced=count("cache.coalesced"),
+            shed=count("shed"),
+            io=IOCounts(**{name: count(f"io.{name}") for name in _IO_FIELDS}),
+            queue_wait_ms_total=total("queue_wait_ms"),
+            search_ms_total=total("search_ms"),
+            retries=count("retries"),
+            metrics=snapshot,
+        )
 
     @property
     def cache_hit_rate(self) -> float:
@@ -246,10 +287,11 @@ class QueryService:
             retries internally per shard; this is the outer guard for
             single engines and fail-fast sharded ones.
         retry_backoff_s: initial retry backoff; doubles per retry.
-        metrics: the :class:`repro.obs.MetricsRegistry` to record into; a
-            private one is created when omitted.  A sharded engine with
-            no registry of its own is attached to the service's, so its
-            fan-out counters land in the same snapshot.
+        metrics: the :class:`repro.obs.MetricsRegistry` to record into
+            and that :meth:`stats` reads (one shared by two services
+            sums both); a private one is created when omitted.  A sharded
+            engine with no registry of its own is attached to the
+            service's, so its fan-out counters land in the same snapshot.
         slow_query_ms: total-latency threshold above which a query's
             span is admitted to the slow-query log.
         slow_log_capacity: maximum spans retained by the slow-query log
@@ -371,20 +413,6 @@ class QueryService:
         # Admission depth: submissions admitted but not yet completed.
         self._depth_lock = threading.Lock()
         self._pending = 0
-        # Aggregates, guarded by one lock.
-        self._stats_lock = threading.Lock()
-        self._queries = 0
-        self._hits = 0
-        self._misses = 0
-        self._errors = 0
-        self._degraded = 0
-        self._batches = 0
-        self._coalesced = 0
-        self._shed = 0
-        self._retries_taken = 0
-        self._io = IOStats()
-        self._queue_ms = 0.0
-        self._search_ms = 0.0
 
     @property
     def engine(self):
@@ -540,11 +568,8 @@ class QueryService:
         )
         with self._depth_lock:
             if max_pending is not None and self._pending + count > max_pending:
-                pending = self._pending
-                with self._stats_lock:
-                    self._shed += count
                 self.metrics.counter("service.shed").inc(count)
-                raise ServiceOverloadError(pending, max_pending)
+                raise ServiceOverloadError(self._pending, max_pending)
             self._pending += count
             depth = self._pending
         self.metrics.gauge("service.queue_depth").set(depth)
@@ -692,8 +717,6 @@ class QueryService:
         if not batched:
             _settle(answered)
             return
-        with self._stats_lock:
-            self._batches += 1
         self.metrics.counter("service.batches").inc()
         self.metrics.histogram(
             "service.batch.size", buckets=COUNT_BUCKETS
@@ -713,8 +736,8 @@ class QueryService:
 
         ``alive`` says whether the member's own caller still waits;
         ``followers`` are the coalesced riders still waiting.  Returns
-        one :class:`_Answered` per span (leader first), already folded
-        into the aggregates but not yet logged or resolved.  A member
+        one :class:`_Answered` per span (leader first), already counted
+        into the metrics but not yet logged or resolved.  A member
         failure fails its own futures and never aborts the rest of the
         group.
         """
@@ -751,11 +774,9 @@ class QueryService:
                 qspan.finish(span.finished_at)
             if trace is not None:
                 span.emit_phases(trace, parent=qspan)
-            failures = (1 if alive else 0) + len(followers)
-            with self._stats_lock:
-                self._errors += failures
-                self._retries_taken += span.retries
-            self.metrics.counter("service.errors").inc(failures)
+            self._record(
+                span, None, failures=(1 if alive else 0) + len(followers)
+            )
             failed = [_Answered(span, None, query, future, exc)]
             for follower in followers:
                 fspan = self._follower_span(
@@ -772,7 +793,7 @@ class QueryService:
             qspan.finish(finished)
         if trace is not None:
             span.emit_phases(trace, parent=qspan)
-        self._note_completed(span, execution)
+        self._record(span, execution)
         answered = [_Answered(span, execution, query, future, None)]
         for follower in followers:
             follower_execution = self._follower_execution(
@@ -783,7 +804,7 @@ class QueryService:
             fspan.strategy = span.strategy
             fspan.num_results = len(follower_execution.results)
             follower_execution.trace = fspan
-            self._note_completed(fspan, follower_execution)
+            self._record(fspan, follower_execution)
             answered.append(_Answered(
                 fspan, follower_execution, follower.query, follower.future,
                 None,
@@ -807,45 +828,39 @@ class QueryService:
         span.num_results = len(execution.results)
         execution.trace = span
 
-    def _note_completed(
-        self, span: TraceSpan, execution: QueryExecution
+    def _record(
+        self,
+        span: TraceSpan,
+        execution: QueryExecution | None,
+        failures: int = 0,
     ) -> None:
-        """Fold one completed execution into the aggregates and metrics."""
-        with self._stats_lock:
-            self._queries += 1
-            if span.cache == CACHE_HIT:
-                self._hits += 1
-            elif span.cache == CACHE_MISS:
-                self._misses += 1
-            elif span.cache == CACHE_COALESCED:
-                self._coalesced += 1
-            if execution.degraded:
-                self._degraded += 1
-            self._retries_taken += span.retries
-            self._io = self._io.merged_with(execution.io)
-            self._queue_ms += span.queue_wait_ms
-            self._search_ms += span.search_ms
-        self._record_metrics(span, execution)
+        """Count one execution into the metrics registry.
 
-    def _record_metrics(
-        self, span: TraceSpan, execution: QueryExecution
-    ) -> None:
-        """Emit one completed execution into the metrics registry."""
+        ``execution`` is None when it failed, then counted as
+        ``failures`` errors (the member and its waiting riders); a failed
+        execution's transient retries are counted all the same.
+        """
         m = self.metrics
+        if span.retries:
+            m.counter("service.retries").inc(span.retries)
+        if execution is None:
+            m.counter("service.errors").inc(failures)
+            return
         m.counter("service.queries").inc()
         m.counter(f"service.cache.{span.cache}").inc()
         if execution.degraded:
             m.counter("service.degraded").inc()
-        if span.retries:
-            m.counter("service.retries").inc(span.retries)
+        io = execution.io
+        for attr in _IO_FIELDS:
+            m.counter(f"service.io.{attr}").inc(getattr(io, attr))
         m.histogram("service.queue_wait_ms").observe(span.queue_wait_ms)
         m.histogram("service.lock_wait_ms").observe(span.lock_wait_ms)
-        m.histogram("service.search_ms").observe(span.engine_ms)
+        m.histogram("service.search_ms").observe(span.search_ms)
         m.histogram("service.merge_ms").observe(span.merge_ms)
         m.histogram("service.total_ms").observe(span.total_ms)
         m.histogram(
             "service.reads_per_query", buckets=COUNT_BUCKETS
-        ).observe(execution.io.random_reads + execution.io.sequential_reads)
+        ).observe(io.random_reads + io.sequential_reads)
 
     def _answer(
         self,
@@ -1024,29 +1039,13 @@ class QueryService:
     # -- Introspection ----------------------------------------------------------
 
     def stats(self) -> ServiceStats:
-        """A consistent snapshot of the service-lifetime aggregates.
+        """The service counters, read from one metrics snapshot.
 
         Refreshes the storage/buffer-pool gauges from the engine's
-        devices first, so :attr:`ServiceStats.metrics` carries a
-        current metrics snapshot alongside the counters.
+        devices first, so :attr:`ServiceStats.metrics` is current.
         """
         export_engine(self.metrics, self.engine)
-        with self._stats_lock:
-            return ServiceStats(
-                queries=self._queries,
-                cache_hits=self._hits,
-                cache_misses=self._misses,
-                errors=self._errors,
-                degraded=self._degraded,
-                batches=self._batches,
-                coalesced=self._coalesced,
-                shed=self._shed,
-                io=self._io.snapshot(),
-                queue_wait_ms_total=self._queue_ms,
-                search_ms_total=self._search_ms,
-                retries=self._retries_taken,
-                metrics=self.metrics.snapshot(),
-            )
+        return ServiceStats.from_metrics(self.metrics.snapshot())
 
     def slow_queries(self) -> list[TraceSpan]:
         """The retained slow-query spans, slowest first."""

@@ -142,13 +142,6 @@ class TraceSpan:
         return max(0.0, self.lock_acquired_at - self.started_at) * 1000.0
 
     @property
-    def engine_ms(self) -> float:
-        """Milliseconds inside the engine search / cache lookup proper."""
-        if not self.lock_acquired_at or not self.search_done_at:
-            return 0.0
-        return max(0.0, self.search_done_at - self.lock_acquired_at) * 1000.0
-
-    @property
     def merge_ms(self) -> float:
         """Milliseconds merging/finalizing the answer (cache put, span)."""
         if not self.search_done_at:
@@ -171,7 +164,7 @@ class TraceSpan:
             "cache": self.cache,
             "queue_wait_ms": self.queue_wait_ms,
             "lock_wait_ms": self.lock_wait_ms,
-            "engine_ms": self.engine_ms,
+            "engine_ms": self.search_ms,
             "merge_ms": self.merge_ms,
             "search_ms": self.search_ms,
             "work_ms": self.work_ms,

@@ -861,3 +861,141 @@ class TestBatchedErrorIsolation:
                 assert stats.queries == 2
         finally:
             engine.search = original_search
+
+
+def _documented_metric_patterns(path) -> list:
+    """Regexes for the names in the first column of ``path``'s metric
+    table: ``a.b`` / ``.c`` names the sibling ``a.c``, ``{x,y}``
+    expands, and ``<i>`` stands for one name component."""
+    import re
+
+    section = path.read_text(encoding="utf-8").split("## Metrics", 1)[1]
+    patterns = []
+    for line in section.split("\n## ", 1)[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        previous = None
+        for token in re.findall(r"`([^`]+)`", line.split("|")[1]):
+            if token.startswith("."):
+                token = previous.rsplit(".", token.count("."))[0] + token
+            previous = token
+            braces = re.search(r"\{([^}]*)\}", token)
+            parts = braces.group(1).split(",") if braces else [""]
+            for part in parts:
+                name = (
+                    token[:braces.start()] + part + token[braces.end():]
+                    if braces else token
+                )
+                patterns.append(
+                    re.compile(re.sub(r"<[^>]+>", "[^.]+", re.escape(name)))
+                )
+    return patterns
+
+
+class TestStatsReadTheMetrics:
+    """ServiceStats is a view of the registry: every field equals the
+    metric counting the same event, failed executions included."""
+
+    @pytest.fixture()
+    def stats(self, world):
+        from repro.errors import TransientDeviceError
+
+        objects, queries = world
+        engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
+        engine.add_all(objects)
+        engine.build()
+        boom = queries[1]
+        original_search = engine.search
+
+        def flaky_search(query, *args, **kwargs):
+            if query.keywords == boom.keywords and query.point == boom.point:
+                raise TransientDeviceError("injected transient fault")
+            return original_search(query, *args, **kwargs)
+
+        engine.search = flaky_search
+        with QueryService(
+            engine, workers=1, retries=2, retry_backoff_s=0.0,
+            batching=BatchConfig(max_batch=16, max_pending=4),
+        ) as service:
+            same = [
+                SpatialKeywordQuery.of(queries[0].point, queries[0].keywords,
+                                       queries[0].k)
+                for _ in range(2)
+            ]
+            miss, rider = service.run_batch(same)  # a miss and a rider
+            assert rider.trace.cache == "coalesced"
+            hit = service.search(queries[0])
+            assert hit.trace.cache == "hit"
+            with pytest.raises(ServiceOverloadError):
+                service.submit_many(queries[2:7])  # 5 > max_pending
+            failing = service.submit_many([boom, boom])  # leader + rider
+            for future in failing:
+                with pytest.raises(TransientDeviceError):
+                    future.result()
+        return service.stats()
+
+    def test_every_field_equals_its_metric(self, stats):
+        counters = stats.metrics["counters"]
+        histograms = stats.metrics["histograms"]
+        fields = {
+            "retries": stats.retries,
+            "queries": stats.queries,
+            "cache_hits": stats.cache_hits,
+            "cache_misses": stats.cache_misses,
+            "coalesced": stats.coalesced,
+            "errors": stats.errors,
+            "degraded": stats.degraded,
+            "batches": stats.batches,
+            "shed": stats.shed,
+            "random_reads": stats.io.random_reads,
+            "sequential_reads": stats.io.sequential_reads,
+            "shared_reads": stats.io.shared_reads,
+            "objects_loaded": stats.io.objects_loaded,
+            "queue_wait_ms_total": stats.queue_wait_ms_total,
+            "search_ms_total": stats.search_ms_total,
+        }
+        metrics = {
+            "retries": counters.get("service.retries", 0),
+            "queries": counters.get("service.queries", 0),
+            "cache_hits": counters.get("service.cache.hit", 0),
+            "cache_misses": counters.get("service.cache.miss", 0),
+            "coalesced": counters.get("service.cache.coalesced", 0),
+            "errors": counters.get("service.errors", 0),
+            "degraded": counters.get("service.degraded", 0),
+            "batches": counters.get("service.batches", 0),
+            "shed": counters.get("service.shed", 0),
+            **{
+                name: counters.get(f"service.io.{name}", 0)
+                for name in (
+                    "random_reads", "sequential_reads", "shared_reads",
+                    "objects_loaded",
+                )
+            },
+            "queue_wait_ms_total": histograms["service.queue_wait_ms"]["sum"],
+            "search_ms_total": histograms["service.search_ms"]["sum"],
+        }
+        assert fields == metrics
+        # The failed query's two retries, its rider's error, the shed
+        # submissions and the one hit and one rider all reached both.
+        assert (stats.retries, stats.errors, stats.shed) == (2, 2, 5)
+        assert (stats.queries, stats.cache_hits, stats.coalesced) == (3, 1, 1)
+        assert stats.cache_misses == 1 and stats.batches == 3
+        assert stats.io.total_reads > 0
+
+    def test_every_service_metric_is_documented(self, stats):
+        from pathlib import Path
+
+        doc = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+        patterns = _documented_metric_patterns(doc)
+        emitted = [
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name in stats.metrics[kind]
+            if name.startswith("service.")
+        ]
+        assert "service.io.random_reads" in emitted
+        undocumented = [
+            name for name in emitted
+            if not any(pattern.fullmatch(name) for pattern in patterns)
+        ]
+        assert undocumented == []

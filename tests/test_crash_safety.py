@@ -215,7 +215,6 @@ class TestTypedManifestErrors:
         save_engine(build_single(), str(target))
         manifest = json.loads((target / "manifest.json").read_text())
         del manifest["index"]
-        del manifest["files"]  # keep digests from firing first
         (target / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(DatasetError, match="corrupt engine manifest"):
             load_engine(str(target))

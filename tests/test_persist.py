@@ -10,7 +10,12 @@ from repro import SpatialKeywordEngine, SpatialObject
 from repro.core import SpatialKeywordQuery, brute_force_top_k
 from repro.datasets import figure1_hotels
 from repro.errors import DatasetError, PersistError
-from repro.persist import MANIFEST_VERSION, load_engine, save_engine
+from repro.persist import (
+    MANIFEST_VERSION,
+    load_engine,
+    save_engine,
+    verify_engine,
+)
 
 
 def build_engine(kind, objects):
@@ -148,21 +153,43 @@ class TestDurability:
             assert meta["bytes"] == (target / rel).stat().st_size
             assert len(meta["sha256"]) == 64
 
-    def test_legacy_manifest_without_digests_still_loads(self, tmp_path):
+    @staticmethod
+    def _rewrite_manifest(target, edit):
         import json
 
-        engine = build_engine("ir2", figure1_hotels())
-        target = tmp_path / "saved"
-        save_engine(engine, str(target))
         manifest_path = target / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
-        manifest["version"] = 2
-        del manifest["files"]
+        edit(manifest)
         manifest_path.write_text(json.dumps(manifest))
-        reloaded = load_engine(str(target))
-        before = engine.query((30.5, 100.0), ["internet", "pool"], k=2)
-        after = reloaded.query((30.5, 100.0), ["internet", "pool"], k=2)
-        assert after.oids == before.oids
+
+    def test_version_2_manifest_is_refused(self, tmp_path):
+        target = tmp_path / "saved"
+        save_engine(build_engine("ir2", figure1_hotels()), str(target))
+        self._rewrite_manifest(
+            target, lambda manifest: manifest.update(version=2)
+        )
+        with pytest.raises(DatasetError, match="unsupported manifest version"):
+            load_engine(str(target))
+        report = verify_engine(str(target))
+        assert not report["ok"]
+        assert report["checks"][0]["status"] == "error"
+
+    def test_manifest_without_digests_is_refused(self, tmp_path):
+        # Dropping "files" must not switch the digest checks off: a
+        # tampered data file would otherwise load and verify as ok.
+        target = tmp_path / "saved"
+        save_engine(build_engine("ir2", figure1_hotels()), str(target))
+        path = target / "objects.dat"
+        data = bytearray(path.read_bytes())
+        data[0] ^= 0x01
+        path.write_bytes(bytes(data))
+        self._rewrite_manifest(target, lambda manifest: manifest.pop("files"))
+        with pytest.raises(DatasetError, match="digests"):
+            load_engine(str(target))
+        report = verify_engine(str(target))
+        assert not report["ok"]
+        assert report["checks"][0]["status"] == "error"
+        assert "digests" in report["checks"][0]["detail"]
 
     def test_tampered_file_raises_persist_error_naming_it(self, tmp_path):
         engine = build_engine("ir2", figure1_hotels())
