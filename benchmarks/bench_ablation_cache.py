@@ -3,7 +3,10 @@
 The paper measures cold-cache disk accesses.  Real deployments cache hot
 blocks (the root and upper tree levels are touched by every query); this
 ablation quantifies how many of the paper's block accesses a small LRU
-pool absorbs, without changing any result.
+pool absorbs, without changing any result.  The pool is a bounded
+:class:`~repro.storage.sharedread.SharedReadSession` active while the
+queries run: each device keeps its ``pool`` most recently read blocks,
+and a read it serves is a ``shared_read`` on the tree device's stats.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from repro.bench import format_table
 from repro.bench.workloads import WorkloadGenerator
 from repro.core import Corpus, IR2Index
 from repro.datasets import DatasetConfig, SpatialTextDatasetGenerator
-from repro.storage import BufferPoolDevice, InMemoryBlockDevice
+from repro.storage import InMemoryBlockDevice, SharedReadSession, activate_session
 
 N_OBJECTS = 1_500
 N_QUERIES = 24
@@ -33,14 +36,15 @@ def _setup(pool_blocks: int):
     objects = SpatialTextDatasetGenerator(config).generate()
     corpus = Corpus()
     corpus.add_all(objects)
-    inner = InMemoryBlockDevice(name="ir2-disk")
-    device = BufferPoolDevice(inner, pool_blocks) if pool_blocks else inner
-    index = IR2Index(corpus, 16, device=device)
+    index = IR2Index(corpus, 16, device=InMemoryBlockDevice(name="ir2-disk"))
     index.build()
-    if pool_blocks:
-        device.clear()
     index.reset_io()
-    return corpus, objects, index, device
+    return corpus, objects, index
+
+
+def _session(pool_blocks: int):
+    """The pool for one run: a bounded session, or none for ``0``."""
+    return SharedReadSession(pool_blocks) if pool_blocks else None
 
 
 @pytest.fixture(scope="module")
@@ -48,16 +52,14 @@ def comparison():
     rows = []
     measured = {}
     for pool in POOL_BLOCKS:
-        corpus, objects, index, device = _setup(pool)
+        corpus, objects, index = _setup(pool)
         workload = WorkloadGenerator(objects, corpus.analyzer, seed=6)
         queries = workload.queries(N_QUERIES, 2, 10)
-        answers = [index.execute(q).oids for q in queries]
-        disk_reads = index.device.stats.total_reads
-        if pool:
-            disk_reads = device.inner.stats.total_reads
-            hit_rate = device.hit_rate
-        else:
-            hit_rate = 0.0
+        with activate_session(_session(pool)):
+            answers = [index.execute(q).oids for q in queries]
+        stats = index.device.stats
+        disk_reads = stats.total_reads
+        hit_rate = stats.shared_reads / (disk_reads + stats.shared_reads)
         rows.append((pool, round(disk_reads / N_QUERIES, 1), round(hit_rate, 3)))
         measured[pool] = (answers, disk_reads)
     text = format_table(
@@ -86,12 +88,13 @@ def test_cache_reduces_disk_reads(comparison):
 @pytest.mark.parametrize("pool", POOL_BLOCKS, ids=[f"pool{p}" for p in POOL_BLOCKS])
 def test_cache_query_wallclock(benchmark, comparison, pool):
     """Wall-clock of the query batch at each pool size."""
-    corpus, objects, index, _ = _setup(pool)
+    corpus, objects, index = _setup(pool)
     workload = WorkloadGenerator(objects, corpus.analyzer, seed=6)
     queries = workload.queries(8, 2, 10)
 
     def run():
-        for query in queries:
-            index.execute(query)
+        with activate_session(_session(pool)):
+            for query in queries:
+                index.execute(query)
 
     benchmark.pedantic(run, rounds=2, iterations=1)

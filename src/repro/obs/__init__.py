@@ -8,7 +8,7 @@ The serving, sharding, and storage layers all record into one
   retry counters;
 * :class:`repro.shard.ShardedEngine` — per-shard fan-out counters
   (pruned, failed, retried, results offered);
-* the storage devices — I/O read/write mixes and buffer-pool hit rates,
+* the storage devices — I/O read/write mixes and object loads,
   published at snapshot time by :func:`export_engine`.
 
 Surface it with ``repro metrics <engine-dir>`` (probe an engine and

@@ -1,15 +1,14 @@
 """Bridge running storage/engine state into a :class:`MetricsRegistry`.
 
-The device layer keeps its own running state (:class:`IOStats` counters,
-:class:`~repro.storage.cache.BufferPoolDevice` hit/miss tallies) — hot
-paths should not pay a registry lookup per block access.  These helpers
+The device layer keeps its own running state (:class:`IOStats`
+counters) — hot paths should not pay a registry lookup per block access.  These helpers
 publish that state into a registry *at snapshot time*: the serving layer
 calls :func:`export_engine` from ``QueryService.stats()`` so every
 metrics dump reflects the devices as of that instant.
 
 Gauge names are ``storage.<device>.<metric>``; device names are
-sanitized to dotted-path-safe tokens (``lru(ir2-index)`` becomes
-``lru_ir2_index``).
+sanitized to dotted-path-safe tokens (``ir2-index.blk`` becomes
+``ir2_index_blk``).
 """
 
 from __future__ import annotations
@@ -17,7 +16,6 @@ from __future__ import annotations
 import re
 
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.cache import BufferPoolDevice
 from repro.storage.iostats import IOStats
 
 _SANITIZE = re.compile(r"[^A-Za-z0-9_]+")
@@ -117,20 +115,9 @@ def export_iostats(
 
 
 def export_device(registry: MetricsRegistry, device) -> None:
-    """Publish one block device's running state.
-
-    Every device exports its :class:`IOStats`; a
-    :class:`BufferPoolDevice` additionally exports its hit/miss counts
-    and hit rate (and its inner device is exported too, so cached and
-    true disk traffic are both visible).
-    """
+    """Publish one block device's running :class:`IOStats`."""
     prefix = f"storage.{metric_token(device.name)}"
     export_iostats(registry, f"{prefix}.io", device.stats)
-    if isinstance(device, BufferPoolDevice):
-        registry.gauge(f"{prefix}.pool.hits").set(device.hits)
-        registry.gauge(f"{prefix}.pool.misses").set(device.misses)
-        registry.gauge(f"{prefix}.pool.hit_rate").set(device.hit_rate)
-        registry.gauge(f"{prefix}.pool.cached_blocks").set(len(device._cache))
 
 
 def _engine_devices(engine) -> list:
@@ -193,9 +180,5 @@ def export_engine(registry: MetricsRegistry, engine) -> None:
         for device in _engine_devices(shard):
             prefix = f"storage.shard{shard_id}.{metric_token(device.name)}"
             export_iostats(registry, f"{prefix}.io", device.stats)
-            if isinstance(device, BufferPoolDevice):
-                registry.gauge(f"{prefix}.pool.hits").set(device.hits)
-                registry.gauge(f"{prefix}.pool.misses").set(device.misses)
-                registry.gauge(f"{prefix}.pool.hit_rate").set(device.hit_rate)
             merged = merged.merged_with(device.stats.snapshot())
     export_iostats(registry, "storage.all_shards.io", merged)

@@ -13,7 +13,7 @@ Three metric kinds cover the layer's needs:
 * :class:`Counter` — monotonically increasing event counts
   (queries served, shards pruned, retries spent);
 * :class:`Gauge` — last-written point-in-time values
-  (buffer-pool hit rate, cached entries);
+  (device read mixes, queue depth);
 * :class:`Histogram` — fixed-bucket latency distributions with exact
   count/sum/min/max and interpolated quantiles (p50/p95 of per-stage
   timings).  Buckets are fixed at construction so merged snapshots from

@@ -373,10 +373,6 @@ class SnapshotMaintainer:
         self.merges = 0
         self.incremental_merges = 0
         self.merge_failures = 0
-        #: Buffer-to-base size ratio below which merges fold into a copy
-        #: of the base instead of rebuilding; set to 0.0 to always
-        #: rebuild (e.g. to force bulk-packed trees).
-        self.incremental_ratio = INCREMENTAL_MERGE_MAX_RATIO
         self._publish_gauges(self._current)
 
     # -- Read side --------------------------------------------------------------
@@ -588,9 +584,7 @@ class SnapshotMaintainer:
             masked = set(frozen.deleted) | set(frozen.inserts)
             rebuilt = None
             base_live = len(self._base)
-            if self.incremental_ratio > 0.0 and frozen.depth <= max(
-                1, int(base_live * self.incremental_ratio)
-            ):
+            if frozen.depth <= max(1, int(base_live * INCREMENTAL_MERGE_MAX_RATIO)):
                 rebuilt = copy_built_engine(self._base)
             if rebuilt is not None:
                 mode = "incremental"

@@ -174,8 +174,7 @@ class ServiceStats:
             failed ones included.
         metrics: the JSON-ready snapshot the fields were read from —
             per-stage latency histograms, cache/degradation/retry
-            counters, per-shard fan-out counters, and device/buffer-pool
-            gauges.
+            counters, per-shard fan-out counters, and device I/O gauges.
     """
 
     queries: int = 0
@@ -1041,7 +1040,7 @@ class QueryService:
     def stats(self) -> ServiceStats:
         """The service counters, read from one metrics snapshot.
 
-        Refreshes the storage/buffer-pool gauges from the engine's
+        Refreshes the storage gauges from the engine's
         devices first, so :attr:`ServiceStats.metrics` is current.
         """
         export_engine(self.metrics, self.engine)

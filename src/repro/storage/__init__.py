@@ -12,7 +12,6 @@ from repro.storage.block import (
     FileBlockDevice,
     InMemoryBlockDevice,
 )
-from repro.storage.cache import BufferPoolDevice
 from repro.storage.faults import (
     CrashTimer,
     FaultInjectingDevice,
@@ -45,7 +44,6 @@ from repro.storage.timing import DEFAULT_DRIVE, DriveModel
 __all__ = [
     "AccessCounts",
     "BlockDevice",
-    "BufferPoolDevice",
     "CrashTimer",
     "DEFAULT_BLOCK_SIZE",
     "DEFAULT_DRIVE",

@@ -15,7 +15,9 @@ Two interchangeable backends are provided:
   multi-block extent, so a map keyed by node images finds a repeat by
   identity instead of hashing and comparing it again.
 * :class:`FileBlockDevice` stores blocks in a real file on disk, proving
-  the serialization layer round-trips through an actual filesystem.
+  the serialization layer round-trips through an actual filesystem.  Its
+  one file handle is shared, so each seek and the read or write after it
+  run under one device lock.
 
 Both expose single-block and *extent* (contiguous multi-block) operations.
 An extent read costs one random access plus length-1 sequential accesses,
@@ -23,8 +25,8 @@ which is how the paper's multi-block IR2/MIR2 nodes are charged.
 
 :meth:`BlockDevice.read_block` is the one counted read.  It reads
 ``count`` contiguous blocks (one by default) and does its work once per
-call, not once per block: one range check, one shared-read session
-lookup in the thread's :class:`~repro.storage.iostats.IOScope`, one
+call, not once per block: one range check, one look for a shared-read
+session in the thread's :class:`~repro.storage.iostats.IOScope`, one
 :meth:`~repro.storage.iostats.IOStats.record_reads` charge and one
 backend read (:meth:`BlockDevice._read_raw_extent`).
 :meth:`BlockDevice.read_extent` is the same call under the name the
@@ -100,11 +102,12 @@ class BlockDevice:
         block before anything is charged or read.
 
         When a :class:`~repro.storage.sharedread.SharedReadSession` is
-        active on the calling thread, a block another query in the batch
-        already fetched is served from the session instead: recorded as a
-        ``shared_read`` (zero device I/O, head position unchanged).  Each
-        maximal run of the extent's other blocks is charged and read as
-        one extent and stored in the session.
+        active on the calling thread, the extent is walked in block
+        order.  A block the session holds is served from it and recorded
+        as a ``shared_read`` (zero device I/O, head position unchanged);
+        each maximal run of blocks it lacks is charged and read as one
+        extent and stored in the session, which may evict, before the
+        block after the run is looked up.
         """
         if count < 1:
             return b""
@@ -114,31 +117,23 @@ class BlockDevice:
         if session is None:
             self.stats.record_reads(block_id, count, category)
             return self._read_raw_extent(block_id, count)
-        cached = session.lookup_extent(self, block_id, count)
+        stats = self.stats
+        stop = block_id + count
         pieces = []
-        run_start = None  # first block of the pending run of misses
-        for block, data in enumerate(cached, block_id):
-            if data is None:
-                if run_start is None:
-                    run_start = block
-                continue
-            if run_start is not None:
-                pieces.append(self._read_run(session, run_start, block, category))
-                run_start = None
-            self.stats.record_shared_read(block, category)
-            pieces.append(data)
-        if run_start is not None:
-            pieces.append(
-                self._read_run(session, run_start, block_id + count, category)
-            )
+        block = block_id
+        while block < stop:
+            cached, run_stop = session.lookup(self, block, stop)
+            for data in cached:
+                stats.record_shared_read(block, category)
+                pieces.append(data)
+                block += 1
+            if run_stop > block:
+                stats.record_reads(block, run_stop - block, category)
+                data = self._read_raw_extent(block, run_stop - block)
+                session.store_extent(self, block, data, self.block_size)
+                pieces.append(data)
+                block = run_stop
         return b"".join(pieces)
-
-    def _read_run(self, session, start: int, stop: int, category: str) -> bytes:
-        """Charge, read and share blocks ``start`` .. ``stop - 1``."""
-        self.stats.record_reads(start, stop - start, category)
-        data = self._read_raw_extent(start, stop - start)
-        session.store_extent(self, start, data, self.block_size)
-        return data
 
     def write_block(self, block_id: int, data: bytes, category: str = "data") -> None:
         """Write one block (payload is zero-padded to the block size).
@@ -153,9 +148,9 @@ class BlockDevice:
         self._grow_to(block_id + 1)
         session = current_scope().session
         if session is not None:
-            # Mutations are excluded for the lifetime of a batch by the
-            # serving layer's RW lock; invalidate anyway so a session that
-            # outlives a direct device write can never serve stale bytes.
+            # A batch group reads one pinned, copy-on-write version whose
+            # devices see no writes; invalidate anyway so a session that
+            # spans a direct device write can never serve stale bytes.
             session.invalidate(self, block_id)
         self.stats.record_write(block_id, category)
         padded = data.ljust(self.block_size, b"\x00")
@@ -340,8 +335,10 @@ class FileBlockDevice(BlockDevice):
     """Block device backed by a real file.
 
     Useful to validate that every structure genuinely round-trips through
-    persistent storage.  The file is opened lazily and kept open; use the
-    device as a context manager or call :meth:`close` explicitly.
+    persistent storage.  The file is opened once and kept open; use the
+    device as a context manager or call :meth:`close` explicitly.  Every
+    seek and the read or write it positions happen under one lock, so
+    threads sharing the device never read or write at another's offset.
     """
 
     def __init__(
@@ -365,35 +362,41 @@ class FileBlockDevice(BlockDevice):
             self._file.write(b"\x00" * (block_size - size % block_size))
             self._file.flush()
         self._num_blocks = os.path.getsize(path) // block_size
+        self._lock = threading.Lock()
 
     @property
     def num_blocks(self) -> int:
         return self._num_blocks
 
     def _read_raw(self, block_id: int) -> bytes:
-        self._file.seek(block_id * self.block_size)
-        return self._file.read(self.block_size)
+        return self._read_raw_extent(block_id, 1)
 
     def _read_raw_extent(self, start: int, count: int) -> bytes:
-        self._file.seek(start * self.block_size)
-        return self._file.read(count * self.block_size)
+        with self._lock:
+            self._file.seek(start * self.block_size)
+            return self._file.read(count * self.block_size)
 
     def _write_raw(self, block_id: int, data: bytes) -> None:
-        self._file.seek(block_id * self.block_size)
-        self._file.write(data)
+        with self._lock:
+            self._file.seek(block_id * self.block_size)
+            self._file.write(data)
 
     def _grow_to(self, num_blocks: int) -> None:
-        if num_blocks <= self._num_blocks:
-            return
-        self._file.seek(0, os.SEEK_END)
-        self._file.write(b"\x00" * (num_blocks - self._num_blocks) * self.block_size)
-        self._num_blocks = num_blocks
+        with self._lock:
+            if num_blocks <= self._num_blocks:
+                return
+            self._file.seek(0, os.SEEK_END)
+            self._file.write(
+                b"\x00" * (num_blocks - self._num_blocks) * self.block_size
+            )
+            self._num_blocks = num_blocks
 
     def close(self) -> None:
         """Flush and close the backing file."""
-        if not self._file.closed:
-            self._file.flush()
-            self._file.close()
+        with self._lock:
+            if not self._file.closed:
+                self._file.flush()
+                self._file.close()
 
     def __enter__(self) -> "FileBlockDevice":
         return self

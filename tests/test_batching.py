@@ -20,6 +20,7 @@ session in :mod:`repro.storage.sharedread`) must change *cost*, never
 
 from __future__ import annotations
 
+import random
 import sys
 import threading
 import time
@@ -39,6 +40,7 @@ from repro.serve import (
 )
 from repro.serve.scheduler import BatchMember
 from repro.shard import ShardedEngine
+from repro.storage.block import InMemoryBlockDevice
 from repro.storage.sharedread import (
     SharedReadSession,
     activate_session,
@@ -755,8 +757,6 @@ class TestSharedReadSession:
         counts.  Read 0,1,2 (one random, two sequential), then re-read 1
         (a session hit) and read 3: block 3 must still classify as
         sequential after 2, as if the hit never happened."""
-        from repro.storage.block import InMemoryBlockDevice
-
         device = InMemoryBlockDevice(block_size=64)
         for block_id in range(4):
             device.write_block(block_id, bytes([block_id]) * 8)
@@ -823,6 +823,113 @@ class TestSharedReadSession:
         for s, b in zip(serial, batched):
             assert b.oids == s.oids
         assert totals.shared_reads > 0
+
+    # -- A bounded session: the per-device LRU block cache (ablation A3) --
+
+    @staticmethod
+    def _device(n_blocks: int) -> InMemoryBlockDevice:
+        """``n_blocks`` 8-byte blocks holding ``bytes(range(8 * n_blocks))``."""
+        device = InMemoryBlockDevice(block_size=8)
+        device.write_extent(0, bytes(range(8 * n_blocks)))
+        device.stats.reset()
+        return device
+
+    def test_a_bounded_session_evicts_the_least_recent_block(self):
+        device = self._device(3)
+        session = SharedReadSession(capacity_blocks=2)
+        with activate_session(session):
+            for block in range(3):  # reading 2 evicts 0
+                device.read_block(block)
+            device.read_block(2)
+            assert device.stats.shared_reads == 1
+            device.read_block(0)
+        assert device.stats.total_reads == 4
+        assert (session.hits, session.misses, len(session)) == (1, 4, 2)
+
+    def test_a_hit_refreshes_recency(self):
+        device = self._device(3)
+        with activate_session(SharedReadSession(capacity_blocks=2)):
+            device.read_block(0)
+            device.read_block(1)
+            device.read_block(0)  # a hit: 0 becomes the most recent
+            device.read_block(2)  # evicts 1, not 0
+            device.read_block(0)
+            assert device.stats.total_reads == 3
+            device.read_block(1)
+            assert device.stats.total_reads == 4
+        assert device.stats.shared_reads == 2
+
+    def test_a_partly_cached_extent_charges_its_miss_runs(self):
+        device = self._device(5)
+        session = SharedReadSession(capacity_blocks=8)
+        with activate_session(session):
+            device.read_block(2)
+            device.stats.reset()
+            assert device.read_extent(0, 5, "node") == bytes(range(40))
+            assert (session.hits, session.misses) == (1, 1 + 4)
+            # Runs 0-1 and 3-4 are charged as if read block by block.
+            assert device.stats.random_reads == 2
+            assert device.stats.sequential_reads == 2
+            device.stats.reset()
+            assert device.read_extent(0, 5) == bytes(range(40))
+        assert device.stats.total_reads == 0
+        assert device.stats.shared_reads == 5
+
+    def test_an_extent_evicts_in_block_order(self):
+        device = self._device(3)
+        session = SharedReadSession(capacity_blocks=2)
+        with activate_session(session):
+            device.read_block(1)
+            device.read_block(2)
+            device.stats.reset()
+            # Storing 0 evicts 1, and storing 1 evicts 2, each before the
+            # block is looked up, exactly as three single-block reads would.
+            assert device.read_extent(0, 3) == bytes(range(24))
+        assert (session.hits, session.misses) == (0, 2 + 3)
+        assert device.stats.random_reads == 1
+        assert device.stats.sequential_reads == 2
+
+    def test_a_bounded_session_keeps_at_least_one_block(self):
+        with pytest.raises(ValueError):
+            SharedReadSession(capacity_blocks=0)
+
+    def test_threads_sharing_a_bounded_session_stay_consistent(self):
+        block_size, n_blocks, n_threads, reads_each = 256, 48, 8, 400
+        expected = [bytes([block]) * block_size for block in range(n_blocks)]
+        device = InMemoryBlockDevice(block_size=block_size)
+        device.write_extent(0, b"".join(expected))
+        device.stats.reset()
+        session = SharedReadSession(capacity_blocks=8)
+        blocks_read = [0] * n_threads
+        torn: list[int] = []
+
+        def reader(number: int) -> None:
+            rng = random.Random(number)
+            with activate_session(session):
+                for _ in range(reads_each):
+                    count = rng.randint(1, 3)
+                    start = rng.randrange(n_blocks - count + 1)
+                    data = device.read_extent(start, count)
+                    if data != b"".join(expected[start : start + count]):
+                        torn.append(start)
+                    blocks_read[number] += count
+
+        threads = [threading.Thread(target=reader, args=(n,)) for n in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
+        assert session.hits + session.misses == sum(blocks_read)
+        assert session.misses == device.stats.total_reads
+        assert session.hits == device.stats.shared_reads > 0
+        assert len(session) <= 8
 
 
 class TestBatchedErrorIsolation:

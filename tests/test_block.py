@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import random
+import sys
+import threading
+
 import pytest
 
 from repro.errors import BlockOutOfRangeError, BlockSizeError
@@ -177,6 +181,39 @@ class TestFileDevice:
             with pytest.raises(BlockOutOfRangeError):
                 device.read_extent(2, 3)
             assert device.stats.total_reads == 3
+
+    def test_threads_sharing_the_file_never_read_a_torn_block(self, tmp_path):
+        """Each seek and the read it positions stay one step: a thread
+        never reads at the offset another thread just sought to."""
+        block_size, n_blocks, n_threads, reads_each = 64, 48, 8, 3_000
+        expected = [bytes([block]) * block_size for block in range(n_blocks)]
+        device = FileBlockDevice(str(tmp_path / "t.dat"), block_size=block_size)
+        device.write_extent(0, b"".join(expected))
+        start = threading.Barrier(n_threads)
+        torn: list[int] = []
+
+        def reader(seed: int) -> None:
+            rng = random.Random(seed)
+            start.wait(timeout=30)
+            for _ in range(reads_each):
+                block = rng.randrange(n_blocks)
+                if device.read_block(block) != expected[block]:
+                    torn.append(block)
+
+        threads = [threading.Thread(target=reader, args=(s,)) for s in range(n_threads)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        device.close()
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
+        assert device.stats.total_reads == n_threads * reads_each
 
     def test_iter_blocks_does_not_count(self):
         device = InMemoryBlockDevice(block_size=8)

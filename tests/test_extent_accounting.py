@@ -4,14 +4,19 @@
 extent in one call.  The reference here is the per-block algorithm it
 replaced, written out inline: each block in order is either a session hit
 (a shared read that leaves the head alone) or a real read classified by
-head position and, inside a session, stored.  Hypothesis drives random
-devices through interleaved single-block and extent reads, with and
-without a pre-seeded shared-read session and nested collectors, under a
-trace; every counter, the head, the collector deltas, the session's
-hits and misses and the traced block events must match the model.
+head position and, inside a session, stored.  The model session is a
+per-device LRU: a hit makes its block the most recent, and a store past
+the bound evicts the least recent.  Hypothesis drives random devices
+through interleaved single-block and extent reads, with and without a
+pre-seeded, unbounded or bounded shared-read session and nested
+collectors, under a trace; every counter, the head, the collector deltas,
+the session's hits and misses and the traced block events must match the
+model.
 """
 
 from __future__ import annotations
+
+from collections import OrderedDict
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -44,6 +49,7 @@ class PerBlockModel:
     def read(self, start, count, category, session_blocks, events, deltas):
         for block in range(start, start + count):
             if session_blocks is not None and block in session_blocks:
+                session_blocks.move_to_end(block)
                 self.shared += 1
                 deltas["shared"] += 1
                 deltas["hits"] += 1
@@ -63,8 +69,22 @@ class PerBlockModel:
                 (EVT_BLOCK_READ, block, PATTERN_SEQUENTIAL if is_seq else PATTERN_RANDOM)
             )
             if session_blocks is not None:
-                session_blocks.add(block)
+                session_blocks.store(block)
                 deltas["misses"] += 1
+
+
+class LRUBlocks(OrderedDict):
+    """The block ids a session holds for one device, least recent first."""
+
+    def __init__(self, capacity):
+        super().__init__()
+        self.capacity = capacity
+
+    def store(self, block):
+        self[block] = None
+        self.move_to_end(block)
+        if self.capacity is not None and len(self) > self.capacity:
+            self.popitem(last=False)
 
 
 def empty_deltas() -> dict:
@@ -98,13 +118,14 @@ def scenarios(draw):
         )
     )
     use_session = draw(st.booleans())
+    capacity = draw(st.one_of(st.none(), st.integers(1, 6))) if use_session else None
     seeded = [
         draw(st.sets(st.integers(0, size - 1), max_size=size)) if use_session else set()
         for size in sizes
     ]
     inner_lo = draw(st.integers(0, len(reads)))
     inner_hi = draw(st.integers(inner_lo, len(reads)))
-    return sizes, block_size, reads, use_session, seeded, (inner_lo, inner_hi)
+    return sizes, block_size, reads, use_session, capacity, seeded, (inner_lo, inner_hi)
 
 
 def build_devices(sizes, block_size):
@@ -121,15 +142,18 @@ def build_devices(sizes, block_size):
 @settings(max_examples=150, deadline=None)
 @given(scenarios())
 def test_extent_reads_charge_like_per_block_reads(scenario):
-    sizes, block_size, reads, use_session, seeded, (inner_lo, inner_hi) = scenario
+    sizes, block_size, reads, use_session, capacity, seeded, (inner_lo, inner_hi) = (
+        scenario
+    )
     devices = build_devices(sizes, block_size)
     models = [PerBlockModel() for _ in devices]
-    session = SharedReadSession() if use_session else None
-    model_session = [set(blocks) for blocks in seeded] if use_session else None
+    session = SharedReadSession(capacity) if use_session else None
+    model_session = [LRUBlocks(capacity) for _ in seeded] if use_session else None
     if session is not None:
-        for device, blocks in zip(devices, seeded):
-            for block in blocks:
+        for device, blocks, model_blocks in zip(devices, seeded, model_session):
+            for block in sorted(blocks):
                 session.store_extent(device, block, device._read_raw(block), block_size)
+                model_blocks.store(block)
         hits0, misses0 = session.hits, session.misses
     expected_events: list[tuple] = []
     outer_expect, inner_expect = empty_deltas(), empty_deltas()
@@ -193,6 +217,7 @@ def test_extent_reads_charge_like_per_block_reads(scenario):
     if session is not None:  # the outer collector saw every read
         assert session.hits - hits0 == outer_expect["hits"]
         assert session.misses - misses0 == outer_expect["misses"]
+        assert len(session) == sum(len(blocks) for blocks in model_session)
     traced = [
         (event.name, event.attrs["block"], event.attrs.get("pattern"))
         for _, event in trace.iter_events()

@@ -514,15 +514,6 @@ class TestIncrementalMerge:
         assert maintainer.incremental_merges == 0
         assert all(maintainer.base.contains(o) for o in range(510, 518))
 
-    def test_zero_ratio_disables_incremental_merges(self):
-        maintainer = SnapshotMaintainer(built_engine(), merge_threshold=None)
-        maintainer.incremental_ratio = 0.0
-        maintainer.add(SpatialObject(520, (1.0, 1.0), "pool"))
-        maintainer.flush()
-        assert maintainer.merges == 1
-        assert maintainer.incremental_merges == 0
-        assert maintainer.base.contains(520)
-
     @pytest.mark.parametrize("kind", ("ir2", "mir2", "rtree", "iio", "sig"))
     def test_incremental_answers_match_oracle(self, kind):
         engine = built_engine(kind)

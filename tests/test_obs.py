@@ -25,15 +25,12 @@ from repro.obs import (
     LATENCY_BUCKETS_MS,
     MetricsRegistry,
     SlowQueryLog,
-    export_device,
     export_engine,
     merge_snapshots,
     metric_token,
 )
 from repro.serve import QueryService
 from repro.shard import ShardedEngine
-from repro.storage.block import InMemoryBlockDevice
-from repro.storage.cache import BufferPoolDevice
 
 
 def search(service, point, keywords, k=10):
@@ -233,18 +230,6 @@ class TestExporters:
     def test_metric_token_sanitizes(self):
         assert metric_token("lru(ir2-index)") == "lru_ir2_index"
         assert metric_token("???") == "device"
-
-    def test_export_buffer_pool_device(self):
-        registry = MetricsRegistry()
-        inner = InMemoryBlockDevice(block_size=64, name="disk")
-        pool = BufferPoolDevice(inner, capacity_blocks=4)
-        pool.write_block(0, b"x" * 10)
-        pool.read_block(0)  # hit (write populated the cache)
-        export_device(registry, pool)
-        snap = registry.snapshot()["gauges"]
-        assert snap["storage.lru_disk.pool.hits"] == 1.0
-        assert snap["storage.lru_disk.pool.hit_rate"] == 1.0
-        assert snap["storage.lru_disk.io.random_writes"] >= 1.0
 
     def test_export_single_engine(self):
         registry = MetricsRegistry()
