@@ -824,7 +824,8 @@ class TestSharedReadSession:
             assert b.oids == s.oids
         assert totals.shared_reads > 0
 
-    # -- A bounded session: the per-device LRU block cache (ablation A3) --
+    # -- A bounded session: the per-device LRU block cache (ablation A3);
+    # hits, misses, eviction and partly cached extents: tests/test_cache.py --
 
     @staticmethod
     def _device(n_blocks: int) -> InMemoryBlockDevice:
@@ -833,18 +834,6 @@ class TestSharedReadSession:
         device.write_extent(0, bytes(range(8 * n_blocks)))
         device.stats.reset()
         return device
-
-    def test_a_bounded_session_evicts_the_least_recent_block(self):
-        device = self._device(3)
-        session = SharedReadSession(capacity_blocks=2)
-        with activate_session(session):
-            for block in range(3):  # reading 2 evicts 0
-                device.read_block(block)
-            device.read_block(2)
-            assert device.stats.shared_reads == 1
-            device.read_block(0)
-        assert device.stats.total_reads == 4
-        assert (session.hits, session.misses, len(session)) == (1, 4, 2)
 
     def test_a_hit_refreshes_recency(self):
         device = self._device(3)
@@ -858,22 +847,6 @@ class TestSharedReadSession:
             device.read_block(1)
             assert device.stats.total_reads == 4
         assert device.stats.shared_reads == 2
-
-    def test_a_partly_cached_extent_charges_its_miss_runs(self):
-        device = self._device(5)
-        session = SharedReadSession(capacity_blocks=8)
-        with activate_session(session):
-            device.read_block(2)
-            device.stats.reset()
-            assert device.read_extent(0, 5, "node") == bytes(range(40))
-            assert (session.hits, session.misses) == (1, 1 + 4)
-            # Runs 0-1 and 3-4 are charged as if read block by block.
-            assert device.stats.random_reads == 2
-            assert device.stats.sequential_reads == 2
-            device.stats.reset()
-            assert device.read_extent(0, 5) == bytes(range(40))
-        assert device.stats.total_reads == 0
-        assert device.stats.shared_reads == 5
 
     def test_an_extent_evicts_in_block_order(self):
         device = self._device(3)

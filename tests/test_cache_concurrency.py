@@ -1,17 +1,16 @@
-"""Hammer :class:`BufferPoolDevice` from many threads.
+"""Many threads sharing one bounded :class:`SharedReadSession`.
 
-The buffer pool sits in front of a shared block device in the serving
-layer, so its LRU map and hit/miss counters must stay consistent under
-concurrent readers and writers: no torn cache entries, no lost counter
-increments, and ``hits + misses`` equal to the number of reads issued.
+The threaded consistency check (``hits + misses`` equal to the blocks
+read, no torn block) is
+``tests/test_batching.py::TestSharedReadSession::test_threads_sharing_a_bounded_session_stay_consistent``.
 """
 
 from __future__ import annotations
 
-import random
 import threading
 
-from repro.storage import BufferPoolDevice, InMemoryBlockDevice
+from repro.storage import InMemoryBlockDevice
+from repro.storage.sharedread import SharedReadSession, activate_session
 
 N_BLOCKS = 48
 BLOCK_SIZE = 256
@@ -22,173 +21,36 @@ def expected_content(block_id: int) -> bytes:
     return f"blk-{block_id}".encode().ljust(BLOCK_SIZE, b"\x00")
 
 
-def make_pool(capacity: int = 16) -> BufferPoolDevice:
-    inner = InMemoryBlockDevice(BLOCK_SIZE)
+def make_device() -> InMemoryBlockDevice:
+    device = InMemoryBlockDevice(BLOCK_SIZE)
     for block_id in range(N_BLOCKS):
-        inner.write_block(block_id, expected_content(block_id))
-    inner.stats.reset()
-    return BufferPoolDevice(inner, capacity_blocks=capacity)
-
-
-def run_threads(workers):
-    threads = [threading.Thread(target=fn) for fn in workers]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
+        device.write_block(block_id, expected_content(block_id))
+    device.stats.reset()
+    return device
 
 
 class TestConcurrentReads:
-    def test_contents_and_counters_stay_consistent(self):
-        pool = make_pool(capacity=8)
-        n_threads, reads_each = 8, 400
-        failures: list[str] = []
-
-        def reader(seed: int):
-            rng = random.Random(seed)
-            for _ in range(reads_each):
-                block_id = rng.randrange(N_BLOCKS)
-                data = pool.read_block(block_id)
-                if data != expected_content(block_id):
-                    failures.append(f"torn read of block {block_id}")
-                    return
-
-        run_threads([lambda s=s: reader(s) for s in range(n_threads)])
-        assert not failures
-        total = n_threads * reads_each
-        # The satellite's invariant: every read is classified exactly once.
-        assert pool.hits + pool.misses == total
-        assert pool.misses == pool.inner.stats.total_reads
-        assert pool.hits > 0  # with 8 cached of 48 blocks some must repeat
-        assert len(pool._cache) <= pool.capacity_blocks
-
     def test_hot_set_smaller_than_capacity_hits_after_warmup(self):
-        pool = make_pool(capacity=N_BLOCKS)
+        device = make_device()
+        session = SharedReadSession(capacity_blocks=N_BLOCKS)
+        torn: list[int] = []
 
         def reader():
-            for block_id in range(N_BLOCKS):
-                assert pool.read_block(block_id) == expected_content(block_id)
+            with activate_session(session):
+                for block_id in range(N_BLOCKS):
+                    if device.read_block(block_id) != expected_content(block_id):
+                        torn.append(block_id)
 
         reader()  # warm up: all misses
-        assert pool.misses == N_BLOCKS
-        run_threads([reader for _ in range(6)])
-        assert pool.misses == N_BLOCKS  # everything else was a hit
-        assert pool.hits == 6 * N_BLOCKS
-
-
-class TestConcurrentReadWrite:
-    def test_writers_and_readers_never_tear_blocks(self):
-        pool = make_pool(capacity=12)
-        stop = threading.Event()
-        failures: list[str] = []
-
-        def writer(seed: int):
-            rng = random.Random(1000 + seed)
-            for _ in range(200):
-                block_id = rng.randrange(N_BLOCKS)
-                # Every writer writes the canonical content, so any read —
-                # cached or through — must observe exactly that content.
-                pool.write_block(block_id, expected_content(block_id))
-
-        def reader(seed: int):
-            rng = random.Random(seed)
-            while not stop.is_set():
-                block_id = rng.randrange(N_BLOCKS)
-                data = pool.read_block(block_id)
-                if data != expected_content(block_id):
-                    failures.append(f"torn read of block {block_id}")
-                    return
-
-        readers = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
-        writers = [threading.Thread(target=writer, args=(s,)) for s in range(4)]
-        for t in readers + writers:
-            t.start()
-        for t in writers:
-            t.join()
-        stop.set()
-        for t in readers:
-            t.join()
-        assert not failures
-        assert len(pool._cache) <= pool.capacity_blocks
-        # Cached copies equal the device's truth block for block.
-        for block_id, cached in pool._cache.items():
-            assert cached == expected_content(block_id)
-
-    def test_cache_hits_do_not_stall_behind_a_slow_disk_write(self):
-        """Regression: the pool lock must never be held across disk I/O.
-
-        An earlier version of ``write_block`` held the pool lock around
-        the inner device write, so every concurrent cache hit stalled
-        for the full disk write latency.  Here a writer is parked inside
-        a deliberately slow inner write while a reader serves hits from
-        the cache; the reader must finish while the write is still in
-        flight.
-        """
-        write_started = threading.Event()
-        release_write = threading.Event()
-
-        class SlowWriteDevice(InMemoryBlockDevice):
-            def write_block(self, block_id, data, category="data"):
-                write_started.set()
-                assert release_write.wait(timeout=10.0), "test hung"
-                super().write_block(block_id, data, category)
-
-        inner = SlowWriteDevice(BLOCK_SIZE)
-        # Populate through the parent class so the events stay unset.
-        for block_id in range(8):
-            InMemoryBlockDevice.write_block(
-                inner, block_id, expected_content(block_id)
-            )
-        pool = BufferPoolDevice(inner, capacity_blocks=8)
-        for block_id in range(4):
-            pool.read_block(block_id)  # warm the cache
-        hits_before = pool.hits
-
-        writer = threading.Thread(
-            target=pool.write_block, args=(7, expected_content(7))
-        )
-        writer.start()
-        assert write_started.wait(timeout=10.0)
-
-        observed: list[bytes] = []
-        reader = threading.Thread(
-            target=lambda: observed.extend(
-                pool.read_block(block_id) for block_id in range(4)
-            )
-        )
-        reader.start()
-        reader.join(timeout=5.0)
-        stalled = reader.is_alive()
-        # Release the writer before asserting so a failure cannot leak a
-        # parked thread past the test.
-        release_write.set()
-        writer.join(timeout=10.0)
-        if stalled:
-            reader.join(timeout=10.0)
-        assert not stalled, "cache hits stalled behind an in-flight disk write"
-        assert observed == [expected_content(b) for b in range(4)]
-        assert pool.hits == hits_before + 4  # all four served from cache
-        # The write itself landed: disk and cache agree on the new block.
-        assert inner.read_block(7) == expected_content(7)
-        assert pool.read_block(7) == expected_content(7)
-
-    def test_concurrent_clear_is_safe(self):
-        pool = make_pool(capacity=16)
-        failures: list[str] = []
-
-        def reader(seed: int):
-            rng = random.Random(seed)
-            for _ in range(300):
-                block_id = rng.randrange(N_BLOCKS)
-                if pool.read_block(block_id) != expected_content(block_id):
-                    failures.append("torn read")
-                    return
-
-        def clearer():
-            for _ in range(20):
-                pool.clear()
-
-        run_threads([lambda s=s: reader(s) for s in range(4)] + [clearer])
-        assert not failures
-        # After the dust settles the counters still balance.
-        assert pool.hits >= 0 and pool.misses >= 0
+        assert session.misses == N_BLOCKS
+        threads = [threading.Thread(target=reader) for _ in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert torn == []
+        assert session.misses == N_BLOCKS  # everything else was a hit
+        assert session.hits == 6 * N_BLOCKS
+        assert device.stats.total_reads == N_BLOCKS
+        assert device.stats.shared_reads == 6 * N_BLOCKS
