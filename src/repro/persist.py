@@ -8,6 +8,14 @@ tree shape, index configuration), and :func:`load_engine` reconstructs an
 equivalent engine — queries, insertions, and deletions continue exactly
 where they left off.
 
+The disk round trip and :func:`copy_built_engine` (the in-memory copy
+the snapshot maintainer's incremental merges fold writes into) share one
+capture, :func:`_engine_state` / :func:`_sharded_state`, and one restore,
+:func:`_restore_single` / :func:`_restore_sharded`.  A load fills each
+device from its verified file and re-derives the vocabulary from the
+stored documents; a copy fills each device from the source's blocks and
+copies the vocabulary counts, so it never re-analyses the corpus.
+
 Layout of a saved single engine directory::
 
     manifest.json    configuration + directory state + file digests
@@ -61,9 +69,7 @@ without building an engine — the CLI exposes it as ``repro verify``.
 Only version-3 manifests load, and each must carry its ``files``
 digests: a manifest without them is refused as :class:`DatasetError`,
 so no edit of the manifest can switch the checks off.  Devices are
-reloaded into memory by default (matching the
-engine's default backend); the block images are identical either way
-because both backends share one serialization.
+reloaded into memory, the engine's default backend.
 
 Crash testing hooks: :func:`saving_fault_hook` installs a callback
 invoked at every named *fault point* inside a save; pairing it with
@@ -96,6 +102,7 @@ from repro.shard.partitioner import partitioner_from_dict
 from repro.shard.summary import KeywordSummary
 from repro.spatial.geometry import Rect
 from repro.storage.block import BlockDevice, InMemoryBlockDevice
+from repro.text.vocabulary import Vocabulary
 
 #: Manifest format version (bump on incompatible layout changes).
 #: Version 3 carries per-file SHA-256 digests ("files") written by the
@@ -200,6 +207,50 @@ def load_engine(directory: str) -> SpatialKeywordEngine | ShardedEngine:
             f"corrupt engine manifest under {directory}: "
             f"{type(exc).__name__}: {exc}"
         ) from exc
+
+
+def copy_built_engine(engine):
+    """A deep structural copy of a *built* in-memory engine, or ``None``.
+
+    The engine a save/load cycle would produce, restored the same way
+    without touching the filesystem (see the module docstring).  It is
+    restored into a :meth:`clone_empty`, so it shares the source's row
+    and node-image intern maps: its rows and untouched nodes are
+    byte-identical, and its reads return what the source already decoded.
+    A sharded copy keeps the source's serving settings and metrics.
+
+    Returns ``None`` when the engine cannot be copied this way (not yet
+    built, non-memory block devices, an index kind without persistence
+    support); callers fall back to a full rebuild.
+    """
+    if isinstance(engine, ShardedEngine):
+        if not engine.built:
+            return None
+        shards = [copy_built_engine(shard) for shard in engine.shards]
+        if any(shard is None for shard in shards):
+            return None
+        return _restore_sharded(
+            _sharded_state(engine),
+            shards,
+            failure_policy=engine.failure_policy,
+            retries=engine.retries,
+            retry_backoff_s=engine.retry_backoff_s,
+            metrics=engine.metrics,
+        )
+    if not engine.index.built:
+        return None
+    try:
+        state = _engine_state(engine)
+    except DatasetError:
+        return None
+    sources = _device_files(engine)
+    if not all(isinstance(d, InMemoryBlockDevice) for d in sources.values()):
+        return None
+    return _restore_single(
+        engine.clone_empty(), state,
+        lambda name, device: device.copy_from(sources[name]),
+        vocabulary=engine.corpus.vocabulary,
+    )
 
 
 def _read_manifest(directory: str) -> dict:
@@ -308,45 +359,67 @@ def _verify_manifest_files(manifest: dict, directory: str) -> None:
             )
 
 
+def _str_keys(mapping: dict) -> dict:
+    """JSON object keys are strings: encode an int-keyed map for a manifest."""
+    return {str(key): value for key, value in mapping.items()}
+
+
+def _int_keys(mapping: dict) -> dict:
+    """Decode a manifest map back to the int keys the engine uses."""
+    return {int(key): value for key, value in mapping.items()}
+
+
 # ---------------------------------------------------------------------------
 # Single engines
 # ---------------------------------------------------------------------------
 
 
-def _save_single(engine: SpatialKeywordEngine, directory: str) -> str:
-    if not engine.index.built:
-        raise DatasetError("cannot save an engine before build()")
-    os.makedirs(directory, exist_ok=True)
-    files = {
-        _OBJECTS: _dump_device(
-            engine.corpus.device, os.path.join(directory, _OBJECTS)
-        ),
-    }
-    _fault_point("objects-dumped")
+def _child_index_filename(kind: str) -> str:
+    return f"index-{kind}.dat"
+
+
+def _device_files(engine: SpatialKeywordEngine) -> dict[str, BlockDevice]:
+    """Each data file of a single-engine layout and the device it images."""
+    files = {_OBJECTS: engine.corpus.device}
     if isinstance(engine.index, AutoIndex):
         # One device image per candidate child; the adaptive wrapper
         # itself holds no blocks of its own.
         for kind, child in engine.index.children.items():
-            name = _child_index_filename(kind)
-            files[name] = _dump_device(
-                child.device, os.path.join(directory, name)
-            )
+            files[_child_index_filename(kind)] = child.device
     else:
-        files[_INDEX] = _dump_device(
-            engine.index.device, os.path.join(directory, _INDEX)
-        )
+        files[_INDEX] = engine.index.device
+    return files
+
+
+def _engine_state(engine: SpatialKeywordEngine) -> dict:
+    """The capture: a single engine's bookkeeping beside its devices.
+
+    ``pointers`` is the engine's own map; the restore copies it.
+    """
+    store = engine.corpus.store
+    return {
+        "dims": engine.corpus.dims,
+        "pointers": engine._pointers,
+        "store": {"end": store._end, "count": store._count},
+        "index": _index_state(engine.index),
+    }
+
+
+def _save_single(engine: SpatialKeywordEngine, directory: str) -> str:
+    os.makedirs(directory, exist_ok=True)
+    files = {}
+    for name, device in _device_files(engine).items():
+        files[name] = _dump_device(device, os.path.join(directory, name))
+        if name == _OBJECTS:
+            _fault_point("objects-dumped")
     _fault_point("index-dumped")
+    state = _engine_state(engine)
     manifest = {
         "version": MANIFEST_VERSION,
         "block_size": engine.corpus.device.block_size,
         "index_kind": engine.index_kind,
-        "dims": engine.corpus.dims,
-        "pointers": {str(oid): ptr for oid, ptr in engine._pointers.items()},
-        "store": {
-            "end": engine.corpus.store._end,
-            "count": engine.corpus.store._count,
-        },
-        "index": _index_state(engine.index),
+        **state,
+        "pointers": _str_keys(state["pointers"]),
         "files": files,
     }
     path = _write_manifest(directory, manifest)
@@ -356,70 +429,51 @@ def _save_single(engine: SpatialKeywordEngine, directory: str) -> str:
 
 def _load_single(manifest: dict, directory: str) -> SpatialKeywordEngine:
     _verify_manifest_files(manifest, directory)
-    state = manifest["index"]
-    engine = SpatialKeywordEngine(
+    config = manifest["index"]
+    shell = SpatialKeywordEngine(
         index=manifest["index_kind"],
-        signature_bytes=state.get("signature_bytes", 16),
-        bits_per_word=state.get("bits_per_word", 3),
+        signature_bytes=config.get("signature_bytes", 16),
+        bits_per_word=config.get("bits_per_word", 3),
         block_size=manifest["block_size"],
-        seed=state.get("seed", 0),
-        capacity=state.get("capacity"),
-        compression=state.get("compression", "raw"),
-        auto_kinds=state.get("candidates"),
+        seed=config.get("seed", 0),
+        capacity=config.get("capacity"),
+        compression=config.get("compression", "raw"),
+        auto_kinds=config.get("candidates"),
     )
-    # --- Object file + corpus bookkeeping. ---
-    _load_device(
-        engine.corpus.device, os.path.join(directory, _OBJECTS),
-        manifest["block_size"],
+    return _restore_single(
+        shell, dict(manifest, pointers=_int_keys(manifest["pointers"])),
+        lambda name, device: _load_device(device, os.path.join(directory, name)),
     )
-    store = engine.corpus.store
-    store._end = manifest["store"]["end"]
-    store._count = manifest["store"]["count"]
-    store._pointers = {
-        int(oid): ptr for oid, ptr in manifest["pointers"].items()
-    }
-    engine._pointers = dict(store._pointers)
-    engine.corpus._dims = manifest["dims"]
-    # Vocabulary statistics are a pure function of the stored documents.
-    for _, obj in store.iter_objects():
-        engine.corpus.vocabulary.add_document(engine.corpus.analyzer.terms(obj.text))
-    # --- Index structure. ---
-    if isinstance(engine.index, AutoIndex):
-        for kind, child in engine.index.children.items():
-            _load_index_structure(
-                child, state["children"][kind], directory,
-                _child_index_filename(kind), manifest["block_size"],
-            )
-        engine.index.stats.rebuild()
-        engine.index.built = True
-    else:
-        _load_index_structure(
-            engine.index, state, directory, _INDEX, manifest["block_size"]
-        )
-    return engine
 
 
-def _child_index_filename(kind: str) -> str:
-    return f"index-{kind}.dat"
+def _restore_single(
+    shell: SpatialKeywordEngine,
+    state: dict,
+    fill: Callable[[str, InMemoryBlockDevice], None],
+    vocabulary: Vocabulary | None = None,
+) -> SpatialKeywordEngine:
+    """The restore: put an :func:`_engine_state` capture into ``shell``.
 
-
-def _load_index_structure(
-    index, state: dict, directory: str, filename: str, block_size: int
-) -> None:
-    """Reload one concrete index: device image + in-memory bookkeeping.
-
-    For tree indexes the tree object must exist *before* the device
-    image is loaded: constructing it writes a bootstrap root, which the
-    wholesale device reload then replaces with the saved blocks.
+    ``shell`` is an empty engine of the captured configuration, and
+    ``fill(name, device)`` gives ``device`` the blocks of layout file
+    ``name``.  ``vocabulary=None`` re-derives the vocabulary statistics
+    from the restored documents; otherwise its counts are copied.
     """
-    if not isinstance(index, (IIOIndex, SignatureFileIndex)):
-        if isinstance(index, MIR2Index):
-            index.level_lengths = [int(v) for v in state["level_lengths"]]
-        index.capacity = state["capacity"]
-        index.tree = index._make_tree()
-    _load_device(index.device, os.path.join(directory, filename), block_size)
-    _restore_index_state(index, state)
-    index.built = True
+    corpus = shell.corpus
+    fill(_OBJECTS, corpus.device)
+    store = corpus.store
+    store._end = state["store"]["end"]
+    store._count = state["store"]["count"]
+    store._pointers = dict(state["pointers"])
+    shell._pointers = dict(state["pointers"])
+    corpus._dims = state["dims"]
+    if vocabulary is not None:
+        corpus.vocabulary = vocabulary.copy()
+    else:
+        for _, obj in store.iter_objects():
+            corpus.vocabulary.add_document(corpus.analyzer.terms(obj.text))
+    _restore_index(shell.index, state["index"], fill, _INDEX)
+    return shell
 
 
 # ---------------------------------------------------------------------------
@@ -431,8 +485,20 @@ def _shard_dirname(shard_id: int) -> str:
     return f"shard-{shard_id:03d}"
 
 
+def _sharded_state(engine: ShardedEngine) -> dict:
+    """The capture of a sharded engine's routing table (shards apart)."""
+    return {
+        "partitioner": engine.partitioner.to_dict(),
+        "shard_of": {o: s for o, s in engine._shard_of.items() if s >= 0},
+        "mbbs": list(engine.shard_mbbs),
+        "summaries": [
+            summary.copy() if summary is not None else None
+            for summary in engine.summaries
+        ],
+    }
+
+
 def _save_sharded(engine: ShardedEngine, directory: str) -> str:
-    engine.require_built()
     os.makedirs(directory, exist_ok=True)
     shard_dirs = []
     files = {}
@@ -442,27 +508,24 @@ def _save_sharded(engine: ShardedEngine, directory: str) -> str:
         files[f"{name}/{_MANIFEST}"] = _file_digest(shard_manifest)
         shard_dirs.append(name)
         _fault_point(f"shard-{shard_id}-saved")
+    state = _sharded_state(engine)
     manifest = {
         "version": MANIFEST_VERSION,
         "sharded": True,
         "index_kind": engine.index_kind,
         "n_shards": engine.n_shards,
-        "partitioner": engine.partitioner.to_dict(),
-        "shard_of": {
-            str(oid): shard_id
-            for oid, shard_id in engine._shard_of.items()
-            if shard_id >= 0
-        },
+        "partitioner": state["partitioner"],
+        "shard_of": _str_keys(state["shard_of"]),
         "mbbs": [
             list(mbb.to_coords()) if mbb is not None else None
-            for mbb in engine.shard_mbbs
+            for mbb in state["mbbs"]
         ],
         "shards": shard_dirs,
         # Routing-table keyword summaries (added after manifest v3 shipped;
         # optional, so older manifests — and older readers — stay valid).
         "summaries": [
             summary.to_dict() if summary is not None else None
-            for summary in engine.summaries
+            for summary in state["summaries"]
         ],
         "files": files,
     }
@@ -482,25 +545,38 @@ def _load_sharded(manifest: dict, directory: str) -> ShardedEngine:
         shards.append(_load_single(shard_manifest, shard_dir))
     # Manifests written before keyword routing carry no "summaries" field;
     # from_parts(summaries=None) rebuilds them from the loaded corpora.
-    summaries = None
-    if manifest.get("summaries") is not None:
-        summaries = [
-            KeywordSummary.from_dict(state) if state is not None else None
-            for state in manifest["summaries"]
-        ]
-    return ShardedEngine.from_parts(
-        shards=shards,
-        partitioner=partitioner_from_dict(manifest["partitioner"]),
-        shard_of={
-            int(oid): shard_id
-            for oid, shard_id in manifest["shard_of"].items()
-        },
-        mbbs=[
+    summaries = manifest.get("summaries")
+    state = {
+        "partitioner": manifest["partitioner"],
+        "shard_of": _int_keys(manifest["shard_of"]),
+        "mbbs": [
             Rect.from_coords(coords) if coords is not None else None
             for coords in manifest["mbbs"]
         ],
-        summaries=summaries,
+        "summaries": None if summaries is None else [
+            KeywordSummary.from_dict(summary) if summary is not None else None
+            for summary in summaries
+        ],
+    }
+    return _restore_sharded(state, shards)
+
+
+def _restore_sharded(state, shards, metrics=None, **settings) -> ShardedEngine:
+    """The restore: reassemble shards under a :func:`_sharded_state`.
+
+    ``settings`` are :meth:`ShardedEngine.from_parts`'s serving options,
+    which a load leaves at their defaults.
+    """
+    engine = ShardedEngine.from_parts(
+        shards=shards,
+        partitioner=partitioner_from_dict(state["partitioner"]),
+        shard_of=state["shard_of"],
+        mbbs=state["mbbs"],
+        summaries=state["summaries"],
+        **settings,
     )
+    engine.metrics = metrics
+    return engine
 
 
 # ---------------------------------------------------------------------------
@@ -620,117 +696,15 @@ def _dump_device(device: BlockDevice, path: str) -> dict:
     return {"sha256": digest.hexdigest(), "bytes": size}
 
 
-def copy_built_engine(engine):
-    """A deep structural copy of a *built* in-memory engine, or ``None``.
-
-    The snapshot maintainer's incremental merges fold a small write
-    buffer into a copy of the serving base instead of rebuilding it from
-    scratch.  The copy reuses the same state the disk round-trip
-    serializes — device block images plus the per-structure bookkeeping
-    of :func:`_index_state` — so it is exactly the engine a save/load
-    cycle would produce, without touching the filesystem and without
-    re-deriving the vocabulary.  Through :meth:`clone_empty` the copy
-    also shares the source's row and node-image intern maps: its rows
-    and untouched nodes are byte-identical, so its reads return what the
-    source already decoded.
-
-    Returns ``None`` when the engine cannot be copied this way (not yet
-    built, non-memory block devices, an index kind without persistence
-    support); callers fall back to a full rebuild.
-    """
-    if isinstance(engine, ShardedEngine):
-        if not engine.built:
-            return None
-        shards = []
-        for shard in engine.shards:
-            duplicate = copy_built_engine(shard)
-            if duplicate is None:
-                return None
-            shards.append(duplicate)
-        clone = ShardedEngine.from_parts(
-            shards=shards,
-            partitioner=partitioner_from_dict(engine.partitioner.to_dict()),
-            shard_of={
-                oid: shard_id
-                for oid, shard_id in engine._shard_of.items()
-                if shard_id >= 0
-            },
-            mbbs=list(engine.shard_mbbs),
-            failure_policy=engine.failure_policy,
-            retries=engine.retries,
-            retry_backoff_s=engine.retry_backoff_s,
-            summaries=[
-                summary.copy() if summary is not None else None
-                for summary in engine.summaries
-            ],
-        )
-        clone.metrics = engine.metrics
-        return clone
-    if not engine.index.built:
-        return None
-    try:
-        state = _index_state(engine.index)
-    except DatasetError:
-        return None
-    clone = engine.clone_empty()
-    if not _copy_device_blocks(engine.corpus.device, clone.corpus.device):
-        return None
-    src_store, dst_store = engine.corpus.store, clone.corpus.store
-    dst_store._end = src_store._end
-    dst_store._count = src_store._count
-    dst_store._pointers = dict(src_store._pointers)
-    clone._pointers = dict(engine._pointers)
-    clone.corpus._dims = engine.corpus._dims
-    src_vocab, dst_vocab = engine.corpus.vocabulary, clone.corpus.vocabulary
-    dst_vocab._df = dict(src_vocab._df)
-    dst_vocab.document_count = src_vocab.document_count
-    dst_vocab._distinct_terms_total = src_vocab._distinct_terms_total
-    if isinstance(engine.index, AutoIndex):
-        for kind, child in engine.index.children.items():
-            target = clone.index.children[kind]
-            if not _copy_index_structure(child, state["children"][kind], target):
-                return None
-        clone.index.stats.rebuild()
-        clone.index.built = True
-    else:
-        if not _copy_index_structure(engine.index, state, clone.index):
-            return None
-    return clone
-
-
-def _copy_index_structure(src_index, state: dict, dst_index) -> bool:
-    """In-memory twin of :func:`_load_index_structure`."""
-    if not isinstance(dst_index, (IIOIndex, SignatureFileIndex)):
-        if isinstance(dst_index, MIR2Index):
-            dst_index.level_lengths = [int(v) for v in state["level_lengths"]]
-        dst_index.capacity = state["capacity"]
-        # The fresh tree writes a bootstrap root; the wholesale block
-        # copy below replaces it with the source image.
-        dst_index.tree = dst_index._make_tree()
-    if not _copy_device_blocks(src_index.device, dst_index.device):
-        return False
-    _restore_index_state(dst_index, state)
-    dst_index.built = True
-    return True
-
-
-def _copy_device_blocks(src, dst) -> bool:
-    if not isinstance(src, InMemoryBlockDevice) or not isinstance(
-        dst, InMemoryBlockDevice
-    ):
-        return False
-    dst.copy_from(src)
-    return True
-
-
-def _load_device(device: InMemoryBlockDevice, path: str, block_size: int) -> None:
+def _load_device(device: InMemoryBlockDevice, path: str) -> None:
     if not os.path.exists(path):
         raise PersistError(f"missing engine file {path}")
     with open(path, "rb") as handle:
         data = handle.read()
-    if len(data) % block_size:
+    if len(data) % device.block_size:
         raise DatasetError(
-            f"{path}: size {len(data)} is not a multiple of block size {block_size}"
+            f"{path}: size {len(data)} is not a multiple of block size "
+            f"{device.block_size}"
         )
     device.load_bytes(data)
 
@@ -765,7 +739,7 @@ def _index_state(index) -> dict:
             "bits_per_word": sigfile.factory.bits_per_word,
             "seed": sigfile.factory.seed,
             "count": sigfile._count,
-            "slots": {str(p): slot for p, slot in sigfile._slot_by_pointer.items()},
+            "slots": _str_keys(sigfile._slot_by_pointer),
         }
     if isinstance(index, IIOIndex):
         inner = index.index
@@ -809,33 +783,58 @@ def _index_state(index) -> dict:
     return state
 
 
-def _restore_index_state(index, state: dict) -> None:
-    """Put back the in-memory bookkeeping over an already-loaded device."""
-    if isinstance(index, SignatureFileIndex):
+def _restore_index(
+    index,
+    state: dict,
+    fill: Callable[[str, InMemoryBlockDevice], None],
+    filename: str,
+) -> None:
+    """Fill an index's device from ``filename`` and put back its bookkeeping.
+
+    A tree index gets a fresh tree *before* the fill: constructing it
+    writes a bootstrap root, which the filled image then replaces.  An
+    adaptive index restores each candidate child from its own file and
+    rebuilds its planner statistics from the already restored corpus.
+    """
+    if isinstance(index, AutoIndex):
+        for kind, child in index.children.items():
+            _restore_index(
+                child, state["children"][kind], fill,
+                _child_index_filename(kind),
+            )
+        index.stats.rebuild()
+    elif isinstance(index, SignatureFileIndex):
+        fill(filename, index.device)
         sigfile = index.sigfile
         sigfile._count = state["count"]
-        sigfile._slot_by_pointer = {
-            int(p): slot for p, slot in state["slots"].items()
-        }
-        return
-    if isinstance(index, IIOIndex):
+        sigfile._slot_by_pointer = _int_keys(state["slots"])
+    elif isinstance(index, IIOIndex):
+        fill(filename, index.device)
         inner = index.index
         inner._lexicon = {
             term: tuple(entry) for term, entry in state["lexicon"].items()
         }
         inner._end = state["end"]
         inner._live_bytes = state["live_bytes"]
-        return
-    pages = index.pages
-    pages._directory = {
-        int(node_id): tuple(extent)
-        for node_id, extent in state["directory"].items()
-    }
-    pages._next_id = state["next_node_id"]
-    pages._allocator._tail = state["allocator_tail"]
-    pages._allocator._free = [tuple(extent) for extent in state["free_extents"]]
-    tree = index.tree
-    tree.root_id = state["root_id"]
-    tree.height = state["height"]
-    tree.size = state["size"]
-    tree.bulk_loaded = state["bulk_loaded"]
+    else:
+        if isinstance(index, MIR2Index):
+            index.level_lengths = [int(v) for v in state["level_lengths"]]
+        index.capacity = state["capacity"]
+        index.tree = index._make_tree()
+        fill(filename, index.device)
+        pages = index.pages
+        pages._directory = {
+            int(node_id): tuple(extent)
+            for node_id, extent in state["directory"].items()
+        }
+        pages._next_id = state["next_node_id"]
+        pages._allocator._tail = state["allocator_tail"]
+        pages._allocator._free = [
+            tuple(extent) for extent in state["free_extents"]
+        ]
+        tree = index.tree
+        tree.root_id = state["root_id"]
+        tree.height = state["height"]
+        tree.size = state["size"]
+        tree.bulk_loaded = state["bulk_loaded"]
+    index.built = True

@@ -168,7 +168,7 @@ class ShardedEngine:
         retry_backoff_s: float = 0.005,
         summaries: Sequence[KeywordSummary | None] | None = None,
     ) -> "ShardedEngine":
-        """Reassemble a built sharded engine (the persistence load path).
+        """Reassemble a built sharded engine (a load's or a copy's restore).
 
         ``summaries`` restores persisted keyword summaries; when ``None``
         (e.g. a manifest written before summaries existed) they are
@@ -286,9 +286,9 @@ class ShardedEngine:
         clone (restaging every live object, refitting the partitioner)
         and swap it in, leaving this engine untouched for in-flight
         readers.  Each new shard keeps the object-row and node-image
-        intern maps of the shard it replaces.  Engines reassembled by :meth:`from_parts` (the
-        persistence load path) derive per-shard construction kwargs from
-        their first shard's stored config.
+        intern maps of the shard it replaces.  Engines reassembled by
+        :meth:`from_parts` (a load or a copy) derive per-shard
+        construction kwargs from their first shard's stored config.
         """
         kwargs = dict(self._engine_kwargs)
         if not kwargs and self.shards:

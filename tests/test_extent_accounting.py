@@ -11,7 +11,9 @@ through interleaved single-block and extent reads, with and without a
 pre-seeded, unbounded or bounded shared-read session and nested
 collectors, under a trace; every counter, the head, the collector deltas,
 the session's hits and misses and the traced block events must match the
-model.
+model.  Each scenario also re-reads the first blocks of one device,
+enough times that a bounded session's least-recent order decides its
+evictions.
 """
 
 from __future__ import annotations
@@ -105,6 +107,7 @@ def add_deltas(total: dict, part: dict) -> None:
 def scenarios(draw):
     sizes = draw(st.lists(st.integers(1, 12), min_size=1, max_size=3))
     block_size = draw(st.sampled_from([8, 16, 64]))
+    hows = st.sampled_from(["block", "extent", "block_count"])
     reads = draw(
         st.lists(
             st.tuples(
@@ -112,13 +115,24 @@ def scenarios(draw):
                 st.integers(-2, 13),  # start
                 st.integers(1, 6),  # count
                 st.sampled_from(CATEGORIES),
-                st.sampled_from(["block", "extent", "block_count"]),
+                hows,
             ),
             max_size=30,
         )
     )
     use_session = draw(st.booleans())
     capacity = draw(st.one_of(st.none(), st.integers(1, 6))) if use_session else None
+    # Splice in single-block re-reads of one more block of the first
+    # device than a bounded session keeps, three per block at least, so
+    # that a hit's recency decides which block a later miss evicts.
+    hot = min(sizes[0], capacity + 1 if capacity else 4)
+    reread = st.tuples(
+        st.just(0), st.integers(0, hot - 1), st.just(1), st.sampled_from(CATEGORIES), hows
+    )
+    at = draw(st.integers(0, len(reads)))
+    reads[at:at] = draw(
+        st.lists(reread, min_size=3 * hot if capacity else 0, max_size=30)
+    )
     seeded = [
         draw(st.sets(st.integers(0, size - 1), max_size=size)) if use_session else set()
         for size in sizes
