@@ -56,7 +56,7 @@ def _build(corpus, items, bulk: bool):
         bulk_load(tree, items)
     else:
         insert_build(tree, items)
-    build_writes = device.stats.total_writes
+    build_writes = device.stats.snapshot().total_writes
     device.stats.reset()
     corpus.device.stats.reset()
     return tree, device, build_writes
@@ -74,7 +74,7 @@ def comparison():
         answers = []
         for query in queries:
             answers.append([r.oid for r in ir2_top_k(tree, corpus.store, corpus.analyzer, query).results])
-        reads = device.stats.total_reads + corpus.device.stats.total_reads
+        reads = device.stats.snapshot().total_reads + corpus.device.stats.snapshot().total_reads
         rows.append(
             (
                 label,

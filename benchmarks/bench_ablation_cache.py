@@ -57,7 +57,7 @@ def comparison():
         queries = workload.queries(N_QUERIES, 2, 10)
         with activate_session(_session(pool)):
             answers = [index.execute(q).oids for q in queries]
-        stats = index.device.stats
+        stats = index.device.stats.snapshot()
         disk_reads = stats.total_reads
         hit_rate = stats.shared_reads / (disk_reads + stats.shared_reads)
         rows.append((pool, round(disk_reads / N_QUERIES, 1), round(hit_rate, 3)))

@@ -59,8 +59,8 @@ def comparison(restaurants):
         for query in queries:
             execution = index.execute(query)
             answers.append(execution.oids)
-            random_reads += execution.io.random.total
-            sequential_reads += execution.io.sequential.total
+            random_reads += execution.io.random_accesses
+            sequential_reads += execution.io.sequential_accesses
             objects += execution.objects_inspected
             sim_ms += execution.simulated_ms()
             # (objects accumulated again below per label)

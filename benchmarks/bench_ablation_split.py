@@ -71,7 +71,7 @@ def comparison():
         for query in queries:
             outcome = ir2_top_k(tree, corpus.store, corpus.analyzer, query)
             answers.append([r.oid for r in outcome.results])
-        node_reads = device.stats.total_reads
+        node_reads = device.stats.snapshot().total_reads
         rows.append(
             (
                 strategy.name,

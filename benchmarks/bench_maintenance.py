@@ -64,25 +64,25 @@ def costs():
         before_obj = corpus.device.stats.snapshot()
         for pointer, obj in zip(extra_ptrs, extra):
             index.insert_object(pointer, obj)
-        insert_io = index.device.stats.diff(before).merged_with(
-            corpus.device.stats.diff(before_obj)
+        insert_io = index.device.stats.snapshot().diff(before).merged_with(
+            corpus.device.stats.snapshot().diff(before_obj)
         )
 
         before = index.device.stats.snapshot()
         before_obj = corpus.device.stats.snapshot()
         for pointer, obj in zip(extra_ptrs, extra):
             index.delete_object(pointer, obj)
-        delete_io = index.device.stats.diff(before).merged_with(
-            corpus.device.stats.diff(before_obj)
+        delete_io = index.device.stats.snapshot().diff(before).merged_with(
+            corpus.device.stats.snapshot().diff(before_obj)
         )
 
         rows.append(
             (
                 index.label,
                 round(insert_io.total_accesses / N_OPS, 1),
-                round(insert_io.random.total / N_OPS, 1),
+                round(insert_io.random_accesses / N_OPS, 1),
                 round(delete_io.total_accesses / N_OPS, 1),
-                round(delete_io.random.total / N_OPS, 1),
+                round(delete_io.random_accesses / N_OPS, 1),
             )
         )
         results[index.label] = (insert_io, delete_io)

@@ -57,8 +57,8 @@ def main() -> None:
             index.insert_object(pointer, obj)
         for pointer, obj in stream:
             index.delete_object(pointer, obj)
-        tree_io = index.device.stats.diff(before_tree)
-        object_io = corpus.device.stats.diff(before_objects)
+        tree_io = index.device.stats.snapshot().diff(before_tree)
+        object_io = corpus.device.stats.snapshot().diff(before_objects)
 
         ops = 2 * len(stream)
         print(f"{index.label}: {ops} updates")
@@ -73,8 +73,8 @@ def main() -> None:
         keywords = sorted(corpus.analyzer.terms(anchor.text))[:2]
         query = SpatialKeywordQuery.of((0.0, 0.0), keywords, 10)
         execution = index.execute(query)
-        print(f"  query {keywords!r}: {execution.io.random.total} random + "
-              f"{execution.io.sequential.total} sequential accesses, "
+        print(f"  query {keywords!r}: {execution.io.random_accesses} random + "
+              f"{execution.io.sequential_accesses} sequential accesses, "
               f"{execution.objects_inspected} objects inspected\n")
 
     print("the MIR2-Tree pays object re-reads on every update; "

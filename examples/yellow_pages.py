@@ -78,8 +78,8 @@ def main() -> None:
             print("\n  (* rough degrees-to-km conversion for display)\n")
         else:
             assert execution.oids == reference, "all algorithms must agree"
-        print(f"  {index.label:>5}: {execution.io.random.total:5d} random + "
-              f"{execution.io.sequential.total:5d} sequential block accesses, "
+        print(f"  {index.label:>5}: {execution.io.random_accesses:5d} random + "
+              f"{execution.io.sequential_accesses:5d} sequential block accesses, "
               f"{execution.objects_inspected:5d} objects inspected, "
               f"{execution.simulated_ms():9.1f} ms simulated disk time")
 

@@ -140,8 +140,8 @@ class ExperimentContext:
         for query in queries:
             execution = index.execute(query)
             row.simulated_ms += execution.simulated_ms(DEFAULT_DRIVE)
-            row.random_accesses += execution.io.random.total
-            row.sequential_accesses += execution.io.sequential.total
+            row.random_accesses += execution.io.random_accesses
+            row.sequential_accesses += execution.io.sequential_accesses
             row.object_accesses += execution.objects_inspected
             row.results_returned += len(execution.results)
             row.false_positives += execution.false_positive_candidates

@@ -36,8 +36,6 @@ from repro.core.search import (
     brute_force_top_k,
     ir2_top_k,
     ir2_top_k_iter,
-    rtree_top_k,
-    rtree_top_k_iter,
 )
 from repro.core.search_general import brute_force_ranked, ranked_top_k, ranked_top_k_iter
 
@@ -77,8 +75,6 @@ __all__ = [
     "ranked_top_k",
     "ranked_top_k_iter",
     "estimated_false_positive_rates",
-    "rtree_top_k",
-    "rtree_top_k_iter",
     "signature_saturation",
     "validate_monotonicity",
 ]

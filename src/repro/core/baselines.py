@@ -1,8 +1,9 @@
 """The IIO (Inverted Index Only) baseline, paper Section V.A / Figure 7.
 
-The other baseline — the plain R-Tree fetch-and-filter algorithm — lives
-in :mod:`repro.core.search` (:func:`~repro.core.search.rtree_top_k`)
-because it shares the incremental-NN machinery with ``IR2TopK``.
+The other baseline — the plain R-Tree fetch-and-filter algorithm — is
+:func:`~repro.core.search.ir2_top_k` itself run on a plain R-Tree, whose
+``query_mask`` is ``None``, so the incremental-NN traversal prunes no
+entry.
 
 ``IIOTopK`` intersects the inverted lists of every query keyword, loads
 every object in the intersection, computes its distance, sorts, and

@@ -41,7 +41,7 @@ from repro.errors import IndexError_, QueryError
 from repro.model import SearchResult, SpatialObject
 from repro.spatial.geometry import Rect
 from repro.storage.block import DEFAULT_BLOCK_SIZE
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOCounts
 from repro.text.analyzer import Analyzer
 
 
@@ -318,7 +318,6 @@ class SpatialKeywordEngine:
         keywords: Sequence[str],
         k: int = 10,
         ranking: RankingCallable | None = None,
-        prune_zero_ir: bool = True,
     ) -> QueryExecution:
         """General top-k query ranked by ``f(distance, IRscore)``.
 
@@ -327,12 +326,11 @@ class SpatialKeywordEngine:
         query (a default :class:`DistanceDecayRanking` when omitted).
         """
         query = SpatialKeywordQuery.of(point, keywords, k, ranking=ranking)
-        return self._search_ranked(query, prune_zero_ir=prune_zero_ir)
+        return self._search_ranked(query)
 
     def _search_ranked(
         self,
         query: SpatialKeywordQuery,
-        prune_zero_ir: bool = True,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
@@ -347,10 +345,7 @@ class SpatialKeywordEngine:
         )
         if ranking is not query.ranking:
             query = query.with_ranking(ranking)
-        return execute_ranked(
-            query, ranking, prune_zero_ir=prune_zero_ir, vocabulary=vocabulary,
-            exclude=exclude,
-        )
+        return execute_ranked(query, ranking, vocabulary=vocabulary, exclude=exclude)
 
     # -- Serving ----------------------------------------------------------------
 
@@ -393,15 +388,15 @@ class SpatialKeywordEngine:
         """Index structure footprint in megabytes (Table 2)."""
         return self.index.size_mb
 
-    def io_stats(self) -> IOStats:
-        """Merged running I/O counters of the index and object devices.
+    def io_stats(self) -> IOCounts:
+        """The index and object devices' running I/O counters, merged.
 
         Uses the index's own device list so multi-structure kinds (the
         "auto" planner index) report every candidate's device.
         """
-        io = IOStats()
+        io = IOCounts()
         for device in self.index._devices():
-            io = io.merged_with(device.stats)
+            io = io.merged_with(device.stats.snapshot())
         return io
 
     def reset_io(self) -> None:

@@ -25,8 +25,6 @@ from repro.core.search import (
     SearchOutcome,
     ir2_top_k,
     ir2_top_k_iter,
-    rtree_top_k,
-    rtree_top_k_iter,
 )
 from repro.core.search_general import ranked_top_k
 from repro.errors import IndexError_, QueryError
@@ -169,8 +167,9 @@ class SpatialKeywordIndex:
         reconcile one-to-one with the execution's I/O delta.
         """
         with qtrace.start_span("search", category="engine", algorithm=algorithm) as span:
-            with collecting_io() as io:
+            with collecting_io() as collector:
                 outcome = runner()
+            io = collector.snapshot()
             if span is not None:
                 span.annotate(
                     random_reads=io.random_reads,
@@ -184,7 +183,7 @@ class SpatialKeywordIndex:
         return QueryExecution(
             query=query,
             results=outcome.results,
-            io=io.counts(),
+            io=io,
             objects_inspected=outcome.counters.objects_inspected,
             false_positive_candidates=outcome.counters.false_positives,
             nodes_visited=io.category_reads("node"),
@@ -268,6 +267,14 @@ class _TreeIndex(SpatialKeywordIndex):
             counters=counters,
         )
 
+    def _run(
+        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+    ) -> SearchOutcome:
+        return ir2_top_k(
+            self.tree, self.corpus.store, self.corpus.analyzer, query,
+            exclude=exclude,
+        )
+
     def _make_tree(self) -> RTree:
         raise NotImplementedError
 
@@ -297,14 +304,6 @@ class _TreeIndex(SpatialKeywordIndex):
 class _RankedTreeIndex(_TreeIndex):
     """Signature-bearing trees additionally support ranked queries (§V.C)."""
 
-    def _run(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
-    ) -> SearchOutcome:
-        return ir2_top_k(
-            self.tree, self.corpus.store, self.corpus.analyzer, query,
-            exclude=exclude,
-        )
-
     def estimate_cost(
         self, query: SpatialKeywordQuery, stats: PlannerStatistics
     ) -> CostEstimate | None:
@@ -315,7 +314,6 @@ class _RankedTreeIndex(_TreeIndex):
         self,
         query: SpatialKeywordQuery,
         ranking: RankingCallable,
-        prune_zero_ir: bool = True,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
@@ -327,7 +325,6 @@ class _RankedTreeIndex(_TreeIndex):
         Args:
             query: the top-k query.
             ranking: combined ranking function ``f(distance, ir_score)``.
-            prune_zero_ir: drop candidates with zero IR score.
             vocabulary: idf statistics to score against; defaults to this
                 corpus's own.  A sharded engine passes the merged global
                 vocabulary so every shard scores with corpus-wide idf.
@@ -343,7 +340,6 @@ class _RankedTreeIndex(_TreeIndex):
                 vocabulary if vocabulary is not None else self.corpus.vocabulary,
                 query,
                 ranking,
-                prune_zero_ir=prune_zero_ir,
                 exclude=exclude,
             ),
             f"{self.label}-RANKED",
@@ -361,25 +357,6 @@ class RTreeIndex(_TreeIndex):
             dims=self.corpus.dims,
             capacity=self.capacity,
             node_intern=self.corpus.node_intern,
-        )
-
-    def _run(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
-    ) -> SearchOutcome:
-        return rtree_top_k(
-            self.tree, self.corpus.store, self.corpus.analyzer, query,
-            exclude=exclude,
-        )
-
-    def result_stream(
-        self,
-        query: SpatialKeywordQuery,
-        counters: SearchCounters | None = None,
-    ) -> Iterator[SearchResult]:
-        self.require_built()
-        return rtree_top_k_iter(
-            self.tree, self.corpus.store, self.corpus.analyzer, query,
-            counters=counters,
         )
 
 
@@ -827,7 +804,6 @@ class AutoIndex(SpatialKeywordIndex):
         self,
         query: SpatialKeywordQuery,
         ranking: RankingCallable,
-        prune_zero_ir: bool = True,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
@@ -837,8 +813,7 @@ class AutoIndex(SpatialKeywordIndex):
         decision = self._plan(planned)
         child = self.children[decision.strategy]
         execution = child.execute_ranked(
-            query, ranking, prune_zero_ir=prune_zero_ir, vocabulary=vocabulary,
-            exclude=exclude,
+            query, ranking, vocabulary=vocabulary, exclude=exclude
         )
         return self._finalize(decision, execution)
 

@@ -20,7 +20,7 @@ from typing import Callable
 from repro.errors import QueryError
 from repro.model import SearchResult
 from repro.spatial.geometry import Rect
-from repro.storage.iostats import IOCounts, IOStats
+from repro.storage.iostats import IOCounts
 from repro.storage.timing import DEFAULT_DRIVE, DriveModel
 
 
@@ -109,9 +109,7 @@ class QueryExecution:
         query: the executed query.
         results: ranked answers (length <= ``query.k``).
         io: merged I/O delta across every device the algorithm touched,
-            as a frozen :class:`~repro.storage.iostats.IOCounts` (an
-            :class:`~repro.storage.iostats.IOStats` passed in is frozen
-            into one).
+            as a frozen :class:`~repro.storage.iostats.IOCounts`.
         objects_inspected: objects loaded from the object file
             (Figures 11b / 14b report this as "object accesses").
         false_positive_candidates: loaded objects that failed the keyword
@@ -155,10 +153,6 @@ class QueryExecution:
     failed_shards: list[int] | None = None
     plan: dict | None = None
     engine_version: int | None = None
-
-    def __post_init__(self) -> None:
-        if isinstance(self.io, IOStats):
-            self.io = self.io.counts()
 
     def simulated_ms(self, drive: DriveModel = DEFAULT_DRIVE) -> float:
         """Simulated execution time under the given drive model."""
@@ -236,7 +230,7 @@ class QueryExecution:
         """Compact human-readable cost line for logs and examples."""
         line = (
             f"{self.algorithm or 'query'}: {len(self.results)} results, "
-            f"{self.io.random.total} random + {self.io.sequential.total} "
+            f"{self.io.random_accesses} random + {self.io.sequential_accesses} "
             f"sequential block accesses, {self.objects_inspected} objects "
             f"inspected, {self.simulated_ms():.2f} ms simulated"
         )

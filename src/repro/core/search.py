@@ -1,4 +1,4 @@
-"""Distance-first top-k spatial keyword search (paper Section V.B).
+"""Distance-first top-k spatial keyword search (paper Sections V.A, V.B).
 
 :func:`ir2_top_k` is the paper's ``IR2TopK`` (Figure 8): the incremental
 NN traversal with the query-signature test applied to every entry, plus
@@ -7,6 +7,10 @@ in Q.t").  It works unchanged on IR2- and MIR2-Trees — the only
 difference is the tree's :meth:`query_mask` (one query signature for
 every level, or one per level), exactly as the paper notes ("these last
 two algorithms can also operate on MIR2-Trees with no modification").
+On a plain R-Tree, whose ``query_mask`` is ``None``, the same traversal
+prunes nothing and is the R-Tree baseline of Section V.A: "it has to
+retrieve every object returned by the NN algorithm until the top-k
+result objects are found".
 
 An incremental generator variant is exposed for callers who want to pull
 results lazily (e.g. pagination), plus counters for the cost metrics the
@@ -59,11 +63,12 @@ def ir2_top_k_iter(
     counters: SearchCounters | None = None,
     trace: NNTrace | None = None,
 ) -> Iterator[SearchResult]:
-    """Incrementally yield distance-first results from an IR2/MIR2-Tree.
+    """Incrementally yield distance-first results from an R-Tree-family tree.
 
-    Each candidate produced by the signature-filtered NN traversal is
-    loaded and verified against the actual keywords; false positives are
-    discarded (and counted) without being yielded.
+    Each candidate produced by the signature-filtered NN traversal (every
+    neighbor, on a plain R-Tree) is loaded and verified against the
+    actual keywords; false positives are discarded (and counted) without
+    being yielded.
     """
     terms = analyzer.query_terms(query.keywords)
     for obj_ptr, distance in incremental_nearest(
@@ -134,54 +139,6 @@ def ir2_top_k(
     outcome = SearchOutcome()
     iterator = ir2_top_k_iter(
         tree, store, analyzer, query, counters=outcome.counters, trace=trace
-    )
-    with qtrace.start_span("traverse", category="phase"):
-        outcome.results = drain_top_k(iterator, query.k, exclude)
-    return outcome
-
-
-def rtree_top_k_iter(
-    tree: RTree,
-    store: ObjectStore,
-    analyzer: Analyzer,
-    query: SpatialKeywordQuery,
-    counters: SearchCounters | None = None,
-) -> Iterator[SearchResult]:
-    """The R-Tree baseline (Section V.A), incremental form.
-
-    Plain incremental NN with *no* signature pruning: every neighbor is
-    retrieved and its text inspected, which is precisely the baseline's
-    weakness — "it has to retrieve every object returned by the NN
-    algorithm until the top-k result objects are found".
-    """
-    terms = analyzer.query_terms(query.keywords)
-    for obj_ptr, distance in incremental_nearest(tree, query.target):
-        obj = store.load(obj_ptr)
-        if counters is not None:
-            counters.objects_inspected += 1
-        ok = analyzer.contains_all(obj.text, terms)
-        span = qtrace.current_span()
-        if span is not None:
-            span.event(
-                qtrace.EVT_OBJECT_VERIFY, oid=obj.oid, false_positive=not ok
-            )
-        if ok:
-            yield SearchResult(obj, distance, score=-distance)
-        elif counters is not None:
-            counters.false_positives += 1
-
-
-def rtree_top_k(
-    tree: RTree,
-    store: ObjectStore,
-    analyzer: Analyzer,
-    query: SpatialKeywordQuery,
-    exclude: frozenset[int] = frozenset(),
-) -> SearchOutcome:
-    """R-Tree baseline: top ``Q.k`` answers via fetch-and-filter NN."""
-    outcome = SearchOutcome()
-    iterator = rtree_top_k_iter(
-        tree, store, analyzer, query, counters=outcome.counters
     )
     with qtrace.start_span("traverse", category="phase"):
         outcome.results = drain_top_k(iterator, query.k, exclude)

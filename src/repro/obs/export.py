@@ -16,7 +16,7 @@ from __future__ import annotations
 import re
 
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOCounts
 
 _SANITIZE = re.compile(r"[^A-Za-z0-9_]+")
 
@@ -90,34 +90,31 @@ def render_prometheus(snapshot: dict, prefix: str = "repro") -> str:
 
 
 def export_iostats(
-    registry: MetricsRegistry, prefix: str, io: IOStats
+    registry: MetricsRegistry, prefix: str, io: IOCounts
 ) -> None:
-    """Publish one :class:`IOStats` as gauges under ``prefix``.
+    """Publish one :class:`IOCounts` as gauges under ``prefix``.
 
     Covers the read/write mix the paper's evaluation cares about:
     random vs sequential, reads vs writes, plus logical object loads.
     """
-    snap = io.snapshot()
-    registry.gauge(f"{prefix}.random_reads").set(snap.random.reads)
-    registry.gauge(f"{prefix}.sequential_reads").set(snap.sequential.reads)
-    registry.gauge(f"{prefix}.random_writes").set(snap.random.writes)
-    registry.gauge(f"{prefix}.sequential_writes").set(snap.sequential.writes)
-    registry.gauge(f"{prefix}.objects_loaded").set(snap.objects_loaded)
-    total_reads = snap.random.reads + snap.sequential.reads
-    total_writes = snap.random.writes + snap.sequential.writes
-    total = total_reads + total_writes
+    registry.gauge(f"{prefix}.random_reads").set(io.random_reads)
+    registry.gauge(f"{prefix}.sequential_reads").set(io.sequential_reads)
+    registry.gauge(f"{prefix}.random_writes").set(io.random_writes)
+    registry.gauge(f"{prefix}.sequential_writes").set(io.sequential_writes)
+    registry.gauge(f"{prefix}.objects_loaded").set(io.objects_loaded)
+    total = io.total_accesses
     registry.gauge(f"{prefix}.read_fraction").set(
-        total_reads / total if total else 0.0
+        io.total_reads / total if total else 0.0
     )
     registry.gauge(f"{prefix}.sequential_fraction").set(
-        (snap.sequential.reads + snap.sequential.writes) / total if total else 0.0
+        io.sequential_accesses / total if total else 0.0
     )
 
 
 def export_device(registry: MetricsRegistry, device) -> None:
     """Publish one block device's running :class:`IOStats`."""
     prefix = f"storage.{metric_token(device.name)}"
-    export_iostats(registry, f"{prefix}.io", device.stats)
+    export_iostats(registry, f"{prefix}.io", device.stats.snapshot())
 
 
 def _engine_devices(engine) -> list:
@@ -175,10 +172,11 @@ def export_engine(registry: MetricsRegistry, engine) -> None:
         for device in _engine_devices(engine):
             export_device(registry, device)
         return
-    merged = IOStats()
+    merged = IOCounts()
     for shard_id, shard in enumerate(shards):
         for device in _engine_devices(shard):
             prefix = f"storage.shard{shard_id}.{metric_token(device.name)}"
-            export_iostats(registry, f"{prefix}.io", device.stats)
-            merged = merged.merged_with(device.stats.snapshot())
+            io = device.stats.snapshot()
+            export_iostats(registry, f"{prefix}.io", io)
+            merged = merged.merged_with(io)
     export_iostats(registry, "storage.all_shards.io", merged)

@@ -9,7 +9,7 @@ work the paper's evaluation (Section VI) argues about: node reads
 annotated with their tree level, entries pruned by the signature test,
 object verifications with their false-positive outcome, and every block
 access tagged random/sequential (cross-checkable against
-:class:`repro.storage.iostats.IOStats`).
+:class:`repro.storage.iostats.IOCounts`).
 
 Context propagation is thread-local: the span stack is the ``spans`` list
 of the thread's :class:`~repro.storage.iostats.IOScope`, beside its I/O
@@ -18,8 +18,10 @@ the current span, :func:`activate` re-parents a worker thread onto a
 span created elsewhere (the sharded fan-out), and :func:`add_event`
 attaches an instant event to whatever span is current.  Every hook is a
 no-op returning immediately when no trace is active on the thread, so
-instrumented hot paths stay cheap with tracing off; the storage layer
-calls the event sinks below only while a span is active.
+instrumented hot paths stay cheap with tracing off.  The storage layer
+records its block-read, block-write, shared-read and object-load events
+straight onto the innermost span of that stack, and only while it is
+non-empty (see :mod:`repro.storage.iostats`).
 
 Traces export two ways:
 
@@ -44,23 +46,27 @@ import threading
 import time
 import uuid
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from repro.storage import iostats as _iostats
 
-#: Instant-event names emitted by the instrumented layers.
-EVT_BLOCK_READ = "block-read"
-EVT_BLOCK_WRITE = "block-write"
-EVT_SHARED_READ = "shared-read"
-EVT_OBJECT_LOAD = "object-load"
+# The storage layer records its own events (block reads and writes,
+# shared-read hits, object loads) on the innermost span of the thread's
+# scope; their names live beside the counters they reconcile with.
+from repro.storage.iostats import (
+    EVT_BLOCK_READ,
+    EVT_BLOCK_WRITE,
+    EVT_OBJECT_LOAD,
+    EVT_SHARED_READ,
+    PATTERN_RANDOM,
+    PATTERN_SEQUENTIAL,
+)
+
+#: Instant-event names emitted by the instrumented index layers.
 EVT_NODE_READ = "node-read"
 EVT_SIG_PRUNE = "signature-prune"
 EVT_OBJECT_VERIFY = "object-verify"
-
-#: Access-pattern labels on block events (mirrors IOStats classification).
-PATTERN_RANDOM = "random"
-PATTERN_SEQUENTIAL = "sequential"
 
 
 @dataclass
@@ -329,54 +335,6 @@ def trace_query(name: str = "query", trace: Trace | None = None, **attrs) -> Ite
     finally:
         stack.pop()
         root.finish()
-
-
-# -- Storage-layer event bridge --------------------------------------------------
-
-def _block_io_sink(
-    op: str, block_id: int, category: str, is_seq: bool, count: int = 1
-) -> None:
-    """Receive one classified access of ``count`` contiguous blocks from
-    :mod:`repro.storage.iostats`; emits one event per block."""
-    span = current_span()
-    if span is None:
-        return
-    kind = EVT_BLOCK_READ if op == "read" else EVT_BLOCK_WRITE
-    span.event(
-        kind,
-        block=block_id,
-        category=category,
-        pattern=PATTERN_SEQUENTIAL if is_seq else PATTERN_RANDOM,
-    )
-    for block in range(block_id + 1, block_id + count):
-        span.event(kind, block=block, category=category, pattern=PATTERN_SEQUENTIAL)
-
-
-def _object_load_sink(count: int) -> None:
-    """Receive one logical-object materialization from the object store."""
-    span = current_span()
-    if span is not None:
-        span.event(EVT_OBJECT_LOAD, count=count)
-
-
-def _shared_read_sink(block_id: int, category: str) -> None:
-    """Receive one shared-read hit (batch session served the block).
-
-    A distinct event type from :data:`EVT_BLOCK_READ` on purpose: block
-    events must keep reconciling exactly with the random/sequential read
-    counters, and shared hits touch neither the device nor the head.
-    """
-    span = current_span()
-    if span is not None:
-        span.event(EVT_SHARED_READ, block=block_id, category=category)
-
-
-# The storage layer stays tracing-agnostic: iostats exposes three module
-# globals that default to None and calls them only while a span is
-# active on the recording thread; this import installs the bridge.
-_iostats._TRACE_BLOCK_SINK = _block_io_sink
-_iostats._TRACE_OBJECT_SINK = _object_load_sink
-_iostats._TRACE_SHARED_SINK = _shared_read_sink
 
 
 # -- Chrome trace-event export ---------------------------------------------------

@@ -5,7 +5,7 @@ the paper's evaluation reasons in (Section VI): which tree levels were
 visited and how hard the signatures pruned, how many candidate objects
 were loaded and how many turned out to be false positives, and how the
 block accesses split random/sequential — per span, plus a whole-query
-attribution summary that reconciles with ``IOStats``/``SearchCounters``.
+attribution summary that reconciles with ``IOCounts``/``SearchCounters``.
 """
 
 from __future__ import annotations
@@ -147,7 +147,7 @@ def render_trace(trace: Trace) -> str:
     own instant events are summarized ("level 1: 14 nodes visited, ...").
     A final ``totals`` block aggregates attribution across the whole
     tree — the numbers that reconcile exactly with the execution's
-    ``IOStats`` and ``SearchCounters``.
+    ``IOCounts`` and ``SearchCounters``.
     """
     root = trace.root
     if root is None:

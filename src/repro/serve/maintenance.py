@@ -250,8 +250,8 @@ class EngineVersion:
         its exclusion set, so the ranked stream is pulled until ``k``
         live base results are in hand.  Buffered inserts are scored
         through the same :func:`~repro.text.irmodel.ir_score` the index
-        scorer uses, zero-IR overlays are dropped (matching the default
-        ``prune_zero_ir`` semantics of the served ranked path), and the
+        scorer uses, zero-IR overlays are dropped (as the index traversal
+        drops zero-IR candidates), and the
         merged list is re-cut at ``k`` under the canonical ranked order
         ``(-score, distance, oid)``.
         """

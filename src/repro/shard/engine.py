@@ -57,7 +57,7 @@ from repro.shard.merge import TopKMerger
 from repro.shard.partitioner import SpatialPartitioner, make_partitioner
 from repro.shard.summary import DEFAULT_SUMMARY_BYTES, KeywordSummary
 from repro.spatial.geometry import Rect, target_min_distance
-from repro.storage.iostats import IOCounts, IOStats, collecting_io
+from repro.storage.iostats import IOCounts, collecting_io
 
 #: Per-shard failure policies (see :class:`ShardedEngine`).
 FAIL_FAST = "fail-fast"
@@ -462,12 +462,11 @@ class ShardedEngine:
         keywords: Sequence[str],
         k: int = 10,
         ranking: RankingCallable | None = None,
-        prune_zero_ir: bool = True,
     ) -> QueryExecution:
         """General ranked top-k; one ranking function shared by all shards."""
         query = SpatialKeywordQuery.of(point, keywords, k, ranking=ranking)
         self.require_built()
-        return self._ranked(query, prune_zero_ir=prune_zero_ir)
+        return self._ranked(query)
 
     def query_incremental(
         self,
@@ -736,10 +735,11 @@ class ShardedEngine:
             # retry restarts from the top and re-offers what the failed
             # attempt merged; TopKMerger deduplicates by oid.
             counters = SearchCounters()
-            with collecting_io() as io:
+            with collecting_io() as collector:
                 report["results_offered"] = offer(
                     shard.stream_results(query, counters=counters)
                 )
+            io = collector.snapshot()
             return QueryExecution(
                 query=query,
                 results=[],
@@ -760,7 +760,6 @@ class ShardedEngine:
     def _ranked(
         self,
         query: SpatialKeywordQuery,
-        prune_zero_ir: bool = True,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
     ) -> QueryExecution:
@@ -786,8 +785,7 @@ class ShardedEngine:
 
         def body(shard_id: int, report: dict) -> QueryExecution:
             execution = self.shards[shard_id].index.execute_ranked(
-                query, ranking, prune_zero_ir=prune_zero_ir,
-                vocabulary=vocabulary, exclude=exclude,
+                query, ranking, vocabulary=vocabulary, exclude=exclude
             )
             report["strategy"] = (execution.plan or {}).get("strategy")
             report["results_offered"] = len(execution.results)
@@ -798,13 +796,12 @@ class ShardedEngine:
             merged.sort(key=lambda r: (-r.score, r.distance, r.obj.oid))
             return merged[: query.k]
 
-        # Under zero-IR pruning a shard provably holding none of the query
-        # terms can only contribute zero-scored results the scorer drops
+        # A shard provably holding none of the query terms can only
+        # contribute zero-scored results, which zero-IR pruning drops
         # anyway — skip it before paying any I/O.
         return self._fan_out(
             query,
-            lambda shard_id: prune_zero_ir
-            and self._keyword_pruned_ranked(shard_id, terms),
+            lambda shard_id: self._keyword_pruned_ranked(shard_id, terms),
             body,
             gather,
             f"{self._algorithm_label()}-RANKED",
@@ -954,9 +951,9 @@ class ShardedEngine:
         """Summed index footprint across every shard."""
         return sum(shard.index_size_mb() for shard in self.shards)
 
-    def io_stats(self) -> IOStats:
-        """Merged running I/O counters across every shard's devices."""
-        io = IOStats()
+    def io_stats(self) -> IOCounts:
+        """Every shard's running I/O counters, merged."""
+        io = IOCounts()
         for shard in self.shards:
             io = io.merged_with(shard.io_stats())
         return io

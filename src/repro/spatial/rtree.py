@@ -273,6 +273,16 @@ class RTree:
         self.root_id = pages.new_node_id()
         self.store_node(self.root_id, 0, [])
 
+    def query_mask(self, terms: Sequence[str]) -> None:
+        """The query side of the "s matches w" test: none on a plain tree.
+
+        A plain R-Tree stores no signatures, so
+        :func:`~repro.spatial.nearest.incremental_nearest` prunes no entry
+        and every neighbor is fetched and verified (the Section V.A
+        baseline).  IR2- and MIR2-Trees return one signature per level.
+        """
+        return None
+
     # ------------------------------------------------------------------ I/O --
 
     def read_decoded(self, node_id: int) -> DecodedNode:

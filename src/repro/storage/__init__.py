@@ -21,7 +21,7 @@ from repro.storage.faults import (
     retry_transient,
 )
 from repro.storage.intern import Intern
-from repro.storage.iostats import AccessCounts, IOCounts, IOStats, collecting_io
+from repro.storage.iostats import IOCounts, IOStats, collecting_io
 from repro.storage.sharedread import (
     SharedReadSession,
     activate_session,
@@ -42,7 +42,6 @@ from repro.storage.serialization import (
 from repro.storage.timing import DEFAULT_DRIVE, DriveModel
 
 __all__ = [
-    "AccessCounts",
     "BlockDevice",
     "CrashTimer",
     "DEFAULT_BLOCK_SIZE",

@@ -4,7 +4,7 @@ The paper measured wall-clock execution times on a 74 GB, 10,000 RPM disk
 drive (Section VI).  We cannot reproduce that hardware, but the paper itself
 notes that execution time is "primarily proportional to the random access
 numbers".  :class:`DriveModel` converts the block-access counts collected by
-:class:`~repro.storage.iostats.IOStats` into a *simulated* execution time
+:class:`~repro.storage.iostats.IOCounts` into a *simulated* execution time
 using constants typical of a 10k RPM drive:
 
 * a random access pays an average seek plus half a rotation
@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.storage.iostats import IOCounts, IOStats
+from repro.storage.iostats import IOCounts
 
 #: Average seek time of a 10,000 RPM enterprise drive, in milliseconds.
 DEFAULT_SEEK_MS = 4.5
@@ -67,18 +67,16 @@ class DriveModel:
         """Time to move one block at the sustained transfer rate."""
         return self.block_size / (self.transfer_mb_per_s * 1e6) * 1e3
 
-    def simulated_ms(self, stats: IOStats | IOCounts) -> float:
-        """Simulated execution time in milliseconds for ``stats``.
+    def simulated_ms(self, io: IOCounts) -> float:
+        """Simulated execution time in milliseconds for ``io``.
 
         Reads and writes are charged identically: the paper's disk-resident
         indexes write during maintenance and read during search, and a
         write's mechanical cost on a conventional drive matches a read's.
         """
-        random_accesses = stats.random_reads + stats.random_writes
-        sequential_accesses = stats.sequential_reads + stats.sequential_writes
         return (
-            random_accesses * self.random_access_ms
-            + sequential_accesses * self.sequential_access_ms
+            io.random_accesses * self.random_access_ms
+            + io.sequential_accesses * self.sequential_access_ms
         )
 
 

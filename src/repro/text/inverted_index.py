@@ -118,9 +118,10 @@ class InvertedIndex:
         Each of the document's terms has its posting list read, extended,
         and rewritten at the log tail — the linear per-term update cost
         that makes inverted-index maintenance expensive relative to the
-        R-Tree family.
+        R-Tree family.  Terms are walked in sorted order, as :meth:`build`
+        lays them out, so the log layout never follows the string hash.
         """
-        for term in self.analyzer.terms(text):
+        for term in sorted(self.analyzer.terms(text)):
             postings = self._read_postings(term) if term in self._lexicon else []
             if pointer not in postings:
                 postings.append(pointer)
@@ -137,7 +138,7 @@ class InvertedIndex:
         never in are left untouched (no rewrite I/O).
         """
         removed = False
-        for term in self.analyzer.terms(text):
+        for term in sorted(self.analyzer.terms(text)):
             entry = self._lexicon.get(term)
             if entry is None:
                 continue

@@ -69,7 +69,7 @@ class TestIIOTopK:
         small_corpus.device.stats.reset()
         outcome = iio_top_k(index, small_corpus.store, query)
         if outcome.counters.objects_inspected:
-            assert index.device.stats.category_reads("postings") >= 1
+            assert index.device.stats.snapshot().category_reads("postings") >= 1
             assert small_corpus.device.stats.objects_loaded == (
                 outcome.counters.objects_inspected
             )

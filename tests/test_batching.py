@@ -768,7 +768,7 @@ class TestSharedReadSession:
             assert device.stats.sequential_reads == 2
             device.read_block(1)  # session hit: no device I/O, no head move
             assert device.stats.shared_reads == 1
-            assert device.stats.total_reads == 3
+            assert device.stats.snapshot().total_reads == 3
             device.read_block(3)
             assert device.stats.sequential_reads == 3  # 3 follows 2
             assert device.stats.random_reads == 1
@@ -843,9 +843,9 @@ class TestSharedReadSession:
             device.read_block(0)  # a hit: 0 becomes the most recent
             device.read_block(2)  # evicts 1, not 0
             device.read_block(0)
-            assert device.stats.total_reads == 3
+            assert device.stats.snapshot().total_reads == 3
             device.read_block(1)
-            assert device.stats.total_reads == 4
+            assert device.stats.snapshot().total_reads == 4
         assert device.stats.shared_reads == 2
 
     def test_an_extent_evicts_in_block_order(self):
@@ -900,7 +900,7 @@ class TestSharedReadSession:
         assert not any(thread.is_alive() for thread in threads)
         assert torn == []
         assert session.hits + session.misses == sum(blocks_read)
-        assert session.misses == device.stats.total_reads
+        assert session.misses == device.stats.snapshot().total_reads
         assert session.hits == device.stats.shared_reads > 0
         assert len(session) <= 8
 

@@ -52,9 +52,9 @@ class TestInMemoryDevice:
         device = InMemoryBlockDevice(block_size=64)
         device.write_block(0, b"a", "node")
         device.read_block(0, "node")
-        assert device.stats.total_writes == 1
-        assert device.stats.total_reads == 1
-        assert device.stats.category_reads("node") == 1
+        assert device.stats.snapshot().total_writes == 1
+        assert device.stats.snapshot().total_reads == 1
+        assert device.stats.snapshot().category_reads("node") == 1
 
     def test_size_properties(self):
         device = InMemoryBlockDevice(block_size=1024)
@@ -93,15 +93,15 @@ class TestExtents:
         device.write_extent(0, b"x" * 32)
         device.stats.reset()
         device.read_block(0)
-        before = device.stats.counts()
+        before = device.stats.snapshot()
         with collecting_io() as io, activate_session(SharedReadSession()):
             with pytest.raises(BlockOutOfRangeError) as excinfo:
                 device.read_extent(start, count)
             with pytest.raises(BlockOutOfRangeError):
                 device.read_block(start, "data", count)
         assert excinfo.value.block_id == first_bad
-        assert device.stats.counts() == before
-        assert io.total_reads == io.shared_reads == 0
+        assert device.stats.snapshot() == before
+        assert io.snapshot().total_reads == io.shared_reads == 0
         device.read_block(1)  # the head never left block 0
         assert device.stats.sequential_reads == 1
 
@@ -110,7 +110,7 @@ class TestExtents:
         device.write_extent(0, b"x" * 16)
         device.stats.reset()
         assert device.read_extent(2, 0) == b""
-        assert device.stats.total_reads == 0
+        assert device.stats.snapshot().total_reads == 0
 
     def test_extent_inside_session_reads_runs_of_misses(self):
         device = InMemoryBlockDevice(block_size=8)
@@ -180,7 +180,7 @@ class TestFileDevice:
             assert device.stats.sequential_reads == 2
             with pytest.raises(BlockOutOfRangeError):
                 device.read_extent(2, 3)
-            assert device.stats.total_reads == 3
+            assert device.stats.snapshot().total_reads == 3
 
     def test_threads_sharing_the_file_never_read_a_torn_block(self, tmp_path):
         """Each seek and the read it positions stay one step: a thread
@@ -213,7 +213,7 @@ class TestFileDevice:
         device.close()
         assert not any(thread.is_alive() for thread in threads)
         assert torn == []
-        assert device.stats.total_reads == n_threads * reads_each
+        assert device.stats.snapshot().total_reads == n_threads * reads_each
 
     def test_iter_blocks_does_not_count(self):
         device = InMemoryBlockDevice(block_size=8)
@@ -221,4 +221,4 @@ class TestFileDevice:
         device.stats.reset()
         blocks = list(device.iter_blocks())
         assert len(blocks) == 3
-        assert device.stats.total_accesses == 0
+        assert device.stats.snapshot().total_accesses == 0

@@ -30,7 +30,7 @@ class TestCaching:
             device.read_block(0)
             device.stats.reset()
             assert device.read_block(0) == bytes(range(8))
-        assert device.stats.total_reads == 0
+        assert device.stats.snapshot().total_reads == 0
         assert device.stats.shared_reads == 1
         assert session.hits == 1
 
@@ -40,10 +40,10 @@ class TestCaching:
         with activate_session(session):
             assert device.read_block(0) == bytes(range(8))
             assert (session.hits, session.misses, len(session)) == (0, 1, 1)
-            assert device.stats.total_reads == 1
+            assert device.stats.snapshot().total_reads == 1
             device.stats.reset()
             device.read_block(0)
-        assert device.stats.total_reads == 0
+        assert device.stats.snapshot().total_reads == 0
 
     def test_lru_eviction(self):
         device = make_device(3)
@@ -55,7 +55,7 @@ class TestCaching:
             device.read_block(2)
             assert device.stats.shared_reads == 1
             device.read_block(0)
-        assert device.stats.total_reads == 1
+        assert device.stats.snapshot().total_reads == 1
         assert (session.hits, session.misses, len(session)) == (1, 4, 2)
 
     def test_hit_rate(self):
@@ -68,7 +68,7 @@ class TestCaching:
             device.read_block(5)
         assert session.hits / (session.hits + session.misses) == pytest.approx(0.5)
         assert device.stats.shared_reads / (
-            device.stats.total_reads + device.stats.shared_reads
+            device.stats.snapshot().total_reads + device.stats.shared_reads
         ) == pytest.approx(0.5)
 
     def test_partly_cached_extent_reads_the_misses_through(self):
@@ -85,5 +85,5 @@ class TestCaching:
             device.stats.reset()
             assert device.read_extent(0, 5) == bytes(range(40))
         assert session.hits + session.misses == 11
-        assert device.stats.total_reads == 0
+        assert device.stats.snapshot().total_reads == 0
         assert device.stats.shared_reads == 5

@@ -52,5 +52,5 @@ class TestConcurrentReads:
         assert torn == []
         assert session.misses == N_BLOCKS  # everything else was a hit
         assert session.hits == 6 * N_BLOCKS
-        assert device.stats.total_reads == N_BLOCKS
+        assert device.stats.snapshot().total_reads == N_BLOCKS
         assert device.stats.shared_reads == 6 * N_BLOCKS

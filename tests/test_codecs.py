@@ -105,7 +105,7 @@ class TestCompressedIndex:
         varint.device.stats.reset()
         raw.postings("pool")
         varint.postings("pool")
-        assert varint.device.stats.total_reads <= raw.device.stats.total_reads
+        assert varint.device.stats.snapshot().total_reads <= raw.device.stats.snapshot().total_reads
 
     def test_maintenance_under_compression(self):
         index = self._build("varint")

@@ -32,24 +32,19 @@ from repro.storage import inject_engine_faults
 KINDS = ("rtree", "ir2", "mir2", "iio", "sig", "auto", "ir2x2")
 
 #: SHA-256 over the path and bytes of every file ``save_engine`` writes
-#: for ``build_engine(kind, maintained=kind not in HASH_ORDERED)``.  A
-#: change here is a change of the on-disk format, which must come with a
-#: MANIFEST_VERSION decision.
+#: for ``build_engine(kind)``.  A change here is a change of the on-disk
+#: format, which must come with a MANIFEST_VERSION decision.  Every kind
+#: lays out its live inserts and deletes in a fixed order, so the digests
+#: hold under every PYTHONHASHSEED.
 SAVED_LAYOUT_SHA256 = {
     "rtree": "82a19d6aae2246a320012be61554992643961e89ef52ac9942fe5f30c3e80b1c",
     "ir2": "b479bfcaec65384ea3d5acbaa46abbbd1405dc575bcf2d0b3e9f76e3b6d30f0f",
     "mir2": "22fb639fbadf958b2e8beea93f440e662b62e96b4a90bf7453b51e68bcfc1320",
-    "iio": "48f8d787e90f9aca73902c98c95f5dd9d3b2821745c6e206cfa758dfd3eef4b3",
+    "iio": "6cd6875b7b77d5fe0e8f57cc0f3d94f25ee8a708101d58f5c41729998d95eef2",
     "sig": "83aa9a282c130c97945baa7b691892c70c5d4ed70ffb4f165a1a99a4e48639f7",
-    "auto": "2ee73a7e401d7a30acd41aa2ba1859e062e6e54ec661bdaa1cfbfe3201c0af51",
+    "auto": "effa14415c610e0cd694fa3df39cc1263839a91837e0a3954f281644f39d7d9e",
     "ir2x2": "1858e518ba359dd61cdd1be711350efe1253214d29cf2efa7d26c562b4a2d16b",
 }
-
-#: Kinds whose live add/remove walk a document's term set in string-hash
-#: order, so their maintained postings layout changes with
-#: PYTHONHASHSEED; their recorded layout is the freshly built one.
-HASH_ORDERED = ("iio", "auto")
-
 
 def make_objects():
     config = DatasetConfig(
@@ -184,7 +179,7 @@ def test_sharded_copy_and_load_keep_the_routing_state(tmp_path):
 
 @pytest.mark.parametrize("kind", KINDS)
 def test_save_writes_the_recorded_layout(kind, tmp_path):
-    engine = build_engine(kind, maintained=kind not in HASH_ORDERED)
+    engine = build_engine(kind)
     save_engine(engine, str(tmp_path / "saved"))
     assert layout_sha256(tmp_path / "saved") == SAVED_LAYOUT_SHA256[kind]
 

@@ -247,4 +247,4 @@ def test_no_block_events_without_an_active_span():
         pass
     device.read_extent(0, 4)
     assert list(trace.iter_events()) == []
-    assert device.stats.total_reads == 4
+    assert device.stats.snapshot().total_reads == 4

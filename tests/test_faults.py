@@ -124,7 +124,7 @@ class TestExtentFaults:
             device.read_extent(0, 3, "node")
         assert inner.stats.random_reads == 1
         assert inner.stats.sequential_reads == 0
-        assert inner.stats.category_reads("node") == 1
+        assert inner.stats.snapshot().category_reads("node") == 1
         assert device.plan.reads_seen == 2
 
     def test_bitflips_land_inside_each_blocks_slice(self):
@@ -146,7 +146,7 @@ class TestExtentFaults:
         with pytest.raises(BlockOutOfRangeError):
             device.read_extent(1, 3)
         assert device.plan.reads_seen == 0
-        assert inner.stats.total_reads == 0
+        assert inner.stats.snapshot().total_reads == 0
 
 
 class TestDeviceWrapping:
@@ -157,7 +157,7 @@ class TestDeviceWrapping:
         assert device.stats is inner.stats
         device.read_block(0)
         device.read_block(1)
-        assert inner.stats.total_reads == 2
+        assert inner.stats.snapshot().total_reads == 2
 
     def test_uncounted_raw_paths_delegate(self):
         inner = loaded_device(3)
@@ -166,7 +166,7 @@ class TestDeviceWrapping:
         inner.stats.reset()
         blocks = list(device.iter_blocks())
         assert len(blocks) == 3
-        assert inner.stats.total_reads == 0
+        assert inner.stats.snapshot().total_reads == 0
 
     def test_num_blocks_and_extent_growth(self):
         inner = InMemoryBlockDevice()

@@ -25,7 +25,7 @@ class TestContext:
         for index in context.indexes.values():
             index.device.stats.reset()
         assert all(
-            index.device.stats.total_accesses == 0
+            index.device.stats.snapshot().total_accesses == 0
             for index in context.indexes.values()
         )
 

@@ -124,8 +124,8 @@ class TestExecutionMetrics:
         index.build()
         index.execute(random_queries(small_corpus, small_objects, 1, 1, 1)[0])
         index.reset_io()
-        assert index.device.stats.total_accesses == 0
-        assert small_corpus.device.stats.total_accesses == 0
+        assert index.device.stats.snapshot().total_accesses == 0
+        assert small_corpus.device.stats.snapshot().total_accesses == 0
 
 
 class TestFactory:

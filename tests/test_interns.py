@@ -124,7 +124,7 @@ class TestNodeIntern:
         stats.reset()
         second = [tree.read_decoded(node_id) for node_id in ids]
         # Every read is charged again; the decoded entries are shared.
-        assert stats.total_reads == sum(
+        assert stats.snapshot().total_reads == sum(
             tree.pages.extent_of(node_id)[1] for node_id in ids
         )
         assert all(a is b for a, b in zip(first, second))

@@ -40,12 +40,12 @@ class TestBuildAndRetrieve:
     def test_document_frequency_no_io(self, index):
         index.device.stats.reset()
         assert index.document_frequency("pool") == 3
-        assert index.device.stats.total_reads == 0
+        assert index.device.stats.snapshot().total_reads == 0
 
     def test_retrieval_costs_extent_reads(self, index):
         index.device.stats.reset()
         index.postings("pool")
-        assert index.device.stats.category_reads("postings") >= 1
+        assert index.device.stats.snapshot().category_reads("postings") >= 1
 
     def test_duplicate_pointers_deduplicated(self):
         idx = InvertedIndex(InMemoryBlockDevice(block_size=64), DEFAULT_ANALYZER)
@@ -69,7 +69,7 @@ class TestConjunction:
         assert index.retrieve_conjunction(["zzz", "pool"]) == []
         # The missing term is fetched first (shortest list) => no reads at
         # all for the existing keyword's list.
-        assert index.device.stats.category_reads("postings") == 0
+        assert index.device.stats.snapshot().category_reads("postings") == 0
 
     def test_multiword_keyword_split(self, index):
         assert index.retrieve_conjunction(["wireless internet"]) == [100]

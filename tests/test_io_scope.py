@@ -2,8 +2,8 @@
 
 Every counted access consults the calling thread's
 :class:`repro.storage.iostats.IOScope` once: it tallies the scope's
-``collectors``, serves from its ``session`` and forwards trace events
-only while its ``spans`` stack is non-empty.
+``collectors``, serves from its ``session`` and records trace events on
+the innermost of its ``spans`` only while that stack is non-empty.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import pytest
 
 from repro.obs import trace as qtrace
 from repro.obs.trace import EVT_BLOCK_READ, PATTERN_RANDOM, PATTERN_SEQUENTIAL
-from repro.storage import InMemoryBlockDevice, iostats
+from repro.storage import InMemoryBlockDevice
 from repro.storage.iostats import collecting_io, current_scope
 from repro.storage.sharedread import SharedReadSession, activate_session, current_session
 
@@ -41,15 +41,15 @@ class TestCollectors:
         assert inner.objects_loaded == 2
         assert (middle.random_reads, middle.sequential_reads) == (0, 4)
         assert (outer.random_reads, outer.sequential_reads) == (1, 5)
-        assert outer.total_writes == 1 and middle.total_writes == 0
+        assert outer.random_writes == 1 and middle.random_writes == 0
         assert outer.objects_loaded == 2
-        assert device.stats.total_reads == outer.total_reads
+        assert device.stats.snapshot().total_reads == outer.snapshot().total_reads
 
     def test_equal_collectors_are_removed_by_identity(self):
         scope = current_scope()
         with collecting_io() as outer:
             with collecting_io() as inner:
-                assert inner == outer  # equal counters, distinct objects
+                assert inner.snapshot() == outer.snapshot()  # distinct objects
                 assert scope.collectors[-2:] == [outer, inner]
             assert scope.collectors[-1] is outer
         assert all(collector is not outer for collector in scope.collectors)
@@ -62,7 +62,7 @@ class TestCollectors:
             with collecting_io() as io:
                 device.read_extent(0, 2)
                 raise RuntimeError("boom")
-        assert io.total_reads == 2
+        assert io.snapshot().total_reads == 2
         assert scope.collectors == before
 
     def test_another_threads_collector_never_sees_this_thread(self):
@@ -74,7 +74,7 @@ class TestCollectors:
             with collecting_io() as io:
                 ready.set()
                 finish.wait(10)
-            seen["reads"] = io.total_reads
+            seen["reads"] = io.snapshot().total_reads
 
         thread = threading.Thread(target=other)
         thread.start()
@@ -84,7 +84,7 @@ class TestCollectors:
         finish.set()
         thread.join(10)
         assert not thread.is_alive()
-        assert mine.total_reads == 4
+        assert mine.snapshot().total_reads == 4
         assert seen["reads"] == 0
 
 
@@ -108,22 +108,38 @@ class TestSessions:
         assert current_session() is None
 
 
+def every_counted_access(device):
+    """A read, a write, an object load and a shared hit on ``device``."""
+    device.read_extent(0, 3)
+    device.write_block(1, b"x")
+    device.stats.record_object_load()
+    session = SharedReadSession()
+    with activate_session(session):
+        device.read_block(0)
+        device.read_block(0)  # a shared hit
+    assert session.hits == 1
+
+
 class TestTraceSinks:
     def test_an_untraced_read_never_calls_the_block_sink(self, monkeypatch):
         calls = []
-        monkeypatch.setattr(iostats, "_TRACE_BLOCK_SINK", lambda *args: calls.append(args))
-        monkeypatch.setattr(iostats, "_TRACE_OBJECT_SINK", lambda *args: calls.append(args))
-        monkeypatch.setattr(iostats, "_TRACE_SHARED_SINK", lambda *args: calls.append(args))
+        record = qtrace.Span.event
+
+        def event(span, name, **attrs):
+            calls.append(name)
+            record(span, name, **attrs)
+
+        monkeypatch.setattr(qtrace.Span, "event", event)
         device = device_of(3)
-        device.read_extent(0, 3)
-        device.write_block(1, b"x")
-        device.stats.record_object_load()
-        session = SharedReadSession()
-        with activate_session(session):
-            device.read_block(0)
-            device.read_block(0)  # a shared hit
-        assert session.hits == 1
+        every_counted_access(device)
         assert calls == []
+        # The same accesses under a trace record every kind of event.
+        with qtrace.trace_query("traced"):
+            every_counted_access(device)
+        assert set(calls) == {
+            qtrace.EVT_BLOCK_READ, qtrace.EVT_BLOCK_WRITE,
+            qtrace.EVT_OBJECT_LOAD, qtrace.EVT_SHARED_READ,
+        }
 
     def test_a_traced_read_emits_one_event_per_block(self):
         device = device_of(4)

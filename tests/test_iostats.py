@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.storage.iostats import AccessCounts, IOStats
+from repro.storage.iostats import IOCounts, IOStats
 
 
 class TestClassification:
@@ -50,15 +50,16 @@ class TestCategories:
         stats.record_read(1, "node")
         stats.record_read(2, "node")
         stats.record_read(9, "object")
-        assert stats.category_reads("node") == 2
-        assert stats.category_reads("object") == 1
-        assert stats.category_reads("missing") == 0
+        counts = stats.snapshot()
+        assert counts.category_reads("node") == 2
+        assert counts.category_reads("object") == 1
+        assert counts.category_reads("missing") == 0
 
     def test_category_random_reads(self):
         stats = IOStats()
         stats.record_read(1, "node")  # random
         stats.record_read(2, "node")  # sequential
-        assert stats.category_random_reads("node") == 1
+        assert stats.snapshot().category_random_reads("node") == 1
 
     def test_object_loads(self):
         stats = IOStats()
@@ -73,18 +74,21 @@ class TestAggregates:
         stats.record_read(0)
         stats.record_read(1)
         stats.record_write(7)
-        assert stats.total_reads == 2
-        assert stats.total_writes == 1
-        assert stats.total_accesses == 3
+        counts = stats.snapshot()
+        assert counts.total_reads == 2
+        assert counts.total_writes == 1
+        assert counts.total_accesses == 3
 
-    def test_access_counts_total(self):
-        counts = AccessCounts(reads=3, writes=2)
-        assert counts.total == 5
+    def test_access_totals_count_reads_and_writes(self):
+        counts = IOCounts(random_reads=3, sequential_reads=4, random_writes=2,
+                          sequential_writes=1)
+        assert counts.random_accesses == 5
+        assert counts.sequential_accesses == 5
 
     def test_summary_mentions_counts(self):
         stats = IOStats()
         stats.record_read(0)
-        assert "random: 1r/0w" in stats.summary()
+        assert "random: 1r/0w" in stats.snapshot().summary()
 
 
 class TestSnapshotDiffMerge:
@@ -103,7 +107,7 @@ class TestSnapshotDiffMerge:
         stats.record_read(1, "node")
         stats.record_read(9, "object")
         stats.record_object_load()
-        delta = stats.diff(snap)
+        delta = stats.snapshot().diff(snap)
         assert delta.sequential_reads == 1
         assert delta.random_reads == 1
         assert delta.category_reads("node") == 1
@@ -115,7 +119,7 @@ class TestSnapshotDiffMerge:
         stats.record_read(0, "tmp")
         snap = stats.snapshot()
         fresh = IOStats()
-        delta = fresh.diff(snap)
+        delta = fresh.snapshot().diff(snap)
         assert delta.category_reads("tmp") == -1
 
     def test_merged_with(self):
@@ -124,7 +128,7 @@ class TestSnapshotDiffMerge:
         b = IOStats()
         b.record_read(0, "object")
         b.record_read(1, "object")
-        merged = a.merged_with(b)
+        merged = a.snapshot().merged_with(b.snapshot())
         assert merged.total_reads == 3
         assert merged.category_reads("node") == 1
         assert merged.category_reads("object") == 2
@@ -134,7 +138,7 @@ class TestSnapshotDiffMerge:
         stats.record_read(3)
         stats.record_object_load()
         stats.reset()
-        assert stats.total_accesses == 0
+        assert stats.snapshot() == IOCounts()
         assert stats.objects_loaded == 0
         # Head position forgotten: next access is random even at block 4.
         assert stats.record_read(4) is False
@@ -165,11 +169,12 @@ class TestConcurrency:
             t.start()
         for t in threads:
             t.join()
-        assert stats.total_reads == n_threads * ops_each
-        assert stats.total_writes == n_threads * (ops_each // 4)
-        assert stats.objects_loaded == n_threads * (ops_each // 8)
+        counts = stats.snapshot()
+        assert counts.total_reads == n_threads * ops_each
+        assert counts.total_writes == n_threads * (ops_each // 4)
+        assert counts.objects_loaded == n_threads * (ops_each // 8)
         # Per-category tallies balance the aggregate counters exactly.
-        assert stats.category_reads("node") == stats.total_reads
+        assert counts.category_reads("node") == counts.total_reads
 
     def test_concurrent_snapshots_are_internally_consistent(self):
         import threading
@@ -214,11 +219,12 @@ class TestCollectingIO:
             device_stats.record_read(11, "node")
             device_stats.record_object_load(2)
         device_stats.record_read(99)  # after the window: not collected
-        assert io.total_reads == 2
-        assert io.random_reads == 1 and io.sequential_reads == 1
-        assert io.category_reads("node") == 2
-        assert io.objects_loaded == 2
-        assert device_stats.total_reads == 4
+        counts = io.snapshot()
+        assert counts.total_reads == 2
+        assert counts.random_reads == 1 and counts.sequential_reads == 1
+        assert counts.category_reads("node") == 2
+        assert counts.objects_loaded == 2
+        assert device_stats.snapshot().total_reads == 4
 
     def test_collectors_nest(self):
         from repro.storage.iostats import collecting_io
@@ -229,8 +235,8 @@ class TestCollectingIO:
             with collecting_io() as inner:
                 stats.record_read(5)
             stats.record_read(9)
-        assert inner.total_reads == 1
-        assert outer.total_reads == 3
+        assert inner.snapshot().total_reads == 1
+        assert outer.snapshot().total_reads == 3
 
     def test_collectors_nest_with_equal_counters(self):
         # Regression: with no I/O between the two entries, inner and outer
@@ -244,8 +250,8 @@ class TestCollectingIO:
                 stats.record_read(0)
             # The outer collector must still be installed here.
             stats.record_read(10)
-        assert inner.total_reads == 1
-        assert outer.total_reads == 2
+        assert inner.snapshot().total_reads == 1
+        assert outer.snapshot().total_reads == 2
 
     def test_sequential_exported_collectors_stay_isolated(self):
         # Regression: two back-to-back collecting_io() windows must each see
@@ -259,8 +265,8 @@ class TestCollectingIO:
             stats.record_read(1)
         with collecting_io() as second:
             stats.record_read(100)
-        assert first.total_reads == 2
-        assert second.total_reads == 1
+        assert first.snapshot().total_reads == 2
+        assert second.snapshot().total_reads == 1
 
     def test_collector_spans_multiple_devices(self):
         from repro.storage.iostats import collecting_io
@@ -270,8 +276,8 @@ class TestCollectingIO:
             a.record_read(0)
             b.record_read(0)
             b.record_write(1)
-        assert io.total_reads == 2
-        assert io.total_writes == 1
+        assert io.snapshot().total_reads == 2
+        assert io.snapshot().total_writes == 1
 
     def test_collector_is_invisible_to_other_threads(self):
         import threading
@@ -286,7 +292,7 @@ class TestCollectingIO:
                 ready.wait()
                 for i in range(500):
                     shared.record_read(base_block + i)
-            collected[name] = io.total_reads
+            collected[name] = io.snapshot().total_reads
 
         threads = [
             threading.Thread(target=worker, args=("a", 0)),
@@ -299,11 +305,11 @@ class TestCollectingIO:
         # Each thread's collector saw exactly its own 500 reads, while the
         # shared device counted all 1000.
         assert collected == {"a": 500, "b": 500}
-        assert shared.total_reads == 1000
+        assert shared.snapshot().total_reads == 1000
 
 
 class TestIOCounts:
-    """The frozen per-execution record reads like the live collector."""
+    """The frozen record a counter's snapshot returns."""
 
     def _stats(self):
         stats = IOStats()
@@ -317,46 +323,53 @@ class TestIOCounts:
 
     def test_counts_match_the_collector(self):
         stats = self._stats()
-        counts = stats.counts()
+        counts = stats.snapshot()
         for name in (
             "random_reads", "sequential_reads", "random_writes",
-            "sequential_writes", "total_reads", "total_writes",
-            "total_accesses", "objects_loaded", "shared_reads",
+            "sequential_writes", "objects_loaded", "shared_reads",
         ):
             assert getattr(counts, name) == getattr(stats, name), name
-        assert counts.random == stats.random
-        assert counts.sequential == stats.sequential
+        assert (counts.total_reads, counts.total_writes, counts.total_accesses) \
+            == (3, 1, 4)
         assert counts.by_category == {
             key: tuple(value) for key, value in stats.by_category.items()
         }
         assert counts.category_reads("node") == 2
         assert counts.category_random_reads("object") == 1
         assert counts.category_reads("missing") == 0
-        assert counts.summary() == stats.summary()
+        assert counts.summary() == (
+            "random: 2r/1w, sequential: 1r/0w, objects: 2, shared: 1"
+        )
 
     def test_frozen_against_later_events(self):
         stats = self._stats()
-        counts = stats.counts()
+        counts = stats.snapshot()
         stats.record_read(30, "node")
         assert counts.total_reads == 3
         assert not hasattr(counts, "__dict__")
 
-    def test_merged_with_either_class(self):
-        a = self._stats()
+    def test_merged_with_sums_records(self):
+        a = self._stats().snapshot()
         b = IOStats()
         b.record_read(7, "postings")
-        merged = a.counts().merged_with(b).merged_with(b.counts())
+        b = b.snapshot()
+        merged = a.merged_with(b).merged_with(b)
         assert merged.total_reads == 5
         assert merged.category_reads("postings") == 2
         assert merged.objects_loaded == 2
-        assert merged == a.merged_with(b).merged_with(b).counts()
+        assert merged.shared_reads == 1
+        assert list(merged.by_category) == ["node", "object", "postings"]
+        # A diff undoes a merge, category for category.
+        assert merged.diff(b).diff(b).by_category == {
+            **a.by_category, "postings": (0, 0, 0, 0)
+        }
 
-    def test_query_execution_freezes_a_collector(self):
+    def test_query_execution_carries_io_counts(self):
         from repro.core.query import QueryExecution, SpatialKeywordQuery
-        from repro.storage.iostats import IOCounts
 
         query = SpatialKeywordQuery.of((0.0, 0.0), ("pool",), 1)
-        execution = QueryExecution(query=query, results=[], io=self._stats())
-        assert isinstance(execution.io, IOCounts)
+        counts = self._stats().snapshot()
+        execution = QueryExecution(query=query, results=[], io=counts)
+        assert execution.io is counts
         assert execution.io.total_reads == 3
         assert QueryExecution(query=query, results=[]).io == IOCounts()

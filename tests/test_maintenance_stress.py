@@ -32,7 +32,7 @@ from repro.model import SpatialObject
 from repro.serve import QueryService
 from repro.shard import ShardedEngine
 from repro.spatial.geometry import Rect
-from repro.storage.iostats import IOStats
+from repro.storage.iostats import IOCounts
 from repro.text.analyzer import Analyzer
 
 KINDS = ("ir2", "mir2", "rtree", "iio", "sig")
@@ -171,7 +171,7 @@ def test_readers_race_a_live_writer(kind, shards):
 
         # 2. Per-query I/O attribution reconciles exactly with the
         # service aggregate despite concurrent merge I/O.
-        merged = IOStats()
+        merged = IOCounts()
         for _query, execution in answers:
             merged = merged.merged_with(execution.io)
         total = service.stats().io

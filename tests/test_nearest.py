@@ -60,7 +60,7 @@ class TestIncrementalNearest:
         stats.reset()
         first = next(incremental_nearest(tree, (500.0, 500.0)))
         assert first is not None
-        assert stats.total_reads < tree.node_count()
+        assert stats.snapshot().total_reads < tree.node_count()
 
     def test_query_mask_prunes(self):
         tree = IR2Tree(

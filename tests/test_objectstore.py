@@ -70,7 +70,7 @@ class TestAppendLoad:
         pointer = store.append(_obj(1, text=long_text))
         store.device.stats.reset()
         store.load(pointer)
-        stats = store.device.stats
+        stats = store.device.stats.snapshot()
         assert stats.objects_loaded == 1
         assert stats.total_reads == store.blocks_for(pointer)
         assert stats.random_reads == 1  # remainder sequential
@@ -123,7 +123,7 @@ class TestDeleteAndIteration:
         store.append(_obj(1))
         store.device.stats.reset()
         list(store.iter_objects())
-        assert store.device.stats.total_accesses == 0
+        assert store.device.stats.snapshot().total_accesses == 0
 
     def test_pointer_of(self, store):
         pointer = store.append(_obj(9))
@@ -142,7 +142,7 @@ class TestRowIntern:
         first = store.load(pointer)
         second = store.load(pointer)
         assert second is first
-        stats = store.device.stats
+        stats = store.device.stats.snapshot()
         assert stats.objects_loaded == 2
         assert stats.total_reads == 2 * store.blocks_for(pointer)
 

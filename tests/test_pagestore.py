@@ -73,7 +73,7 @@ class TestReadWrite:
         node_id = pages.new_node_id()
         pages.write(node_id, b"x")
         pages.read(node_id)
-        assert pages.device.stats.category_reads("node") == 1
+        assert pages.device.stats.snapshot().category_reads("node") == 1
 
 
 class TestDelete:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import Corpus, IR2Tree, SpatialKeywordQuery, ir2_top_k, rtree_top_k
+from repro.core import Corpus, IR2Tree, SpatialKeywordQuery, ir2_top_k
 from repro.core.baselines import iio_top_k
 from repro.datasets import (
     EXAMPLE_QUERY_KEYWORDS,
@@ -214,7 +214,7 @@ class TestRTreeBaselineOnExample:
         query = SpatialKeywordQuery.of(
             EXAMPLE_QUERY_POINT, EXAMPLE_QUERY_KEYWORDS, 2
         )
-        outcome = rtree_top_k(tree, corpus.store, corpus.analyzer, query)
+        outcome = ir2_top_k(tree, corpus.store, corpus.analyzer, query)
         assert [r.obj.oid for r in outcome.results] == [7, 2]
         # The baseline retrieves every nearer non-matching hotel first:
         # H4, H3, H5, H8, H6, H1 all precede H7.

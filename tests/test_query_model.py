@@ -46,7 +46,7 @@ class TestQueryExecution:
         return QueryExecution(
             query=query,
             results=[SearchResult(obj, 1.0, score=-1.0)],
-            io=io,
+            io=io.snapshot(),
             objects_inspected=3,
             false_positive_candidates=2,
             algorithm="IR2",

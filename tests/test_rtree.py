@@ -216,7 +216,7 @@ class TestPersistence:
         stats = tree.pages.device.stats
         stats.reset()
         list(tree.search(Rect((0.0, 0.0), (100.0, 100.0))))
-        assert stats.category_reads("node") > 0
+        assert stats.snapshot().category_reads("node") > 0
 
     def test_iter_nodes_uncounted(self):
         tree = make_tree(capacity=4)
@@ -225,7 +225,7 @@ class TestPersistence:
         stats.reset()
         count = tree.node_count()
         assert count >= 1
-        assert stats.total_accesses == 0
+        assert stats.snapshot().total_accesses == 0
 
 
 class TestLayoutBuilder:

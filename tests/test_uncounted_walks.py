@@ -55,17 +55,17 @@ def walks(engine):
 def test_walks_touch_no_collector_span_session_or_device(index):
     engine, _ = make_engine(index)
     devices = [engine.index.device, engine.corpus.device]
-    before = [(d.stats.counts(), d.stats._last_block) for d in devices]
+    before = [(d.stats.snapshot(), d.stats._last_block) for d in devices]
     session = SharedReadSession()
     with trace_query("walks") as trace, activate_session(session):
         with collecting_io() as io:
             for walk in walks(engine):
                 walk()
-    assert io.counts().total_accesses == 0
+    assert io.snapshot().total_accesses == 0
     assert io.shared_reads == 0 and io.objects_loaded == 0
     assert list(trace.iter_events()) == []
     assert (session.hits, session.misses, len(session)) == (0, 0, 0)
-    assert [(d.stats.counts(), d.stats._last_block) for d in devices] == before
+    assert [(d.stats.snapshot(), d.stats._last_block) for d in devices] == before
 
 
 def test_walks_beside_queries_keep_the_device_totals_exact():
@@ -78,7 +78,7 @@ def test_walks_beside_queries_keep_the_device_totals_exact():
         terms = sorted(analyzer.terms(rng.choice(objects).text))
         point = (rng.uniform(0.0, 100.0), rng.uniform(0.0, 100.0))
         queries.append(SpatialKeywordQuery.of(point, terms[:2], k=5))
-    start = sum(device.stats.total_reads for device in devices)
+    start = sum(device.stats.snapshot().total_reads for device in devices)
     charged: list[int] = []
     errors: list[BaseException] = []
     done = threading.Event()
@@ -103,7 +103,7 @@ def test_walks_beside_queries_keep_the_device_totals_exact():
             with collecting_io() as io:
                 for walk in walks(engine):
                     walk()
-            assert io.total_reads == 0
+            assert io.snapshot().total_reads == 0
             walked += 1
         thread.join(timeout=120)
     finally:
@@ -111,5 +111,5 @@ def test_walks_beside_queries_keep_the_device_totals_exact():
     assert not thread.is_alive()
     assert errors == []
     assert len(charged) == 3 * len(queries)
-    total = sum(device.stats.total_reads for device in devices)
+    total = sum(device.stats.snapshot().total_reads for device in devices)
     assert total - start == sum(charged)
