@@ -79,15 +79,16 @@ def main() -> None:
 
     print()
     print("slowest three executions by search time:")
-    spans = sorted(
-        (e.trace for e in executions), key=lambda s: s.search_ms, reverse=True
+    slowest = sorted(
+        executions, key=lambda e: e.trace.search_ms, reverse=True
     )
-    for span in spans[:3]:
+    for execution in slowest[:3]:
+        span, io = execution.trace, execution.io
         print(f"  #{span.query_id:3d} {span.cache:6s} "
               f"wait {span.queue_wait_ms:7.2f} ms  "
               f"search {span.search_ms:7.2f} ms  "
-              f"{span.random_reads}r+{span.sequential_reads}s reads  "
-              f"keywords={list(span.keywords)}")
+              f"{io.random_reads}r+{io.sequential_reads}s reads  "
+              f"keywords={list(execution.query.keywords)}")
 
     # The batch front-end: the same workload through submit_many runs
     # each group under one shared-read session, so blocks touched by

@@ -117,9 +117,11 @@ class QueryExecution:
         nodes_visited: index nodes loaded during the query.
         algorithm: short label ("RTREE", "IIO", "IR2", "MIR2", or a
             sharded composite like "SHARDED-IR2x4").
-        trace: optional :class:`repro.serve.tracing.TraceSpan` attached by
-            the concurrent service layer (queue wait, timings, cache
-            status); ``None`` for direct engine queries.
+        trace: the :class:`repro.serve.tracing.TraceSpan` record of the
+            :class:`repro.serve.QueryService` that served this execution
+            (timings, cache disposition, batch, pinned version), which
+            refers back to this execution; ``None`` for direct engine
+            queries.
         shards: per-shard cost breakdown (JSON-ready dicts) attached by
             :class:`repro.shard.ShardedEngine`; ``None`` for unsharded
             executions.

@@ -22,8 +22,8 @@ after a workload), or programmatically::
         service.run_batch(queries)
         print(registry.snapshot()["histograms"]["service.search_ms"]["p95"])
 
-:class:`SlowQueryLog` rides along in the service: the worst trace spans
-above a configurable latency threshold, so every dump names concrete
+:class:`SlowQueryLog` rides along in the service: the worst per-query
+records above a configurable latency threshold, so every dump names concrete
 offender queries next to the aggregate distributions.
 
 :mod:`repro.obs.trace` adds hierarchical query tracing on top of the

@@ -42,7 +42,7 @@ import os
 import queue
 import threading
 
-from repro.core.query import QueryExecution, SpatialKeywordQuery
+from repro.core.query import SpatialKeywordQuery
 from repro.core.ranking import DistanceDecayRanking, LinearRanking
 from repro.errors import ReproError
 
@@ -154,17 +154,15 @@ def _fanout_summary(shards: list[dict] | None) -> dict | None:
     }
 
 
-def build_record(
-    span,
-    execution: QueryExecution | None = None,
-    query: SpatialKeywordQuery | None = None,
-) -> dict:
-    """One JSON-ready query-log record from a flat span (+ execution).
+def build_record(span) -> dict:
+    """One JSON-ready query-log record, read from a query's service record.
 
-    ``execution`` is None for failed queries — the record then carries
-    the error and the query shape (pass ``query`` explicitly) but no
-    results digest or I/O attribution.
+    ``span`` is the :class:`~repro.serve.tracing.TraceSpan` of one served
+    query.  A failed query's span holds no execution: its record carries
+    the error and the query shape but no results digest or I/O
+    attribution.
     """
+    execution = span.execution
     record: dict = {
         "schema": SCHEMA_VERSION,
         "query_id": span.query_id,
@@ -183,10 +181,8 @@ def build_record(
             "total": round(span.total_ms, 4),
         },
     }
-    if execution is not None:
-        query = execution.query
-    if query is not None:
-        record["query"] = query_spec(query)
+    if span.query is not None:
+        record["query"] = query_spec(span.query)
     if execution is None:
         return record
     io = execution.io
@@ -313,12 +309,7 @@ class QueryLogWriter:
 
     # -- The query-path side ----------------------------------------------------
 
-    def offer(
-        self,
-        span,
-        execution: QueryExecution | None = None,
-        query: SpatialKeywordQuery | None = None,
-    ) -> bool:
+    def offer(self, span) -> bool:
         """Sample and enqueue one completed (or failed) query; never blocks.
 
         Returns True when the record was enqueued, False when it was
@@ -331,19 +322,7 @@ class QueryLogWriter:
             if (self._seen - 1) % self.sample_every:
                 return False
             self._sampled += 1
-        record = build_record(span, execution, query=query)
-        try:
-            self._queue.put_nowait(record)
-        except queue.Full:
-            with self._lock:
-                self._dropped += 1
-            if self.metrics is not None:
-                self.metrics.counter("querylog.dropped").inc()
-            return False
-        return True
-
-    def log(self, record: dict) -> bool:
-        """Enqueue a pre-built record (bypasses sampling); never blocks."""
+        record = build_record(span)
         try:
             self._queue.put_nowait(record)
         except queue.Full:

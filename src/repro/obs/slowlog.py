@@ -1,12 +1,14 @@
-"""Slow-query log: a bounded buffer of the worst trace spans.
+"""Slow-query log: a bounded buffer of the worst served queries.
 
 Latency histograms say *that* p99 regressed; the slow-query log says
 *which queries did it*.  :class:`SlowQueryLog` keeps the ``capacity``
-worst :class:`~repro.serve.tracing.TraceSpan` objects whose total
-latency crossed a configurable threshold, so a `--serve-metrics` dump
-(or ``repro metrics``) always carries concrete offender queries —
-keywords, k, cache disposition, per-query I/O — next to the aggregate
-distributions.
+worst :class:`~repro.serve.tracing.TraceSpan` records whose total
+latency crossed a configurable threshold, so a ``--serve-metrics`` dump
+(or ``repro metrics``) always carries concrete offender queries next to
+the aggregate distributions.  Its rows are the records' own
+:meth:`~repro.serve.tracing.TraceSpan.as_dict` rows — keywords, k,
+cache disposition, per-query I/O — read from each query's execution
+when the log is dumped.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class SlowQueryLog:
         self._heap: list[tuple[float, int, object]] = []
         self._seq = itertools.count()
         self._observed = 0
-        self._admitted = 0
 
     def offer(self, span) -> bool:
         """Consider one finished span; True when it was retained.
@@ -55,11 +56,9 @@ class SlowQueryLog:
             entry = (total_ms, next(self._seq), span)
             if len(self._heap) < self.capacity:
                 heapq.heappush(self._heap, entry)
-                self._admitted += 1
                 return True
             if total_ms > self._heap[0][0]:
                 heapq.heapreplace(self._heap, entry)
-                self._admitted += 1
                 return True
             return False
 
@@ -84,7 +83,6 @@ class SlowQueryLog:
         with self._lock:
             self._heap = []
             self._observed = 0
-            self._admitted = 0
 
     def as_dicts(self) -> list[dict]:
         """JSON-ready rows, slowest first (the dump's ``slow_queries``)."""

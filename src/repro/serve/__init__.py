@@ -16,8 +16,9 @@ production wrapper the ROADMAP's north star asks for:
   shedding);
 * :class:`QueryResultCache` — LRU memoization of identical queries with
   explicit invalidation on every engine mutation;
-* :class:`TraceSpan` / :class:`TraceLog` — per-query tracing (queue
-  wait, search time, I/O counts, cache disposition);
+* :class:`TraceSpan` / :class:`TraceLog` — the one record of each
+  served query (timings, cache disposition, batch, pinned version, and
+  its query and execution) and the bounded log that retains them;
 * :class:`ServiceStats` — lifetime counters, a view of the metrics registry.
 
 Quick start::

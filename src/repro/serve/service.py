@@ -28,17 +28,18 @@ while staying byte-for-byte faithful to them:
   answered from another; both cache hits and cached entries carry
   *copies* of the result objects, so a caller mutating a returned
   result can never corrupt later answers;
-* every execution carries a :class:`~repro.serve.tracing.TraceSpan`
-  (queue wait, search time, I/O counts, cache disposition), counted
-  once, completed or failed, into a :class:`repro.obs.MetricsRegistry`:
+* every execution carries one :class:`~repro.serve.tracing.TraceSpan`
+  record (timings, cache disposition, batch, pinned version, and the
+  query and execution it describes), counted once, completed or
+  failed, into a :class:`repro.obs.MetricsRegistry`:
   per-stage latency histograms and cache / degradation / retry / I/O
   counters, which :class:`ServiceStats` and
-  :meth:`QueryService.export_metrics` read; slow spans also go to a
-  slow-query log;
+  :meth:`QueryService.export_metrics` read; the trace log, the slow-query
+  log and the query log keep or render that same record;
 * attaching a :class:`repro.obs.trace.QueryTracer` turns on hierarchical
   tracing: sampled (and slow) queries get a full span tree — service
   root, per-shard fan-out, engine phases, block-level I/O events — whose
-  ``trace_id`` lands on the flat span and in the slow-query log, and
+  ``trace_id`` lands on the query's record, and
   which exports to Chrome trace-event JSON via
   :meth:`QueryService.export_chrome_trace`.
 """
@@ -105,13 +106,11 @@ class _Answered(NamedTuple):
     """One executed (or failed) submission, awaiting logging and resolution.
 
     ``future`` is None when the caller cancelled but a coalesced rider
-    still needed the execution; ``execution`` is None on failure, when
-    ``error`` carries the exception the caller's future receives.
+    still needed the execution; on failure the span holds no execution
+    and ``error`` carries the exception the caller's future receives.
     """
 
     span: TraceSpan
-    execution: QueryExecution | None
-    query: SpatialKeywordQuery
     future: Future | None
     error: Exception | None
 
@@ -131,7 +130,7 @@ def _settle(answered: Iterable[_Answered]) -> None:
         if each.error is not None:
             _resolve_exception(each.future, each.error)
         else:
-            _resolve_result(each.future, each.execution)
+            _resolve_result(each.future, each.span.execution)
 
 
 #: The per-query I/O counters, named after their :class:`IOCounts` fields.
@@ -632,14 +631,14 @@ class QueryService:
         version — the group's own, else the current published one —
         covers the group; members execute sequentially (answers are
         byte-identical to serial execution on that version), each with
-        its own flat span and per-query I/O delta.
+        its own record and per-query I/O delta.
 
         Only a scheduler group opens a shared-read session: a query
         re-reads blocks, and a lone read must cost exactly its
         standalone device reads (the paper's cold-cache accounting).
         Likewise its hierarchical trace gets a "batch" root with one
         "query" child per executed member, while a lone read's root is
-        its "query" span.  Spans reach the trace, slow-query, and query
+        its "query" span.  Records reach the trace, slow-query, and query
         logs once the trace is committed, so they carry its
         ``trace_id``.  Batch members resolve as each one finishes; a
         lone read resolves after it is logged.
@@ -712,7 +711,7 @@ class QueryService:
                 self.metrics.counter("service.trace_log.dropped").inc()
             self.slow_log.offer(span)
             if self.query_log is not None:
-                self.query_log.offer(span, each.execution, query=each.query)
+                self.query_log.offer(span)
         if not batched:
             _settle(answered)
             return
@@ -743,14 +742,13 @@ class QueryService:
         query = member.query
         span = TraceSpan(
             query_id=member.query_id,
-            keywords=query.keywords,
-            k=query.k,
             submitted_at=member.submitted_at,
             started_at=started,
             worker=threading.current_thread().name,
             batch_id=batch_id,
             engine_version=version.version,
         )
+        span.query = query
         # A batch member gets its own "query" span under the batch root;
         # a lone read's trace root is its "query" span.
         qspan = None
@@ -773,75 +771,45 @@ class QueryService:
                 qspan.finish(span.finished_at)
             if trace is not None:
                 span.emit_phases(trace, parent=qspan)
-            self._record(
-                span, None, failures=(1 if alive else 0) + len(followers)
-            )
-            failed = [_Answered(span, None, query, future, exc)]
+            self._record(span, failures=(1 if alive else 0) + len(followers))
+            failed = [_Answered(span, future, exc)]
             for follower in followers:
                 fspan = self._follower_span(
                     follower, span, batch_id, error=span.error,
                 )
-                failed.append(
-                    _Answered(fspan, None, follower.query, follower.future, exc)
-                )
+                failed.append(_Answered(fspan, follower.future, exc))
             return failed
         finished = time.perf_counter()
-        self._annotate_span(span, execution)
+        span.execution = execution
+        execution.trace = span
         span.finished_at = finished
         if qspan is not None:
             qspan.finish(finished)
         if trace is not None:
             span.emit_phases(trace, parent=qspan)
-        self._record(span, execution)
-        answered = [_Answered(span, execution, query, future, None)]
+        self._record(span)
+        answered = [_Answered(span, future, None)]
         for follower in followers:
-            follower_execution = self._follower_execution(
+            fspan = self._follower_span(follower, span, batch_id)
+            fspan.execution = self._follower_execution(
                 follower.query, execution
             )
-            fspan = self._follower_span(follower, span, batch_id)
-            fspan.algorithm = execution.algorithm
-            fspan.strategy = span.strategy
-            fspan.num_results = len(follower_execution.results)
-            follower_execution.trace = fspan
-            self._record(fspan, follower_execution)
-            answered.append(_Answered(
-                fspan, follower_execution, follower.query, follower.future,
-                None,
-            ))
+            fspan.execution.trace = fspan
+            self._record(fspan)
+            answered.append(_Answered(fspan, follower.future, None))
         return answered
 
-    @staticmethod
-    def _annotate_span(span: TraceSpan, execution: QueryExecution) -> None:
-        """Copy one completed execution's outcome onto its flat span."""
-        span.algorithm = execution.algorithm
-        span.strategy = (execution.plan or {}).get("strategy")
-        span.random_reads = execution.io.random_reads
-        span.sequential_reads = execution.io.sequential_reads
-        span.shared_reads = execution.io.shared_reads
-        span.objects_loaded = execution.io.objects_loaded
-        if execution.shards is not None:
-            span.pruned_by_keywords = sum(
-                1 for shard in execution.shards
-                if shard.get("pruned_by_keywords")
-            )
-        span.num_results = len(execution.results)
-        execution.trace = span
-
-    def _record(
-        self,
-        span: TraceSpan,
-        execution: QueryExecution | None,
-        failures: int = 0,
-    ) -> None:
+    def _record(self, span: TraceSpan, failures: int = 0) -> None:
         """Count one execution into the metrics registry.
 
-        ``execution`` is None when it failed, then counted as
+        A span without an execution failed and is counted as
         ``failures`` errors (the member and its waiting riders); a failed
         execution's transient retries are counted all the same.
         """
         m = self.metrics
         if span.retries:
             m.counter("service.retries").inc(span.retries)
+        execution = span.execution
         if execution is None:
             m.counter("service.errors").inc(failures)
             return
@@ -922,28 +890,27 @@ class QueryService:
         follower: BatchMember, leader_span: TraceSpan, batch_id: int,
         error: str | None = None,
     ) -> TraceSpan:
-        """A flat span for a coalesced rider (zero-width execution).
+        """The record of a coalesced rider (zero-width execution).
 
-        The follower never pinned a version or touched a device; its span
-        records queue wait (submission → leader completion) and the
-        ``"coalesced"`` disposition.
+        The follower never pinned a version or touched a device; its
+        record holds its queue wait (submission → leader completion) and
+        the ``"coalesced"`` disposition.
         """
         finished = leader_span.finished_at
         span = TraceSpan(
             query_id=follower.query_id,
-            keywords=follower.query.keywords,
-            k=follower.query.k,
             cache=CACHE_COALESCED,
             submitted_at=follower.submitted_at,
             started_at=leader_span.started_at,
+            lock_acquired_at=finished,
+            search_done_at=finished,
+            finished_at=finished,
             worker=leader_span.worker,
             batch_id=batch_id,
             error=error,
             engine_version=leader_span.engine_version,
         )
-        span.lock_acquired_at = finished
-        span.search_done_at = finished
-        span.finished_at = finished
+        span.query = follower.query
         return span
 
     @staticmethod

@@ -1,31 +1,32 @@
-"""Lightweight per-query tracing for the concurrent service layer.
+"""The service's one record of a served query.
 
 Every execution dispatched through :class:`repro.serve.QueryService`
-carries one :class:`TraceSpan` recording the span of its life inside the
-service: when it was submitted, how long it waited in the worker queue,
-how long the search itself took, how much I/O it performed, and whether
-it was answered from the result cache.  Spans are collected in a
+carries one :class:`TraceSpan`.  It holds what only the service knows —
+when the query was submitted, picked up, pinned and answered, its cache
+disposition, retries, worker, error, batch and pinned engine version —
+and references the query and its execution for everything else.  Every
+per-query view reads that one record: the ``--serve-trace`` and
+slow-log rows (:meth:`TraceSpan.as_dict`), the query-log record
+(:func:`repro.obs.querylog.build_record`) and the annotations on the
+query's span in a retained hierarchical trace
+(:meth:`TraceSpan.emit_phases`).  Records are collected in a
 thread-safe :class:`TraceLog` and can be exported as JSON (the CLI's
 ``serve --serve-trace`` dump) for offline latency analysis.
 
 Timestamps use :func:`time.perf_counter` — monotonic and comparable
-within one process, not wall-clock times.
-
-Since the hierarchical tracing layer (:mod:`repro.obs.trace`) landed,
-this flat span is a *view over the root span* of a query's span tree:
-when the service's :class:`~repro.obs.trace.QueryTracer` retains a trace
-for a query, the span carries its ``trace_id`` and its timestamps equal
-the root span's interval (``work_ms`` == root duration).  The flat keys
-exported by :meth:`TraceSpan.as_dict` are unchanged, so existing
-``--serve-trace`` consumers keep working.
+within one process, not wall-clock times.  When the service's
+:class:`~repro.obs.trace.QueryTracer` retains a trace for a query, the
+record carries its ``trace_id``.
 """
 
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.core.query import QueryExecution, SpatialKeywordQuery
 from repro.obs.trace import Trace, atomic_write_json
+from repro.storage.iostats import IOCounts
 
 #: Cache dispositions a span can carry.
 CACHE_HIT = "hit"
@@ -33,21 +34,26 @@ CACHE_MISS = "miss"
 CACHE_BYPASS = "bypass"  # caching disabled for the service
 CACHE_COALESCED = "coalesced"  # answered by another in-flight duplicate
 
+#: The I/O a query without an execution (a failed one) reports.
+_NO_IO = IOCounts()
+
+#: Row keys annotated on a query's span in its trace, in this order;
+#: None values are left out, and so is a zero ``pruned_by_keywords``.
+_SPAN_NOTES = (
+    "batch_id", "query_id", "algorithm", "keywords", "k", "cache",
+    "queue_wait_ms", "worker", "strategy", "pruned_by_keywords",
+    "engine_version", "error",
+)
+
 
 @dataclass(slots=True)
 class TraceSpan:
-    """The traced lifecycle of one query execution inside the service.
+    """The service's record of one served query.
 
     Attributes:
         query_id: service-wide monotonically increasing sequence number.
-        algorithm: executing index label ("IR2", "RTREE", ...).
-        strategy: the adaptive planner's chosen strategy (e.g. "iio",
-            or a "+"-joined set for mixed sharded routing); None for
-            fixed index kinds — makes misrouted slow queries
-            attributable in the slow-query log and trace report.
-        keywords: the query's keywords.
-        k: requested result count.
-        cache: one of ``"hit"`` / ``"miss"`` / ``"bypass"``.
+        cache: one of ``"hit"`` / ``"miss"`` / ``"bypass"`` /
+            ``"coalesced"``.
         submitted_at: perf-counter time the query entered the service.
         started_at: perf-counter time a worker picked it up.
         lock_acquired_at: perf-counter time the worker, holding its
@@ -56,18 +62,6 @@ class TraceSpan:
         search_done_at: perf-counter time the engine search (or the
             cache lookup, for hits) returned (0.0 if it never got there).
         finished_at: perf-counter time the execution completed.
-        random_reads: per-query random block reads.
-        sequential_reads: per-query sequential block reads.
-        shared_reads: block reads served by the batch's shared-read
-            session instead of the device (0 outside batched execution).
-        objects_loaded: per-query logical object loads.
-        pruned_by_keywords: shards this query skipped entirely because
-            keyword routing proved they hold no matching term (0 for
-            unsharded executions and coalesced followers, which fanned
-            out to nothing) — mirrors the per-shard
-            ``pruned_by_keywords`` flags on
-            :attr:`repro.core.query.QueryExecution.shards`.
-        num_results: number of results returned.
         retries: transient-error retries spent by this execution.
         worker: name of the thread that executed the query.
         error: exception message when the execution failed, else None.
@@ -81,31 +75,28 @@ class TraceSpan:
             pinned to.  :attr:`lock_wait_ms` measures the (near-zero)
             time from worker pickup to the engine call: version pinning
             and, for a batch member, its group's setup.
+        query: the submitted query (set by the service).
+        execution: the query's execution (set by the service once it is
+            answered); None when the execution failed.  Its algorithm,
+            plan, per-query I/O, shards and results are what the views
+            report, read when a view is rendered.
     """
 
     query_id: int
-    algorithm: str = ""
-    strategy: str | None = None
-    keywords: tuple[str, ...] = ()
-    k: int = 0
     cache: str = CACHE_BYPASS
     submitted_at: float = 0.0
     started_at: float = 0.0
     lock_acquired_at: float = 0.0
     search_done_at: float = 0.0
     finished_at: float = 0.0
-    random_reads: int = 0
-    sequential_reads: int = 0
-    shared_reads: int = 0
-    objects_loaded: int = 0
-    pruned_by_keywords: int = 0
-    num_results: int = 0
     retries: int = 0
     worker: str = ""
     error: str | None = None
     trace_id: str | None = None
     batch_id: int | None = None
     engine_version: int | None = None
+    query: SpatialKeywordQuery | None = field(default=None, init=False)
+    execution: QueryExecution | None = field(default=None, init=False)
 
     @property
     def queue_wait_ms(self) -> float:
@@ -118,10 +109,8 @@ class TraceSpan:
 
         Measured ``lock_acquired_at → search_done_at`` — the engine call
         proper, excluding lock wait and merge/finalize, which
-        :attr:`lock_wait_ms` and :attr:`merge_ms` already report
-        separately.  (Historically this measured the whole
-        ``started_at → finished_at`` window, double-counting both;
-        that value is still available as :attr:`work_ms`.)
+        :attr:`lock_wait_ms` and :attr:`merge_ms` report separately
+        (:attr:`work_ms` covers all three).
         """
         if not self.lock_acquired_at or not self.search_done_at:
             return 0.0
@@ -129,8 +118,8 @@ class TraceSpan:
 
     @property
     def work_ms(self) -> float:
-        """Milliseconds from worker pickup to completion (the old
-        ``search_ms``): lock wait + engine search + merge/finalize."""
+        """Milliseconds from worker pickup to completion: lock wait +
+        engine search + merge/finalize."""
         return max(0.0, self.finished_at - self.started_at) * 1000.0
 
     @property
@@ -154,13 +143,19 @@ class TraceSpan:
         return max(0.0, self.finished_at - self.submitted_at) * 1000.0
 
     def as_dict(self) -> dict:
-        """JSON-serializable view of the span (the ``--serve-trace`` rows)."""
+        """JSON-serializable view of the record (the ``--serve-trace`` and
+        slow-log rows); a failed query reports no results and no I/O."""
+        query, execution = self.query, self.execution
+        answered = execution is not None
+        io = execution.io if answered else _NO_IO
+        plan = (execution.plan if answered else None) or {}
+        shards = (execution.shards if answered else None) or ()
         return {
             "query_id": self.query_id,
-            "algorithm": self.algorithm,
-            "strategy": self.strategy,
-            "keywords": list(self.keywords),
-            "k": self.k,
+            "algorithm": execution.algorithm if answered else "",
+            "strategy": plan.get("strategy"),
+            "keywords": list(query.keywords) if query is not None else [],
+            "k": query.k if query is not None else 0,
             "cache": self.cache,
             "queue_wait_ms": self.queue_wait_ms,
             "lock_wait_ms": self.lock_wait_ms,
@@ -169,12 +164,14 @@ class TraceSpan:
             "search_ms": self.search_ms,
             "work_ms": self.work_ms,
             "total_ms": self.total_ms,
-            "random_reads": self.random_reads,
-            "sequential_reads": self.sequential_reads,
-            "shared_reads": self.shared_reads,
-            "objects_loaded": self.objects_loaded,
-            "pruned_by_keywords": self.pruned_by_keywords,
-            "num_results": self.num_results,
+            "random_reads": io.random_reads,
+            "sequential_reads": io.sequential_reads,
+            "shared_reads": io.shared_reads,
+            "objects_loaded": io.objects_loaded,
+            "pruned_by_keywords": sum(
+                1 for shard in shards if shard.get("pruned_by_keywords")
+            ),
+            "num_results": len(execution.results) if answered else 0,
             "retries": self.retries,
             "worker": self.worker,
             "error": self.error,
@@ -184,16 +181,17 @@ class TraceSpan:
         }
 
     def emit_phases(self, trace: Trace, parent=None) -> None:
-        """Synthesize phase spans for this query under ``parent``.
+        """Annotate the query's span and synthesize its service phases.
 
         ``parent`` defaults to ``trace``'s root (the unbatched case: the
         query *is* the root).  Under batched execution the batch span is
         the root and each member query passes its own "query" span here,
-        so the tree reads batch root → member query → phases.
+        so the tree reads batch root → member query → phases.  The
+        parent is annotated from :meth:`as_dict`.
 
         The engine search itself is traced live (it opens its own spans
         while running); the lock-wait and finalize phases only exist as
-        flat timestamps on this span, so once the query completes they
+        flat timestamps on this record, so once the query completes they
         are back-filled as already-finished children of the parent.  The
         parent's interval is ``started_at → finished_at``: queue wait is
         deliberately *not* a span (the query was idle, and a span would
@@ -203,25 +201,11 @@ class TraceSpan:
         root = parent if parent is not None else trace.root
         if root is None:
             return
-        if self.batch_id is not None:
-            root.annotate(batch_id=self.batch_id)
-        root.annotate(
-            query_id=self.query_id,
-            algorithm=self.algorithm,
-            keywords=list(self.keywords),
-            k=self.k,
-            cache=self.cache,
-            queue_wait_ms=self.queue_wait_ms,
-            worker=self.worker,
-        )
-        if self.strategy is not None:
-            root.annotate(strategy=self.strategy)
-        if self.pruned_by_keywords:
-            root.annotate(pruned_by_keywords=self.pruned_by_keywords)
-        if self.engine_version is not None:
-            root.annotate(engine_version=self.engine_version)
-        if self.error is not None:
-            root.annotate(error=self.error)
+        row = self.as_dict()
+        notes = {key: row[key] for key in _SPAN_NOTES if row[key] is not None}
+        if not notes["pruned_by_keywords"]:
+            del notes["pruned_by_keywords"]
+        root.annotate(**notes)
         if self.lock_acquired_at and self.started_at:
             trace.new_span(
                 "lock-wait", category="service", parent=root,
@@ -237,11 +221,13 @@ class TraceSpan:
 
 
 class TraceLog:
-    """Append-only, thread-safe collection of :class:`TraceSpan` objects.
+    """Append-only, thread-safe collection of :class:`TraceSpan` records.
 
     Args:
-        capacity: maximum retained spans; the oldest are dropped once the
-            log is full.  ``None`` retains everything.
+        capacity: maximum retained records; the oldest are dropped once
+            the log is full.  ``None`` retains everything.  A record
+            references its execution, so the bound also caps the
+            executions (and their results) the log keeps alive.
     """
 
     def __init__(self, capacity: int | None = None) -> None:

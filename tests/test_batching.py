@@ -702,7 +702,7 @@ class TestWorkConserving:
             def __init__(self):
                 self.calls = 0
 
-            def offer(self, span, execution, query=None):
+            def offer(self, span):
                 self.calls += 1
                 if self.calls == 1:
                     raise RuntimeError("log down")
@@ -972,47 +972,54 @@ def _documented_metric_patterns(path) -> list:
     return patterns
 
 
+def _serve_each_outcome(world, metrics=None) -> QueryService:
+    """One service through a miss, a rider, a hit, a shed batch and a
+    transient failure with a rider; its trace log keeps one span, so
+    the others are dropped.  Returns the closed service."""
+    from repro.errors import TransientDeviceError
+
+    objects, queries = world
+    engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
+    engine.add_all(objects)
+    engine.build()
+    boom = queries[1]
+    original_search = engine.search
+
+    def flaky_search(query, *args, **kwargs):
+        if query.keywords == boom.keywords and query.point == boom.point:
+            raise TransientDeviceError("injected transient fault")
+        return original_search(query, *args, **kwargs)
+
+    engine.search = flaky_search
+    with QueryService(
+        engine, workers=1, retries=2, retry_backoff_s=0.0, trace_capacity=1,
+        metrics=metrics, batching=BatchConfig(max_batch=16, max_pending=4),
+    ) as service:
+        same = [
+            SpatialKeywordQuery.of(queries[0].point, queries[0].keywords,
+                                   queries[0].k)
+            for _ in range(2)
+        ]
+        miss, rider = service.run_batch(same)  # a miss and a rider
+        assert rider.trace.cache == "coalesced"
+        hit = service.search(queries[0])
+        assert hit.trace.cache == "hit"
+        with pytest.raises(ServiceOverloadError):
+            service.submit_many(queries[2:7])  # 5 > max_pending
+        failing = service.submit_many([boom, boom])  # leader + rider
+        for future in failing:
+            with pytest.raises(TransientDeviceError):
+                future.result()
+    return service
+
+
 class TestStatsReadTheMetrics:
     """ServiceStats is a view of the registry: every field equals the
     metric counting the same event, failed executions included."""
 
     @pytest.fixture()
     def stats(self, world):
-        from repro.errors import TransientDeviceError
-
-        objects, queries = world
-        engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
-        engine.add_all(objects)
-        engine.build()
-        boom = queries[1]
-        original_search = engine.search
-
-        def flaky_search(query, *args, **kwargs):
-            if query.keywords == boom.keywords and query.point == boom.point:
-                raise TransientDeviceError("injected transient fault")
-            return original_search(query, *args, **kwargs)
-
-        engine.search = flaky_search
-        with QueryService(
-            engine, workers=1, retries=2, retry_backoff_s=0.0,
-            batching=BatchConfig(max_batch=16, max_pending=4),
-        ) as service:
-            same = [
-                SpatialKeywordQuery.of(queries[0].point, queries[0].keywords,
-                                       queries[0].k)
-                for _ in range(2)
-            ]
-            miss, rider = service.run_batch(same)  # a miss and a rider
-            assert rider.trace.cache == "coalesced"
-            hit = service.search(queries[0])
-            assert hit.trace.cache == "hit"
-            with pytest.raises(ServiceOverloadError):
-                service.submit_many(queries[2:7])  # 5 > max_pending
-            failing = service.submit_many([boom, boom])  # leader + rider
-            for future in failing:
-                with pytest.raises(TransientDeviceError):
-                    future.result()
-        return service.stats()
+        return _serve_each_outcome(world).stats()
 
     def test_every_field_equals_its_metric(self, stats):
         counters = stats.metrics["counters"]
@@ -1079,3 +1086,46 @@ class TestStatsReadTheMetrics:
             if not any(pattern.fullmatch(name) for pattern in patterns)
         ]
         assert undocumented == []
+
+    def test_every_documented_service_metric_is_emitted(self, world):
+        """The other half of the catalogue: a documented ``service.*``
+        metric that no outcome emits is stale documentation."""
+        from pathlib import Path
+
+        from repro.obs import MetricsRegistry
+        from repro.shard import PARTIAL, ShardedEngine
+        from repro.storage import inject_engine_faults
+
+        registry = MetricsRegistry()
+        _serve_each_outcome(world, metrics=registry)
+        # A cache-less service answers partially over failing shards.
+        objects, queries = world
+        sharded = ShardedEngine(
+            n_shards=2, index="ir2", signature_bytes=4, workers=1,
+            retries=0, failure_policy=PARTIAL,
+        )
+        sharded.add_all(objects)
+        sharded.build()
+        for shard in sharded.shards:
+            inject_engine_faults(shard, read_error_rate=1.0)
+        with sharded, QueryService(
+            sharded, workers=1, cache=False, metrics=registry,
+        ) as service:
+            assert service.search(queries[0]).degraded
+        snapshot = registry.snapshot()
+        emitted = [
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name in snapshot[kind]
+        ]
+        doc = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+        documented = [
+            pattern for pattern in _documented_metric_patterns(doc)
+            if pattern.pattern.startswith(r"service\.")
+        ]
+        assert len(documented) >= 20
+        missing = [
+            pattern.pattern for pattern in documented
+            if not any(pattern.fullmatch(name) for name in emitted)
+        ]
+        assert missing == []

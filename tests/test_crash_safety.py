@@ -23,6 +23,7 @@ from repro.persist import (
     saving_fault_hook,
     verify_engine,
 )
+from repro.serve import QueryService
 from repro.shard import ShardedEngine
 from repro.storage import CrashTimer, FaultPlan, SimulatedCrash
 
@@ -151,6 +152,77 @@ class TestCrashMidSaveSharded:
             save_engine(build_sharded(), str(target))
             point = crash_save_at(build_sharded, target, crash_at)
             assert_previous_state_or_typed_error(target, point)
+
+
+class TestAcknowledgedWritesDurability:
+    """docs/SERVING.md: an acknowledged write survives a crash only once a
+    later ``QueryService.save()`` has returned."""
+
+    MARKER = (99, (30.5, 100.0), "internet pool crashsafe")
+
+    def acknowledge_writes(self, service, target):
+        """Save the previous state, then acknowledge three writes.
+
+        Returns the stored oids before the writes and the live oids
+        after them.
+        """
+        service.save(str(target))
+        previous = stored_oids(load_engine(str(target)))
+        service.add_object(*self.MARKER)
+        service.add_object(98, (31.0, 99.0), "quiet garden")
+        assert service.delete(2)
+        return previous, stored_oids(service.maintainer.current)
+
+    def crash_service_save(self, target, crash_at):
+        """A served engine whose save of its writes dies at ``crash_at``."""
+        with QueryService(build_single(), workers=1) as service:
+            previous, acknowledged = self.acknowledge_writes(service, target)
+            timer = CrashTimer(crash_at=crash_at)
+            with pytest.raises(SimulatedCrash):
+                with saving_fault_hook(timer):
+                    service.save(str(target))
+        return previous, acknowledged, timer.points[-1]
+
+    def test_crashed_save_holds_all_or_none_of_the_writes(self, tmp_path):
+        with QueryService(build_single(), workers=1) as service:
+            self.acknowledge_writes(service, tmp_path / "probe")
+            timer = CrashTimer()
+            with saving_fault_hook(timer):
+                service.save(str(tmp_path / "probe"))
+        assert "swapped-in" in timer.points
+        for crash_at in range(len(timer.points)):
+            target = tmp_path / f"crash-{crash_at}"
+            previous, acknowledged, point = self.crash_service_save(
+                target, crash_at
+            )
+            assert previous != acknowledged
+            try:
+                stored = stored_oids(load_engine(str(target)))
+            except DatasetError:
+                assert point == "swapped-out", (
+                    f"crash at {point!r} lost the previous state"
+                )
+                continue
+            assert stored in (previous, acknowledged), (
+                f"crash at {point!r} stored part of the writes: {stored}"
+            )
+            if point in ("swapped-in", "cleaned-up"):
+                assert stored == acknowledged
+
+    def test_completed_save_holds_every_acknowledged_write(self, tmp_path):
+        target = tmp_path / "eng"
+        _, acknowledged, _ = self.crash_service_save(target, 0)
+        with QueryService(build_single(), workers=1) as service:
+            assert self.acknowledge_writes(service, target)[1] == acknowledged
+            service.save(str(target))
+        reloaded = load_engine(str(target))
+        assert stored_oids(reloaded) == acknowledged
+        assert answer(reloaded) == NEW_OIDS
+
+
+def stored_oids(engine):
+    """The oids an engine (or a published service version) holds."""
+    return {obj.oid for obj in engine.objects()}
 
 
 def corrupt_torn(path):

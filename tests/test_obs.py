@@ -330,7 +330,7 @@ class TestServiceIntegration:
     def test_slow_log_collects_spans(self, service):
         search(service, (0.0, 0.0), ["cafe"], k=3)
         slow = service.slow_queries()
-        assert slow and slow[0].keywords == ("cafe",)
+        assert slow and slow[0].query.keywords == ("cafe",)
 
     def test_export_metrics_json(self, service, tmp_path):
         search(service, (0.0, 0.0), ["cafe"], k=3)

@@ -61,8 +61,11 @@ def workload(small_objects, engine) -> ConcurrentLoadGenerator:
     )
 
 
-def _span(query_id: int = 0) -> TraceSpan:
-    span = TraceSpan(query_id=query_id, keywords=("café",), k=3)
+def _span(query_id: int = 0, execution=None) -> TraceSpan:
+    """A finished service record; answered when ``execution`` is given."""
+    span = TraceSpan(query_id=query_id)
+    if execution is not None:
+        span.query, span.execution = execution.query, execution
     span.submitted_at = 1.0
     span.started_at = 1.001
     span.lock_acquired_at = 1.002
@@ -336,9 +339,11 @@ class TestDeterministicReplay:
         execution = engine.search(
             SpatialKeywordQuery.of((0.0, 0.0), ["café"], 2)
         )
-        good_record = build_record(_span(1), execution)
-        custom_record = build_record(_span(2), execution, query=custom)
-        custom_record["query"]["ranking"] = {"kind": "custom"}
+        good_record = build_record(_span(1, execution))
+        custom_span = _span(2, execution)
+        custom_span.query = custom
+        custom_record = build_record(custom_span)
+        assert custom_record["query"]["ranking"] == {"kind": "custom"}
         report = replay_query_log(
             [error_record, good_record, custom_record], engine,
             io_threshold=None,
@@ -514,7 +519,7 @@ class TestPrunedByKeywordsPropagation:
                 1 for s in execution.shards or []
                 if s.get("pruned_by_keywords")
             )
-            assert span.pruned_by_keywords == expected
+            assert span.as_dict()["pruned_by_keywords"] == expected
             assert (
                 slow_rows[span.query_id]["pruned_by_keywords"] == expected
             )
