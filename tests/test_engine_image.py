@@ -29,7 +29,7 @@ from repro.persist import (
 from repro.shard import ShardedEngine
 from repro.storage import inject_engine_faults
 
-KINDS = ("rtree", "ir2", "mir2", "iio", "sig", "auto", "ir2x2")
+KINDS = ("rtree", "ir2", "mir2", "iio", "sig", "auto", "ir2x2", "autox2kw")
 
 #: SHA-256 over the path and bytes of every file ``save_engine`` writes
 #: for ``build_engine(kind)``.  A change here is a change of the on-disk
@@ -44,6 +44,18 @@ SAVED_LAYOUT_SHA256 = {
     "sig": "83aa9a282c130c97945baa7b691892c70c5d4ed70ffb4f165a1a99a4e48639f7",
     "auto": "effa14415c610e0cd694fa3df39cc1263839a91837e0a3954f281644f39d7d9e",
     "ir2x2": "1858e518ba359dd61cdd1be711350efe1253214d29cf2efa7d26c562b4a2d16b",
+    "autox2kw": "7db62b2e7f72de8bcaee14827f936d63269576ca7fb7818fd41e770140ca618e",
+}
+
+#: SHA-256 of :func:`build_state` right after ``build()``: the keyword
+#: partitioner's placement and pruned centroids, each shard's summary
+#: bits and MBB, and each shard's planner statistics.  None of these is
+#: in the saved layout whole (a load refits the statistics, and the
+#: placement is never saved), so a build that derives them differently
+#: shows here first.
+BUILD_STATE_SHA256 = {
+    "auto": "7a3c5ba0d08e8a141dc2eb86ca903a580b3e8c9d854a16b2d6b963ce997bd347",
+    "autox2kw": "fed3d7cc6c3b3ccb0c0889f4fe0e1ad16085b61617e325a7c4d5a8ef1a11ac30",
 }
 
 def make_objects():
@@ -67,6 +79,11 @@ def build_engine(kind, maintained=True):
     objects = make_objects()
     if kind == "ir2x2":
         engine = ShardedEngine(n_shards=2, index="ir2", signature_bytes=8)
+    elif kind == "autox2kw":
+        # The shape of perfbench's hot_planned engine.
+        engine = ShardedEngine(
+            n_shards=2, index="auto", partitioner="keyword", signature_bytes=8
+        )
     else:
         engine = SpatialKeywordEngine(index=kind, signature_bytes=8)
     engine.add_all(objects[:150])
@@ -182,6 +199,33 @@ def test_save_writes_the_recorded_layout(kind, tmp_path):
     engine = build_engine(kind)
     save_engine(engine, str(tmp_path / "saved"))
     assert layout_sha256(tmp_path / "saved") == SAVED_LAYOUT_SHA256[kind]
+
+
+def build_state(engine) -> str:
+    """Every build-derived routing and planning value, as one string."""
+    parts = []
+    if isinstance(engine, ShardedEngine):
+        partitioner = engine.partitioner
+        parts.append(sorted(partitioner._placement.items()))
+        parts.append(partitioner.to_dict()["centroids"])
+        for summary, mbb in zip(engine.summaries, engine.shard_mbbs):
+            parts.append((summary.to_dict()["bits"], mbb.lo, mbb.hi))
+    for shard in singles(engine):
+        stats = shard.index.stats
+        grid = stats.grid
+        parts.append(
+            (grid.lo, grid.hi, grid.counts, grid.total, stats.avg_blocks_per_object)
+        )
+    return repr(parts)
+
+
+@pytest.mark.parametrize("kind", sorted(BUILD_STATE_SHA256))
+def test_build_derives_the_recorded_state(kind):
+    engine = build_engine(kind, maintained=False)
+    digest = hashlib.sha256(build_state(engine).encode()).hexdigest()
+    if isinstance(engine, ShardedEngine):
+        engine.close()
+    assert digest == BUILD_STATE_SHA256[kind]
 
 
 def test_copy_refuses_what_it_cannot_copy():
