@@ -65,23 +65,21 @@ class SpatialKeywordIndex:
     def build(self, bulk: bool = True, fill: float = 0.7) -> None:
         """Build the structure over every object currently in the corpus.
 
+        The corpus is read once, into one :class:`BulkItem` (pointer,
+        rectangle, distinct terms) per live object
+        (:func:`corpus_items`); every structure is built from those
+        items, so each stored row is decoded once per build.
+
         Args:
             bulk: use the STR bulk loader (True) or repeated insertion
                 (False, the paper's construction path).
             fill: bulk-load node fill fraction.
         """
-        items = [
-            BulkItem(
-                pointer,
-                Rect.from_point(obj.point),
-                self.corpus.analyzer.terms(obj.text),
-            )
-            for pointer, obj in self.corpus.iter_items()
-        ]
-        self._build_structure(items, bulk=bulk, fill=fill)
+        self._build_structure(corpus_items(self.corpus), bulk=bulk, fill=fill)
         self.built = True
 
     def _build_structure(self, items: list[BulkItem], bulk: bool, fill: float) -> None:
+        """Build from the build's ``items``; never reads the corpus."""
         raise NotImplementedError
 
     def require_built(self) -> None:
@@ -473,10 +471,7 @@ class IIOIndex(SpatialKeywordIndex):
         self.index = InvertedIndex(self.device, corpus.analyzer, compression)
 
     def _build_structure(self, items: list[BulkItem], bulk: bool, fill: float) -> None:
-        documents = (
-            (pointer, obj.text) for pointer, obj in self.corpus.iter_items()
-        )
-        self.index.build(documents)
+        self.index.build_terms((item.obj_ptr, item.terms) for item in items)
 
     def _run(
         self, query: SpatialKeywordQuery, exclude: frozenset[int]
@@ -579,9 +574,8 @@ class SignatureFileIndex(SpatialKeywordIndex):
         )
 
     def _build_structure(self, items: list[BulkItem], bulk: bool, fill: float) -> None:
-        self.sigfile.build(
-            (pointer, obj.text) for pointer, obj in self.corpus.iter_items()
-        )
+        for item in items:
+            self.sigfile.add_terms(item.obj_ptr, item.terms)
 
     def _run(
         self, query: SpatialKeywordQuery, exclude: frozenset[int]
@@ -649,8 +643,8 @@ class STreeIndex(SpatialKeywordIndex):
         )
 
     def _build_structure(self, items: list[BulkItem], bulk: bool, fill: float) -> None:
-        for pointer, obj in self.corpus.iter_items():
-            self.stree.insert(pointer, obj.text)
+        for item in items:
+            self.stree.insert_terms(item.obj_ptr, item.terms)
 
     def _run(
         self, query: SpatialKeywordQuery, exclude: frozenset[int]
@@ -672,6 +666,15 @@ class STreeIndex(SpatialKeywordIndex):
     @property
     def size_mb(self) -> float:
         return self.pages.size_mb
+
+
+def corpus_items(corpus: Corpus) -> list[BulkItem]:
+    """One uncounted pass over the corpus: a build item per live object."""
+    terms = corpus.analyzer.terms
+    return [
+        BulkItem(pointer, Rect.from_point(obj.point), terms(obj.text))
+        for pointer, obj in corpus.iter_items()
+    ]
 
 
 #: Default strategy set for ``index="auto"``: the distance-first tree and
@@ -746,9 +749,11 @@ class AutoIndex(SpatialKeywordIndex):
     # -- Construction -----------------------------------------------------------
 
     def _build_structure(self, items: list[BulkItem], bulk: bool, fill: float) -> None:
+        """Build every candidate and the planner statistics from ``items``."""
         for child in self.children.values():
-            child.build(bulk=bulk, fill=fill)
-        self.stats.rebuild()
+            child._build_structure(items, bulk=bulk, fill=fill)
+            child.built = True
+        self.stats.rebuild(items)
 
     # -- Planning ---------------------------------------------------------------
 

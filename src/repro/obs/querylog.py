@@ -218,10 +218,10 @@ class QueryLogWriter:
     blocking: a full queue drops the record and bumps
     :attr:`dropped` (and the ``querylog.dropped`` counter when a
     registry is attached).  One background thread drains the queue into
-    the active segment at ``path``; when the segment exceeds
-    ``max_segment_bytes`` it is finalized — flushed, fsynced, and
-    atomically renamed to ``<path>.<NNNNNN>`` — and a fresh active
-    segment opens.  :meth:`close` drains and finalizes the active
+    the active segment at ``path``; once the segment reaches
+    ``max_segment_bytes``, the next record first finalizes it — flushed,
+    fsynced, and atomically renamed to ``<path>.<NNNNNN>`` — and opens a
+    fresh active segment.  :meth:`close` drains and finalizes the active
     segment in place (it stays at ``path``), so readers always see
     ``sorted rotated segments + active file`` in capture order.
 
@@ -379,6 +379,11 @@ class QueryLogWriter:
             self.metrics.counter("querylog.rotations").inc()
 
     def _write_record(self, record: dict) -> None:
+        # A full segment is rotated out only when a further record comes,
+        # so the last record written always leaves the final segment at
+        # ``path``.
+        if self._fh is not None and self._active_bytes >= self.max_segment_bytes:
+            self._rotate()
         if self._fh is None:
             self._open_active()
         line = json.dumps(record, separators=(",", ":"), sort_keys=True)
@@ -388,8 +393,6 @@ class QueryLogWriter:
             self._written += 1
         if self.metrics is not None:
             self.metrics.counter("querylog.records").inc()
-        if self._active_bytes >= self.max_segment_bytes:
-            self._rotate()
 
     def _drain(self) -> None:
         while True:

@@ -95,6 +95,7 @@ from repro.core.indexes import (
     MIR2Index,
     RTreeIndex,
     SignatureFileIndex,
+    corpus_items,
 )
 from repro.errors import DatasetError, PersistError, ReproError
 from repro.shard.engine import ShardedEngine
@@ -802,7 +803,7 @@ def _restore_index(
                 child, state["children"][kind], fill,
                 _child_index_filename(kind),
             )
-        index.stats.rebuild()
+        index.stats.rebuild(corpus_items(index.corpus))
     elif isinstance(index, SignatureFileIndex):
         fill(filename, index.device)
         sigfile = index.sigfile

@@ -179,15 +179,20 @@ class PlannerStatistics:
 
     # -- Maintenance ------------------------------------------------------------
 
-    def rebuild(self) -> None:
-        """Refit the density grid and object-size sample (at index build)."""
-        points = [obj.point for obj in self.corpus.objects()]
-        self.grid = DensityGrid.fit(points, self.cells_per_dim)
+    def rebuild(self, items: Sequence) -> None:
+        """Refit the density grid and object-size sample (at index build).
+
+        ``items`` are the build's one pass over the corpus
+        (:class:`~repro.core.builder.BulkItem`: pointer, point rectangle,
+        terms), so the statistics decode no row of their own.
+        """
+        self.grid = DensityGrid.fit(
+            [item.rect.lo for item in items], self.cells_per_dim
+        )
         store = self.corpus.store
-        pointers = [pointer for pointer, _ in self.corpus.iter_items()]
-        if pointers:
-            blocks = sum(store.blocks_for(pointer) for pointer in pointers)
-            self.avg_blocks_per_object = max(1.0, blocks / len(pointers))
+        if items:
+            blocks = sum(store.blocks_for(item.obj_ptr) for item in items)
+            self.avg_blocks_per_object = max(1.0, blocks / len(items))
         else:
             self.avg_blocks_per_object = 1.0
         self.version += 1

@@ -199,7 +199,8 @@ class ShardedEngine:
                 self._summary_bytes = self._summaries[0].factory.length_bytes
         else:
             self._summaries = [None] * self.n_shards
-            self._rebuild_summaries()
+            for shard_id in range(self.n_shards):
+                self._rebuild_summary(shard_id)
         return self
 
     # -- Population -------------------------------------------------------------
@@ -249,8 +250,7 @@ class ShardedEngine:
             self._staged = []
         for shard in self.shards:
             shard.build(bulk=bulk)
-        self._recompute_mbbs()
-        self._rebuild_summaries()
+        self._refit_routing()
         self.built = True
 
     def delete(self, oid: int) -> bool:
@@ -321,14 +321,22 @@ class ShardedEngine:
         mbb = self._mbbs[shard_id]
         self._mbbs[shard_id] = rect if mbb is None else mbb.union(rect)
 
-    def _recompute_mbbs(self) -> None:
+    def _refit_routing(self) -> None:
+        """Refit every shard's MBB and keyword summary to its live objects.
+
+        One read of each shard's objects feeds both; the MBB is the
+        minimum and maximum of each coordinate.
+        """
         self._mbbs = [None] * self.n_shards
+        self._summaries = [None] * self.n_shards
         for shard_id, shard in enumerate(self.shards):
-            points = [obj.point for obj in shard.corpus.objects()]
-            if points:
-                self._mbbs[shard_id] = Rect.union_all(
-                    Rect.from_point(p) for p in points
+            objects = list(shard.corpus.objects())
+            if objects:
+                columns = list(zip(*(obj.point for obj in objects)))
+                self._mbbs[shard_id] = Rect(
+                    tuple(map(min, columns)), tuple(map(max, columns))
                 )
+            self._rebuild_summary(shard_id, objects)
 
     # -- Keyword summaries -------------------------------------------------------
 
@@ -337,28 +345,18 @@ class ShardedEngine:
         """The routing table's per-shard keyword summaries (live view)."""
         return list(self._summaries)
 
-    def _rebuild_summaries(self) -> None:
-        """Refill every shard's summary from its live corpus (tight fit)."""
-        self._summaries = [
-            KeywordSummary(length_bytes=self._summary_bytes)
-            for _ in range(self.n_shards)
-        ]
-        analyzer = self.analyzer
-        for shard_id, shard in enumerate(self.shards):
-            self._summaries[shard_id].rebuild(
-                analyzer.terms(obj.text) for obj in shard.corpus.objects()
-            )
-
-    def _rebuild_summary(self, shard_id: int) -> None:
-        analyzer = self.analyzer
+    def _rebuild_summary(
+        self, shard_id: int, objects: Iterable[SpatialObject] | None = None
+    ) -> None:
+        """Refill one shard's summary from its live objects (tight fit)."""
         summary = self._summaries[shard_id]
         if summary is None:
             summary = KeywordSummary(length_bytes=self._summary_bytes)
             self._summaries[shard_id] = summary
-        summary.rebuild(
-            analyzer.terms(obj.text)
-            for obj in self.shards[shard_id].corpus.objects()
-        )
+        if objects is None:
+            objects = self.shards[shard_id].corpus.objects()
+        terms = self.analyzer.terms
+        summary.rebuild(terms(obj.text) for obj in objects)
 
     def _note_summary_delete(self, shard_id: int) -> None:
         """Track summary staleness; rebuild once deletes loosen it too far."""

@@ -320,6 +320,12 @@ class KeywordAwarePartitioner(SpatialPartitioner):
     def fit_objects(
         self, objects: Sequence["SpatialObject"], analyzer: "Analyzer" | None = None
     ) -> None:
+        """Fit the kd seed, then refine the placement by term overlap.
+
+        A shard's score subtracts the object's own count on its current
+        shard, so its terms do not anchor it there, and skips zero-weight
+        terms; centroid counts move only when the object changes shard.
+        """
         analyzer = analyzer or _default_analyzer()
         self._kd.fit([obj.point for obj in objects])
         ordered = sorted(objects, key=lambda obj: obj.oid)
@@ -340,6 +346,10 @@ class KeywordAwarePartitioner(SpatialPartitioner):
             term: (1.0 / (count * count) if count <= cap else 0.0)
             for term, count in df.items()
         }
+        scored = {
+            oid: [(term, weight[term]) for term in terms if weight[term]]
+            for oid, terms in term_sets.items()
+        }
         seed = {obj.oid: self._kd.assign(obj.point) for obj in ordered}
         placement = dict(seed)
         centroids: list[dict[str, int]] = [{} for _ in range(self.n_shards)]
@@ -352,33 +362,34 @@ class KeywordAwarePartitioner(SpatialPartitioner):
         for _ in range(self.iterations):
             moved = 0
             for obj in ordered:
-                terms = term_sets[obj.oid]
+                terms = scored[obj.oid]
                 current = placement[obj.oid]
-                # Evaluate with the object removed so its own terms do not
-                # anchor it to wherever it happens to sit.
-                sizes[current] -= 1
-                for term in terms:
-                    remaining = centroids[current].get(term, 0) - 1
-                    if remaining > 0:
-                        centroids[current][term] = remaining
-                    else:
-                        centroids[current].pop(term, None)
+
+                def overlap(s: int) -> float:
+                    get, own = centroids[s].get, s == current
+                    return sum((get(term, 0) - own) * w for term, w in terms)
+
                 best = min(
-                    (s for s in range(self.n_shards) if sizes[s] < cap),
+                    (
+                        s for s in range(self.n_shards)
+                        if sizes[s] - (s == current) < cap
+                    ),
                     key=lambda s: (
-                        -sum(
-                            centroids[s].get(term, 0) * weight[term]
-                            for term in terms
-                        ),
-                        0 if s == seed[obj.oid] else 1,
-                        s,
+                        -overlap(s), 0 if s == seed[obj.oid] else 1, s
                     ),
                 )
-                if best != current:
-                    moved += 1
+                if best == current:
+                    continue
+                moved += 1
                 placement[obj.oid] = best
+                sizes[current] -= 1
                 sizes[best] += 1
-                for term in terms:
+                for term in term_sets[obj.oid]:
+                    remaining = centroids[current][term] - 1
+                    if remaining:
+                        centroids[current][term] = remaining
+                    else:
+                        del centroids[current][term]
                     centroids[best][term] = centroids[best].get(term, 0) + 1
             if not moved:
                 break

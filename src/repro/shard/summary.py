@@ -82,11 +82,13 @@ class KeywordSummary:
         self.stale_deletes += 1
 
     def rebuild(self, term_sets: Iterable[Iterable[str]]) -> None:
-        """Reset and refill from the live documents' term sets."""
-        self.bits = 0
+        """Reset and refill from the live documents' term sets.
+
+        Superimposing is idempotent, so each distinct term's bits are
+        ORed in once, however many documents hold it.
+        """
+        self.bits = self.factory.for_words(set().union(*term_sets)).bits
         self.stale_deletes = 0
-        for terms in term_sets:
-            self.add_terms(terms)
 
     # -- Routing tests --------------------------------------------------------
 

@@ -99,18 +99,30 @@ class InvertedIndex:
     # -- Construction -----------------------------------------------------------
 
     def build(self, documents: Iterable[tuple[int, str]]) -> None:
-        """Bulk-build from ``(object_pointer, text)`` pairs.
+        """Bulk-build from ``(object_pointer, text)`` pairs (:meth:`build_terms`)."""
+        terms = self.analyzer.terms
+        self.build_terms((pointer, terms(text)) for pointer, text in documents)
 
-        Postings are accumulated in memory, sorted, and appended term by
-        term — a dense, mostly-sequential layout.
+    def build_terms(self, documents: Iterable[tuple[int, Iterable[str]]]) -> None:
+        """Bulk-build from ``(object_pointer, distinct terms)`` pairs.
+
+        Postings are accumulated in memory, sorted, and laid out term by
+        term in one buffer — a dense, mostly-sequential layout — and each
+        block the buffer covers is then written once.
         """
         accumulator: dict[str, list[int]] = {}
-        for pointer, text in documents:
-            for term in self.analyzer.terms(text):
+        for pointer, terms in documents:
+            for term in terms:
                 accumulator.setdefault(term, []).append(pointer)
+        log = bytearray()
         for term in sorted(accumulator):
             postings = sorted(set(accumulator[term]))
-            self._append_postings(term, postings)
+            data = self.codec.encode(postings)
+            self._lexicon[term] = (self._end + len(log), len(data), len(postings))
+            self._live_bytes += len(data)
+            log += data
+        self._write_bytes(self._end, bytes(log))
+        self._end += len(log)
 
     def add(self, pointer: int, text: str) -> None:
         """Index one new document (incremental maintenance).

@@ -61,7 +61,11 @@ class SignatureFile:
 
     def add(self, pointer: int, text: str) -> None:
         """Append one document's record (cheap: one record write)."""
-        signature = self.factory.for_words(self.analyzer.terms(text))
+        self.add_terms(pointer, self.analyzer.terms(text))
+
+    def add_terms(self, pointer: int, terms: Iterable[str]) -> None:
+        """Append the record of a document with distinct ``terms``."""
+        signature = self.factory.for_words(terms)
         record = _PTR.pack(pointer) + signature.to_bytes()
         self._write_record(self._count, record)
         self._slot_by_pointer[pointer] = self._count

@@ -125,13 +125,17 @@ class SignatureFactory:
 
     def for_word(self, word: str) -> Signature:
         """Signature of a single word."""
+        return Signature(self.word_bits(word), self.length_bits)
+
+    def word_bits(self, word: str) -> int:
+        """The bit pattern of :meth:`for_word`, as an integer."""
         raise NotImplementedError
 
     def for_words(self, words: Iterable[str]) -> Signature:
-        """Superimposed signature of a word collection (a document)."""
+        """Superimposed signature of a word collection: its words' bits ORed."""
         acc = 0
         for word in words:
-            acc |= self.for_word(word).bits
+            acc |= self.word_bits(word)
         return Signature(acc, self.length_bits)
 
     def empty(self) -> Signature:
@@ -163,12 +167,12 @@ class HashSignatureFactory(SignatureFactory):
         self.seed = seed
         self._cache: dict[str, int] = {}
 
-    def for_word(self, word: str) -> Signature:
+    def word_bits(self, word: str) -> int:
         bits = self._cache.get(word)
         if bits is None:
             bits = self._hash_word(word)
             self._cache[word] = bits
-        return Signature(bits, self.length_bits)
+        return bits
 
     def _hash_word(self, word: str) -> int:
         digest = hashlib.blake2b(
@@ -205,10 +209,10 @@ class ExactSignatureFactory(SignatureFactory):
         self.length_bits = 8 * max(1, -(-len(ordered) // 8))
         self.strict = strict
 
-    def for_word(self, word: str) -> Signature:
+    def word_bits(self, word: str) -> int:
         slot = self._slots.get(word)
         if slot is None:
             if self.strict:
                 raise KeyError(f"word {word!r} not in signature vocabulary")
-            return Signature(0, self.length_bits)
-        return Signature(1 << slot, self.length_bits)
+            return 0
+        return 1 << slot

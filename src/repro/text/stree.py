@@ -24,7 +24,7 @@ family (node images reuse the entry serialization with a degenerate
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from repro.errors import TreeInvariantError
 from repro.storage.pagestore import PageStore
@@ -130,7 +130,11 @@ class STree:
 
     def insert(self, pointer: int, text: str) -> None:
         """Index one document."""
-        signature = self.factory.for_words(self.analyzer.terms(text))
+        self.insert_terms(pointer, self.analyzer.terms(text))
+
+    def insert_terms(self, pointer: int, terms: Iterable[str]) -> None:
+        """Index one document given its distinct ``terms``."""
+        signature = self.factory.for_words(terms)
         self._insert_entry(SEntry(pointer, signature))
         self.size += 1
 

@@ -11,6 +11,7 @@ under combined batched + snapshot-maintenance + sharded traffic.
 from __future__ import annotations
 
 import json
+import os
 
 import pytest
 
@@ -120,6 +121,25 @@ class TestQueryLogWriter:
         assert segments[-1] == path  # active segment reads last
         records = read_query_log(path)
         assert [r["query_id"] for r in records] == list(range(40))
+
+    def test_final_segment_stays_at_path_when_it_fills_exactly(self, tmp_path):
+        # Query ids 10..29 all print with two digits, so every record
+        # line has the one length measured here.
+        probe = str(tmp_path / "probe.jsonl")
+        with QueryLogWriter(probe) as log:
+            log.offer(_span(10))
+            log.drain()
+        line_bytes = os.path.getsize(probe)
+        path = str(tmp_path / "q.jsonl")
+        with QueryLogWriter(path, max_segment_bytes=5 * line_bytes) as log:
+            for i in range(10, 30):
+                log.offer(_span(i))
+            log.drain()
+        assert os.path.getsize(path) == 5 * line_bytes
+        segments = query_log_paths(path)
+        assert len(segments) == 4 and segments[-1] == path
+        records = read_query_log(path)
+        assert [r["query_id"] for r in records] == list(range(10, 30))
 
     def test_full_queue_drops_and_counts(self, tmp_path):
         path = str(tmp_path / "q.jsonl")
