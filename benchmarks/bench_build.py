@@ -134,26 +134,18 @@ def fingerprint(engine) -> tuple:
     return (engine.index.size_mb, len(engine.corpus))
 
 
-def close(engine) -> None:
-    if isinstance(engine, ShardedEngine):
-        engine.close()
-
-
 def profile(config: str, objects, setups: int) -> dict:
     """Median ms per phase (and of ``build()``) over ``setups`` set-ups."""
     phased, _ = build_phased(config, objects)
     whole = build_whole(config, objects)
     if fingerprint(phased) != fingerprint(whole):
         raise SystemExit(f"{config}: the phased build differs from build()")
-    close(phased)
-    close(whole)
     samples: dict[str, list[float]] = {}
     for _ in range(setups):
-        engine, times = build_phased(config, objects)
-        close(engine)
+        _, times = build_phased(config, objects)
         times["total"] = sum(times.values())
         started = time.perf_counter()
-        close(build_whole(config, objects))
+        build_whole(config, objects)
         times["build()"] = (time.perf_counter() - started) * 1000.0
         for phase, ms in times.items():
             samples.setdefault(phase, []).append(ms)

@@ -196,8 +196,6 @@ def _run_pass(objects, index, shards, with_writer, scale):
         write_thread.join()
     merges = service.maintainer.merges
     service.close()
-    if shards > 1:
-        engine.close()
     if errors:
         raise errors[0]
     return {

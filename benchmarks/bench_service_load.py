@@ -11,9 +11,8 @@ snapshot:
   headline *mixed* workload;
 * ``qps`` — the timed pass's completed queries over its wall time;
 * ``io_per_query`` — block reads and object loads per query from a
-  separate single-worker *metered* pass (service workers = 1 **and**
-  shard fan-out workers = 1), which makes the counts independent of
-  thread scheduling and therefore stable enough for CI to diff;
+  separate single-worker *metered* pass (service workers = 1), which
+  makes the counts independent of thread scheduling and therefore stable enough for CI to diff;
 * ``classes`` — the same metered I/O split by workload class (``mixed``
   / ``point`` / ``area`` and, for ranked-capable kinds, ``ranked``), so
   the adaptive planner can be gated per class against the best fixed
@@ -165,9 +164,9 @@ def _half_distance(objects) -> float:
     return max(max(spans) * 0.1, 1e-9)
 
 
-def _build_engine(objects, index: str, shards: int, shard_workers: int | None):
+def _build_engine(objects, index: str, shards: int):
     if shards > 1:
-        engine = ShardedEngine(n_shards=shards, index=index, workers=shard_workers)
+        engine = ShardedEngine(n_shards=shards, index=index)
     else:
         engine = SpatialKeywordEngine(index=index)
     engine.add_all(objects)
@@ -226,12 +225,12 @@ def run_config(objects, index: str, shards: int, scale: dict) -> dict:
     """Measure one (index kind, shard count) cell: metered then timed."""
     n_queries = scale["n_queries"]
 
-    # Pass 1 (metered): single service worker, single shard worker.
-    # Every source of thread-schedule nondeterminism is removed, so the
-    # I/O counts are reproducible and CI can compare them across runs.
+    # Pass 1 (metered): a single service worker.  Every source of
+    # thread-schedule nondeterminism is removed, so the I/O counts are
+    # reproducible and CI can compare them across runs.
     # One engine serves every workload class; each class runs under a
     # fresh service so its I/O and cache counters are isolated.
-    engine = _build_engine(objects, index, shards, shard_workers=1)
+    engine = _build_engine(objects, index, shards)
     classes = {}
     cache_hit_rate = 0.0
     degraded = 0
@@ -244,36 +243,30 @@ def run_config(objects, index: str, shards: int, scale: dict) -> dict:
         if name == "mixed":
             cache_hit_rate = metered.cache_hit_rate
             degraded = metered.degraded
-    if shards > 1:
-        engine.close()
 
     # Pass 1b (metered, batched): the identical mixed batch through the
     # batch front-end on a fresh engine (same cold-start state as the
     # unbatched metered pass).  Single worker + submit_many grouping ⇒
     # deterministic; shared-session hits land in ``shared_reads`` and
     # cost no device I/O, so total reads per query can only shrink.
-    engine = _build_engine(objects, index, shards, shard_workers=1)
+    engine = _build_engine(objects, index, shards)
     batch = _mixed_batch(objects, engine.analyzer, n_queries)
     with QueryService(engine, workers=1, batching=BATCHING) as service:
         service.run_batch(batch)
         bstats = service.stats()
-    if shards > 1:
-        engine.close()
     batched_io = _io_per_query(bstats, n_queries)
     batched_io["shared_reads"] = bstats.io.shared_reads / n_queries
 
     # Pass 2 (timed): concurrent workers over the headline mixed batch,
     # wall-clock latency and QPS — unbatched, then batched.
-    engine = _build_engine(objects, index, shards, shard_workers=None)
+    engine = _build_engine(objects, index, shards)
     batch = _mixed_batch(objects, engine.analyzer, n_queries)
     with QueryService(engine, workers=scale["timed_workers"]) as service:
         t0 = time.perf_counter()
         service.run_batch(batch)
         elapsed = time.perf_counter() - t0
         timed = service.stats()
-    if shards > 1:
-        engine.close()
-    engine = _build_engine(objects, index, shards, shard_workers=None)
+    engine = _build_engine(objects, index, shards)
     batch = _mixed_batch(objects, engine.analyzer, n_queries)
     with QueryService(
         engine, workers=scale["timed_workers"], batching=BATCHING
@@ -281,8 +274,6 @@ def run_config(objects, index: str, shards: int, scale: dict) -> dict:
         t0 = time.perf_counter()
         service.run_batch(batch)
         batched_elapsed = time.perf_counter() - t0
-    if shards > 1:
-        engine.close()
     total_ms = timed.metrics["histograms"]["service.total_ms"]
 
     return {
@@ -338,23 +329,19 @@ def run_capture_replay(objects, scale: dict) -> dict:
     log_path = os.path.join(log_dir, "queries.jsonl")
     try:
         # Pass 1 (metered, uncaptured).
-        engine = _build_engine(objects, index, shards, shard_workers=1)
+        engine = _build_engine(objects, index, shards)
         batch = _replay_batch(objects, engine.analyzer, n_queries)
         with QueryService(engine, workers=1) as service:
             service.run_batch(batch)
             plain = service.stats()
-        if shards > 1:
-            engine.close()
 
         # Pass 2 (metered, captured, sample_every=1).
-        engine = _build_engine(objects, index, shards, shard_workers=1)
+        engine = _build_engine(objects, index, shards)
         batch = _replay_batch(objects, engine.analyzer, n_queries)
         with QueryService(engine, workers=1, query_log=log_path) as service:
             service.run_batch(batch)
             captured = service.stats()
             writer = service.query_log
-        if shards > 1:
-            engine.close()
         capture = {
             "seen": writer.seen,
             "sampled": writer.sampled,
@@ -371,12 +358,9 @@ def run_capture_replay(objects, scale: dict) -> dict:
         capture["records"] = len(records)
         replays = []
         for r_index, r_shards, r_batched in REPLAY_CONFIGS:
-            engine = _build_engine(objects, r_index, r_shards,
-                                   shard_workers=1)
+            engine = _build_engine(objects, r_index, r_shards)
             report = replay_query_log(records, engine, workers=1,
                                       batched=r_batched)
-            if r_shards > 1:
-                engine.close()
             replays.append({
                 "index": r_index,
                 "shards": r_shards,
@@ -395,8 +379,7 @@ def run_capture_replay(objects, scale: dict) -> dict:
         def timed_qps(**service_kwargs) -> float:
             best = 0.0
             for _ in range(TIMED_REPS):
-                rep_engine = _build_engine(objects, index, shards,
-                                           shard_workers=None)
+                rep_engine = _build_engine(objects, index, shards)
                 rep_batch = _replay_batch(objects, rep_engine.analyzer,
                                           n_queries)
                 with QueryService(
@@ -406,8 +389,6 @@ def run_capture_replay(objects, scale: dict) -> dict:
                     t0 = time.perf_counter()
                     service.run_batch(rep_batch)
                     elapsed = time.perf_counter() - t0
-                if shards > 1:
-                    rep_engine.close()
                 if elapsed > 0:
                     best = max(best, n_queries / elapsed)
             return best

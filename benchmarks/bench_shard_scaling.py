@@ -107,7 +107,6 @@ def comparison():
             round(pruned / N_QUERIES, 2),
         ))
         measured[n_shards] = answers
-        engine.close()
     from conftest import emit_text
 
     text = format_table(
@@ -151,8 +150,6 @@ def test_shard_query_wallclock(benchmark, comparison, n_shards):
             engine.search(query)
 
     benchmark.pedantic(run, rounds=2, iterations=1)
-    if isinstance(engine, ShardedEngine):
-        engine.close()
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +236,6 @@ def run_routing(quick: bool):
         random_reads = sum(e.io.random_reads for e in executions)
         nodes = sum(e.nodes_visited for e in executions)
         simulated = sum(e.simulated_ms() for e in executions)
-        engine.close()
         n = len(queries)
         cell = {
             "partitioner": partitioner,

@@ -80,7 +80,6 @@ def main() -> int:
             f"captured {writer.seen} queries ({writer.written} written, "
             f"{writer.dropped} dropped) to {OUT}"
         )
-        engine.close()
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     return 0

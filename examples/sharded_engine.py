@@ -82,7 +82,6 @@ def main() -> None:
         assert reloaded.search(queries[0]).oids == execution.oids
         print(f"\nsave/load round-trip OK (digests verified, "
               f"{N_SHARDS} shard dirs)")
-        reloaded.close()
 
     with sharded.serve(workers=4) as service:
         batch = service.run_batch(queries)
@@ -91,7 +90,6 @@ def main() -> None:
         ]
         print(f"served {service.stats().queries} queries concurrently "
               "over the sharded engine")
-    sharded.close()
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ Three metric kinds cover the layer's needs:
   different processes stay comparable.
 
 Everything here is thread-safe: metrics are recorded from query worker
-threads, shard fan-out threads, and device readers concurrently.
+threads, the merge worker, and device readers concurrently.
 """
 
 from __future__ import annotations

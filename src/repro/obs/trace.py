@@ -15,7 +15,7 @@ Context propagation is thread-local: the span stack is the ``spans`` list
 of the thread's :class:`~repro.storage.iostats.IOScope`, beside its I/O
 collectors and shared-read session.  :func:`start_span` opens a child of
 the current span, :func:`activate` re-parents a worker thread onto a
-span created elsewhere (the sharded fan-out), and :func:`add_event`
+span created elsewhere (the service's query root), and :func:`add_event`
 attaches an instant event to whatever span is current.  Every hook is a
 no-op returning immediately when no trace is active on the thread, so
 instrumented hot paths stay cheap with tracing off.  The storage layer
@@ -173,9 +173,9 @@ class Span:
 class Trace:
     """One query's span tree: the root span plus all of its descendants.
 
-    Span creation is thread-safe (shard fan-out threads open children
-    concurrently); each individual span is then owned by the thread it
-    is active on.
+    Span creation is thread-safe (threads that activate the same span
+    may open children of it concurrently); each individual span is then
+    owned by the thread it is active on.
     """
 
     def __init__(self, trace_id: str | None = None, sampled: bool = True) -> None:
@@ -276,9 +276,9 @@ def current_span() -> Span | None:
 def activate(span: Span | None) -> Iterator[Span | None]:
     """Make ``span`` current on this thread without finishing it on exit.
 
-    The cross-thread propagation primitive: a fan-out worker activates
-    the parent span created on the dispatching thread, then opens its
-    own children under it.  ``activate(None)`` is a no-op, so call sites
+    The cross-thread propagation primitive: a service worker activates
+    the root span created on the submitting thread, then opens its own
+    children under it.  ``activate(None)`` is a no-op, so call sites
     stay branch-free.
     """
     if span is None:

@@ -3,10 +3,10 @@
 The merge problem: every shard streams (or returns) its results in
 non-decreasing distance order; the global answer is the k smallest
 ``(distance, oid)`` pairs across all shards.  :class:`TopKMerger` is the
-shared accumulator the per-shard workers offer results to — it keeps the
+accumulator every shard of a query offers its results to — it keeps the
 running top-k under a lock and exposes the current k-th distance as a
-*threshold* the workers use to stop pulling (and whole shards use to
-prune themselves before doing any I/O).
+*threshold* a shard uses to stop pulling (and a whole shard uses to
+prune itself before doing any I/O).
 
 Tie handling mirrors the differential harness's notion of equivalence: a
 shard keeps pulling while its next result's distance is ``<=`` the

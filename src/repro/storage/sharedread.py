@@ -29,9 +29,8 @@ The active session is the ``session`` slot of the calling thread's
 holds the :func:`~repro.storage.iostats.collecting_io` collectors and the
 trace span stack, so sessions are invisible to unrelated threads.
 :func:`activate_session` sets it and restores the outer session on exit.
-The sharded engine's fan-out workers re-activate the dispatching thread's
-session explicitly (the same pattern used for trace-span propagation),
-so a batch shares reads across shard workers too.
+The sharded engine searches its shards on the calling thread, so a
+batch shares reads across shards too.
 
 Correctness notes:
 
@@ -80,8 +79,7 @@ def activate_session(session: Optional["SharedReadSession"]) -> Iterator[None]:
 
     The session active before is restored on exit.  Accepts ``None`` as
     a no-op so call sites can unconditionally wrap work in ``with
-    activate_session(maybe_session):`` (the shard fan-out workers do
-    exactly this with the dispatcher's session).
+    activate_session(maybe_session):``.
     """
     if session is None:
         yield
@@ -108,8 +106,8 @@ class SharedReadSession:
 
     Blocks are kept in one recency-ordered map per device, keyed by
     ``id(device)`` (block ids are only meaningful per device).
-    Thread-safe: shard fan-out workers of one batch, or any threads that
-    activate the same session, share it concurrently.
+    Thread-safe: any threads that activate the same session share it
+    concurrently.
 
     Args:
         capacity_blocks: blocks kept per device, least recently read

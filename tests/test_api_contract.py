@@ -113,11 +113,10 @@ class TestCapabilityErrors:
         with pytest.raises(IndexError_):
             sharded.query((0.0, 0.0), ["cafe"], k=1)
         sharded.build()
-        with sharded:
-            with pytest.raises(QueryError, match="incremental"):
-                sharded.query_incremental((0.0, 0.0), ["cafe"])
-            with pytest.raises(QueryError, match="ranked"):
-                sharded.query_ranked((0.0, 0.0), ["cafe"], k=2)
+        with pytest.raises(QueryError, match="incremental"):
+            sharded.query_incremental((0.0, 0.0), ["cafe"])
+        with pytest.raises(QueryError, match="ranked"):
+            sharded.query_ranked((0.0, 0.0), ["cafe"], k=2)
 
     def test_ranked_area_query_rejected_at_construction(self):
         with pytest.raises(QueryError):
@@ -161,11 +160,10 @@ class TestUnifiedSearch:
         sharded = ShardedEngine(n_shards=2, index="ir2")
         sharded.add_all(OBJECTS)
         sharded.build()
-        with sharded:
-            query = SpatialKeywordQuery.of((0.5, 0.5), ["cafe"], 3)
-            assert sharded.search(query).oids == (
-                sharded.query((0.5, 0.5), ["cafe"], k=3).oids
-            )
+        query = SpatialKeywordQuery.of((0.5, 0.5), ["cafe"], 3)
+        assert sharded.search(query).oids == (
+            sharded.query((0.5, 0.5), ["cafe"], k=3).oids
+        )
 
 
 class TestExecutionPayload:
@@ -190,11 +188,10 @@ class TestExecutionPayload:
         sharded = ShardedEngine(n_shards=2, index="ir2")
         sharded.add_all(OBJECTS)
         sharded.build()
-        with sharded:
-            payload = sharded.query((0.0, 0.0), ["cafe"], k=2).to_dict()
-            json.dumps(payload)
-            assert set(payload) == self.EXPECTED_KEYS | {"shards"}
-            assert len(payload["shards"]) == 2
+        payload = sharded.query((0.0, 0.0), ["cafe"], k=2).to_dict()
+        json.dumps(payload)
+        assert set(payload) == self.EXPECTED_KEYS | {"shards"}
+        assert len(payload["shards"]) == 2
 
 
 class TestServiceSubmissionSurface:

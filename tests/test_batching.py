@@ -113,13 +113,12 @@ class TestBatchedEqualsSerial:
         engine = ShardedEngine(n_shards=n_shards, index="ir2")
         engine.add_all(objects)
         engine.build()
-        with engine:
-            serial = _serial_answers(engine, queries)
-            with QueryService(
-                engine, workers=2, cache=False,
-                batching=BatchConfig(max_batch=8),
-            ) as service:
-                batched = service.run_batch(queries)
+        serial = _serial_answers(engine, queries)
+        with QueryService(
+            engine, workers=2, cache=False,
+            batching=BatchConfig(max_batch=8),
+        ) as service:
+            batched = service.run_batch(queries)
         for s, b in zip(serial, batched):
             assert b.oids == s.oids
             assert [r.distance for r in b.results] == [
@@ -810,16 +809,15 @@ class TestSharedReadSession:
 
     @pytest.mark.parametrize("n_shards", (2, 5))
     def test_sharded_search_many_propagates_session(self, world, n_shards):
-        """The session crosses into shard fan-out worker threads."""
+        """One session covers every shard each query searches."""
         objects, queries = world
         engine = ShardedEngine(n_shards=n_shards, index="ir2")
         engine.add_all(objects)
         engine.build()
-        with engine:
-            serial = [engine.search(q) for q in queries[:6]]
-            engine.reset_io()
-            batched = engine.search_many(queries[:6])
-            totals = engine.io_stats()
+        serial = [engine.search(q) for q in queries[:6]]
+        engine.reset_io()
+        batched = engine.search_many(queries[:6])
+        totals = engine.io_stats()
         for s, b in zip(serial, batched):
             assert b.oids == s.oids
         assert totals.shared_reads > 0
@@ -1101,14 +1099,14 @@ class TestStatsReadTheMetrics:
         # A cache-less service answers partially over failing shards.
         objects, queries = world
         sharded = ShardedEngine(
-            n_shards=2, index="ir2", signature_bytes=4, workers=1,
+            n_shards=2, index="ir2", signature_bytes=4,
             retries=0, failure_policy=PARTIAL,
         )
         sharded.add_all(objects)
         sharded.build()
         for shard in sharded.shards:
             inject_engine_faults(shard, read_error_rate=1.0)
-        with sharded, QueryService(
+        with QueryService(
             sharded, workers=1, cache=False, metrics=registry,
         ) as service:
             assert service.search(queries[0]).degraded

@@ -205,9 +205,7 @@ class TestExactTieSweep:
             sharded.add_all(objects)
             sharded.build()
             engines[f"sharded-ir2x{n_shards}"] = sharded
-        yield objects, engines
-        for n_shards in self.SHARD_COUNTS:
-            engines[f"sharded-ir2x{n_shards}"].close()
+        return objects, engines
 
     @pytest.mark.parametrize("keywords", [("cafe",), ("cafe", "wifi"),
                                           ("garden",)])

@@ -128,10 +128,7 @@ def copied_and_loaded(request, tmp_path):
     copy = copy_built_engine(engine)
     save_engine(engine, str(tmp_path / "saved"))
     loaded = load_engine(str(tmp_path / "saved"))
-    yield engine, copy, loaded
-    for each in (engine, copy, loaded):
-        if isinstance(each, ShardedEngine):
-            each.close()
+    return engine, copy, loaded
 
 
 class TestCopyMatchesLoad:
@@ -190,8 +187,6 @@ def test_sharded_copy_and_load_keep_the_routing_state(tmp_path):
     # A copy keeps the source's serving settings.
     for name in ("failure_policy", "retries", "retry_backoff_s", "metrics"):
         assert getattr(copy, name) is getattr(engine, name)
-    for each in (engine, copy, loaded):
-        each.close()
 
 
 @pytest.mark.parametrize("kind", KINDS)
@@ -223,8 +218,6 @@ def build_state(engine) -> str:
 def test_build_derives_the_recorded_state(kind):
     engine = build_engine(kind, maintained=False)
     digest = hashlib.sha256(build_state(engine).encode()).hexdigest()
-    if isinstance(engine, ShardedEngine):
-        engine.close()
     assert digest == BUILD_STATE_SHA256[kind]
 
 

@@ -280,19 +280,19 @@ class TestKeywordPartitionedEquivalence:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_point_queries_match_oracle(self, routing_corpus, kind, n_shards):
         objects = routing_corpus
-        with build_sharded(objects, kind, n_shards,
-                           partitioner="keyword") as sharded:
-            analyzer = sharded.analyzer
-            terms = sorted(sharded._global_vocabulary().terms())
-            for point, keywords, k in [
-                ((50.0, 50.0), [terms[0]], 5),
-                ((10.0, 90.0), [terms[1], terms[2]], 3),
-                ((0.0, 0.0), ["zzznope"], 5),
-            ]:
-                query = SpatialKeywordQuery.of(point, keywords, k)
-                assert_tie_equivalent(
-                    sharded.search(query), objects, analyzer, query
-                )
+        sharded = build_sharded(objects, kind, n_shards,
+                                partitioner="keyword")
+        analyzer = sharded.analyzer
+        terms = sorted(sharded._global_vocabulary().terms())
+        for point, keywords, k in [
+            ((50.0, 50.0), [terms[0]], 5),
+            ((10.0, 90.0), [terms[1], terms[2]], 3),
+            ((0.0, 0.0), ["zzznope"], 5),
+        ]:
+            query = SpatialKeywordQuery.of(point, keywords, k)
+            assert_tie_equivalent(
+                sharded.search(query), objects, analyzer, query
+            )
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_matches_single_engine_answers(self, routing_corpus, n_shards):
@@ -300,34 +300,34 @@ class TestKeywordPartitionedEquivalence:
         single = SpatialKeywordEngine(index="ir2", signature_bytes=4)
         single.add_all(objects)
         single.build()
-        with build_sharded(objects, "ir2", n_shards,
-                           partitioner="keyword") as sharded:
-            terms = sorted(sharded._global_vocabulary().terms())
-            for point, keywords, k in [
-                ((20.0, 20.0), [terms[0]], 4),
-                ((80.0, 30.0), [terms[3]], 6),
-                ((50.0, 50.0), [terms[0], terms[4]], 5),
-                ((50.0, 50.0), ["zzznope"], 5),
-            ]:
-                query = SpatialKeywordQuery.of(point, keywords, k)
-                got = [(r.obj.oid, r.distance)
-                       for r in sharded.search(query).results]
-                want = [(r.obj.oid, r.distance)
-                        for r in single.search(query).results]
-                assert got == want, (point, keywords, k)
+        sharded = build_sharded(objects, "ir2", n_shards,
+                                partitioner="keyword")
+        terms = sorted(sharded._global_vocabulary().terms())
+        for point, keywords, k in [
+            ((20.0, 20.0), [terms[0]], 4),
+            ((80.0, 30.0), [terms[3]], 6),
+            ((50.0, 50.0), [terms[0], terms[4]], 5),
+            ((50.0, 50.0), ["zzznope"], 5),
+        ]:
+            query = SpatialKeywordQuery.of(point, keywords, k)
+            got = [(r.obj.oid, r.distance)
+                   for r in sharded.search(query).results]
+            want = [(r.obj.oid, r.distance)
+                    for r in single.search(query).results]
+            assert got == want, (point, keywords, k)
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_area_queries_match_oracle(self, routing_corpus, n_shards):
         objects = routing_corpus
-        with build_sharded(objects, "ir2", n_shards,
-                           partitioner="keyword") as sharded:
-            terms = sorted(sharded._global_vocabulary().terms())
-            query = SpatialKeywordQuery.of_area(
-                Rect((0.0, 0.0), (60.0, 60.0)), [terms[0]], 8
-            )
-            assert_tie_equivalent(
-                sharded.search(query), objects, sharded.analyzer, query
-            )
+        sharded = build_sharded(objects, "ir2", n_shards,
+                                partitioner="keyword")
+        terms = sorted(sharded._global_vocabulary().terms())
+        query = SpatialKeywordQuery.of_area(
+            Rect((0.0, 0.0), (60.0, 60.0)), [terms[0]], 8
+        )
+        assert_tie_equivalent(
+            sharded.search(query), objects, sharded.analyzer, query
+        )
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_ranked_queries_match_single_engine(self, routing_corpus,
@@ -336,23 +336,23 @@ class TestKeywordPartitionedEquivalence:
         single = SpatialKeywordEngine(index="ir2", signature_bytes=4)
         single.add_all(objects)
         single.build()
-        with build_sharded(objects, "ir2", n_shards,
-                           partitioner="keyword") as sharded:
-            terms = sorted(sharded._global_vocabulary().terms())
-            ranking = LinearRanking(max_distance=200.0)
-            for keywords in ([terms[0]], [terms[1], terms[2]], ["zzznope"]):
-                query = SpatialKeywordQuery.of(
-                    (50.0, 50.0), keywords, 6, ranking=ranking
-                )
-                got = sorted(
-                    (round(r.score, 9), r.obj.oid)
-                    for r in sharded.search(query).results
-                )
-                want = sorted(
-                    (round(r.score, 9), r.obj.oid)
-                    for r in single.search(query).results
-                )
-                assert got == want, keywords
+        sharded = build_sharded(objects, "ir2", n_shards,
+                                partitioner="keyword")
+        terms = sorted(sharded._global_vocabulary().terms())
+        ranking = LinearRanking(max_distance=200.0)
+        for keywords in ([terms[0]], [terms[1], terms[2]], ["zzznope"]):
+            query = SpatialKeywordQuery.of(
+                (50.0, 50.0), keywords, 6, ranking=ranking
+            )
+            got = sorted(
+                (round(r.score, 9), r.obj.oid)
+                for r in sharded.search(query).results
+            )
+            want = sorted(
+                (round(r.score, 9), r.obj.oid)
+                for r in single.search(query).results
+            )
+            assert got == want, keywords
 
 
 # ---------------------------------------------------------------------------
@@ -365,29 +365,29 @@ class TestKeywordFanout:
         from repro.obs import MetricsRegistry
 
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword",
-                           metrics=MetricsRegistry()) as sharded:
-            execution = sharded.query((20.0, 20.0), ["espresso"], k=5)
-            assert shards_keyword_pruned(execution) >= 1
-            assert shards_searched(execution) < len(THEMES)
-            # Pruning is loss-free: the answers match the oracle.
-            query = SpatialKeywordQuery.of((20.0, 20.0), ["espresso"], 5)
-            assert_tie_equivalent(
-                execution, objects, sharded.analyzer, query
-            )
-            pruned = sharded.metrics.counter(
-                "shard.fanout.pruned_by_keywords").value
-            assert pruned >= 1
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword",
+                                metrics=MetricsRegistry())
+        execution = sharded.query((20.0, 20.0), ["espresso"], k=5)
+        assert shards_keyword_pruned(execution) >= 1
+        assert shards_searched(execution) < len(THEMES)
+        # Pruning is loss-free: the answers match the oracle.
+        query = SpatialKeywordQuery.of((20.0, 20.0), ["espresso"], 5)
+        assert_tie_equivalent(
+            execution, objects, sharded.analyzer, query
+        )
+        pruned = sharded.metrics.counter(
+            "shard.fanout.pruned_by_keywords").value
+        assert pruned >= 1
 
     def test_zero_match_query_prunes_everywhere(self):
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            execution = sharded.query((20.0, 20.0), ["zzznope"], k=5)
-            assert execution.results == []
-            assert shards_keyword_pruned(execution) == len(THEMES)
-            assert shards_searched(execution) == 0
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        execution = sharded.query((20.0, 20.0), ["zzznope"], k=5)
+        assert execution.results == []
+        assert shards_keyword_pruned(execution) == len(THEMES)
+        assert shards_searched(execution) == 0
 
     def test_ubiquitous_term_is_never_keyword_pruned(self):
         # One term present in every shard: keyword routing cannot prune
@@ -396,25 +396,25 @@ class TestKeywordFanout:
             SpatialObject(o.oid, o.point, o.text + " everywhere")
             for o in themed_objects()
         ]
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            execution = sharded.query((20.0, 20.0), ["everywhere"], k=3)
-            assert shards_keyword_pruned(execution) == 0
-            assert execution.results
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        execution = sharded.query((20.0, 20.0), ["everywhere"], k=3)
+        assert shards_keyword_pruned(execution) == 0
+        assert execution.results
 
     def test_ranked_prunes_only_all_absent_shards(self):
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            ranking = LinearRanking(max_distance=100.0)
-            # One real theme term + one nonsense term: shards holding
-            # espresso still score (disjunctive test), the others prune.
-            query = SpatialKeywordQuery.of(
-                (20.0, 20.0), ["espresso", "zzznope"], 5, ranking=ranking
-            )
-            execution = sharded.search(query)
-            assert execution.results  # partial matches still rank
-            assert 1 <= shards_keyword_pruned(execution) < len(THEMES)
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        ranking = LinearRanking(max_distance=100.0)
+        # One real theme term + one nonsense term: shards holding
+        # espresso still score (disjunctive test), the others prune.
+        query = SpatialKeywordQuery.of(
+            (20.0, 20.0), ["espresso", "zzznope"], 5, ranking=ranking
+        )
+        execution = sharded.search(query)
+        assert execution.results  # partial matches still rank
+        assert 1 <= shards_keyword_pruned(execution) < len(THEMES)
 
     def test_keyword_fanout_never_exceeds_spatial(self):
         objects = themed_objects()
@@ -424,27 +424,27 @@ class TestKeywordFanout:
         ]
         fanout = {}
         for partitioner in ("kd", "keyword"):
-            with build_sharded(objects, "ir2", len(THEMES),
-                               partitioner=partitioner) as sharded:
-                fanout[partitioner] = sum(
-                    shards_searched(sharded.search(q)) for q in queries
-                )
+            sharded = build_sharded(objects, "ir2", len(THEMES),
+                                    partitioner=partitioner)
+            fanout[partitioner] = sum(
+                shards_searched(sharded.search(q)) for q in queries
+            )
         assert fanout["keyword"] <= fanout["kd"]
         # On this themed corpus the clustering must strictly win.
         assert fanout["keyword"] < fanout["kd"]
 
     def test_report_rows_and_trace_carry_the_outcome(self):
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            execution = sharded.query((20.0, 20.0), ["sushi"], k=4)
-            for row in execution.shards:
-                assert "pruned_by_keywords" in row
-                if row["pruned_by_keywords"]:
-                    assert row["pruned"]
-            payload = execution.to_dict()
-            json.dumps(payload)
-            assert payload["shards"] == execution.shards
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        execution = sharded.query((20.0, 20.0), ["sushi"], k=4)
+        for row in execution.shards:
+            assert "pruned_by_keywords" in row
+            if row["pruned_by_keywords"]:
+                assert row["pruned"]
+        payload = execution.to_dict()
+        json.dumps(payload)
+        assert payload["shards"] == execution.shards
 
 
 # ---------------------------------------------------------------------------
@@ -455,61 +455,60 @@ class TestKeywordFanout:
 class TestSummaryMaintenance:
     def test_live_insert_tightens_owning_shard(self):
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            before = [
-                s is not None and s.may_contain("xylograph")
-                for s in sharded.summaries
-            ]
-            assert not any(before)
-            sharded.add_object(9000, (5.0, 5.0), "xylograph espresso")
-            owner = sharded.shard_of(9000)
-            summary = sharded.summaries[owner]
-            assert summary.may_contain("xylograph")
-            execution = sharded.query((5.0, 5.0), ["xylograph"], k=2)
-            assert execution.oids == [9000]
-            # Every other shard is keyword-pruned for the new term.
-            assert shards_keyword_pruned(execution) == len(THEMES) - 1
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        before = [
+            s is not None and s.may_contain("xylograph")
+            for s in sharded.summaries
+        ]
+        assert not any(before)
+        sharded.add_object(9000, (5.0, 5.0), "xylograph espresso")
+        owner = sharded.shard_of(9000)
+        summary = sharded.summaries[owner]
+        assert summary.may_contain("xylograph")
+        execution = sharded.query((5.0, 5.0), ["xylograph"], k=2)
+        assert execution.oids == [9000]
+        # Every other shard is keyword-pruned for the new term.
+        assert shards_keyword_pruned(execution) == len(THEMES) - 1
 
     def test_enough_deletes_rebuild_the_summary(self):
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            # Delete every document mentioning "roast", shard by shard.
-            roast_shards = {
-                shard_id
-                for shard_id, shard in enumerate(sharded.shards)
-                if any("roast" in o.text.split() for o in shard.objects())
-            }
-            assert roast_shards
-            for shard_id in roast_shards:
-                assert sharded.summaries[shard_id].may_contain("roast")
-                roast_oids = [
-                    obj.oid
-                    for obj in sharded.shards[shard_id].objects()
-                    if "roast" in obj.text.split()
-                ]
-                assert len(roast_oids) >= 8  # crosses SUMMARY_STALE_MIN
-                for oid in roast_oids:
-                    assert sharded.delete(oid)
-                summary = sharded.summaries[shard_id]
-                assert not summary.may_contain("roast")
-                assert summary.stale_deletes < len(roast_oids)
-            # Queries for the gone term now prune every shard.
-            execution = sharded.query((20.0, 20.0), ["roast"], k=5)
-            assert execution.results == []
-            assert shards_keyword_pruned(execution) == len(THEMES)
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        # Delete every document mentioning "roast", shard by shard.
+        roast_shards = {
+            shard_id
+            for shard_id, shard in enumerate(sharded.shards)
+            if any("roast" in o.text.split() for o in shard.objects())
+        }
+        assert roast_shards
+        for shard_id in roast_shards:
+            assert sharded.summaries[shard_id].may_contain("roast")
+            roast_oids = [
+                obj.oid
+                for obj in sharded.shards[shard_id].objects()
+                if "roast" in obj.text.split()
+            ]
+            assert len(roast_oids) >= 8  # crosses SUMMARY_STALE_MIN
+            for oid in roast_oids:
+                assert sharded.delete(oid)
+            summary = sharded.summaries[shard_id]
+            assert not summary.may_contain("roast")
+            assert summary.stale_deletes < len(roast_oids)
+        # Queries for the gone term now prune every shard.
+        execution = sharded.query((20.0, 20.0), ["roast"], k=5)
+        assert execution.results == []
+        assert shards_keyword_pruned(execution) == len(THEMES)
 
     def test_build_recomputes_summaries(self):
         engine = ShardedEngine(n_shards=2, partitioner="keyword",
                                index="ir2", signature_bytes=4)
         engine.add_all(themed_objects(per_theme=10))
         engine.build()
-        with engine:
-            assert all(s is not None for s in engine.summaries)
-            assert any(
-                s.may_contain("espresso") for s in engine.summaries
-            )
+        assert all(s is not None for s in engine.summaries)
+        assert any(
+            s.may_contain("espresso") for s in engine.summaries
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -521,28 +520,27 @@ class TestRoutingPersistence:
     def test_round_trip_preserves_summaries_and_pruning(self, tmp_path):
         directory = str(tmp_path / "engine")
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            ref = sharded.query((20.0, 20.0), ["espresso"], k=5)
-            bits = [s.bits for s in sharded.summaries]
-            save_engine(sharded, directory)
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        ref = sharded.query((20.0, 20.0), ["espresso"], k=5)
+        bits = [s.bits for s in sharded.summaries]
+        save_engine(sharded, directory)
         manifest = json.load(open(os.path.join(directory, "manifest.json")))
         assert manifest["partitioner"]["kind"] == "keyword"
         assert len(manifest["summaries"]) == len(THEMES)
         reloaded = load_engine(directory)
-        with reloaded:
-            assert [s.bits for s in reloaded.summaries] == bits
-            got = reloaded.query((20.0, 20.0), ["espresso"], k=5)
-            assert got.oids == ref.oids
-            assert shards_keyword_pruned(got) == shards_keyword_pruned(ref)
+        assert [s.bits for s in reloaded.summaries] == bits
+        got = reloaded.query((20.0, 20.0), ["espresso"], k=5)
+        assert got.oids == ref.oids
+        assert shards_keyword_pruned(got) == shards_keyword_pruned(ref)
 
     def test_legacy_manifest_without_summaries_loads(self, tmp_path):
         directory = str(tmp_path / "engine")
         objects = themed_objects()
-        with build_sharded(objects, "ir2", len(THEMES),
-                           partitioner="keyword") as sharded:
-            ref = sharded.query((20.0, 20.0), ["sushi"], k=5)
-            save_engine(sharded, directory)
+        sharded = build_sharded(objects, "ir2", len(THEMES),
+                                partitioner="keyword")
+        ref = sharded.query((20.0, 20.0), ["sushi"], k=5)
+        save_engine(sharded, directory)
         # Rewrite the manifest as a pre-summary writer would have: the
         # field is additive, digests only cover the shard manifests.
         path = os.path.join(directory, "manifest.json")
@@ -551,10 +549,9 @@ class TestRoutingPersistence:
         with open(path, "w") as fh:
             json.dump(manifest, fh)
         reloaded = load_engine(directory)
-        with reloaded:
-            # Summaries were rebuilt from the shard corpora: routing
-            # prunes exactly as before the round trip.
-            assert all(s is not None for s in reloaded.summaries)
-            got = reloaded.query((20.0, 20.0), ["sushi"], k=5)
-            assert got.oids == ref.oids
-            assert shards_keyword_pruned(got) == shards_keyword_pruned(ref)
+        # Summaries were rebuilt from the shard corpora: routing
+        # prunes exactly as before the round trip.
+        assert all(s is not None for s in reloaded.summaries)
+        got = reloaded.query((20.0, 20.0), ["sushi"], k=5)
+        assert got.oids == ref.oids
+        assert shards_keyword_pruned(got) == shards_keyword_pruned(ref)

@@ -71,8 +71,7 @@ def built_engine(kind: str = "ir2", n: int = 24, objects=None):
     if kind.startswith("sharded"):
         engine = ShardedEngine(
             n_shards=2, partitioner="keyword",
-            index=kind.partition("-")[2] or "ir2", workers=1,
-            signature_bytes=4,
+            index=kind.partition("-")[2] or "ir2", signature_bytes=4,
         )
     else:
         engine = SpatialKeywordEngine(index=kind, signature_bytes=4)

@@ -107,7 +107,7 @@ class OracleJournal:
 def test_readers_race_a_live_writer(kind, shards):
     engine = build_engine(kind, shards)
     analyzer = Analyzer()
-    with engine if shards > 1 else _noop_ctx(engine), QueryService(
+    with QueryService(
         engine, workers=N_READERS + 1, merge_threshold=6
     ) as service:
         maintainer = service.maintainer
@@ -184,17 +184,6 @@ def test_readers_race_a_live_writer(kind, shards):
         final = maintainer.flush()
         assert not final.dirty
         assert sorted(o.oid for o in final.objects()) == sorted(live)
-
-
-class _noop_ctx:
-    def __init__(self, obj):
-        self._obj = obj
-
-    def __enter__(self):
-        return self._obj
-
-    def __exit__(self, *exc_info):
-        return False
 
 
 @pytest.mark.parametrize("kind", KINDS)

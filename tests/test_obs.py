@@ -254,7 +254,6 @@ class TestExporters:
         assert "storage.all_shards.io.random_reads" in gauges
         assert any(n.startswith("storage.shard0.") for n in gauges)
         assert any(n.startswith("storage.shard1.") for n in gauges)
-        engine.close()
 
     def test_export_object_intern_drops_follow_copies(self, monkeypatch):
         from repro.persist import copy_built_engine
@@ -287,8 +286,6 @@ class TestExporters:
         clone = engine.clone_empty()
         for old, new in zip(engine.shards, clone.shards):
             assert new.corpus.store.intern is old.corpus.store.intern
-        engine.close()
-        clone.close()
 
 
 class TestServiceIntegration:
@@ -355,7 +352,6 @@ class TestServiceIntegration:
             counters.get("shard.fanout.searched", 0)
             + counters.get("shard.fanout.pruned", 0)
         ) == 2
-        engine.close()
 
     def test_engine_registry_is_not_replaced(self):
         engine = ShardedEngine(n_shards=2, index="ir2")
@@ -366,7 +362,6 @@ class TestServiceIntegration:
         with QueryService(engine, workers=1) as service:
             assert engine.metrics is own
             assert service.metrics is not own
-        engine.close()
 
     def test_retry_counter(self):
         from repro.errors import TransientDeviceError

@@ -321,17 +321,13 @@ class TestPersistence:
         before = [(r.distance, r.obj.oid) for r in engine.search(query).results]
         target = str(tmp_path / "auto-sharded")
         save_engine(engine, target)
-        engine.close()
         reloaded = load_engine(target)
-        try:
-            execution = reloaded.search(query)
-            got = [(r.distance, r.obj.oid) for r in execution.results]
-            assert got == before
-            assert execution.plan is not None
-            for shard in reloaded.shards:
-                assert_stats_match_recount(shard)
-        finally:
-            reloaded.close()
+        execution = reloaded.search(query)
+        got = [(r.distance, r.obj.oid) for r in execution.results]
+        assert got == before
+        assert execution.plan is not None
+        for shard in reloaded.shards:
+            assert_stats_match_recount(shard)
 
 
 class TestAutoConstruction:

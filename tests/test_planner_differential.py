@@ -210,10 +210,7 @@ class TestShardedPlannerDifferential:
         workload = ConcurrentLoadGenerator(
             objects, reference.corpus.analyzer, seed=3
         )
-        yield objects, engines, workload
-        for name, engine in engines.items():
-            if isinstance(engine, ShardedEngine):
-                engine.close()
+        return objects, engines, workload
 
     @pytest.mark.parametrize("num_keywords,k", [(1, 4), (2, 8), (3, 2)])
     def test_point_queries_agree(self, sharded_world, num_keywords, k):
@@ -262,7 +259,6 @@ class TestPlannerDifferentialSweep:
         objects = corpus_objects(n_objects, seed=seed)
         engines = dict(build_engines(objects, signature_bytes=8))
         engines.update(build_auto_engines(objects, signature_bytes=8))
-        sharded = []
         for n_shards in SHARD_COUNTS:
             engine = ShardedEngine(
                 n_shards=n_shards, index="auto", signature_bytes=8
@@ -270,28 +266,23 @@ class TestPlannerDifferentialSweep:
             engine.add_all(objects)
             engine.build()
             engines[f"auto-x{n_shards}"] = engine
-            sharded.append(engine)
-        try:
-            workload = ConcurrentLoadGenerator(
-                objects, engines["ir2"].corpus.analyzer, seed=seed + 100
-            )
-            for num_keywords in (1, 2, 3):
-                for k in (1, 5, 20):
-                    for query in workload.queries(2, num_keywords, k):
-                        assert_equivalent(engines, objects, query)
-            for band in ((0.0, 0.03), (0.10, 1.0)):
-                for query in workload.frequency_band_queries(2, 2, 5, *band):
+        workload = ConcurrentLoadGenerator(
+            objects, engines["ir2"].corpus.analyzer, seed=seed + 100
+        )
+        for num_keywords in (1, 2, 3):
+            for k in (1, 5, 20):
+                for query in workload.queries(2, num_keywords, k):
                     assert_equivalent(engines, objects, query)
-            for extent in (0.05, 0.3):
-                query = workload.area_query(2, 5, extent_fraction=extent)
-                assert_search_equivalent(engines, objects, query)
-            assert_equivalent(
-                engines, objects,
-                SpatialKeywordQuery.of((0.0, 0.0), ["zzznope"], k=4),
-            )
-            assert_equivalent(
-                engines, objects, workload.query(2, k=10 * n_objects)
-            )
-        finally:
-            for engine in sharded:
-                engine.close()
+        for band in ((0.0, 0.03), (0.10, 1.0)):
+            for query in workload.frequency_band_queries(2, 2, 5, *band):
+                assert_equivalent(engines, objects, query)
+        for extent in (0.05, 0.3):
+            query = workload.area_query(2, 5, extent_fraction=extent)
+            assert_search_equivalent(engines, objects, query)
+        assert_equivalent(
+            engines, objects,
+            SpatialKeywordQuery.of((0.0, 0.0), ["zzznope"], k=4),
+        )
+        assert_equivalent(
+            engines, objects, workload.query(2, k=10 * n_objects)
+        )

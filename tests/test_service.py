@@ -510,8 +510,7 @@ class TestOneRecordViews:
         from repro.shard import ShardedEngine
 
         sharded = ShardedEngine(
-            n_shards=2, partitioner="keyword", index="ir2",
-            signature_bytes=8, workers=1,
+            n_shards=2, partitioner="keyword", index="ir2", signature_bytes=8,
         )
         sharded.add_all(small_objects)
         sharded.build()
@@ -645,7 +644,7 @@ class TestFaultHandling:
     ):
         sharded, plans = self.degraded_setup(small_objects)
         term = sorted(sharded._global_vocabulary().terms())[0]
-        with sharded, QueryService(sharded, workers=2) as service:
+        with QueryService(sharded, workers=2) as service:
             degraded = search(service, (50.0, 50.0), [term], k=5)
             assert degraded.degraded
             stats = service.stats()

@@ -15,6 +15,7 @@ import os
 
 import pytest
 
+from repro.bench.workloads import ConcurrentLoadGenerator
 from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import SpatialKeywordQuery
 from repro.core.ranking import LinearRanking
@@ -215,18 +216,18 @@ class TestShardedEquivalence:
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_point_queries_match_oracle(self, shard_corpus, kind, n_shards):
         objects = shard_corpus
-        with build_sharded(objects, kind, n_shards) as sharded:
-            analyzer = sharded.analyzer
-            terms = sorted(sharded._global_vocabulary().terms())
-            for point, keywords, k in [
-                ((50.0, 50.0), [terms[0]], 5),
-                ((10.0, 90.0), [terms[1], terms[2]], 3),
-                ((0.0, 0.0), ["zzznope"], 5),
-            ]:
-                query = SpatialKeywordQuery.of(point, keywords, k)
-                assert_tie_equivalent(
-                    sharded.search(query), objects, analyzer, query
-                )
+        sharded = build_sharded(objects, kind, n_shards)
+        analyzer = sharded.analyzer
+        terms = sorted(sharded._global_vocabulary().terms())
+        for point, keywords, k in [
+            ((50.0, 50.0), [terms[0]], 5),
+            ((10.0, 90.0), [terms[1], terms[2]], 3),
+            ((0.0, 0.0), ["zzznope"], 5),
+        ]:
+            query = SpatialKeywordQuery.of(point, keywords, k)
+            assert_tie_equivalent(
+                sharded.search(query), objects, analyzer, query
+            )
 
     @pytest.mark.parametrize("n_shards", SHARD_COUNTS)
     def test_matches_single_engine_answers(self, shard_corpus, n_shards):
@@ -234,16 +235,16 @@ class TestShardedEquivalence:
         single = SpatialKeywordEngine(index="ir2", signature_bytes=4)
         single.add_all(objects)
         single.build()
-        with build_sharded(objects, "ir2", n_shards) as sharded:
-            workload_terms = sorted(single.corpus.vocabulary.terms())[:6]
-            for term in workload_terms:
-                ref = single.query((40.0, 60.0), [term], k=7)
-                got = sharded.search(ref.query)
-                ref_pairs = sorted((r.distance, r.obj.oid) for r in ref.results)
-                got_pairs = [(r.distance, r.obj.oid) for r in got.results]
-                assert [d for d, _ in got_pairs] == pytest.approx(
-                    [d for d, _ in ref_pairs], abs=EPS
-                )
+        sharded = build_sharded(objects, "ir2", n_shards)
+        workload_terms = sorted(single.corpus.vocabulary.terms())[:6]
+        for term in workload_terms:
+            ref = single.query((40.0, 60.0), [term], k=7)
+            got = sharded.search(ref.query)
+            ref_pairs = sorted((r.distance, r.obj.oid) for r in ref.results)
+            got_pairs = [(r.distance, r.obj.oid) for r in got.results]
+            assert [d for d, _ in got_pairs] == pytest.approx(
+                [d for d, _ in ref_pairs], abs=EPS
+            )
 
     def test_area_query_equivalence(self, shard_corpus):
         objects = shard_corpus
@@ -252,12 +253,12 @@ class TestShardedEquivalence:
         single.build()
         term = sorted(single.corpus.vocabulary.terms())[0]
         ref = single.query_area((20.0, 20.0), (60.0, 60.0), [term], k=8)
-        with build_sharded(objects, "ir2", 4) as sharded:
-            got = sharded.query_area((20.0, 20.0), (60.0, 60.0), [term], k=8)
-            assert sorted(r.distance for r in got.results) == pytest.approx(
-                sorted(r.distance for r in ref.results), abs=EPS
-            )
-            assert_tie_equivalent(got, objects, sharded.analyzer, ref.query)
+        sharded = build_sharded(objects, "ir2", 4)
+        got = sharded.query_area((20.0, 20.0), (60.0, 60.0), [term], k=8)
+        assert sorted(r.distance for r in got.results) == pytest.approx(
+            sorted(r.distance for r in ref.results), abs=EPS
+        )
+        assert_tie_equivalent(got, objects, sharded.analyzer, ref.query)
 
     def test_ranked_scores_equal_single_engine(self, shard_corpus):
         objects = shard_corpus
@@ -266,12 +267,12 @@ class TestShardedEquivalence:
         single.build()
         term = sorted(single.corpus.vocabulary.terms())[0]
         ref = single.query_ranked((50.0, 50.0), [term], k=6)
-        with build_sharded(objects, "ir2", 3) as sharded:
-            got = sharded.query_ranked((50.0, 50.0), [term], k=6)
-            # Global idf merging makes sharded scores *equal*, not merely close.
-            assert [round(r.score, 9) for r in got.results] == [
-                round(r.score, 9) for r in ref.results
-            ]
+        sharded = build_sharded(objects, "ir2", 3)
+        got = sharded.query_ranked((50.0, 50.0), [term], k=6)
+        # Global idf merging makes sharded scores *equal*, not merely close.
+        assert [round(r.score, 9) for r in got.results] == [
+            round(r.score, 9) for r in ref.results
+        ]
 
     def test_incremental_stream_is_globally_sorted(self, shard_corpus):
         objects = shard_corpus
@@ -280,21 +281,21 @@ class TestShardedEquivalence:
         single.build()
         term = sorted(single.corpus.vocabulary.terms())[0]
         ref = [r.distance for r in single.query_incremental((50.0, 50.0), [term])]
-        with build_sharded(objects, "ir2", 4) as sharded:
-            got = [
-                r.distance
-                for r in sharded.query_incremental((50.0, 50.0), [term])
-            ]
-            assert got == sorted(got)
-            assert got == pytest.approx(ref, abs=EPS)
+        sharded = build_sharded(objects, "ir2", 4)
+        got = [
+            r.distance
+            for r in sharded.query_incremental((50.0, 50.0), [term])
+        ]
+        assert got == sorted(got)
+        assert got == pytest.approx(ref, abs=EPS)
 
     def test_more_shards_than_objects(self):
         objects = corpus_objects(4, seed=2)
-        with build_sharded(objects, "ir2", 9) as sharded:
-            query = SpatialKeywordQuery.of((50.0, 50.0), ["w1"], 3)
-            assert_tie_equivalent(
-                sharded.search(query), objects, sharded.analyzer, query
-            )
+        sharded = build_sharded(objects, "ir2", 9)
+        query = SpatialKeywordQuery.of((50.0, 50.0), ["w1"], 3)
+        assert_tie_equivalent(
+            sharded.search(query), objects, sharded.analyzer, query
+        )
 
 
 def kind_query(kind, point, keywords, k):
@@ -332,39 +333,39 @@ def traced_search(sharded, query):
 class TestShardBreakdown:
     @pytest.mark.parametrize("kind", QUERY_KINDS)
     def test_breakdown_aggregates_to_totals(self, shard_corpus, kind):
-        with build_sharded(shard_corpus, "ir2", 4) as sharded:
-            term = sorted(sharded._global_vocabulary().terms())[0]
-            execution = traced_search(
-                sharded, kind_query(kind, (50.0, 50.0), [term], 5)
-            )
-            live = [r for r in execution.shards if not r["pruned"]]
-            assert sum(r["objects_inspected"] for r in live) == (
-                execution.objects_inspected
-            )
-            assert sum(r["nodes_visited"] for r in live) == (
-                execution.nodes_visited
-            )
-            assert execution.algorithm == (
-                "SHARDED-IR2x4-RANKED" if kind == "ranked" else "SHARDED-IR2x4"
-            )
-            payload = execution.to_dict()
-            json.dumps(payload)
-            assert payload["shards"] == execution.shards
+        sharded = build_sharded(shard_corpus, "ir2", 4)
+        term = sorted(sharded._global_vocabulary().terms())[0]
+        execution = traced_search(
+            sharded, kind_query(kind, (50.0, 50.0), [term], 5)
+        )
+        live = [r for r in execution.shards if not r["pruned"]]
+        assert sum(r["objects_inspected"] for r in live) == (
+            execution.objects_inspected
+        )
+        assert sum(r["nodes_visited"] for r in live) == (
+            execution.nodes_visited
+        )
+        assert execution.algorithm == (
+            "SHARDED-IR2x4-RANKED" if kind == "ranked" else "SHARDED-IR2x4"
+        )
+        payload = execution.to_dict()
+        json.dumps(payload)
+        assert payload["shards"] == execution.shards
 
     @pytest.mark.parametrize("kind", QUERY_KINDS)
     def test_more_shards_than_objects_reports_every_shard(self, kind):
         objects = corpus_objects(4, seed=2)
-        with build_sharded(objects, "ir2", 9) as sharded:
-            query = kind_query(kind, (50.0, 50.0), ["ba"], 3)
-            execution = traced_search(sharded, query)
-            assert execution.results
-            empty = [r for r in execution.shards if r["lower_bound"] is None]
-            assert len(empty) >= 9 - len(objects)
-            assert all(
-                r["pruned"] and not r["pruned_by_keywords"] for r in empty
-            )
-            if kind == "distance":
-                assert_tie_equivalent(execution, objects, sharded.analyzer, query)
+        sharded = build_sharded(objects, "ir2", 9)
+        query = kind_query(kind, (50.0, 50.0), ["ba"], 3)
+        execution = traced_search(sharded, query)
+        assert execution.results
+        empty = [r for r in execution.shards if r["lower_bound"] is None]
+        assert len(empty) >= 9 - len(objects)
+        assert all(
+            r["pruned"] and not r["pruned_by_keywords"] for r in empty
+        )
+        if kind == "distance":
+            assert_tie_equivalent(execution, objects, sharded.analyzer, query)
 
     def test_distant_shards_get_pruned(self):
         # Two tight clusters far apart: querying inside one cluster with
@@ -380,30 +381,68 @@ class TestShardBreakdown:
         engine = ShardedEngine(n_shards=2, index="ir2")
         engine.add_all(objects)
         engine.build()
-        with engine:
-            execution = engine.query((5.0, 5.0), ["cafe"], k=5)
-            assert any(r["pruned"] for r in execution.shards)
-            assert all(oid < 1000 for oid in execution.oids)
+        execution = engine.query((5.0, 5.0), ["cafe"], k=5)
+        assert any(r["pruned"] for r in execution.shards)
+        assert all(oid < 1000 for oid in execution.oids)
+
+
+class TestNearestFirstFanOut:
+    """Shards are searched one after another, nearest lower bound first.
+
+    Each searched shard meets the final threshold of every nearer shard
+    and only offers distances at or above its own bound, so a shard that
+    is searched never lies beyond the answer's k-th distance, and which
+    shards prune depends on nothing but the query.
+    """
+
+    @pytest.mark.parametrize("kind", ("ir2", "auto"))
+    @pytest.mark.parametrize("n_shards", (4, 8))
+    def test_searched_shards_lie_within_the_kth_distance(
+        self, shard_corpus, kind, n_shards
+    ):
+        sharded = build_sharded(shard_corpus, kind, n_shards)
+        workload = ConcurrentLoadGenerator(
+            shard_corpus, sharded.analyzer, seed=17
+        )
+        queries = workload.mixed_batch(
+            60, keyword_counts=(1, 2), k=5, hot_fraction=0.0,
+            area_fraction=0.25, ranked_fraction=0.0,
+        )
+        first = [sharded.search(query) for query in queries]
+        for execution in first:
+            if len(execution.results) < execution.query.k:
+                continue
+            kth = execution.results[-1].distance
+            for report in execution.shards:
+                if not report["pruned"]:
+                    assert report["lower_bound"] <= kth
+        assert any(
+            report["pruned"] and not report["pruned_by_keywords"]
+            and report["lower_bound"] is not None
+            for execution in first for report in execution.shards
+        )
+        second = [sharded.search(query) for query in queries]
+        assert [e.shards for e in second] == [e.shards for e in first]
 
 
 class TestShardedMutationAndLifecycle:
     def test_live_insert_routes_to_owning_shard(self, shard_corpus):
-        with build_sharded(shard_corpus, "ir2", 4) as sharded:
-            sharded.add_object(5000, (50.0, 50.0), "uniqueword spa")
-            owner = sharded.shard_of(5000)
-            assert owner is not None
-            assert any(
-                obj.oid == 5000 for obj in sharded.shards[owner].objects()
-            )
-            assert owner == sharded.partitioner.assign((50.0, 50.0))
-            assert sharded.delete(5000) is True
-            assert sharded.shard_of(5000) is None
-            assert sharded.delete(5000) is False
+        sharded = build_sharded(shard_corpus, "ir2", 4)
+        sharded.add_object(5000, (50.0, 50.0), "uniqueword spa")
+        owner = sharded.shard_of(5000)
+        assert owner is not None
+        assert any(
+            obj.oid == 5000 for obj in sharded.shards[owner].objects()
+        )
+        assert owner == sharded.partitioner.assign((50.0, 50.0))
+        assert sharded.delete(5000) is True
+        assert sharded.shard_of(5000) is None
+        assert sharded.delete(5000) is False
 
     def test_duplicate_oid_rejected(self, shard_corpus):
-        with build_sharded(shard_corpus, "ir2", 2) as sharded:
-            with pytest.raises(QueryError):
-                sharded.add_object(0, (1.0, 1.0), "dup")
+        sharded = build_sharded(shard_corpus, "ir2", 2)
+        with pytest.raises(QueryError):
+            sharded.add_object(0, (1.0, 1.0), "dup")
 
     def test_unbuilt_engine_raises(self):
         engine = ShardedEngine(n_shards=2, index="ir2")
@@ -417,26 +456,26 @@ class TestShardedMutationAndLifecycle:
         single = SpatialKeywordEngine(index="ir2", signature_bytes=4)
         single.add_all(shard_corpus)
         single.build()
-        with build_sharded(shard_corpus, "ir2", 3) as sharded:
-            assert len(sharded) == len(single)
-            s_stats = sharded.corpus_stats()
-            r_stats = single.corpus_stats()
-            assert s_stats.total_objects == r_stats.total_objects
-            assert s_stats.unique_words == r_stats.unique_words
-            assert s_stats.avg_unique_words_per_object == pytest.approx(
-                r_stats.avg_unique_words_per_object
-            )
-            assert sharded.index_size_mb() > 0
+        sharded = build_sharded(shard_corpus, "ir2", 3)
+        assert len(sharded) == len(single)
+        s_stats = sharded.corpus_stats()
+        r_stats = single.corpus_stats()
+        assert s_stats.total_objects == r_stats.total_objects
+        assert s_stats.unique_words == r_stats.unique_words
+        assert s_stats.avg_unique_words_per_object == pytest.approx(
+            r_stats.avg_unique_words_per_object
+        )
+        assert sharded.index_size_mb() > 0
 
 
 class TestShardedPersistence:
     @pytest.mark.parametrize("kind", ["ir2", "iio"])
     def test_save_load_round_trip(self, tmp_path, shard_corpus, kind):
         directory = str(tmp_path / "engine")
-        with build_sharded(shard_corpus, kind, 3) as sharded:
-            term = sorted(sharded._global_vocabulary().terms())[0]
-            ref = sharded.query((50.0, 50.0), [term], k=6)
-            save_engine(sharded, directory)
+        sharded = build_sharded(shard_corpus, kind, 3)
+        term = sorted(sharded._global_vocabulary().terms())[0]
+        ref = sharded.query((50.0, 50.0), [term], k=6)
+        save_engine(sharded, directory)
         manifest = json.load(open(os.path.join(directory, "manifest.json")))
         assert manifest["version"] == MANIFEST_VERSION
         assert manifest["sharded"] is True
@@ -445,12 +484,11 @@ class TestShardedPersistence:
             assert os.path.isdir(os.path.join(directory, name))
         reloaded = load_engine(directory)
         assert isinstance(reloaded, ShardedEngine)
-        with reloaded:
-            got = reloaded.query((50.0, 50.0), [term], k=6)
-            assert got.oids == ref.oids
-            # The reopened engine remains fully live.
-            reloaded.add_object(7777, (50.0, 50.0), term)
-            assert reloaded.query((50.0, 50.0), [term], k=1).oids == [7777]
+        got = reloaded.query((50.0, 50.0), [term], k=6)
+        assert got.oids == ref.oids
+        # The reopened engine remains fully live.
+        reloaded.add_object(7777, (50.0, 50.0), term)
+        assert reloaded.query((50.0, 50.0), [term], k=1).oids == [7777]
 
     def test_single_engine_layout_still_loads(self, tmp_path, shard_corpus):
         directory = str(tmp_path / "single")
@@ -464,16 +502,16 @@ class TestShardedPersistence:
 
 class TestShardedServing:
     def test_query_service_batch_matches_serial(self, shard_corpus):
-        with build_sharded(shard_corpus, "ir2", 3) as sharded:
-            terms = sorted(sharded._global_vocabulary().terms())[:4]
-            queries = [
-                SpatialKeywordQuery.of((30.0 + i, 40.0), [term], 5)
-                for i, term in enumerate(terms)
-            ]
-            serial = [sharded.search(q).oids for q in queries]
-            with sharded.serve(workers=3) as service:
-                batch = service.run_batch(queries)
-            assert [e.oids for e in batch] == serial
+        sharded = build_sharded(shard_corpus, "ir2", 3)
+        terms = sorted(sharded._global_vocabulary().terms())[:4]
+        queries = [
+            SpatialKeywordQuery.of((30.0 + i, 40.0), [term], 5)
+            for i, term in enumerate(terms)
+        ]
+        serial = [sharded.search(q).oids for q in queries]
+        with sharded.serve(workers=3) as service:
+            batch = service.run_batch(queries)
+        assert [e.oids for e in batch] == serial
 
 
 class TestDegradation:
@@ -486,78 +524,78 @@ class TestDegradation:
         return inject_engine_faults(sharded.shards[shard_id], **plan_kwargs)
 
     def test_fail_fast_reraises_the_shard_error(self, shard_corpus):
-        with build_sharded(shard_corpus, "ir2", 3) as sharded:
-            term = self.common_term(sharded)
-            self.break_shard(sharded, 0, read_error_rate=1.0)
-            self.break_shard(sharded, 1, read_error_rate=1.0)
-            self.break_shard(sharded, 2, read_error_rate=1.0)
-            with pytest.raises(DeviceFaultError):
-                sharded.query((50.0, 50.0), [term], k=8)
+        sharded = build_sharded(shard_corpus, "ir2", 3)
+        term = self.common_term(sharded)
+        self.break_shard(sharded, 0, read_error_rate=1.0)
+        self.break_shard(sharded, 1, read_error_rate=1.0)
+        self.break_shard(sharded, 2, read_error_rate=1.0)
+        with pytest.raises(DeviceFaultError):
+            sharded.query((50.0, 50.0), [term], k=8)
 
     def test_partial_policy_answers_from_surviving_shards(self, shard_corpus):
-        with build_sharded(shard_corpus, "ir2", 3) as healthy:
-            term = self.common_term(healthy)
-            full = healthy.query((50.0, 50.0), [term], k=8)
-        with build_sharded(
-            shard_corpus, "ir2", 3, failure_policy=PARTIAL
-        ) as sharded:
-            broken = 1
-            self.break_shard(sharded, broken, read_error_rate=1.0)
-            execution = sharded.query((50.0, 50.0), [term], k=8)
-            assert execution.degraded
-            assert execution.failed_shards == [broken]
-            # Nothing from the broken shard, and every full-answer member
-            # owned by a healthy shard still present — the answer is the
-            # true top-k over the surviving shards, never garbage.
-            assert all(sharded.shard_of(oid) != broken for oid in execution.oids)
-            survivors = {
-                oid for oid in full.oids if sharded.shard_of(oid) != broken
-            }
-            assert survivors <= set(execution.oids)
-            report = [r for r in execution.shards if r["shard"] == broken][0]
-            assert report["failed"] and "DeviceFaultError" in report["error"]
-            assert "DEGRADED" in execution.summary()
-            payload = execution.to_dict()
-            assert payload["degraded"] is True
-            assert payload["failed_shards"] == [broken]
+        healthy = build_sharded(shard_corpus, "ir2", 3)
+        term = self.common_term(healthy)
+        full = healthy.query((50.0, 50.0), [term], k=8)
+        sharded = build_sharded(
+                 shard_corpus, "ir2", 3, failure_policy=PARTIAL
+             )
+        broken = 1
+        self.break_shard(sharded, broken, read_error_rate=1.0)
+        execution = sharded.query((50.0, 50.0), [term], k=8)
+        assert execution.degraded
+        assert execution.failed_shards == [broken]
+        # Nothing from the broken shard, and every full-answer member
+        # owned by a healthy shard still present — the answer is the
+        # true top-k over the surviving shards, never garbage.
+        assert all(sharded.shard_of(oid) != broken for oid in execution.oids)
+        survivors = {
+            oid for oid in full.oids if sharded.shard_of(oid) != broken
+        }
+        assert survivors <= set(execution.oids)
+        report = [r for r in execution.shards if r["shard"] == broken][0]
+        assert report["failed"] and "DeviceFaultError" in report["error"]
+        assert "DEGRADED" in execution.summary()
+        payload = execution.to_dict()
+        assert payload["degraded"] is True
+        assert payload["failed_shards"] == [broken]
 
     def test_partial_policy_for_ranked_queries(self, shard_corpus):
-        with build_sharded(
-            shard_corpus, "ir2", 3, failure_policy=PARTIAL
-        ) as sharded:
-            term = self.common_term(sharded)
-            self.break_shard(sharded, 2, read_error_rate=1.0)
-            execution = sharded.query_ranked((50.0, 50.0), [term], k=8)
-            assert execution.degraded
-            assert execution.failed_shards == [2]
-            assert all(sharded.shard_of(oid) != 2 for oid in execution.oids)
-            report = [r for r in execution.shards if r["shard"] == 2][0]
-            assert report["failed"] and "DeviceFaultError" in report["error"]
-            # A permanent fault is not retried.
-            assert report["retries"] == 0
+        sharded = build_sharded(
+                 shard_corpus, "ir2", 3, failure_policy=PARTIAL
+             )
+        term = self.common_term(sharded)
+        self.break_shard(sharded, 2, read_error_rate=1.0)
+        execution = sharded.query_ranked((50.0, 50.0), [term], k=8)
+        assert execution.degraded
+        assert execution.failed_shards == [2]
+        assert all(sharded.shard_of(oid) != 2 for oid in execution.oids)
+        report = [r for r in execution.shards if r["shard"] == 2][0]
+        assert report["failed"] and "DeviceFaultError" in report["error"]
+        # A permanent fault is not retried.
+        assert report["retries"] == 0
 
     @pytest.mark.parametrize("kind", QUERY_KINDS)
     def test_transient_fault_is_retried_to_a_full_answer(
         self, shard_corpus, kind
     ):
-        with build_sharded(shard_corpus, "ir2", 3) as healthy:
-            term = self.common_term(healthy)
-            full = healthy.search(kind_query(kind, (50.0, 50.0), [term], 8))
-        with build_sharded(
-            shard_corpus, "ir2", 3, retry_backoff_s=0.0
-        ) as sharded:
-            # Every shard's first block access fails once, transiently
-            # (some shards may prune themselves and never read at all).
-            plans = [
-                self.break_shard(sharded, i, fail_read_at=(0,), transient=True)
-                for i in range(3)
-            ]
-            execution = sharded.search(full.query)
-            assert not execution.degraded
-            assert execution.oids == full.oids
-            injected = sum(p.failures_injected for p in plans)
-            assert injected >= 1
-            assert sum(r["retries"] for r in execution.shards) == injected
+        healthy = build_sharded(shard_corpus, "ir2", 3)
+        term = self.common_term(healthy)
+        full = healthy.search(kind_query(kind, (50.0, 50.0), [term], 8))
+        sharded = build_sharded(
+                 shard_corpus, "ir2", 3, retry_backoff_s=0.0
+             )
+        # Every shard's first block access fails once, transiently
+        # (some shards may prune themselves and never read at all).
+        plans = [
+            self.break_shard(sharded, i, fail_read_at=(0,), transient=True)
+            for i in range(3)
+        ]
+        execution = sharded.search(full.query)
+        assert not execution.degraded
+        assert execution.oids == full.oids
+        injected = sum(p.failures_injected for p in plans)
+        assert injected >= 1
+        assert sum(r["retries"] for r in execution.shards) == injected
 
     def test_bad_failure_policy_rejected(self):
         with pytest.raises(QueryError, match="failure_policy"):
@@ -573,10 +611,8 @@ class TestRankingResolution:
             engine = SpatialKeywordEngine(index="ir2", signature_bytes=4)
             engine.add_all(shard_corpus)
             engine.build()
-            yield engine
-        else:
-            with build_sharded(shard_corpus, "ir2", request.param) as engine:
-                yield engine
+            return engine
+        return build_sharded(shard_corpus, "ir2", request.param)
 
     def test_non_monotone_custom_ranking_is_rejected(self, engine):
         query = SpatialKeywordQuery.of(
