@@ -108,21 +108,23 @@ class InvertedIndex:
 
         Postings are accumulated in memory, sorted, and laid out term by
         term in one buffer — a dense, mostly-sequential layout — and each
-        block the buffer covers is then written once.
+        block the buffer covers is then written once.  The log restarts
+        at byte 0, so a rebuild replaces every earlier list and sizes
+        the index exactly as a fresh build over the same documents.
         """
         accumulator: dict[str, list[int]] = {}
         for pointer, terms in documents:
             for term in terms:
                 accumulator.setdefault(term, []).append(pointer)
+        self._lexicon.clear()
         log = bytearray()
         for term in sorted(accumulator):
             postings = sorted(set(accumulator[term]))
             data = self.codec.encode(postings)
-            self._lexicon[term] = (self._end + len(log), len(data), len(postings))
-            self._live_bytes += len(data)
+            self._lexicon[term] = (len(log), len(data), len(postings))
             log += data
-        self._write_bytes(self._end, bytes(log))
-        self._end += len(log)
+        self._write_bytes(0, bytes(log))
+        self._end = self._live_bytes = len(log)
 
     def add(self, pointer: int, text: str) -> None:
         """Index one new document (incremental maintenance).
