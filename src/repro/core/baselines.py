@@ -15,6 +15,8 @@ and grows with keyword frequency, but it wins when keywords are very rare
 
 from __future__ import annotations
 
+from typing import Sequence
+
 from repro.core.query import SpatialKeywordQuery
 from repro.core.search import SearchOutcome
 from repro.model import SearchResult, result_sort_key
@@ -29,6 +31,7 @@ def iio_top_k(
     store: ObjectStore,
     query: SpatialKeywordQuery,
     exclude: frozenset[int] = frozenset(),
+    terms: Sequence[str] | None = None,
 ) -> SearchOutcome:
     """The paper's ``IIOTopK`` (Figure 7).
 
@@ -37,11 +40,13 @@ def iio_top_k(
     distance to ``Q.p``.  Lines 9-10: sort by distance, return the first
     ``Q.k``.  Every object in the intersection is charged as an
     inspection — the algorithm cannot stop early.  Objects whose oid is
-    in ``exclude`` are inspected but never enter the cut.
+    in ``exclude`` are inspected but never enter the cut.  ``terms`` are
+    the query's normalized keywords when the caller has them (see
+    :meth:`~repro.text.inverted_index.InvertedIndex.retrieve_conjunction`).
     """
     outcome = SearchOutcome()
     with qtrace.start_span("postings", category="phase"):
-        pointers = index.retrieve_conjunction(query.keywords)
+        pointers = index.retrieve_conjunction(query.keywords, terms)
     scored: list[SearchResult] = []
     with qtrace.start_span("verify", category="phase") as span:
         for pointer in pointers:

@@ -181,6 +181,8 @@ class SpatialKeywordEngine:
         *,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
+        terms: Sequence[str] | None = None,
+        decision=None,
     ) -> QueryExecution:
         """Unified entry point: execute any :class:`SpatialKeywordQuery`.
 
@@ -201,16 +203,30 @@ class SpatialKeywordEngine:
         top ``k`` among the other objects.  The snapshot layer passes the
         oids its overlay masks; an excluded object the algorithm reaches
         is still loaded and counted as inspected.
+
+        The query's keywords are normalized once per call.  ``terms``
+        hands over a normalization the caller already made (the sharded
+        fan-out and the snapshot overlay analyze the query themselves);
+        without it the index computes them.  ``decision`` hands an
+        adaptive (``"auto"``) index the
+        :class:`~repro.plan.PlanDecision` the caller took for this query
+        on it (the sharded fan-out plans each shard visit once); the
+        index then runs it without planning again.
         """
         if query.ranking is not None:
             return self._search_ranked(
-                query, vocabulary=vocabulary, exclude=exclude
+                query, vocabulary=vocabulary, exclude=exclude, terms=terms
             )
+        # Only what the caller handed over is forwarded, so a plain
+        # search keeps the one-argument ``execute`` call.
+        handed = {}
         if exclude:
-            return self.index.execute(query, exclude=exclude)
-        # Only a dirty snapshot excludes; every other search keeps the
-        # plain one-argument ``execute`` call.
-        return self.index.execute(query)
+            handed["exclude"] = exclude
+        if terms is not None:
+            handed["terms"] = terms
+        if decision is not None:
+            handed["decision"] = decision
+        return self.index.execute(query, **handed)
 
     def search_many(
         self, queries: Sequence[SpatialKeywordQuery]
@@ -243,13 +259,17 @@ class SpatialKeywordEngine:
         self,
         query: SpatialKeywordQuery,
         counters: SearchCounters | None = None,
+        *,
+        terms: Sequence[str] | None = None,
+        decision=None,
     ) -> Iterator[SearchResult]:
         """Incremental distance-first stream for an arbitrary query target.
 
         The low-level form of :meth:`query_incremental`: accepts a full
         :class:`SpatialKeywordQuery` (so area targets work) and optionally
         tallies per-pull cost counters — the hooks the sharded
-        scatter-gather merge needs.
+        scatter-gather merge needs.  ``terms`` and ``decision`` are as
+        for :meth:`search`.
 
         Raises:
             QueryError: when the index kind is non-incremental (its
@@ -262,7 +282,11 @@ class SpatialKeywordEngine:
                 "incrementally"
             )
         self.index.require_built()
-        return self.index.result_stream(query, counters=counters)
+        # Only an adaptive index takes a decision.
+        handed = {} if decision is None else {"decision": decision}
+        return self.index.result_stream(
+            query, counters=counters, terms=terms, **handed
+        )
 
     def query_incremental(
         self,
@@ -333,6 +357,7 @@ class SpatialKeywordEngine:
         query: SpatialKeywordQuery,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
+        terms: Sequence[str] | None = None,
     ) -> QueryExecution:
         """Ranked dispatch shared by :meth:`search` and :meth:`query_ranked`."""
         execute_ranked = getattr(self.index, "execute_ranked", None)
@@ -345,7 +370,9 @@ class SpatialKeywordEngine:
         )
         if ranking is not query.ranking:
             query = query.with_ranking(ranking)
-        return execute_ranked(query, ranking, vocabulary=vocabulary, exclude=exclude)
+        return execute_ranked(
+            query, ranking, vocabulary=vocabulary, exclude=exclude, terms=terms
+        )
 
     # -- Serving ----------------------------------------------------------------
 

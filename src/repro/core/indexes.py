@@ -107,12 +107,16 @@ class SpatialKeywordIndex:
     # -- Planning -------------------------------------------------------------------
 
     def estimate_cost(
-        self, query: SpatialKeywordQuery, stats: PlannerStatistics
+        self,
+        query: SpatialKeywordQuery,
+        stats: PlannerStatistics,
+        terms: Sequence[str],
     ) -> CostEstimate | None:
         """Expected I/O of answering ``query`` here; None = cannot execute.
 
         The hook the cost-based planner (:mod:`repro.plan`) calls on each
-        candidate strategy.  The base class cannot price itself.
+        candidate strategy, with the query's normalized keywords
+        ``terms``.  The base class cannot price itself.
         """
         return None
 
@@ -120,8 +124,11 @@ class SpatialKeywordIndex:
         self,
         query: SpatialKeywordQuery,
         counters: SearchCounters | None = None,
+        terms: Sequence[str] | None = None,
     ) -> Iterator[SearchResult]:
         """Lazy nearest-first result stream (incremental kinds only).
+
+        ``terms`` is as for :meth:`execute`.
 
         Raises:
             QueryError: when :attr:`supports_incremental` is False.
@@ -133,7 +140,11 @@ class SpatialKeywordIndex:
     # -- Execution ------------------------------------------------------------------
 
     def execute(
-        self, query: SpatialKeywordQuery, *, exclude: frozenset[int] = frozenset()
+        self,
+        query: SpatialKeywordQuery,
+        *,
+        exclude: frozenset[int] = frozenset(),
+        terms: Sequence[str] | None = None,
     ) -> QueryExecution:
         """Run a distance-first query with full I/O accounting.
 
@@ -141,10 +152,17 @@ class SpatialKeywordIndex:
         the answer is the ``k`` nearest matches *outside* the set.  They
         are still loaded when the algorithm reaches them, so their reads
         and inspections stay counted.
+
+        ``terms`` are the query's normalized keywords
+        (:meth:`~repro.text.analyzer.Analyzer.query_terms`) when the
+        caller analyzed the query already; otherwise they are computed
+        here, once, and every layer below takes them from this call.
         """
         self.require_built()
+        if terms is None:
+            terms = self.corpus.analyzer.query_terms(query.keywords)
         return self._measured(
-            query, lambda: self._run(query, exclude), self.label
+            query, lambda: self._run(query, exclude, terms), self.label
         )
 
     def _measured(
@@ -192,7 +210,10 @@ class SpatialKeywordIndex:
         return [self.device, self.corpus.device]
 
     def _run(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+        self,
+        query: SpatialKeywordQuery,
+        exclude: frozenset[int],
+        terms: Sequence[str],
     ) -> SearchOutcome:
         raise NotImplementedError
 
@@ -248,29 +269,36 @@ class _TreeIndex(SpatialKeywordIndex):
         return 1.0
 
     def estimate_cost(
-        self, query: SpatialKeywordQuery, stats: PlannerStatistics
+        self,
+        query: SpatialKeywordQuery,
+        stats: PlannerStatistics,
+        terms: Sequence[str],
     ) -> CostEstimate | None:
         if query.ranking is not None:
             return None  # ranked execution needs signatures (Section V.C)
-        return estimate_tree(self, query, stats)
+        return estimate_tree(self, query, stats, terms)
 
     def result_stream(
         self,
         query: SpatialKeywordQuery,
         counters: SearchCounters | None = None,
+        terms: Sequence[str] | None = None,
     ) -> Iterator[SearchResult]:
         self.require_built()
         return ir2_top_k_iter(
             self.tree, self.corpus.store, self.corpus.analyzer, query,
-            counters=counters,
+            counters=counters, terms=terms,
         )
 
     def _run(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+        self,
+        query: SpatialKeywordQuery,
+        exclude: frozenset[int],
+        terms: Sequence[str],
     ) -> SearchOutcome:
         return ir2_top_k(
             self.tree, self.corpus.store, self.corpus.analyzer, query,
-            exclude=exclude,
+            exclude=exclude, terms=terms,
         )
 
     def _make_tree(self) -> RTree:
@@ -303,10 +331,13 @@ class _RankedTreeIndex(_TreeIndex):
     """Signature-bearing trees additionally support ranked queries (§V.C)."""
 
     def estimate_cost(
-        self, query: SpatialKeywordQuery, stats: PlannerStatistics
+        self,
+        query: SpatialKeywordQuery,
+        stats: PlannerStatistics,
+        terms: Sequence[str],
     ) -> CostEstimate | None:
         # Unlike the plain R-Tree, ranked queries are priceable here.
-        return estimate_tree(self, query, stats)
+        return estimate_tree(self, query, stats, terms)
 
     def execute_ranked(
         self,
@@ -314,6 +345,7 @@ class _RankedTreeIndex(_TreeIndex):
         ranking: RankingCallable,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
+        terms: Sequence[str] | None = None,
     ) -> QueryExecution:
         """General ranked top-k with I/O accounting.
 
@@ -327,6 +359,8 @@ class _RankedTreeIndex(_TreeIndex):
                 corpus's own.  A sharded engine passes the merged global
                 vocabulary so every shard scores with corpus-wide idf.
             exclude: oids skipped before they count toward ``k``.
+            terms: the query's normalized keywords, as for
+                :meth:`execute`.
         """
         self.require_built()
         return self._measured(
@@ -339,6 +373,7 @@ class _RankedTreeIndex(_TreeIndex):
                 query,
                 ranking,
                 exclude=exclude,
+                terms=terms,
             ),
             f"{self.label}-RANKED",
         )
@@ -474,16 +509,22 @@ class IIOIndex(SpatialKeywordIndex):
         self.index.build_terms((item.obj_ptr, item.terms) for item in items)
 
     def _run(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+        self,
+        query: SpatialKeywordQuery,
+        exclude: frozenset[int],
+        terms: Sequence[str],
     ) -> SearchOutcome:
-        return iio_top_k(self.index, self.corpus.store, query, exclude)
+        return iio_top_k(self.index, self.corpus.store, query, exclude, terms)
 
     def estimate_cost(
-        self, query: SpatialKeywordQuery, stats: PlannerStatistics
+        self,
+        query: SpatialKeywordQuery,
+        stats: PlannerStatistics,
+        terms: Sequence[str],
     ) -> CostEstimate | None:
         if query.ranking is not None:
             return None  # no IR scores without signatures/idf traversal
-        return estimate_iio(self.index, query, stats)
+        return estimate_iio(self.index, query, stats, terms)
 
     def insert_object(self, pointer: int, obj: SpatialObject) -> None:
         self.require_built()
@@ -504,23 +545,23 @@ class IIOIndex(SpatialKeywordIndex):
 
 def _signature_scan_top_k(
     corpus: Corpus,
-    candidates: Callable[[Sequence[str]], Iterable[int]],
+    candidates: Callable[[Sequence[str], Sequence[str]], Iterable[int]],
     query: SpatialKeywordQuery,
     exclude: frozenset[int],
+    terms: Sequence[str],
 ) -> SearchOutcome:
     """Candidate-then-verify top-k of the signature scan baselines.
 
-    ``candidates`` maps the query keywords to object pointers whose
-    signatures match (SIG's file scan, the S-Tree's descent).  Every
-    candidate is loaded and checked against the actual keywords; true
-    matches outside ``exclude`` are sorted by ``(distance, oid)`` and
-    cut at ``Q.k``.
+    ``candidates`` maps the query keywords and their normalized ``terms``
+    to object pointers whose signatures match (SIG's file scan, the
+    S-Tree's descent).  Every candidate is loaded and checked against
+    the terms; true matches outside ``exclude`` are sorted by
+    ``(distance, oid)`` and cut at ``Q.k``.
     """
     outcome = SearchOutcome()
     analyzer = corpus.analyzer
-    terms = analyzer.query_terms(query.keywords)
     with qtrace.start_span("signature-scan", category="phase"):
-        pointers = candidates(query.keywords)
+        pointers = candidates(query.keywords, terms)
     scored: list[SearchResult] = []
     with qtrace.start_span("verify", category="phase") as span:
         for pointer in pointers:
@@ -578,18 +619,24 @@ class SignatureFileIndex(SpatialKeywordIndex):
             self.sigfile.add_terms(item.obj_ptr, item.terms)
 
     def _run(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+        self,
+        query: SpatialKeywordQuery,
+        exclude: frozenset[int],
+        terms: Sequence[str],
     ) -> SearchOutcome:
         return _signature_scan_top_k(
-            self.corpus, self.sigfile.candidates, query, exclude
+            self.corpus, self.sigfile.candidates, query, exclude, terms
         )
 
     def estimate_cost(
-        self, query: SpatialKeywordQuery, stats: PlannerStatistics
+        self,
+        query: SpatialKeywordQuery,
+        stats: PlannerStatistics,
+        terms: Sequence[str],
     ) -> CostEstimate | None:
         if query.ranking is not None:
             return None
-        return estimate_signature_scan(self.sigfile, query, stats)
+        return estimate_signature_scan(self.sigfile, query, stats, terms)
 
     def insert_object(self, pointer: int, obj: SpatialObject) -> None:
         self.require_built()
@@ -647,10 +694,13 @@ class STreeIndex(SpatialKeywordIndex):
             self.stree.insert_terms(item.obj_ptr, item.terms)
 
     def _run(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+        self,
+        query: SpatialKeywordQuery,
+        exclude: frozenset[int],
+        terms: Sequence[str],
     ) -> SearchOutcome:
         return _signature_scan_top_k(
-            self.corpus, self.stree.candidates, query, exclude
+            self.corpus, self.stree.candidates, query, exclude, terms
         )
 
     def insert_object(self, pointer: int, obj: SpatialObject) -> None:
@@ -691,6 +741,14 @@ class AutoIndex(SpatialKeywordIndex):
     cheapest (see :mod:`repro.plan`).  Every answer is produced by a real
     candidate index, so the differential guarantees of the fixed kinds
     carry over unchanged — a wrong estimate costs I/O, never correctness.
+
+    A query is planned once per visit (:meth:`plan_for`).  A standalone
+    :meth:`execute` or :meth:`result_stream` plans it itself; a sharded
+    fan-out plans each shard visit before it searches, to choose between
+    the stream and the one-scan top-k, and hands that decision to the
+    shard's ``search`` / ``stream_results``, which run it without
+    deciding again.  Either way an execution (not a stream) reports its
+    actual cost to the planner (``observe``) once.
 
     Args:
         corpus: the shared corpus.
@@ -757,13 +815,28 @@ class AutoIndex(SpatialKeywordIndex):
 
     # -- Planning ---------------------------------------------------------------
 
-    def plan_for(self, query: SpatialKeywordQuery):
-        """The (cached) routing decision for ``query``.
+    def plan_for(
+        self, query: SpatialKeywordQuery, terms: Sequence[str] | None = None
+    ):
+        """The (cached) routing decision for ``query``, under a "plan" span.
 
-        Exposed so :class:`repro.shard.ShardedEngine` can route each
-        shard's sub-query before choosing the pull strategy.
+        The one place a query of this index is planned: :meth:`execute`
+        and :meth:`result_stream` call it when they are not handed a
+        decision, and :class:`repro.shard.ShardedEngine` calls it once
+        per shard visit to choose the pull strategy and then hands the
+        decision to the shard's search.  ``terms`` is as for
+        :meth:`execute`.
         """
-        return self.planner.decide(query)
+        with qtrace.start_span("plan", category="phase") as span:
+            decision = self.planner.decide(query, terms)
+            if span is not None:
+                span.annotate(
+                    strategy=decision.strategy,
+                    query_class=decision.query_class,
+                    cached=decision.cached,
+                    estimated_cost_ms=round(decision.cost_ms, 4),
+                )
+        return decision
 
     def strategy_supports_streaming(self, strategy: str) -> bool:
         """Whether the named strategy can stream results nearest-first."""
@@ -774,36 +847,46 @@ class AutoIndex(SpatialKeywordIndex):
         """Planner breakdown for the CLI's ``repro plan explain``."""
         return self.planner.explain(query)
 
-    def _plan(self, query: SpatialKeywordQuery):
-        with qtrace.start_span("plan", category="phase") as span:
-            decision = self.planner.decide(query)
-            if span is not None:
-                span.annotate(
-                    strategy=decision.strategy,
-                    query_class=decision.query_class,
-                    cached=decision.cached,
-                    estimated_cost_ms=round(decision.cost_ms, 4),
-                )
-        return decision
-
-    def _finalize(self, decision, execution: QueryExecution) -> QueryExecution:
+    def _finalize(
+        self, decision, execution: QueryExecution, record: bool = True
+    ) -> QueryExecution:
+        """Label ``execution``, observe its actual cost, and (``record``)
+        attach the plan record."""
         actual_ms = DEFAULT_DRIVE.simulated_ms(execution.io)
         execution.algorithm = f"AUTO:{execution.algorithm}"
-        plan = decision.as_dict(self.planner.drive)
-        plan["actual_cost_ms"] = round(actual_ms, 4)
-        execution.plan = plan
+        if record:
+            plan = decision.as_dict(self.planner.drive)
+            plan["actual_cost_ms"] = round(actual_ms, 4)
+            execution.plan = plan
         self.planner.observe(decision, actual_ms)
         return execution
 
     # -- Execution --------------------------------------------------------------
 
     def execute(
-        self, query: SpatialKeywordQuery, *, exclude: frozenset[int] = frozenset()
+        self,
+        query: SpatialKeywordQuery,
+        *,
+        exclude: frozenset[int] = frozenset(),
+        terms: Sequence[str] | None = None,
+        decision=None,
     ) -> QueryExecution:
+        """Plan ``query`` (or take ``decision``) and run the chosen child.
+
+        A caller that passes the ``decision`` it already took for this
+        query (the sharded fan-out plans each shard visit once) keeps
+        the routing record itself, so the execution carries no plan
+        record; the planner still observes the actual cost.
+        """
         self.require_built()
-        decision = self._plan(query)
+        if terms is None:
+            terms = self.corpus.analyzer.query_terms(query.keywords)
+        record = decision is None
+        if record:
+            decision = self.plan_for(query, terms)
         child = self.children[decision.strategy]
-        return self._finalize(decision, child.execute(query, exclude=exclude))
+        execution = child.execute(query, exclude=exclude, terms=terms)
+        return self._finalize(decision, execution, record)
 
     def execute_ranked(
         self,
@@ -811,14 +894,17 @@ class AutoIndex(SpatialKeywordIndex):
         ranking: RankingCallable,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
+        terms: Sequence[str] | None = None,
     ) -> QueryExecution:
         """Route a ranked query among the ranked-capable candidates."""
         self.require_built()
+        if terms is None:
+            terms = self.corpus.analyzer.query_terms(query.keywords)
         planned = query if query.ranking is not None else query.with_ranking(ranking)
-        decision = self._plan(planned)
+        decision = self.plan_for(planned, terms)
         child = self.children[decision.strategy]
         execution = child.execute_ranked(
-            query, ranking, vocabulary=vocabulary, exclude=exclude
+            query, ranking, vocabulary=vocabulary, exclude=exclude, terms=terms
         )
         return self._finalize(decision, execution)
 
@@ -832,15 +918,21 @@ class AutoIndex(SpatialKeywordIndex):
         self,
         query: SpatialKeywordQuery,
         counters: SearchCounters | None = None,
+        terms: Sequence[str] | None = None,
+        decision=None,
     ) -> Iterator[SearchResult]:
         """Stream from the planned strategy when it can, else any tree.
 
         Streaming is only meaningful on tree candidates; when the planner
         prefers a scan strategy but the caller insists on a stream (e.g.
         ``query_incremental``), the first tree candidate serves it.
+        ``terms`` and ``decision`` are as for :meth:`execute`.
         """
         self.require_built()
-        decision = self.planner.decide(query)
+        if terms is None:
+            terms = self.corpus.analyzer.query_terms(query.keywords)
+        if decision is None:
+            decision = self.plan_for(query, terms)
         strategy = decision.strategy
         if not self.strategy_supports_streaming(strategy):
             strategy = next(
@@ -856,7 +948,9 @@ class AutoIndex(SpatialKeywordIndex):
                 f"index kind {self.label!r} cannot stream results "
                 "incrementally: no tree candidate available"
             )
-        return self.children[strategy].result_stream(query, counters=counters)
+        return self.children[strategy].result_stream(
+            query, counters=counters, terms=terms
+        )
 
     # -- Maintenance ------------------------------------------------------------
 

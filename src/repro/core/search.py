@@ -20,7 +20,7 @@ experiments report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.core.query import SpatialKeywordQuery
 from repro.model import SearchResult, result_sort_key
@@ -62,15 +62,20 @@ def ir2_top_k_iter(
     query: SpatialKeywordQuery,
     counters: SearchCounters | None = None,
     trace: NNTrace | None = None,
+    terms: Sequence[str] | None = None,
 ) -> Iterator[SearchResult]:
     """Incrementally yield distance-first results from an R-Tree-family tree.
 
     Each candidate produced by the signature-filtered NN traversal (every
     neighbor, on a plain R-Tree) is loaded and verified against the
     actual keywords; false positives are discarded (and counted) without
-    being yielded.
+    being yielded.  ``terms`` are the query's normalized keywords when
+    the caller has them (:meth:`~repro.text.analyzer.Analyzer.query_terms`);
+    they build the query mask and verify every candidate, and are
+    computed here otherwise.
     """
-    terms = analyzer.query_terms(query.keywords)
+    if terms is None:
+        terms = analyzer.query_terms(query.keywords)
     for obj_ptr, distance in incremental_nearest(
         tree, query.target, query_mask=tree.query_mask(terms), trace=trace
     ):
@@ -134,11 +139,16 @@ def ir2_top_k(
     query: SpatialKeywordQuery,
     trace: NNTrace | None = None,
     exclude: frozenset[int] = frozenset(),
+    terms: Sequence[str] | None = None,
 ) -> SearchOutcome:
-    """The paper's ``IR2TopK``: top ``Q.k`` distance-first answers."""
+    """The paper's ``IR2TopK``: top ``Q.k`` distance-first answers.
+
+    ``terms`` is as for :func:`ir2_top_k_iter`.
+    """
     outcome = SearchOutcome()
     iterator = ir2_top_k_iter(
-        tree, store, analyzer, query, counters=outcome.counters, trace=trace
+        tree, store, analyzer, query, counters=outcome.counters, trace=trace,
+        terms=terms,
     )
     with qtrace.start_span("traverse", category="phase"):
         outcome.results = drain_top_k(iterator, query.k, exclude)

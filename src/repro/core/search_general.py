@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from repro.core.query import SpatialKeywordQuery
 from repro.core.ranking import RankingCallable
@@ -63,6 +63,7 @@ def ranked_top_k_iter(
     ranking: RankingCallable,
     prune_zero_ir: bool = True,
     counters: SearchCounters | None = None,
+    terms: Sequence[str] | None = None,
 ) -> Iterator[SearchResult]:
     """Yield ranked results in non-increasing combined score.
 
@@ -77,6 +78,9 @@ def ranked_top_k_iter(
             keyword (the paper's optional "if Score > 0" check; disable to
             allow pure-distance results with zero IR score).
         counters: optional cost counters to fill in.
+        terms: the query's normalized keywords when the caller has them
+            (:meth:`~repro.text.analyzer.Analyzer.query_terms`); computed
+            here otherwise.
 
     Raises:
         SignatureLengthError: a node's signature width differs from a
@@ -88,7 +92,8 @@ def ranked_top_k_iter(
     semantics) on the node's bit slices, and MINDIST comes from the
     entry's coordinate tuple.
     """
-    terms = analyzer.query_terms(query.keywords)
+    if terms is None:
+        terms = analyzer.query_terms(query.keywords)
     idf = {term: vocabulary.idf(term) for term in terms}
     entry_distance = coords_distance(query.target, tree.dims)
     # Per query term: its idf and ``level -> Signature`` of the term alone.
@@ -209,12 +214,13 @@ def ranked_top_k(
     ranking: RankingCallable,
     prune_zero_ir: bool = True,
     exclude: frozenset[int] = frozenset(),
+    terms: Sequence[str] | None = None,
 ) -> SearchOutcome:
     """Top ``Q.k`` answers under the combined ranking function.
 
     Results whose oid is in ``exclude`` are skipped before they count
     toward ``Q.k`` (they were still loaded and scored, and stay counted
-    as inspected).
+    as inspected).  ``terms`` is as for :func:`ranked_top_k_iter`.
     """
     outcome = SearchOutcome()
     iterator = ranked_top_k_iter(
@@ -226,6 +232,7 @@ def ranked_top_k(
         ranking,
         prune_zero_ir=prune_zero_ir,
         counters=outcome.counters,
+        terms=terms,
     )
     with qtrace.start_span("ranked-traverse", category="phase"):
         for result in iterator:

@@ -56,6 +56,7 @@ from repro.obs.metrics import (
     Counter,
     Gauge,
     Histogram,
+    MetricHandles,
     MetricsRegistry,
     merge_snapshots,
 )
@@ -110,6 +111,7 @@ __all__ = [
     "Gauge",
     "Histogram",
     "LATENCY_BUCKETS_MS",
+    "MetricHandles",
     "MetricsRegistry",
     "QueryLogError",
     "QueryLogWriter",

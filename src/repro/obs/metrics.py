@@ -28,7 +28,7 @@ from __future__ import annotations
 import json
 import threading
 from bisect import bisect_left
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 #: Default latency buckets in milliseconds — log-spaced from sub-0.1 ms
 #: (cache hits) to multi-second outliers (cold sharded fan-outs).
@@ -290,6 +290,28 @@ class MetricsRegistry:
         payload["metrics"] = self.snapshot()
         with open(path, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)
+
+
+class MetricHandles(dict):
+    """Metrics of one registry by key, each looked up there once.
+
+    A component that records the same events on every query keeps one of
+    these instead of asking the registry by name each time:
+    ``handles[key]`` calls ``factory(key)`` on the first use of ``key``
+    (a registry lookup such as ``registry.counter``, which creates the
+    metric) and returns the held metric afterwards, without the
+    registry's lock.  A metric therefore still appears in snapshots only
+    once something records into it.  Keys may be tuples, so a per-shard
+    family is bound without formatting its name per query.
+    """
+
+    def __init__(self, factory: Callable[[object], object]) -> None:
+        super().__init__()
+        self._factory = factory
+
+    def __missing__(self, key):
+        metric = self[key] = self._factory(key)
+        return metric
 
 
 def merge_snapshots(snapshots: Iterable[dict]) -> dict:

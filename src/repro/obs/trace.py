@@ -45,7 +45,7 @@ import os
 import threading
 import time
 import uuid
-from contextlib import contextmanager
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -272,8 +272,13 @@ def current_span() -> Span | None:
     return stack[-1] if stack else None
 
 
-@contextmanager
-def activate(span: Span | None) -> Iterator[Span | None]:
+#: The one context an untraced :func:`start_span` or ``activate(None)``
+#: returns: entering it yields None and exiting it does nothing, so an
+#: untraced call builds no generator context of its own.
+_UNTRACED = nullcontext()
+
+
+def activate(span: Span | None) -> AbstractContextManager[Span | None]:
     """Make ``span`` current on this thread without finishing it on exit.
 
     The cross-thread propagation primitive: a service worker activates
@@ -282,8 +287,12 @@ def activate(span: Span | None) -> Iterator[Span | None]:
     stay branch-free.
     """
     if span is None:
-        yield None
-        return
+        return _UNTRACED
+    return _activated(span)
+
+
+@contextmanager
+def _activated(span: Span) -> Iterator[Span]:
     stack = _stack()
     stack.append(span)
     try:
@@ -292,13 +301,18 @@ def activate(span: Span | None) -> Iterator[Span | None]:
         stack.pop()
 
 
-@contextmanager
-def start_span(name: str, category: str = "", **attrs) -> Iterator[Span | None]:
+def start_span(
+    name: str, category: str = "", **attrs
+) -> AbstractContextManager[Span | None]:
     """Open a child of the current span; no-op (yields None) if untraced."""
     parent = current_span()
     if parent is None:
-        yield None
-        return
+        return _UNTRACED
+    return _child_span(parent, name, category, attrs)
+
+
+@contextmanager
+def _child_span(parent: Span, name: str, category: str, attrs: dict) -> Iterator[Span]:
     span = parent.trace.new_span(name, category=category, parent=parent, **attrs)
     stack = _stack()
     stack.append(span)

@@ -458,7 +458,10 @@ def _restore_single(
     ``shell`` is an empty engine of the captured configuration, and
     ``fill(name, device)`` gives ``device`` the blocks of layout file
     ``name``.  ``vocabulary=None`` re-derives the vocabulary statistics
-    from the restored documents; otherwise its counts are copied.
+    from the restored documents; otherwise its counts are copied.  The
+    restored corpus is read at most once (:func:`corpus_items`): the same
+    items feed the vocabulary and an adaptive index's planner
+    statistics.
     """
     corpus = shell.corpus
     fill(_OBJECTS, corpus.device)
@@ -468,12 +471,14 @@ def _restore_single(
     store._pointers = dict(state["pointers"])
     shell._pointers = dict(state["pointers"])
     corpus._dims = state["dims"]
+    items = None
     if vocabulary is not None:
         corpus.vocabulary = vocabulary.copy()
     else:
-        for _, obj in store.iter_objects():
-            corpus.vocabulary.add_document(corpus.analyzer.terms(obj.text))
-    _restore_index(shell.index, state["index"], fill, _INDEX)
+        items = corpus_items(corpus)
+        for item in items:
+            corpus.vocabulary.add_document(item.terms)
+    _restore_index(shell.index, state["index"], fill, _INDEX, items)
     return shell
 
 
@@ -789,13 +794,16 @@ def _restore_index(
     state: dict,
     fill: Callable[[str, InMemoryBlockDevice], None],
     filename: str,
+    items: list | None = None,
 ) -> None:
     """Fill an index's device from ``filename`` and put back its bookkeeping.
 
     A tree index gets a fresh tree *before* the fill: constructing it
     writes a bootstrap root, which the filled image then replaces.  An
     adaptive index restores each candidate child from its own file and
-    rebuilds its planner statistics from the already restored corpus.
+    rebuilds its planner statistics from the already restored corpus:
+    from ``items`` (its :func:`corpus_items`) when the caller read them
+    already, else from one read of its own.
     """
     if isinstance(index, AutoIndex):
         for kind, child in index.children.items():
@@ -803,7 +811,9 @@ def _restore_index(
                 child, state["children"][kind], fill,
                 _child_index_filename(kind),
             )
-        index.stats.rebuild(corpus_items(index.corpus))
+        index.stats.rebuild(
+            items if items is not None else corpus_items(index.corpus)
+        )
     elif isinstance(index, SignatureFileIndex):
         fill(filename, index.device)
         sigfile = index.sigfile

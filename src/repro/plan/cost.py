@@ -23,6 +23,10 @@ The estimators mirror how each algorithm actually spends I/O:
 * **SIG**: the signature file is always read end to end (sequential),
   then matches plus false positives are loaded and verified.
 
+Every estimator takes the query's normalized keywords (``terms``, as
+:meth:`~repro.text.analyzer.Analyzer.query_terms` gives them) from the
+planner, which takes them from the engine that analyzed the query.
+
 These are *estimates* under independence and uniformity assumptions; the
 differential suite guarantees that a wrong pick can only cost I/O, never
 answer correctness.
@@ -113,13 +117,12 @@ def _expected_scan(query, stats, terms) -> tuple[float, float]:
     return min(float(n), scan), selectivity
 
 
-def estimate_iio(inverted, query, stats) -> CostEstimate:
+def estimate_iio(inverted, query, stats, terms) -> CostEstimate:
     """Price the inverted-index conjunction (Figure 7).
 
     ``inverted`` is the :class:`~repro.text.inverted_index.InvertedIndex`;
     its lexicon gives each posting list's exact byte extent without I/O.
     """
-    terms = stats.analyzer.query_terms(query.keywords)
     block_size = inverted.device.block_size
     n = stats.document_count
     random_reads = sequential_reads = 0.0
@@ -149,7 +152,7 @@ def estimate_iio(inverted, query, stats) -> CostEstimate:
     )
 
 
-def estimate_tree(index, query, stats) -> CostEstimate:
+def estimate_tree(index, query, stats, terms) -> CostEstimate:
     """Price a distance-first (or ranked) traversal of a tree index.
 
     ``index`` is any :class:`~repro.core.indexes._TreeIndex`; its
@@ -157,7 +160,6 @@ def estimate_tree(index, query, stats) -> CostEstimate:
     query-level false-positive probability (1.0 for a plain R-Tree,
     which verifies every candidate).
     """
-    terms = stats.analyzer.query_terms(query.keywords)
     n = stats.document_count
     if n == 0:
         return CostEstimate(0.0, 0.0, 0.0, details={"selectivity": 0.0})
@@ -187,11 +189,10 @@ def estimate_tree(index, query, stats) -> CostEstimate:
     )
 
 
-def estimate_signature_scan(sigfile, query, stats) -> CostEstimate:
+def estimate_signature_scan(sigfile, query, stats, terms) -> CostEstimate:
     """Price the sequential signature-file scan baseline."""
     from repro.text.sigdesign import false_positive_rate_for_query
 
-    terms = stats.analyzer.query_terms(query.keywords)
     n = stats.document_count
     block_size = sigfile.device.block_size
     scan_blocks = max(1.0, sigfile.size_bytes / block_size) if n else 0.0

@@ -23,9 +23,10 @@ from __future__ import annotations
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import QueryError
+from repro.obs.metrics import MetricHandles
 from repro.plan.cost import CostEstimate
 from repro.plan.stats import PlannerStatistics
 from repro.storage.timing import DEFAULT_DRIVE, DriveModel
@@ -64,14 +65,16 @@ class QueryPlanner:
 
     Args:
         candidates: strategy name -> index instance exposing
-            ``estimate_cost(query, stats)``; declaration order is the
+            ``estimate_cost(query, stats, terms)``; declaration order is the
             deterministic tie-break order.
         stats: the shared :class:`PlannerStatistics`.
         metrics: optional :class:`repro.obs.MetricsRegistry`; receives
             ``planner.chosen.<strategy>`` / ``planner.won.<strategy>`` /
             ``planner.lost.<strategy>`` counters plus plan-cache hit and
-            miss counts.  :class:`repro.serve.QueryService` attaches its
-            own registry when the planner has none.
+            miss counts, each looked up in the registry once
+            (:class:`~repro.obs.metrics.MetricHandles`).
+            :class:`repro.serve.QueryService` attaches its own registry
+            when the planner has none.
         cache_capacity: LRU plan-cache entries (0 disables caching).
         drive: drive model used to scalarize estimates.
     """
@@ -97,6 +100,18 @@ class QueryPlanner:
         self._cache: OrderedDict[tuple, PlanDecision] = OrderedDict()
         self._lock = threading.Lock()
 
+    @property
+    def metrics(self):
+        """The registry the counters go to (None records nothing)."""
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry) -> None:
+        self._metrics = registry
+        self._counters = (
+            MetricHandles(registry.counter) if registry is not None else None
+        )
+
     # -- Decisions --------------------------------------------------------------
 
     def query_class(self, query) -> str:
@@ -106,9 +121,12 @@ class QueryPlanner:
             return "area"
         return "point"
 
-    def shape_key(self, query) -> tuple:
-        """Cache key: everything the cost model reads except the point."""
-        terms = tuple(sorted(self.stats.analyzer.query_terms(query.keywords)))
+    def shape_key(self, query, terms: Sequence[str]) -> tuple:
+        """Cache key: everything the cost model reads except the point.
+
+        ``terms`` are the query's normalized keywords
+        (:meth:`~repro.text.analyzer.Analyzer.query_terms`).
+        """
         area_key: tuple = ()
         if query.area is not None:
             grid = self.stats.grid
@@ -116,11 +134,21 @@ class QueryPlanner:
                 area_key = grid.cell_range(query.area)
             else:
                 area_key = (tuple(query.area.lo), tuple(query.area.hi))
-        return (self.query_class(query), terms, query.k, area_key, self.force)
+        return (
+            self.query_class(query), tuple(sorted(terms)), query.k, area_key,
+            self.force,
+        )
 
-    def decide(self, query) -> PlanDecision:
-        """The routing decision for ``query`` (cached by query shape)."""
-        key = self.shape_key(query)
+    def decide(self, query, terms: Sequence[str] | None = None) -> PlanDecision:
+        """The routing decision for ``query`` (cached by query shape).
+
+        ``terms`` are the query's normalized keywords when the caller has
+        them already (an engine analyzes a query once and hands the terms
+        to every layer); they are computed here otherwise.
+        """
+        if terms is None:
+            terms = self.stats.analyzer.query_terms(query.keywords)
+        key = self.shape_key(query, terms)
         version = self.stats.version
         with self._lock:
             hit = self._cache.get(key)
@@ -129,7 +157,7 @@ class QueryPlanner:
                 self._count("planner.cache.hits")
                 return replace(hit, cached=True)
         self._count("planner.cache.misses")
-        decision = self._compute(query, version)
+        decision = self._compute(query, version, terms)
         if self.cache_capacity > 0:
             with self._lock:
                 self._cache[key] = decision
@@ -138,10 +166,10 @@ class QueryPlanner:
                     self._cache.popitem(last=False)
         return decision
 
-    def _compute(self, query, version: int) -> PlanDecision:
+    def _compute(self, query, version: int, terms: Sequence[str]) -> PlanDecision:
         estimates: dict[str, CostEstimate] = {}
         for kind, index in self.candidates.items():
-            estimate = index.estimate_cost(query, self.stats)
+            estimate = index.estimate_cost(query, self.stats, terms)
             if estimate is not None:
                 estimates[kind] = estimate
         if not estimates:
@@ -178,31 +206,32 @@ class QueryPlanner:
         cost stayed at or below the cheapest **estimated** alternative —
         i.e. hindsight does not indict the choice.
         """
-        m = self.metrics
-        if m is None:
+        counters = self._counters
+        if counters is None:
             return
-        m.counter("planner.queries").inc()
-        m.counter(f"planner.chosen.{decision.strategy}").inc()
+        strategy = decision.strategy
+        counters["planner.queries"].inc()
+        counters[f"planner.chosen.{strategy}"].inc()
         alternatives = [
             estimate.cost_ms(self.drive)
             for kind, estimate in decision.estimates.items()
-            if kind != decision.strategy
+            if kind != strategy
         ]
         if not alternatives or actual_cost_ms <= min(alternatives) + 1e-9:
-            m.counter(f"planner.won.{decision.strategy}").inc()
+            counters[f"planner.won.{strategy}"].inc()
         else:
-            m.counter(f"planner.lost.{decision.strategy}").inc()
+            counters[f"planner.lost.{strategy}"].inc()
 
     def _count(self, name: str) -> None:
-        if self.metrics is not None:
-            self.metrics.counter(name).inc()
+        if self._counters is not None:
+            self._counters[name].inc()
 
     # -- Introspection ----------------------------------------------------------
 
     def explain(self, query) -> dict:
         """Full per-strategy breakdown for ``repro plan explain``."""
-        decision = self.decide(query)
         terms = self.stats.analyzer.query_terms(query.keywords)
+        decision = self.decide(query, terms)
         return {
             "decision": decision.as_dict(self.drive),
             "statistics": {

@@ -218,7 +218,9 @@ class EngineVersion:
         *live* base objects — then merges the buffered inserts that
         contain every query keyword and re-cuts at ``k`` under the
         canonical ``(distance, oid)`` order.  That reproduces the
-        brute-force oracle over :meth:`objects` exactly.  The overlay
+        brute-force oracle over :meth:`objects` exactly.  A dirty version
+        normalizes the keywords once and hands the terms to the base
+        search and the overlay match.  The overlay
         itself costs no I/O, so the execution's per-query I/O delta
         stays the base search's exact attribution.
         """
@@ -226,8 +228,9 @@ class EngineVersion:
             return self.base.search(query)
         if query.ranking is not None:
             return self._search_ranked(query)
-        execution = self.base.search(query, exclude=self.masked)
-        needed = set(self.base.analyzer.query_terms(query.keywords))
+        terms = self.base.analyzer.query_terms(query.keywords)
+        execution = self.base.search(query, exclude=self.masked, terms=terms)
+        needed = set(terms)
         overlay = []
         for oid, terms in self.insert_terms.items():
             if needed <= terms:
@@ -260,7 +263,7 @@ class EngineVersion:
         terms = analyzer.query_terms(query.keywords)
         vocabulary = self._effective_vocabulary()
         execution = self.base.search(
-            query, vocabulary=vocabulary, exclude=self.masked
+            query, vocabulary=vocabulary, exclude=self.masked, terms=terms
         )
         results = list(execution.results)
         for oid in sorted(self.inserts):

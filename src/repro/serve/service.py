@@ -6,8 +6,10 @@ built engine — a :class:`SpatialKeywordEngine` or a
 ``search()`` surface — into something that can take parallel traffic
 while staying byte-for-byte faithful to them:
 
-* queries are dispatched across a thread pool and executed by the
-  engine's unmodified search algorithms;
+* queries submitted with ``submit``/``submit_many`` (and batched reads)
+  are dispatched across a thread pool and executed by the engine's
+  unmodified search algorithms; a synchronous ``search`` that bypasses
+  the batch scheduler runs the same worker body on its caller's thread;
 * per-query I/O accounting is exact under concurrency because each
   execution collects its own delta in a thread-local collector
   (:func:`repro.storage.iostats.collecting_io`) instead of diffing the
@@ -58,7 +60,14 @@ from repro.core.engine import SpatialKeywordEngine
 from repro.core.query import QueryExecution, SpatialKeywordQuery
 from repro.errors import ServiceError, ServiceOverloadError
 from repro.model import SpatialObject
-from repro.obs import COUNT_BUCKETS, MetricsRegistry, SlowQueryLog, export_engine
+from repro.obs import (
+    COUNT_BUCKETS,
+    LATENCY_BUCKETS_MS,
+    MetricHandles,
+    MetricsRegistry,
+    SlowQueryLog,
+    export_engine,
+)
 from repro.obs import trace as qtrace
 from repro.obs.export import render_prometheus
 from repro.obs.querylog import QueryLogWriter
@@ -81,7 +90,7 @@ from repro.serve.tracing import (
     TraceSpan,
 )
 from repro.storage.faults import retry_transient
-from repro.storage.iostats import IOCounts
+from repro.storage.iostats import IOCounts, fresh_scope
 from repro.storage.sharedread import SharedReadSession, activate_session
 
 def _resolve_result(future: Future, result) -> None:
@@ -137,6 +146,9 @@ def _settle(answered: Iterable[_Answered]) -> None:
 _IO_FIELDS = (
     "random_reads", "sequential_reads", "shared_reads", "objects_loaded",
 )
+
+#: The service histograms of counts; the others are latencies in ms.
+_COUNT_HISTOGRAMS = frozenset({"service.batch.size", "service.reads_per_query"})
 
 
 @dataclass(frozen=True)
@@ -273,7 +285,11 @@ class QueryService:
         engine: a built :class:`SpatialKeywordEngine` or
             :class:`repro.shard.ShardedEngine` (building it through the
             service afterwards is also supported via :meth:`build`).
-        workers: worker threads answering queries.
+        workers: worker threads of the pool that answers
+            :meth:`submit` / :meth:`submit_many` and batched reads.  A
+            synchronous :meth:`search` that bypasses the scheduler
+            (batching off, or ``at_version``) runs on its caller's
+            thread instead.
         cache: enable the LRU result cache.
         cache_capacity: maximum cached executions.
         trace_capacity: maximum retained trace spans; the oldest are
@@ -335,7 +351,8 @@ class QueryService:
     Submission surface: :meth:`submit` (one query → ``Future``),
     :meth:`submit_many` (a batch → list of ``Future``\\ s, the batch
     entry point), and :meth:`search` (synchronous, optionally at a
-    retained version).
+    retained version; it runs on the caller's thread unless the batch
+    scheduler takes it).
 
     The service is a context manager; :meth:`close` drains the pool::
 
@@ -370,6 +387,17 @@ class QueryService:
         self.retries = retries
         self.retry_backoff_s = retry_backoff_s
         self.metrics = metrics if metrics is not None else MetricsRegistry()
+        # The metrics every read records, each looked up in the registry
+        # on first use only.
+        registry = self.metrics
+        self._counters = MetricHandles(registry.counter)
+        self._gauges = MetricHandles(registry.gauge)
+        self._histograms = MetricHandles(
+            lambda name: registry.histogram(
+                name,
+                COUNT_BUCKETS if name in _COUNT_HISTOGRAMS else LATENCY_BUCKETS_MS,
+            )
+        )
         self._owns_query_log = isinstance(query_log, str)
         if isinstance(query_log, str):
             query_log = QueryLogWriter(
@@ -486,7 +514,13 @@ class QueryService:
         query: SpatialKeywordQuery,
         at_version: int | None = None,
     ) -> QueryExecution:
-        """Synchronously run one query (``submit(query).result()``).
+        """Synchronously run one query.
+
+        With batching on, the read goes through the scheduler like a
+        :meth:`submit` and this waits for it.  A read that bypasses the
+        scheduler — batching off, or an ``at_version`` read — runs the
+        same worker body (:meth:`_execute_group`) on the calling thread,
+        so its record's ``worker`` is the caller's thread name.
 
         ``at_version`` answers the query against a specific *retained*
         published snapshot version instead of the current one — a
@@ -506,7 +540,11 @@ class QueryService:
             if at_version is not None
             else None
         )
-        return self._submit_one(query, pinned).result()
+        # A read that bypasses the scheduler runs the worker body on the
+        # calling thread: handing it to the pool only to block on the
+        # future would cost two thread switches and gain nothing.
+        inline = self._scheduler is None or pinned is not None
+        return self._submit_one(query, pinned, inline).result()
 
     def run_batch(
         self, queries: Iterable[SpatialKeywordQuery]
@@ -525,18 +563,29 @@ class QueryService:
         return query
 
     def _submit_one(
-        self, query: SpatialKeywordQuery, pinned: EngineVersion | None = None
+        self,
+        query: SpatialKeywordQuery,
+        pinned: EngineVersion | None = None,
+        inline: bool = False,
     ) -> Future:
         """Admit one query: into the scheduler, or alone onto the pool.
 
         A read runs alone — a :class:`BatchGroup` of one with no batch
         id — when batching is off or when it carries its own ``pinned``
-        version (an ``at_version`` read).
+        version (an ``at_version`` read).  ``inline`` runs such a read
+        on the calling thread (a synchronous :meth:`search`); the
+        returned future is then already resolved.
         """
         if self._closed:
             raise ServiceError("cannot submit to a closed QueryService")
         self._admit(1)
         member = self._make_member(query)
+        if inline:
+            # The caller's collectors, session and spans stay out of it,
+            # as they would on a pool thread.
+            with fresh_scope():
+                self._execute_group(BatchGroup(None, [member], pinned))
+            return member.future
         try:
             if self._scheduler is not None and pinned is None:
                 self._scheduler.submit(member)
@@ -566,17 +615,17 @@ class QueryService:
         )
         with self._depth_lock:
             if max_pending is not None and self._pending + count > max_pending:
-                self.metrics.counter("service.shed").inc(count)
+                self._counters["service.shed"].inc(count)
                 raise ServiceOverloadError(self._pending, max_pending)
             self._pending += count
             depth = self._pending
-        self.metrics.gauge("service.queue_depth").set(depth)
+        self._gauges["service.queue_depth"].set(depth)
 
     def _release(self, count: int) -> None:
         with self._depth_lock:
             self._pending -= count
             depth = self._pending
-        self.metrics.gauge("service.queue_depth").set(depth)
+        self._gauges["service.queue_depth"].set(depth)
 
     def _on_future_done(self, future: Future) -> None:
         self._release(1)
@@ -708,17 +757,15 @@ class QueryService:
         for each in answered:
             span = each.span
             if self.trace_log.append(span):
-                self.metrics.counter("service.trace_log.dropped").inc()
+                self._counters["service.trace_log.dropped"].inc()
             self.slow_log.offer(span)
             if self.query_log is not None:
                 self.query_log.offer(span)
         if not batched:
             _settle(answered)
             return
-        self.metrics.counter("service.batches").inc()
-        self.metrics.histogram(
-            "service.batch.size", buckets=COUNT_BUCKETS
-        ).observe(len(group))
+        self._counters["service.batches"].inc()
+        self._histograms["service.batch.size"].observe(len(group))
 
     def _run_member(
         self,
@@ -806,28 +853,29 @@ class QueryService:
         ``failures`` errors (the member and its waiting riders); a failed
         execution's transient retries are counted all the same.
         """
-        m = self.metrics
+        counters = self._counters
+        histograms = self._histograms
         if span.retries:
-            m.counter("service.retries").inc(span.retries)
+            counters["service.retries"].inc(span.retries)
         execution = span.execution
         if execution is None:
-            m.counter("service.errors").inc(failures)
+            counters["service.errors"].inc(failures)
             return
-        m.counter("service.queries").inc()
-        m.counter(f"service.cache.{span.cache}").inc()
+        counters["service.queries"].inc()
+        counters[f"service.cache.{span.cache}"].inc()
         if execution.degraded:
-            m.counter("service.degraded").inc()
+            counters["service.degraded"].inc()
         io = execution.io
         for attr in _IO_FIELDS:
-            m.counter(f"service.io.{attr}").inc(getattr(io, attr))
-        m.histogram("service.queue_wait_ms").observe(span.queue_wait_ms)
-        m.histogram("service.lock_wait_ms").observe(span.lock_wait_ms)
-        m.histogram("service.search_ms").observe(span.search_ms)
-        m.histogram("service.merge_ms").observe(span.merge_ms)
-        m.histogram("service.total_ms").observe(span.total_ms)
-        m.histogram(
-            "service.reads_per_query", buckets=COUNT_BUCKETS
-        ).observe(io.random_reads + io.sequential_reads)
+            counters[f"service.io.{attr}"].inc(getattr(io, attr))
+        histograms["service.queue_wait_ms"].observe(span.queue_wait_ms)
+        histograms["service.lock_wait_ms"].observe(span.lock_wait_ms)
+        histograms["service.search_ms"].observe(span.search_ms)
+        histograms["service.merge_ms"].observe(span.merge_ms)
+        histograms["service.total_ms"].observe(span.total_ms)
+        histograms["service.reads_per_query"].observe(
+            io.random_reads + io.sequential_reads
+        )
 
     def _answer(
         self,

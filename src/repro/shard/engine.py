@@ -47,7 +47,7 @@ from repro.core.query import QueryExecution, SpatialKeywordQuery
 from repro.core.ranking import RankingCallable, resolve_ranking
 from repro.core.search import SearchCounters
 from repro.errors import IndexError_, QueryError, StorageError
-from repro.obs import MetricsRegistry
+from repro.obs import MetricHandles, MetricsRegistry
 from repro.obs import trace as qtrace
 from repro.storage.faults import retry_transient
 from repro.model import SearchResult, SpatialObject
@@ -389,6 +389,7 @@ class ShardedEngine:
         *,
         vocabulary=None,
         exclude: frozenset[int] = frozenset(),
+        terms: Sequence[str] | None = None,
     ) -> QueryExecution:
         """Unified entry point; same contract as the single engine's.
 
@@ -402,12 +403,16 @@ class ShardedEngine:
         so dirty overlays score exactly); ``None`` uses the merged
         per-shard statistics.  ``exclude`` names oids every shard's top-k
         cut and the merge skip before they count toward ``k`` (see
-        :meth:`SpatialKeywordEngine.search`).
+        :meth:`SpatialKeywordEngine.search`).  The keywords are
+        normalized once per call (or taken from ``terms``) and the terms
+        are handed to the keyword routing and every searched shard.
         """
         self.require_built()
+        if terms is None:
+            terms = self.analyzer.query_terms(query.keywords)
         if query.ranking is not None:
-            return self._ranked(query, vocabulary=vocabulary, exclude=exclude)
-        return self._distance_first(query, exclude)
+            return self._ranked(query, vocabulary, exclude, terms)
+        return self._distance_first(query, exclude, terms)
 
     def search_many(
         self, queries: Sequence[SpatialKeywordQuery]
@@ -452,7 +457,8 @@ class ShardedEngine:
         """General ranked top-k; one ranking function shared by all shards."""
         query = SpatialKeywordQuery.of(point, keywords, k, ranking=ranking)
         self.require_built()
-        return self._ranked(query)
+        terms = self.analyzer.query_terms(query.keywords)
+        return self._ranked(query, None, frozenset(), terms)
 
     def query_incremental(
         self,
@@ -512,7 +518,7 @@ class ShardedEngine:
             _, _, kind, shard_id, result = heapq.heappop(heap)
             if kind == "bound":
                 streams[shard_id] = self.shards[shard_id].stream_results(
-                    query, counters=counters
+                    query, counters=counters, terms=terms
                 )
                 advance(shard_id)
             else:
@@ -623,13 +629,10 @@ class ShardedEngine:
         if failed and self.failure_policy == FAIL_FAST:
             raise errors[failed[0]]
         done = [execution for execution in executions if execution is not None]
-        io = IOCounts()
-        for execution in done:
-            io = io.merged_with(execution.io)
         return QueryExecution(
             query=query,
             results=gather(done),
-            io=io,
+            io=IOCounts.sum_of([execution.io for execution in done]),
             objects_inspected=sum(e.objects_inspected for e in done),
             false_positive_candidates=sum(
                 e.false_positive_candidates for e in done
@@ -643,7 +646,10 @@ class ShardedEngine:
         )
 
     def _distance_first(
-        self, query: SpatialKeywordQuery, exclude: frozenset[int]
+        self,
+        query: SpatialKeywordQuery,
+        exclude: frozenset[int],
+        terms: Sequence[str],
     ) -> QueryExecution:
         """Distance-first fan-out: shards offer into one tie-aware merger.
 
@@ -651,9 +657,16 @@ class ShardedEngine:
         the k-th distance the nearer shards have merged.  Excluded
         results are passed over without being offered, so the merge
         threshold only ever tightens on live results.
+
+        Each shard visit is planned once: an adaptive shard's planner
+        decides from the shard's own statistics (``plan_for``), the
+        decision picks the pull strategy, and the shard's own ``search``
+        or ``stream_results`` entry runs that decision without deciding
+        again.  The decision's strategy goes into the shard's report;
+        the shard renders no plan record of its own, since the merged
+        answer keeps only :meth:`_merged_plan`.
         """
         merger = TopKMerger(query.k)
-        terms = self.analyzer.query_terms(query.keywords)
         incremental = self._supports_incremental()
 
         def offer(results: Iterable[SearchResult]) -> int:
@@ -674,18 +687,20 @@ class ShardedEngine:
             # Adaptive shards route each *sub-query* independently: the
             # planner decides from this shard's own statistics whether to
             # pull the nearest-first stream (tree strategies) or run the
-            # local top-k as one scan.  Plan decisions are shape-cached,
-            # so the search call re-planning inside the shard is free and
-            # lands on the identical (deterministic) choice.
+            # local top-k as one scan.
             pull_stream = incremental
+            decision = None
             plan_for = getattr(shard.index, "plan_for", None)
             if plan_for is not None:
-                report["strategy"] = plan_for(query).strategy
+                decision = plan_for(query, terms)
+                report["strategy"] = decision.strategy
                 pull_stream = shard.index.strategy_supports_streaming(
-                    report["strategy"]
+                    decision.strategy
                 )
             if not pull_stream:
-                execution = shard.search(query, exclude=exclude)
+                execution = shard.search(
+                    query, exclude=exclude, terms=terms, decision=decision
+                )
                 report["results_offered"] = offer(execution.results)
                 return execution
             # Pull the stream until it can no longer affect the top-k.  A
@@ -694,7 +709,9 @@ class ShardedEngine:
             counters = SearchCounters()
             with collecting_io() as collector:
                 report["results_offered"] = offer(
-                    shard.stream_results(query, counters=counters)
+                    shard.stream_results(
+                        query, counters=counters, terms=terms, decision=decision
+                    )
                 )
             io = collector.snapshot()
             return QueryExecution(
@@ -717,8 +734,9 @@ class ShardedEngine:
     def _ranked(
         self,
         query: SpatialKeywordQuery,
-        vocabulary=None,
-        exclude: frozenset[int] = frozenset(),
+        vocabulary,
+        exclude: frozenset[int],
+        terms: Sequence[str],
     ) -> QueryExecution:
         """Ranked fan-out: every shard runs its local top-k, merged by score."""
         if not hasattr(self.shards[0].index, "execute_ranked"):
@@ -738,11 +756,11 @@ class ShardedEngine:
         # vocabulary so sharded scores equal single-engine scores.
         if vocabulary is None:
             vocabulary = self._global_vocabulary()
-        terms = self.analyzer.query_terms(query.keywords)
 
         def body(shard_id: int, report: dict) -> QueryExecution:
             execution = self.shards[shard_id].index.execute_ranked(
-                query, ranking, vocabulary=vocabulary, exclude=exclude
+                query, ranking, vocabulary=vocabulary, exclude=exclude,
+                terms=terms,
             )
             report["strategy"] = (execution.plan or {}).get("strategy")
             report["results_offered"] = len(execution.results)
@@ -808,32 +826,52 @@ class ShardedEngine:
         per-shard ``shard.<id>.*`` family, so a hot or flaky partition is
         visible individually.  A no-op without a registry attached.
         """
-        m = self.metrics
-        if m is None:
+        counters = self._counters
+        if counters is None:
             return
-        m.counter("shard.fanout.queries").inc()
+        counters["queries"].inc()
+
+        def count(shard_id: int, outcome: str, amount: int = 1) -> None:
+            counters[outcome].inc(amount)
+            counters[shard_id, outcome].inc(amount)
+
         for report in reports:
             shard_id = report["shard"]
             if report["pruned"]:
-                m.counter("shard.fanout.pruned").inc()
-                m.counter(f"shard.{shard_id}.pruned").inc()
+                count(shard_id, "pruned")
                 if report["pruned_by_keywords"]:
-                    m.counter("shard.fanout.pruned_by_keywords").inc()
-                    m.counter(f"shard.{shard_id}.pruned_by_keywords").inc()
+                    count(shard_id, "pruned_by_keywords")
                 continue
-            m.counter("shard.fanout.searched").inc()
-            m.counter(f"shard.{shard_id}.searched").inc()
+            count(shard_id, "searched")
             if report["failed"]:
-                m.counter("shard.fanout.failed").inc()
-                m.counter(f"shard.{shard_id}.failed").inc()
+                count(shard_id, "failed")
             if report["retries"]:
-                m.counter("shard.fanout.retried").inc(report["retries"])
-                m.counter(f"shard.{shard_id}.retried").inc(report["retries"])
+                count(shard_id, "retried", report["retries"])
             if report["results_offered"]:
-                m.counter("shard.fanout.offers").inc(report["results_offered"])
-                m.counter(f"shard.{shard_id}.offers").inc(
-                    report["results_offered"]
+                count(shard_id, "offers", report["results_offered"])
+
+    @property
+    def metrics(self) -> MetricsRegistry | None:
+        """The registry the fan-out counters go to (None records nothing).
+
+        Setting it binds the counters to the new registry: the fleet-wide
+        ``shard.fanout.<outcome>`` counter is bound under the key
+        ``<outcome>`` and ``shard.<id>.<outcome>`` under ``(id,
+        outcome)``, each looked up in the registry on first use only.
+        """
+        return self._metrics
+
+    @metrics.setter
+    def metrics(self, registry: MetricsRegistry | None) -> None:
+        self._metrics = registry
+        self._counters = (
+            None if registry is None else MetricHandles(
+                lambda key: registry.counter(
+                    f"shard.fanout.{key}" if isinstance(key, str)
+                    else "shard.%d.%s" % key
                 )
+            )
+        )
 
     # -- Serving ----------------------------------------------------------------
 

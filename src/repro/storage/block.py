@@ -25,8 +25,9 @@ which is how the paper's multi-block IR2/MIR2 nodes are charged.
 
 :meth:`BlockDevice.read_block` is the one counted read.  It reads
 ``count`` contiguous blocks (one by default) and does its work once per
-call, not once per block: one range check, one look for a shared-read
-session in the thread's :class:`~repro.storage.iostats.IOScope`, one
+call, not once per block: one range check, one lookup of the thread's
+:class:`~repro.storage.iostats.IOScope` (for its shared-read session and
+for the charge), one
 :meth:`~repro.storage.iostats.IOStats.record_reads` charge and one
 backend read (:meth:`BlockDevice._read_raw_extent`).
 :meth:`BlockDevice.read_extent` is the same call under the name the
@@ -88,6 +89,15 @@ class BlockDevice:
         """Number of blocks currently allocated on the device."""
         raise NotImplementedError
 
+    def truncate(self, num_blocks: int) -> None:
+        """Drop every block from ``num_blocks`` on (uncounted).
+
+        A no-op when the device holds no more than ``num_blocks`` blocks.
+        A structure that restarts its layout (the inverted index's log on
+        a rebuild or compaction) shrinks its device to what it wrote.
+        """
+        raise NotImplementedError
+
     # -- Counted reads and writes ----------------------------------------------
 
     def read_block(
@@ -113,9 +123,10 @@ class BlockDevice:
             return b""
         if block_id < 0 or block_id + count > self.num_blocks:
             self._raise_out_of_range(block_id)
-        session = current_scope().session
+        scope = current_scope()
+        session = scope.session
         if session is None:
-            self.stats.record_reads(block_id, count, category)
+            self.stats.record_reads(block_id, count, category, scope)
             return self._read_raw_extent(block_id, count)
         stats = self.stats
         stop = block_id + count
@@ -124,11 +135,11 @@ class BlockDevice:
         while block < stop:
             cached, run_stop = session.lookup(self, block, stop)
             for data in cached:
-                stats.record_shared_read(block, category)
+                stats.record_shared_read(block, category, scope)
                 pieces.append(data)
                 block += 1
             if run_stop > block:
-                stats.record_reads(block, run_stop - block, category)
+                stats.record_reads(block, run_stop - block, category, scope)
                 data = self._read_raw_extent(block, run_stop - block)
                 session.store_extent(self, block, data, self.block_size)
                 pieces.append(data)
@@ -300,6 +311,16 @@ class InMemoryBlockDevice(BlockDevice):
         while len(self._blocks) < num_blocks:
             self._blocks.append(bytes(self.block_size))
 
+    def truncate(self, num_blocks: int) -> None:
+        """Drop the blocks from ``num_blocks`` on and every kept extent
+        image that covers one of them."""
+        with self._lock:
+            covering, images = self._covering, self._images
+            for block in range(num_blocks, len(self._blocks)):
+                for key in covering.pop(block, ()):
+                    images.pop(key, None)
+            del self._blocks[num_blocks:]
+
     def copy_from(self, source: "InMemoryBlockDevice") -> None:
         """Replace this device's content with ``source``'s (uncounted).
 
@@ -380,6 +401,12 @@ class FileBlockDevice(BlockDevice):
         with self._lock:
             self._file.seek(block_id * self.block_size)
             self._file.write(data)
+
+    def truncate(self, num_blocks: int) -> None:
+        with self._lock:
+            if num_blocks < self._num_blocks:
+                self._file.truncate(num_blocks * self.block_size)
+                self._num_blocks = num_blocks
 
     def _grow_to(self, num_blocks: int) -> None:
         with self._lock:

@@ -235,6 +235,9 @@ class FaultInjectingDevice(BlockDevice):
     def _grow_to(self, num_blocks: int) -> None:
         self.inner._grow_to(num_blocks)
 
+    def truncate(self, num_blocks: int) -> None:
+        self.inner.truncate(num_blocks)
+
     def read_block(
         self, block_id: int, category: str = "data", count: int = 1
     ) -> bytes:

@@ -63,7 +63,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Iterator
+from typing import Iterator, Sequence
 
 #: Instant-event names of counted accesses on a traced thread.  A block
 #: event carries ``block``, ``category`` and ``pattern``; an extent read
@@ -113,6 +113,23 @@ _thread = _ThreadScope()
 def current_scope() -> IOScope:
     """The calling thread's :class:`IOScope`."""
     return _thread.scope
+
+
+@contextmanager
+def fresh_scope() -> Iterator[IOScope]:
+    """Give the calling thread an empty :class:`IOScope` while the block runs.
+
+    Work a component runs on its caller's thread that a pool thread
+    would otherwise run (a synchronous service read) then reports to no
+    collector, shared-read session or span of the caller's; the
+    caller's scope is put back on exit.
+    """
+    outer = _thread.scope
+    scope = _thread.scope = IOScope()
+    try:
+        yield scope
+    finally:
+        _thread.scope = outer
 
 
 @contextmanager
@@ -183,21 +200,30 @@ class IOStats:
         """Record a read of ``block_id``; return True if it was sequential."""
         return self.record_reads(block_id, 1, category)
 
-    def record_reads(self, start: int, count: int = 1, category: str = "data") -> bool:
+    def record_reads(
+        self,
+        start: int,
+        count: int = 1,
+        category: str = "data",
+        scope: IOScope | None = None,
+    ) -> bool:
         """Record a read of the ``count`` blocks from ``start`` (``count >= 1``).
 
         The first block is classified by head position, the other
         ``count - 1`` are sequential, and the head ends on the last block:
         exactly what ``count`` single-block reads in order would record,
         in one locked update of this object and one update of each of the
-        thread's collectors.  Returns True if the first block was
-        sequential.
+        thread's collectors.  ``scope`` is the calling thread's
+        :class:`IOScope` when the caller already holds it (a device read
+        looks it up once for its session and its charge).  Returns True
+        if the first block was sequential.
         """
         with self._lock:
             is_seq = self._last_block is not None and start == self._last_block + 1
             self._last_block = start + count - 1
             self._tally_reads(is_seq, count, category)
-        scope = _thread.scope
+        if scope is None:
+            scope = _thread.scope
         for collector in scope.collectors:
             if collector is not self:
                 collector._tally_reads(is_seq, count, category)
@@ -230,17 +256,20 @@ class IOStats:
         if scope.spans:
             scope.spans[-1].event(EVT_OBJECT_LOAD, count=count)
 
-    def record_shared_read(self, block_id: int, category: str = "data") -> None:
+    def record_shared_read(
+        self, block_id: int, category: str = "data", scope: IOScope | None = None
+    ) -> None:
         """Record a read satisfied by a shared-read session (zero I/O).
 
         Deliberately does *not* touch the random/sequential counters or the
         head position: the device was never asked for the block, so serial
         and batched runs of the remaining (real) accesses classify
-        identically.
+        identically.  ``scope`` is as for :meth:`record_reads`.
         """
         with self._lock:
             self.shared_reads += 1
-        scope = _thread.scope
+        if scope is None:
+            scope = _thread.scope
         for collector in scope.collectors:
             if collector is not self:
                 collector.shared_reads += 1
@@ -254,13 +283,17 @@ class IOStats:
         sequential = count - random
         self.random_reads += random
         self.sequential_reads += sequential
-        counts = self.by_category.setdefault(category, [0, 0, 0, 0])
+        counts = self.by_category.get(category)
+        if counts is None:
+            counts = self.by_category[category] = [0, 0, 0, 0]
         counts[0] += random
         counts[1] += sequential
 
     def _tally_write(self, is_seq: bool, category: str) -> None:
         """Apply one pre-classified write (caller holds the lock)."""
-        counts = self.by_category.setdefault(category, [0, 0, 0, 0])
+        counts = self.by_category.get(category)
+        if counts is None:
+            counts = self.by_category[category] = [0, 0, 0, 0]
         if is_seq:
             self.sequential_writes += 1
             counts[3] += 1
@@ -425,28 +458,51 @@ class IOCounts:
         Used to aggregate accesses across several devices (tree file,
         object file, postings file) or shards into one figure.
         """
-        return self._combined(other, 1)
+        return IOCounts.sum_of((self, other))
+
+    @staticmethod
+    def sum_of(records: Sequence["IOCounts"]) -> "IOCounts":
+        """The element-wise sum of ``records`` in one pass.
+
+        Categories come in first-appearance order; a single record is
+        its own sum and is returned as is (records are frozen).
+        """
+        if len(records) == 1:
+            return records[0]
+        fields = [0, 0, 0, 0, 0, 0]
+        categories: dict[str, list[int]] = {}
+        for record in records:
+            fields[0] += record.random_reads
+            fields[1] += record.sequential_reads
+            fields[2] += record.random_writes
+            fields[3] += record.sequential_writes
+            fields[4] += record.objects_loaded
+            fields[5] += record.shared_reads
+            flat = record._categories
+            for i in range(0, len(flat), 5):
+                counts = categories.get(flat[i])
+                if counts is None:
+                    categories[flat[i]] = list(flat[i + 1 : i + 5])
+                else:
+                    for j in range(4):
+                        counts[j] += flat[i + 1 + j]
+        return IOCounts(*fields, _flat_categories(categories))
 
     def diff(self, earlier: "IOCounts") -> "IOCounts":
         """Return the counts recorded since ``earlier``, an older snapshot
-        of the same counter."""
-        return self._combined(earlier, -1)
-
-    def _combined(self, other: "IOCounts", sign: int) -> "IOCounts":
-        """``self + sign * other``, element-wise; categories in
-        first-appearance order, ``self``'s first."""
+        of the same counter (categories in this record's order)."""
         categories = {k: list(v) for k, v in self.by_category.items()}
-        for key, counts in other.by_category.items():
+        for key, counts in earlier.by_category.items():
             combined = categories.setdefault(key, [0, 0, 0, 0])
             for i, value in enumerate(counts):
-                combined[i] += sign * value
+                combined[i] -= value
         return IOCounts(
-            self.random_reads + sign * other.random_reads,
-            self.sequential_reads + sign * other.sequential_reads,
-            self.random_writes + sign * other.random_writes,
-            self.sequential_writes + sign * other.sequential_writes,
-            self.objects_loaded + sign * other.objects_loaded,
-            self.shared_reads + sign * other.shared_reads,
+            self.random_reads - earlier.random_reads,
+            self.sequential_reads - earlier.sequential_reads,
+            self.random_writes - earlier.random_writes,
+            self.sequential_writes - earlier.sequential_writes,
+            self.objects_loaded - earlier.objects_loaded,
+            self.shared_reads - earlier.shared_reads,
             _flat_categories(categories),
         )
 

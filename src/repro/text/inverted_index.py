@@ -109,8 +109,10 @@ class InvertedIndex:
         Postings are accumulated in memory, sorted, and laid out term by
         term in one buffer — a dense, mostly-sequential layout — and each
         block the buffer covers is then written once.  The log restarts
-        at byte 0, so a rebuild replaces every earlier list and sizes
-        the index exactly as a fresh build over the same documents.
+        at byte 0 and the device is cut back to the blocks it covers, so
+        a rebuild replaces every earlier list and sizes the index, and
+        its saved image, exactly as a fresh build over the same
+        documents.
         """
         accumulator: dict[str, list[int]] = {}
         for pointer, terms in documents:
@@ -125,6 +127,7 @@ class InvertedIndex:
             log += data
         self._write_bytes(0, bytes(log))
         self._end = self._live_bytes = len(log)
+        self._truncate_log()
 
     def add(self, pointer: int, text: str) -> None:
         """Index one new document (incremental maintenance).
@@ -169,13 +172,22 @@ class InvertedIndex:
         return removed
 
     def compact(self) -> None:
-        """Rewrite every live list densely, reclaiming dead log space."""
+        """Rewrite every live list densely, reclaiming dead log space.
+
+        The device is cut back to the blocks the compacted log covers.
+        """
         lists = {term: self._read_postings(term) for term in sorted(self._lexicon)}
         self._lexicon.clear()
         self._end = 0
         self._live_bytes = 0
         for term, postings in lists.items():
             self._append_postings(term, postings)
+        self._truncate_log()
+
+    def _truncate_log(self) -> None:
+        """Drop the device blocks past the end of the log."""
+        block_size = self.device.block_size
+        self.device.truncate(-(-self._end // block_size))
 
     def _append_postings(self, term: str, postings: Sequence[int]) -> None:
         data = self.codec.encode(postings)
@@ -235,22 +247,29 @@ class InvertedIndex:
         payload = data[start : start + length]
         return self.codec.decode(payload, count)
 
-    def retrieve_conjunction(self, keywords: Iterable[str]) -> list[int]:
+    def retrieve_conjunction(
+        self, keywords: Iterable[str], terms: Sequence[str] | None = None
+    ) -> list[int]:
         """Pointers of objects containing *all* keywords (Figure 7, lines 1-3).
 
         Lists are fetched shortest-first so the running intersection stays
         small; an empty list short-circuits without further I/O.  The
         intersection itself uses galloping (exponential) search — probing
         each longer list for the survivors of the shorter one — the
-        standard technique when list lengths are skewed.
+        standard technique when list lengths are skewed.  ``terms`` are
+        the keywords' normalized terms when the caller has them
+        (:meth:`~repro.text.analyzer.Analyzer.query_terms`); they are
+        computed here otherwise.
         """
-        terms = self.analyzer.query_terms(keywords)
+        if terms is None:
+            terms = self.analyzer.query_terms(keywords)
         if not terms:
             raise QueryError("conjunctive retrieval needs at least one keyword")
-        # Order by posting count without touching the disk.
-        terms.sort(key=lambda t: self._lexicon.get(t, (0, 0, 0))[2])
+        # Order by posting count without touching the disk (a copy: the
+        # caller's terms keep their order).
+        lexicon = self._lexicon
         result: list[int] | None = None
-        for term in terms:
+        for term in sorted(terms, key=lambda t: lexicon.get(t, (0, 0, 0))[2]):
             postings = self.postings(term)
             if not postings:
                 return []

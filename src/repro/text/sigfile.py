@@ -100,14 +100,19 @@ class SignatureFile:
 
     # -- Retrieval ---------------------------------------------------------------
 
-    def candidates(self, keywords: Sequence[str]) -> list[int]:
+    def candidates(
+        self, keywords: Sequence[str], terms: Sequence[str] | None = None
+    ) -> list[int]:
         """Scan the whole file; return pointers whose signature covers the
         conjunctive query signature (includes false positives).
 
         The scan is one long extent read — almost entirely *sequential*
         accesses, the organization's selling point on spinning disks.
+        ``terms`` are the keywords' normalized terms when the caller has
+        them; they are computed here otherwise.
         """
-        terms = self.analyzer.query_terms(keywords)
+        if terms is None:
+            terms = self.analyzer.query_terms(keywords)
         query = self.factory.for_words(terms)
         if self._count == 0 or query.bits == 0:
             return []

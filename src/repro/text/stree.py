@@ -250,15 +250,20 @@ class STree:
 
     # --------------------------------------------------------------- Search --
 
-    def candidates(self, keywords: Sequence[str]) -> list[int]:
+    def candidates(
+        self, keywords: Sequence[str], terms: Sequence[str] | None = None
+    ) -> list[int]:
         """Object pointers whose signatures cover the conjunctive query.
 
         Prunes every subtree whose superimposed signature misses a query
         bit; the result still contains signature false positives and must
         be verified against the documents (as with every signature
         method).
+        ``terms`` are the keywords' normalized terms when the caller has
+        them; they are computed here otherwise.
         """
-        terms = self.analyzer.query_terms(keywords)
+        if terms is None:
+            terms = self.analyzer.query_terms(keywords)
         query = self.factory.for_words(terms)
         if query.bits == 0:
             return []

@@ -1127,3 +1127,132 @@ class TestStatsReadTheMetrics:
             if not any(pattern.fullmatch(name) for name in emitted)
         ]
         assert missing == []
+
+    @pytest.fixture()
+    def fleet(self, world):
+        return _serve_sharded_outcomes(world)
+
+    def test_planner_and_shard_metrics_count_the_fan_out(self, fleet):
+        """The ``planner.*`` and ``shard.*`` counters equal what the
+        executions' shard reports show: one plan lookup per planned
+        shard visit, one observation per shard execution, and every
+        per-shard family summing to its fleet-wide counter."""
+        snapshot, executions = fleet
+        counters = snapshot["counters"]
+        reports = [report for e in executions for report in e.shards]
+        planned = [r for r in reports if r["strategy"] is not None]
+        executed = [r for r in planned if r["strategy"] == "iio"]
+        assert planned and executed and len(executed) < len(planned)
+
+        def total(prefix):
+            return sum(v for k, v in counters.items() if k.startswith(prefix))
+
+        # One decide per planned visit: the shard's search runs the
+        # fan-out's decision instead of looking it up again.
+        assert (
+            counters.get("planner.cache.hits", 0)
+            + counters.get("planner.cache.misses", 0)
+        ) == len(planned)
+        # A streamed visit has no execution cost to observe.
+        assert counters["planner.queries"] == len(executed)
+        assert total("planner.chosen.") == len(executed)
+        assert total("planner.won.") + total("planner.lost.") == len(executed)
+        assert counters["planner.chosen.iio"] == len(executed)
+
+        searched = [r for r in reports if not r["pruned"]]
+        want = {
+            "queries": len(executions),
+            "searched": len(searched),
+            "pruned": sum(1 for r in reports if r["pruned"]),
+            "pruned_by_keywords": sum(
+                1 for r in reports if r["pruned_by_keywords"]
+            ),
+            "failed": sum(1 for r in reports if r["failed"]),
+            "retried": sum(r["retries"] for r in reports),
+            "offers": sum(r["results_offered"] for r in reports),
+        }
+        got = {
+            outcome: counters.get(f"shard.fanout.{outcome}", 0)
+            for outcome in want
+        }
+        assert got == want
+        assert want["pruned_by_keywords"] > 0
+        assert want["failed"] > 0 and want["retried"] > 0
+        for outcome in want:
+            if outcome == "queries":
+                continue
+            per_shard = sum(
+                counters.get(f"shard.{shard}.{outcome}", 0) for shard in (0, 1)
+            )
+            assert per_shard == want[outcome], outcome
+
+    def test_planner_and_shard_metrics_match_the_catalogue(self, fleet):
+        """Every emitted ``planner.*`` / ``shard.*`` name is documented,
+        and every documented one is emitted."""
+        from pathlib import Path
+
+        snapshot, _ = fleet
+        doc = Path(__file__).resolve().parents[1] / "docs" / "OBSERVABILITY.md"
+        families = (r"planner\.", r"shard\.")
+        documented = [
+            pattern for pattern in _documented_metric_patterns(doc)
+            if pattern.pattern.startswith(families)
+        ]
+        emitted = [
+            name
+            for kind in ("counters", "gauges", "histograms")
+            for name in snapshot[kind]
+            if name.startswith(("planner.", "shard."))
+        ]
+        undocumented = [
+            name for name in emitted
+            if not any(pattern.fullmatch(name) for pattern in documented)
+        ]
+        missing = [
+            pattern.pattern for pattern in documented
+            if not any(pattern.fullmatch(name) for name in emitted)
+        ]
+        assert (undocumented, missing) == ([], [])
+
+
+def _serve_sharded_outcomes(world):
+    """Serve the world's queries, four of them twice and three of the
+    streamed ones again forced onto ``iio``, on a two-shard
+    keyword-partitioned ``auto`` engine, then one query on a two-shard ``ir2`` engine whose
+    first shard fails every read transiently (one retry, then a partial
+    answer).  Both services share one registry; returns its snapshot
+    and the executions."""
+    from repro.obs import MetricsRegistry
+    from repro.shard import PARTIAL
+    from repro.storage import inject_engine_faults
+
+    objects, queries = world
+    routed = ShardedEngine(
+        n_shards=2, index="auto", partitioner="keyword", signature_bytes=4,
+    )
+    routed.add_all(objects)
+    routed.build()
+    flaky = ShardedEngine(
+        n_shards=2, index="ir2", signature_bytes=4,
+        retries=1, retry_backoff_s=0.0, failure_policy=PARTIAL,
+    )
+    flaky.add_all(objects)
+    flaky.build()
+    inject_engine_faults(flaky.shards[0], read_error_rate=1.0, transient=True)
+    registry = MetricsRegistry()
+    with QueryService(routed, workers=1, cache=False, metrics=registry) as service:
+        # The repeats hit the plan cache (the result cache is off).
+        executions = [service.search(query) for query in queries + queries[:4]]
+        # Forced onto the inverted index, a query the planner streamed
+        # from the IR2-tree loses to the tree's estimate.
+        streamed = [
+            execution.query for execution in executions
+            if any(r["strategy"] == "ir2" for r in execution.shards)
+        ]
+        for shard in routed.shards:
+            shard.index.planner.force = "iio"
+        executions += [service.search(query) for query in streamed[:3]]
+    with QueryService(flaky, workers=1, cache=False, metrics=registry) as service:
+        executions.append(service.search(queries[0]))
+    assert executions[-1].degraded
+    return registry.snapshot(), executions

@@ -222,3 +222,56 @@ class TestFileDevice:
         blocks = list(device.iter_blocks())
         assert len(blocks) == 3
         assert device.stats.snapshot().total_accesses == 0
+
+
+class TestTruncate:
+    """Every device kind drops the blocks past a given count, uncounted."""
+
+    @pytest.fixture(params=("memory", "file", "faulty"))
+    def device(self, request, tmp_path):
+        from repro.storage import FaultInjectingDevice, FaultPlan
+
+        if request.param == "file":
+            device = FileBlockDevice(str(tmp_path / "t.dat"), block_size=16)
+        else:
+            device = InMemoryBlockDevice(block_size=16)
+        if request.param == "faulty":
+            device = FaultInjectingDevice(device, FaultPlan())
+        for block in range(6):
+            device.write_block(block, bytes([block]) * 16)
+        device.stats.reset()
+        yield device
+        close = getattr(device, "close", None)
+        if close is not None:
+            close()
+
+    def test_drops_the_tail_without_counting(self, device):
+        device.truncate(2)
+        assert device.num_blocks == 2
+        assert device.read_extent(0, 2) == bytes([0]) * 16 + bytes([1]) * 16
+        with pytest.raises(BlockOutOfRangeError):
+            device.read_block(2)
+        assert device.stats.snapshot().total_writes == 0
+
+    def test_a_longer_count_is_a_no_op(self, device):
+        device.truncate(10)
+        assert device.num_blocks == 6
+
+    def test_growing_again_reads_zero_blocks_not_the_old_tail(self, device):
+        device.truncate(1)
+        device.write_block(3, b"x")
+        assert device.num_blocks == 4
+        assert device.read_block(2) == bytes(16)
+
+
+def test_a_truncated_memory_extent_image_is_never_served_again():
+    device = InMemoryBlockDevice(block_size=16)
+    for block in range(4):
+        device.write_block(block, bytes([block]) * 16)
+    before = device.read_extent(1, 3)
+    device.truncate(2)
+    for block in range(2, 4):
+        device.write_block(block, b"new")
+    after = device.read_extent(1, 3)
+    assert after != before
+    assert after[16:19] == b"new"
